@@ -234,7 +234,7 @@ def resolve_config(args: argparse.Namespace, env: dict | None = None) -> RunConf
 
 def _pair_record(pair, verdict) -> dict:
     return {
-        "class": str(pair.curve_class()),
+        "class": pair.render_class(),
         "t": pair.t,
         "M": pair.total_multiplicity,
         "delta": verdict.delta,
@@ -261,7 +261,7 @@ def _verify_doc(r: int, mu0_text: str | None) -> dict:
             verdict = check_pair(pair, report.mu0)
             small_records.append(
                 {
-                    "class": str(pair.curve_class()),
+                    "class": pair.render_class(),
                     "t": pair.t,
                     "M": pair.total_multiplicity,
                     "delta": verdict.delta,

@@ -21,6 +21,15 @@ finitely many pairs:
   and M is capped by total_multiplicity_bound; both caps come from the
   geometry of the strip [sqrt(r), sqrt(r+1)).
 
+On the balanced class of total M, with (m, s) = balanced_split(M, r), the
+left side of (**) has the closed form
+
+      C(d+2,2) - s*C(m+1,2) - (r-s)*C(m,2),
+
+so the search works on (d, M, r) alone and never builds a length-r class.
+Each step costs O(1), and the number of steps per r is bounded by the caps
+above, so the search cost per r does not depend on r.
+
 Each critical pair is then checked against a threshold mu_0: with
 Delta = M^2 - r(d^2 - t^2), the pair is harmless when Delta < 0 (the class
 is never submaximal on the strip) or when mu_- = (dM - t*sqrt(Delta))/(d^2
@@ -71,8 +80,16 @@ class BalancedPair:
     def curve_class(self) -> CurveClass:
         return CurveClass(self.d, (self.m,) * self.s + (self.m - 1,) * (self.r - self.s))
 
+    def render_class(self) -> str:
+        """The class as CurveClass.render writes it, without the r-tuple."""
+        groups = [f"{self.m}^{self.s}" if self.s > 1 else f"{self.m}"]
+        rest = self.r - self.s
+        if rest and self.m > 1:
+            groups.append(f"{self.m - 1}^{rest}" if rest > 1 else f"{self.m - 1}")
+        return f"({self.d};{','.join(groups)})"
+
     def __str__(self) -> str:
-        return f"({self.curve_class()}, t={self.t})"
+        return f"({self.render_class()}, t={self.t})"
 
 
 class Outcome(enum.Enum):
@@ -199,27 +216,30 @@ def total_multiplicity_bound(r: int) -> int:
     return m_total
 
 
+def _balanced_edim_lhs(d: int, m_total: int, r: int) -> int:
+    """Left side of (**) on the balanced class of total m_total at r."""
+    m, s = balanced_split(m_total, r)
+    return comb(d + 2, 2) - s * comb(m + 1, 2) - (r - s) * comb(m, 2)
+
+
 def _max_total_satisfying_edim(d: int, t: int, r: int) -> int:
-    """Largest M >= 1 whose balanced class satisfies (**) at t; 0 if none."""
-    best = 0
-    m_total = 1
-    while True:
-        m, s = balanced_split(m_total, r)
-        c = CurveClass(d, (m,) * s + (m - 1,) * (r - s))
-        if edim_condition(c, t):
-            best = m_total
-            m_total += 1
-        else:
-            return best
+    """Largest M >= 1 whose balanced class satisfies (**) at t; 0 if none.
+
+    The left side of (**) strictly decreases in M, so the scan stops at the
+    first M that fails.
+    """
+    rhs = max(comb(t + 1, 2) - 2, 0)
+    m_total = 0
+    while _balanced_edim_lhs(d, m_total + 1, r) > rhs:
+        m_total += 1
+    return m_total
 
 
 def _is_t_critical(d: int, t: int, r: int, m_total: int) -> bool:
     """t = d - 1, or (**) fails once t is bumped to t + 1."""
     if t == d - 1:
         return True
-    m, s = balanced_split(m_total, r)
-    c = CurveClass(d, (m,) * s + (m - 1,) * (r - s))
-    return not edim_condition(c, t + 1)
+    return _balanced_edim_lhs(d, m_total, r) <= max(comb(t + 2, 2) - 2, 0)
 
 
 def critical_pair_for(d: int, t: int, r: int) -> BalancedPair | None:

@@ -291,8 +291,9 @@ def test_criterion_8_property_battery(capsys):
                 bigger = CurveClass(
                     p.d, (m_next,) * s_next + (m_next - 1,) * (r - s_next)
                 )
+                assert not edim_condition(bigger, p.t)
                 if p.t < p.d - 1:
-                    assert not edim_condition(bigger, p.t + 1)
+                    assert not edim_condition(p.curve_class(), p.t + 1)
 
         # balancing moves: conserved total, monotone condition count,
         # fixed point equal to the balanced profile (1000 instances)

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: formats, exit codes, config, cache."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -201,6 +202,23 @@ def test_json_output_is_deterministic(capsys):
     doc = json.loads(first)
     assert doc["command"] == "verify"
     assert [d["r"] for d in doc["results"]] == [10, 11, 12]
+
+
+# sha256 of stdout, recorded before the critical-pair search moved to the
+# closed form of (**) on balanced classes; the output must not change.
+GOLDEN_STDOUT_SHA256 = {
+    ("verify", "--r", "10..200"):
+        "1623d7685798e8ed24c41dc9a40e2dadafbca96d92aec2328b88581705167b18",
+    ("table", "--r", "12", "--format", "csv"):
+        "219208b5b04b75ac77d37c00d22c33878c02fb9eeb230435a346efded60f3d06",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_STDOUT_SHA256))
+def test_stdout_matches_golden_digest(capsys, argv):
+    assert main(list(argv)) == EXIT_PASS
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_STDOUT_SHA256[argv]
 
 
 def test_cache_round_trip(capsys, tmp_path):

@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from seshadri import cli, search
 from seshadri.errors import ExceptionalClassUnsupported, InvalidT, UnsupportedR
 from seshadri.exact import QuadraticNumber, compare
 from seshadri.search import (
@@ -179,15 +180,16 @@ def test_enumeration_counts_and_order():
 
 def test_criticality_sandwich():
     """Each enumerated pair satisfies the dimension condition at its own
-    total M, while the balanced class with total M + 1 fails it (unless
-    the pair is forced by t = d - 1)."""
+    total M and fails it at M + 1 (M is maximal), and fails it at t + 1
+    unless the pair is forced by t = d - 1 (t is extremal)."""
     for r in (10, 11, 12, 13):
         for p in enumerate_critical_pairs(r):
             assert edim_condition(p.curve_class(), p.t)
             m_next, s_next = balanced_split(p.total_multiplicity + 1, r)
             bigger = CurveClass(p.d, (m_next,) * s_next + (m_next - 1,) * (r - s_next))
+            assert not edim_condition(bigger, p.t)
             if p.t < p.d - 1:
-                assert not edim_condition(bigger, p.t + 1)
+                assert not edim_condition(p.curve_class(), p.t + 1)
 
 
 def test_increment_smallest_is_balanced_successor():
@@ -290,8 +292,63 @@ def test_enumeration_at_r_20_is_the_small_degree_list():
     assert enumerate_critical_pairs(20) == small_degree_pairs(20)
 
 
+def test_balanced_edim_lhs_matches_materialised_class():
+    rng = random.Random(2019)
+    for _ in range(300):
+        r = rng.randrange(10, 3001)
+        d = rng.randrange(2, 200)
+        below = rng.randrange(1, r)
+        multiple = r * rng.randrange(1, 6)
+        for m_total in (below, multiple):
+            m, s = balanced_split(m_total, r)
+            c = CurveClass(d, (m,) * s + (m - 1,) * (r - s))
+            assert search._balanced_edim_lhs(d, m_total, r) == search._edim_lhs(c)
+        assert balanced_split(multiple, r)[1] == r
+
+
+def test_render_class_matches_curve_class_render():
+    for r in (10, 11, 12, 13, 14, 19, 20, 37, 100, 1000):
+        pairs = enumerate_critical_pairs(r)
+        if r >= 14:
+            pairs += small_degree_pairs(r)
+        for p in pairs:
+            assert p.render_class() == str(p.curve_class())
+            assert str(p) == f"({p.curve_class()}, t={p.t})"
+    edge_cases = [
+        BalancedPair(5, 1, 3, 12, 2),  # m = 1: the zero multiplicities vanish
+        BalancedPair(5, 1, 12, 12, 2),  # m = 1 and s = r
+        BalancedPair(11, 3, 12, 12, 3),  # s = r: no second group
+        BalancedPair(11, 4, 1, 12, 2),  # single top entry: no ^1
+        BalancedPair(7, 2, 11, 12, 2),  # single lower entry: no ^1
+    ]
+    for p in edge_cases:
+        assert p.render_class() == str(p.curve_class())
+    assert BalancedPair(11, 4, 1, 12, 2).render_class() == "(11;4,3^11)"
+    assert BalancedPair(11, 3, 12, 12, 3).render_class() == "(11;3^12)"
+
+
+def test_search_never_builds_curve_classes(monkeypatch):
+    """The critical-pair search and the verify document stay O(1) per
+    candidate: not a single length-r class is built.  r = 10..13 reach the
+    t-criticality test with t < d - 1; r = 1000 is the large-r path."""
+    built = []
+    original = CurveClass.__post_init__
+
+    def counting(self):
+        built.append(self.d)
+        original(self)
+
+    monkeypatch.setattr(CurveClass, "__post_init__", counting)
+    for r in (10, 11, 12, 13, 1000):
+        assert enumerate_critical_pairs(r)
+    assert cli._verify_doc(1000, None)["all_pass"]
+    assert built == []
+    CurveClass(3, (1,) * 9)
+    assert built == [3]  # the counter does see a construction
+
+
 def test_brute_force_oracle_matches_enumeration():
-    for r in (10, 11, 12, 13):
+    for r in [*range(10, 61), 100, 500, 1000, 2000]:
         report = brute_force_oracle(r)
         assert report.all_pass
         assert report.matches_enumeration
