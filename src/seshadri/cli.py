@@ -35,6 +35,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
@@ -84,6 +85,9 @@ _DEFAULT_FORMATS = {
 }
 
 _CSV_COMMANDS = {"table", "enumerate", "verify", "coverage"}
+
+MAX_RADICAND = 10**18
+_RADICAND_RE = re.compile(r"sqrt\((\d+)\)")
 
 
 class UsageError(SeshadriError):
@@ -354,16 +358,15 @@ def _cache_store(path: Path | None, key: dict, result: dict) -> None:
 def _docs_for_range(cfg: RunConfig, command: str, params: dict) -> list[dict]:
     """Per-r documents in ascending r, from cache where possible."""
     rs = list(range(cfg.r_min, cfg.r_max + 1))
-    keyed = {r: _cache_key(command, r, params) for r in rs}
+    keyed: dict[int, tuple[dict, str]] = {}
+    if cfg.cache_dir is not None:
+        keyed = {r: _cache_key(command, r, params) for r in rs}
     docs: dict[int, dict] = {}
-    missing: list[int] = []
-    for r in rs:
-        key, digest = keyed[r]
+    for r, (key, digest) in keyed.items():
         cached = _cache_load(_cache_path(cfg, command, r, digest), key)
-        if cached is None:
-            missing.append(r)
-        else:
+        if cached is not None:
             docs[r] = cached
+    missing = [r for r in rs if r not in docs]
     if missing:
         if cfg.parallelism > 1 and len(missing) > 1:
             with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
@@ -373,8 +376,9 @@ def _docs_for_range(cfg: RunConfig, command: str, params: dict) -> list[dict]:
         else:
             computed = [_compute_doc(command, r, params) for r in missing]
         for r, doc in zip(missing, computed):
-            key, digest = keyed[r]
-            _cache_store(_cache_path(cfg, command, r, digest), key, doc)
+            if r in keyed:
+                key, digest = keyed[r]
+                _cache_store(_cache_path(cfg, command, r, digest), key, doc)
             docs[r] = doc
     return [docs[r] for r in rs]
 
@@ -572,9 +576,16 @@ def _require_single_r(cfg: RunConfig, command: str) -> int:
 
 
 def _validated_mu0(args: argparse.Namespace) -> str | None:
+    """The --mu0 text, once it parses and every radicand is at most
+    MAX_RADICAND, which bounds the cost of reducing it to squarefree form."""
     if args.mu0 is None:
         return None
     try:
+        if any(
+            len(n.lstrip("0")) > len(str(MAX_RADICAND)) or int(n) > MAX_RADICAND
+            for n in _RADICAND_RE.findall(args.mu0)
+        ):
+            raise UsageError(f"--mu0 radicands must be at most {MAX_RADICAND}")
         parse_quadratic(args.mu0)
     except ValueError as exc:
         raise UsageError(str(exc)) from None

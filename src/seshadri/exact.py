@@ -11,10 +11,11 @@ Normalization makes representations canonical: the radicand is reduced to its
 squarefree part on construction and b == 0 forces rad == 0.  Canonical forms
 turn value equality into structural equality, because 1 and sqrt(n) are
 linearly independent over Q for squarefree n > 1 and sqrt(n), sqrt(m) generate
-different fields for distinct squarefree n, m > 1.  Strict order between
-distinct values is then decided by refining interval enclosures until they
-separate; termination is guaranteed because equality was excluded
-symbolically.
+different fields for distinct squarefree n, m > 1.  Order is decided by an
+exact sign test in integers: the sign of a + b*sqrt(n) follows from the signs
+of a and b, or, when they differ, from one squaring (a^2 against b^2*n); a
+comparison across two fields needs one more squaring.  No enclosure is
+involved, so there is nothing to refine and no termination argument.
 
 All interval endpoint arithmetic is exact rational arithmetic.  The only
 outward rounding in the package happens in sqrt_enclosure.
@@ -39,6 +40,7 @@ Rational = Fraction
 RationalLike = Union[Fraction, int]
 
 DEFAULT_SQRT_WIDTH = Fraction(1, 2**32)
+_ZERO = Fraction(0)
 
 
 def _as_fraction(x: RationalLike) -> Fraction:
@@ -50,20 +52,35 @@ def _as_fraction(x: RationalLike) -> Fraction:
 
 
 def squarefree_decomposition(n: int) -> tuple[int, int]:
-    """Split n >= 0 as f**2 * m with m squarefree; returns (f, m)."""
+    """Split n >= 0 as f**2 * m with m squarefree; returns (f, m).
+
+    Trial division runs only up to the cube root of n, so the cost is
+    O(n^(1/3)): once every prime p <= n^(1/3) is stripped, the cofactor c
+    has at most two prime factors, each above n^(1/3).  Then c is squarefree
+    unless it is the square of one prime, which isqrt detects.  The loop also
+    stops once p^2 > c, because c is then 1 or a prime.
+    """
     if n < 0:
         raise NegativeRadicand(f"radicand must be nonnegative, got {n}")
     if n in (0, 1):
         return 1, n
-    f = 1
-    m = n
+    f = m = 1
+    c = n
     p = 2
-    while p * p <= m:
-        while m % (p * p) == 0:
-            m //= p * p
-            f *= p
+    while p * p <= c and p * p * p <= n:
+        if c % p == 0:
+            e = 0
+            while c % p == 0:
+                c //= p
+                e += 1
+            f *= p ** (e // 2)
+            if e % 2:
+                m *= p
         p += 1 if p == 2 else 2
-    return f, m
+    root = isqrt(c)
+    if root * root == c:
+        return f * root, m
+    return f, m * c
 
 
 def sqrt_enclosure(x: RationalLike, width: RationalLike) -> RationalInterval:
@@ -217,6 +234,17 @@ class QuadraticNumber:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "rad", rad)
 
+    @classmethod
+    def _canonical(cls, a: Fraction, b: Fraction, rad: int) -> QuadraticNumber:
+        """Instance from rational a, b and a radicand that is already
+        squarefree or 0, as every arithmetic result's is; skips
+        squarefree_decomposition and only enforces b == 0 => rad == 0."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "rad", rad if b else 0)
+        return self
+
     @staticmethod
     def from_rational(x: RationalLike) -> QuadraticNumber:
         return QuadraticNumber(_as_fraction(x))
@@ -243,7 +271,7 @@ class QuadraticNumber:
     def _coerce(x: QuadraticLike) -> QuadraticNumber:
         if isinstance(x, QuadraticNumber):
             return x
-        return QuadraticNumber(_as_fraction(x))
+        return QuadraticNumber._canonical(_as_fraction(x), _ZERO, 0)
 
     def _common_rad(self, other: QuadraticNumber) -> int:
         if self.b == 0:
@@ -259,12 +287,12 @@ class QuadraticNumber:
     def __add__(self, other: QuadraticLike) -> QuadraticNumber:
         o = self._coerce(other)
         rad = self._common_rad(o)
-        return QuadraticNumber(self.a + o.a, self.b + o.b, rad)
+        return QuadraticNumber._canonical(self.a + o.a, self.b + o.b, rad)
 
     __radd__ = __add__
 
     def __neg__(self) -> QuadraticNumber:
-        return QuadraticNumber(-self.a, -self.b, self.rad)
+        return QuadraticNumber._canonical(-self.a, -self.b, self.rad)
 
     def __sub__(self, other: QuadraticLike) -> QuadraticNumber:
         return self + (-self._coerce(other))
@@ -276,7 +304,7 @@ class QuadraticNumber:
         o = self._coerce(other)
         rad = self._common_rad(o)
         # (a1 + b1 s)(a2 + b2 s) with s^2 = rad; b1 or b2 is 0 when rads differ
-        return QuadraticNumber(
+        return QuadraticNumber._canonical(
             self.a * o.a + self.b * o.b * rad, self.a * o.b + self.b * o.a, rad
         )
 
@@ -290,9 +318,8 @@ class QuadraticNumber:
         # multiply by the conjugate; norm a2^2 - b2^2*rad is nonzero for
         # nonzero o because sqrt(rad) is irrational or b2 == 0
         norm = o.a * o.a - o.b * o.b * rad
-        conj = QuadraticNumber(o.a, -o.b, rad)
-        num = self * conj
-        return QuadraticNumber(num.a / norm, num.b / norm, num.rad)
+        num = self * QuadraticNumber._canonical(o.a, -o.b, rad)
+        return QuadraticNumber._canonical(num.a / norm, num.b / norm, num.rad)
 
     def __rtruediv__(self, other: QuadraticLike) -> QuadraticNumber:
         return self._coerce(other) / self
@@ -398,28 +425,53 @@ def parse_quadratic(text: str) -> QuadraticNumber:
     raise ValueError(f"cannot parse quadratic number from {text!r}")
 
 
+def _sign(x: int) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _field_sign(a: int, b: int, n: int) -> int:
+    """Sign of a + b*sqrt(n) for integers a, b and n >= 0.
+
+    Equal signs, or a zero term, decide at once.  Otherwise
+    a + b*sqrt(n) = (a^2 - b^2*n) / (a - b*sqrt(n)), whose denominator has
+    the sign of a, so the answer is sign(a) * sign(a^2 - b^2*n).
+    """
+    sa, sb = _sign(a), _sign(b)
+    if sb == 0 or n == 0:
+        return sa
+    if sa == 0 or sa == sb:
+        return sb
+    return sa * _sign(a * a - b * b * n)
+
+
 def compare(x: QuadraticLike, y: QuadraticLike) -> int:
     """Exact trichotomous comparison: -1, 0, or +1.
 
-    Equality is decided structurally on canonical forms; strict order by
-    refining enclosures until they separate (termination follows because the
-    values are then known to differ).
+    Decided by an algebraic sign test in integers.  Scaling by a positive
+    common denominator D turns x - y into (A + U*sqrt(p) - V*sqrt(q)) / D
+    with integers A, U, V.  In one field (p == q, or one side rational) that
+    is the sign of A + (U - V)*sqrt(p), from _field_sign.  Across fields,
+    s = A + U*sqrt(p) and w = V*sqrt(q) decide when their signs differ;
+    otherwise s - w = (s^2 - w^2) / (s + w) has sign(s) times the sign of
+    (A^2 + U^2*p - V^2*q) + 2AU*sqrt(p), a second one-field test.  A
+    cross-field difference is never 0, since sqrt(p) and sqrt(q) are
+    independent over Q for distinct squarefree p, q > 1.
     """
     qx = QuadraticNumber._coerce(x)
     qy = QuadraticNumber._coerce(y)
-    if (qx.a, qx.b, qx.rad) == (qy.a, qy.b, qy.rad):
-        return 0
-    if qx.is_rational and qy.is_rational:
-        return -1 if qx.a < qy.a else 1
-    width = Fraction(1, 2**16)
-    while True:
-        ex = qx.enclosure(width)
-        ey = qy.enclosure(width)
-        if ex.hi < ey.lo:
-            return -1
-        if ey.hi < ex.lo:
-            return 1
-        width = width * width
+    ax, ay, bx, by = qx.a, qy.a, qx.b, qy.b
+    da = ax.denominator * ay.denominator
+    db = bx.denominator * by.denominator
+    a = (ax.numerator * ay.denominator - ay.numerator * ax.denominator) * db
+    u = bx.numerator * by.denominator * da
+    v = by.numerator * bx.denominator * da
+    p, q = qx.rad, qy.rad
+    if p == q or not p or not q:
+        return _field_sign(a, u - v, p or q)
+    s, w = _field_sign(a, u, p), _sign(v)
+    if s != w:
+        return 1 if s > w else -1
+    return s * _field_sign(a * a + u * u * p - v * v * q, 2 * a * u, p)
 
 
 class Expression:

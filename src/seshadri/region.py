@@ -44,7 +44,6 @@ from .exact import (
     RationalInterval,
     RationalLike,
     Var,
-    compare,
     interval_eval,
     sqrt_enclosure,
     _as_fraction,
@@ -424,14 +423,19 @@ def large_r_inequalities(r: int) -> tuple[bool, bool]:
 
     (i) forces the maximal M satisfying (**) past the enumeration bound in
     every degree d >= 5, so no critical pair survives there; (ii) makes the
-    five small-degree pairs harmless (negative Delta).  Both hold from
-    r = 20 on and fail at r = 19.
+    five small-degree pairs harmless (negative Delta).  (i) holds from
+    r = 20 on and fails at r = 19.
+
+    Both are decided in integers.  (i): 3 sqrt(r) > 0, so it needs r > 6,
+    and then both sides are positive and squaring gives (r - 6)^2 > 9r.
+    (ii): multiplying through by (r + 1) sqrt(r) > 0 gives
+    (6r - 3) sqrt(r) > 9(r + 1); the right side is positive and so is
+    6r - 3 for r >= 1, so squaring gives (6r - 3)^2 r > 81 (r + 1)^2.
     """
     if r < 1:
         raise UnsupportedR(f"need r >= 1, got {r}")
-    sqrt_r = QuadraticNumber.sqrt(r)
-    first = compare(Fraction(r - 6), sqrt_r * 3) > 0
-    second = compare(Fraction(9 * r, r + 1) - Fraction(3), sqrt_r * Fraction(9, r)) > 0
+    first = r > 6 and (r - 6) ** 2 > 9 * r
+    second = (6 * r - 3) ** 2 * r > 81 * (r + 1) ** 2
     return first, second
 
 

@@ -6,11 +6,13 @@ from pathlib import Path
 
 import pytest
 
+from seshadri import cli, exact, region, search
 from seshadri.cli import (
     EXIT_FAIL,
     EXIT_INCONCLUSIVE,
     EXIT_PASS,
     EXIT_USAGE,
+    MAX_RADICAND,
     UsageError,
     build_parser,
     main,
@@ -139,6 +141,50 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_mu0_radicand_cap(capsys):
+    big = f"sqrt({MAX_RADICAND + 1})"
+    for argv in (["verify", "--r", "12", "--mu0", big],
+                 ["table", "--r", "12", "--mu0", f"1 - 2*{big}"],
+                 ["verify", "--r", "12", "--mu0", "sqrt(" + "9" * 5000 + ")"]):
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: --mu0 radicands") and err.count("\n") == 1
+    assert main(["verify", "--r", "12", "--mu0", f"sqrt({MAX_RADICAND})"]) == EXIT_FAIL
+
+
+def test_verify_doc_needs_no_enclosures(monkeypatch):
+    """Thresholds and pair checks decide signs without enclosures, and build
+    at most the one radicand sqrt(r + 1) from scratch at large r."""
+    calls = {"enclosure": 0, "sqrt_enclosure": 0, "squarefree": 0, "cross_field": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def counting_compare(x, y):
+        if getattr(x, "rad", 0) and getattr(y, "rad", 0) and x.rad != y.rad:
+            calls["cross_field"] += 1
+        return exact.compare(x, y)
+
+    monkeypatch.setattr(exact.QuadraticNumber, "enclosure",
+                        counting("enclosure", exact.QuadraticNumber.enclosure))
+    monkeypatch.setattr(exact, "sqrt_enclosure", counting("sqrt_enclosure", exact.sqrt_enclosure))
+    monkeypatch.setattr(region, "sqrt_enclosure", exact.sqrt_enclosure)
+    monkeypatch.setattr(exact, "squarefree_decomposition",
+                        counting("squarefree", exact.squarefree_decomposition))
+    monkeypatch.setattr(search, "compare", counting_compare)
+    for r in range(10, 20):
+        cli._verify_doc(r, None)
+    assert calls["cross_field"] > 0
+    calls["squarefree"] = 0
+    cli._verify_doc(1500, None)
+    assert calls["enclosure"] == 0
+    assert calls["sqrt_enclosure"] == 0
+    assert calls["squarefree"] <= 1
+
+
 def test_classify_json(capsys):
     assert main(["classify", "--r", "10", "--mu", "7/2"]) == EXIT_PASS
     doc = json.loads(capsys.readouterr().out)
@@ -248,6 +294,15 @@ def test_cache_round_trip(capsys, tmp_path):
     assert main(argv) == EXIT_PASS
     assert capsys.readouterr().out == first
     assert json.loads(target.read_text())["result"]["mu0"] == "77/24"
+
+
+def test_no_cache_keys_without_cache_dir(capsys, monkeypatch):
+    def no_key(*args):
+        raise AssertionError("cache key computed without a cache directory")
+
+    monkeypatch.setattr(cli, "_cache_key", no_key)
+    assert main(["verify", "--r", "10..13"]) == EXIT_PASS
+    assert main(["coverage", "--r", "8..9"]) == EXIT_PASS
 
 
 def test_parallel_matches_serial(capsys):

@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from functools import cmp_to_key
+from math import isqrt
 
 import pytest
 
@@ -32,6 +34,42 @@ def test_squarefree_decomposition_basics():
     assert squarefree_decomposition(12) == (2, 3)
     assert squarefree_decomposition(49) == (7, 1)
     assert squarefree_decomposition(360) == (6, 10)
+
+
+def _trial_division_decomposition(n):
+    """Reference: trial division by every candidate up to sqrt of the cofactor."""
+    f, m, p = 1, n, 2
+    while p * p <= m:
+        while m % (p * p) == 0:
+            m //= p * p
+            f *= p
+        p += 1
+    return f, m
+
+
+def _primes_between(lo, hi):
+    return [p for p in range(lo, hi) if all(p % d for d in range(2, isqrt(p) + 1))]
+
+
+def test_squarefree_decomposition_cofactors_above_cube_root():
+    """After the primes up to n^(1/3) are stripped, the cofactor is q, q1*q2
+    or q^2 with large primes q; each shape against the trial-division route."""
+    rng = random.Random(314)
+    primes = _primes_between(1000, 4000)
+    for _ in range(6):
+        p, q = sorted(rng.sample(primes, 2))
+        small = rng.choice([1, 2, 12, 45, 98])
+        for n in (p * q, p * p, q * q, p * q * q, p * p * q, small * p * q, small * q * q):
+            assert squarefree_decomposition(n) == _trial_division_decomposition(n), n
+
+
+def test_squarefree_decomposition_large_primes():
+    """Products of two primes near 10**9, far beyond trial division to sqrt(n)."""
+    p, q = 998244353, 1000000007
+    assert squarefree_decomposition(p * q) == (1, p * q)
+    assert squarefree_decomposition(p * p) == (p, 1)
+    assert squarefree_decomposition(12 * q * q) == (2 * q, 3)
+    assert squarefree_decomposition(1000000000039) == (1, 1000000000039)
 
 
 def test_squarefree_decomposition_random():
@@ -270,3 +308,158 @@ def test_interval_eval_missing_binding():
 
 def test_default_sqrt_width():
     assert DEFAULT_SQRT_WIDTH == Fraction(1, 2**32)
+
+
+def _oracle_enclosure(x, width):
+    """[lo, hi] around x from sqrt_enclosure alone."""
+    if x.b == 0:
+        return x.a, x.a
+    s = sqrt_enclosure(x.rad, width / abs(x.b))
+    ends = (x.a + x.b * s.lo, x.a + x.b * s.hi)
+    return min(ends), max(ends)
+
+
+def _oracle_compare(x, y):
+    """Structural equality first, then enclosures refined until they separate."""
+    if (x.a, x.b, x.rad) == (y.a, y.b, y.rad):
+        return 0
+    width = Fraction(1, 2**8)
+    while True:
+        xlo, xhi = _oracle_enclosure(x, width)
+        ylo, yhi = _oracle_enclosure(y, width)
+        if xhi < ylo:
+            return -1
+        if yhi < xlo:
+            return 1
+        width = width * width
+
+
+def _random_quadratic(rng, rads):
+    return QuadraticNumber(
+        Fraction(rng.randrange(-60, 61), rng.randrange(1, 13)),
+        Fraction(rng.randrange(-60, 61), rng.randrange(1, 13)),
+        rng.choice(rads),
+    )
+
+
+def test_compare_matches_enclosure_oracle_in_one_field():
+    rng = random.Random(1234)
+    for _ in range(400):
+        rad = rng.choice([2, 3, 5, 6, 7, 10, 13, 1501])
+        x = _random_quadratic(rng, [rad, 0])
+        y = _random_quadratic(rng, [rad, 0])
+        if rng.random() < 0.2:  # share the rational or the root part
+            y = QuadraticNumber(x.a if rng.random() < 0.5 else y.a, y.b, y.rad)
+        assert compare(x, y) == _oracle_compare(x, y), (x, y)
+
+
+def test_compare_matches_enclosure_oracle_across_fields():
+    rng = random.Random(4321)
+    rads = [2, 3, 5, 6, 7, 10, 11, 13, 15, 1501]
+    for _ in range(400):
+        x = _random_quadratic(rng, rads)
+        y = _random_quadratic(rng, rads)
+        assert compare(x, y) == _oracle_compare(x, y), (x, y)
+
+
+def _sqrt_convergents(n, count):
+    """Continued-fraction convergents p/q of sqrt(n), n not a square."""
+    a0 = isqrt(n)
+    m, d, a = 0, 1, a0
+    p_prev, p = 1, a0
+    q_prev, q = 0, 1
+    out = [(p, q)]
+    for _ in range(count):
+        m = d * a - m
+        d = (n - m * m) // d
+        a = (a0 + m) // d
+        p_prev, p = p, a * p + p_prev
+        q_prev, q = q, a * q + q_prev
+        out.append((p, q))
+    return out
+
+
+def _separates_at_2_16(x, y):
+    xlo, xhi = _oracle_enclosure(x, Fraction(1, 2**16))
+    ylo, yhi = _oracle_enclosure(y, Fraction(1, 2**16))
+    return xhi < ylo or yhi < xlo
+
+
+def test_compare_near_ties_pell_convergents():
+    """p/q against sqrt(n) for convergents far closer than 2^-16."""
+    near_ties = 0
+    for n in (2, 3, 7, 13, 61, 1501):
+        root = QuadraticNumber.sqrt(n)
+        for p, q in _sqrt_convergents(n, 40):
+            expected = (p * p > n * q * q) - (p * p < n * q * q)
+            assert compare(Fraction(p, q), root) == expected
+            assert compare(root, Fraction(p, q)) == -expected
+            near_ties += not _separates_at_2_16(root, QuadraticNumber(Fraction(p, q)))
+    assert near_ties > 100
+
+
+def test_compare_near_ties_across_fields():
+    """sqrt(m + 1) against sqrt(m) + 1/k^2 with m = k^4/4 + 1: a gap of
+    order k^-6, decided against squaring by hand."""
+    for j in (5, 20, 100, 1000):
+        k = 2 * j
+        m = 4 * j**4 + 1
+        c = Fraction(1, k * k)
+        x = QuadraticNumber.sqrt(m + 1)
+        y = QuadraticNumber.sqrt(m) + c
+        assert x.rad != y.rad and x.rad > 1 and y.rad > 1
+        assert not _separates_at_2_16(x, y)
+        # sqrt(m+1) > sqrt(m) + c  iff  1 - c^2 > 2c sqrt(m)  (both sides positive)
+        lhs = 1 - c * c
+        expected = 1 if lhs > 0 and lhs * lhs > 4 * c * c * m else -1
+        assert compare(x, y) == expected
+        assert compare(y, x) == -expected
+
+
+def test_compare_antisymmetric_and_transitive():
+    rng = random.Random(2718)
+    rads = [0, 2, 3, 5, 13, 14]
+    sample = [_random_quadratic(rng, rads) for _ in range(60)]
+    sample += [QuadraticNumber(x.a, x.b, x.rad) for x in sample[:10]]  # exact ties
+    for x in sample:
+        for y in sample:
+            assert compare(x, y) == -compare(y, x)
+    ordered = sorted(sample, key=cmp_to_key(compare))
+    for i, x in enumerate(ordered):
+        for y in ordered[i + 1:]:
+            assert compare(x, y) <= 0
+    for x, y in zip(ordered, ordered[1:]):
+        assert _oracle_compare(x, y) <= 0
+
+
+def test_arithmetic_results_equal_public_constructor():
+    """Operator results skip normalisation; they must still be canonical."""
+    rng = random.Random(99991)
+    for _ in range(300):
+        n = rng.choice([2, 3, 8, 12, 18, 50, 1500])  # some carry square factors
+        a1, b1, a2, b2 = (
+            Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)) for _ in range(4)
+        )
+        if rng.random() < 0.25:
+            b2 = -b1  # the root parts cancel in x + y
+        x = QuadraticNumber(a1, b1, n)
+        y = QuadraticNumber(a2, b2, n)
+        cases = [
+            (x + y, QuadraticNumber(a1 + a2, b1 + b2, n)),
+            (x - y, QuadraticNumber(a1 - a2, b1 - b2, n)),
+            (-x, QuadraticNumber(-a1, -b1, n)),
+            (x * y, QuadraticNumber(a1 * a2 + b1 * b2 * n, a1 * b2 + a2 * b1, n)),
+            (x * 0, QuadraticNumber(0)),
+            (x + a2, QuadraticNumber(a1 + a2, b1, n)),
+        ]
+        norm = a2 * a2 - b2 * b2 * n
+        if norm != 0:
+            cases.append(
+                (x / y, QuadraticNumber((a1 * a2 - b1 * b2 * n) / norm, (a2 * b1 - a1 * b2) / norm, n))
+            )
+        for got, expected in cases:
+            assert got == expected
+            assert (got.a, got.b, got.rad) == (expected.a, expected.b, expected.rad)
+            assert hash(got) == hash(expected)
+            if got.is_rational:
+                assert got.rad == 0 and hash(got) == hash(got.a)

@@ -250,3 +250,12 @@ def test_large_r_inequalities():
     assert not verify_large_r(16)
     for r in (20, 25, 50, 101, 200):
         assert verify_large_r(r)
+
+
+def test_large_r_inequalities_match_quadratic_formulation():
+    """The integer forms against the inequalities as stated, in Q(sqrt(r))."""
+    for r in range(1, 5001):
+        sqrt_r = QuadraticNumber.sqrt(r)
+        first = compare(Fraction(r - 6), sqrt_r * 3) > 0
+        second = compare(Fraction(9 * r, r + 1) - 3, 9 / sqrt_r) > 0
+        assert large_r_inequalities(r) == (first, second), r
