@@ -53,8 +53,10 @@ from .errors import (
     SeshadriError,
     UnsupportedR,
 )
-from .exact import parse_quadratic
+from .exact import DEFAULT_SQRT_WIDTH_EXPONENT, QuadraticNumber, parse_quadratic
 from .region import (
+    DEFAULT_DEPTH_LIMIT,
+    MAX_DEPTH_LIMIT,
     audit_certificate,
     large_r_inequalities,
     verify_t_bound,
@@ -100,8 +102,8 @@ class RunConfig:
     r_max: int
     output_format: str | None = None
     cache_dir: str | None = None
-    bisection_depth: int = 40
-    sqrt_width_exponent: int = 32
+    bisection_depth: int = DEFAULT_DEPTH_LIMIT
+    sqrt_width_exponent: int = DEFAULT_SQRT_WIDTH_EXPONENT
     parallelism: int = 1
     approx: bool = False
 
@@ -204,10 +206,12 @@ def resolve_config(args: argparse.Namespace, env: dict | None = None) -> RunConf
             )
     cache_dir = settings.get("cache_dir")
     cache_dir = str(cache_dir) if cache_dir else None
-    bisection_depth = as_int("bisection_depth", 40)
-    if bisection_depth < 1:
-        raise UsageError(f"bisection_depth must be >= 1, got {bisection_depth}")
-    sqrt_width_exponent = as_int("sqrt_width_exponent", 32)
+    bisection_depth = as_int("bisection_depth", DEFAULT_DEPTH_LIMIT)
+    if not 1 <= bisection_depth <= MAX_DEPTH_LIMIT:
+        raise UsageError(
+            f"bisection_depth must be in 1..{MAX_DEPTH_LIMIT}, got {bisection_depth}"
+        )
+    sqrt_width_exponent = as_int("sqrt_width_exponent", DEFAULT_SQRT_WIDTH_EXPONENT)
     if not 1 <= sqrt_width_exponent <= 256:
         raise UsageError(
             f"sqrt_width_exponent must be in 1..256, got {sqrt_width_exponent}"
@@ -247,14 +251,13 @@ def _pair_record(pair, verdict) -> dict:
     }
 
 
-def _table_doc(command: str, r: int, mu0_text: str | None) -> dict:
-    mu0 = parse_quadratic(mu0_text) if mu0_text else threshold(r).mu0
+def _table_doc(command: str, r: int, mu0: QuadraticNumber | None) -> dict:
+    mu0 = mu0 if mu0 is not None else threshold(r).mu0
     rows = [_pair_record(p, check_pair(p, mu0)) for p in enumerate_critical_pairs(r)]
     return {"command": command, "r": r, "mu0": mu0.render(), "rows": rows}
 
 
-def _verify_doc(r: int, mu0_text: str | None) -> dict:
-    mu0 = parse_quadratic(mu0_text) if mu0_text else None
+def _verify_doc(r: int, mu0: QuadraticNumber | None) -> dict:
     report = verify_no_counterexample(r, mu0)
     all_pass = report.all_pass
     small_records = None
@@ -294,11 +297,11 @@ def _coverage_doc(r: int) -> dict:
     return {"command": "coverage", **verify_coverage(r).to_json_dict()}
 
 
-def _compute_doc(command: str, r: int, params: dict) -> dict:
+def _compute_doc(command: str, r: int, mu0: QuadraticNumber | None) -> dict:
     if command in ("table", "enumerate"):
-        return _table_doc(command, r, params.get("mu0"))
+        return _table_doc(command, r, mu0)
     if command == "verify":
-        return _verify_doc(r, params.get("mu0"))
+        return _verify_doc(r, mu0)
     if command == "coverage":
         return _coverage_doc(r)
     raise ValueError(f"no document builder for command {command!r}")
@@ -355,8 +358,14 @@ def _cache_store(path: Path | None, key: dict, result: dict) -> None:
     _atomic_write(path, payload)
 
 
-def _docs_for_range(cfg: RunConfig, command: str, params: dict) -> list[dict]:
-    """Per-r documents in ascending r, from cache where possible."""
+def _docs_for_range(
+    cfg: RunConfig, command: str, params: dict, mu0: QuadraticNumber | None = None
+) -> list[dict]:
+    """Per-r documents in ascending r, from cache where possible.
+
+    params keys the cache (it holds the --mu0 text); mu0 is that text,
+    parsed once per command, which the document builders use.
+    """
     rs = list(range(cfg.r_min, cfg.r_max + 1))
     keyed: dict[int, tuple[dict, str]] = {}
     if cfg.cache_dir is not None:
@@ -371,10 +380,10 @@ def _docs_for_range(cfg: RunConfig, command: str, params: dict) -> list[dict]:
         if cfg.parallelism > 1 and len(missing) > 1:
             with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
                 computed = list(
-                    pool.map(_compute_doc, repeat(command), missing, repeat(params))
+                    pool.map(_compute_doc, repeat(command), missing, repeat(mu0))
                 )
         else:
-            computed = [_compute_doc(command, r, params) for r in missing]
+            computed = [_compute_doc(command, r, mu0) for r in missing]
         for r, doc in zip(missing, computed):
             if r in keyed:
                 key, digest = keyed[r]
@@ -575,8 +584,8 @@ def _require_single_r(cfg: RunConfig, command: str) -> int:
     return cfg.r_min
 
 
-def _validated_mu0(args: argparse.Namespace) -> str | None:
-    """The --mu0 text, once it parses and every radicand is at most
+def _validated_mu0(args: argparse.Namespace) -> QuadraticNumber | None:
+    """The --mu0 value, once it parses and every radicand is at most
     MAX_RADICAND, which bounds the cost of reducing it to squarefree form."""
     if args.mu0 is None:
         return None
@@ -586,29 +595,28 @@ def _validated_mu0(args: argparse.Namespace) -> str | None:
             for n in _RADICAND_RE.findall(args.mu0)
         ):
             raise UsageError(f"--mu0 radicands must be at most {MAX_RADICAND}")
-        parse_quadratic(args.mu0)
+        return parse_quadratic(args.mu0)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    return args.mu0
 
 
 def cmd_table(cfg: RunConfig, args: argparse.Namespace) -> int:
     _require_r(cfg, 10, "table")
-    docs = _docs_for_range(cfg, "table", {"mu0": _validated_mu0(args)})
+    docs = _docs_for_range(cfg, "table", {"mu0": args.mu0}, _validated_mu0(args))
     _emit_docs(cfg, "table", docs)
     return EXIT_PASS
 
 
 def cmd_enumerate(cfg: RunConfig, args: argparse.Namespace) -> int:
     _require_r(cfg, 10, "enumerate")
-    docs = _docs_for_range(cfg, "enumerate", {"mu0": _validated_mu0(args)})
+    docs = _docs_for_range(cfg, "enumerate", {"mu0": args.mu0}, _validated_mu0(args))
     _emit_docs(cfg, "enumerate", docs)
     return EXIT_PASS
 
 
 def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     _require_r(cfg, 10, "verify")
-    docs = _docs_for_range(cfg, "verify", {"mu0": _validated_mu0(args)})
+    docs = _docs_for_range(cfg, "verify", {"mu0": args.mu0}, _validated_mu0(args))
     _emit_docs(cfg, "verify", docs)
     failed = False
     for doc in docs:
@@ -716,8 +724,10 @@ def cmd_audit(cfg: RunConfig, args: argparse.Namespace) -> int:
         doc = json.loads(path.read_text())
     except OSError as exc:
         raise UsageError(f"cannot read certificate {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise UsageError(f"certificate {path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise UsageError(f"certificate {path} is nested too deeply to read") from None
     ok, problems = audit_certificate(doc)
     summary = {
         "command": "audit-certificate",
@@ -744,7 +754,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--cache-dir", dest="cache_dir", default=None,
                         help="cache per-r results in this directory")
     common.add_argument("--depth", dest="bisection_depth", type=int, default=None,
-                        help="bisection depth limit (default 40)")
+                        help=f"bisection depth limit (default {DEFAULT_DEPTH_LIMIT})")
     common.add_argument("--jobs", dest="parallelism", type=int, default=None,
                         help="compute per-r results with this many processes")
     common.add_argument("--approx", dest="approx", action="store_true", default=None,

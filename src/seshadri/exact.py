@@ -3,9 +3,8 @@
 Everything downstream (curve loci, threshold comparisons, the branch-and-bound
 certifier) reduces to statements about numbers of the form a + b*sqrt(n) with
 a, b rational and n a nonnegative integer, so this module provides exactly
-that: quadratic numbers with decidable comparison, rational closed intervals,
-and a small expression evaluator for interval enclosures of one-square-root
-formulas.
+that: quadratic numbers with decidable comparison and rational closed
+intervals.
 
 Normalization makes representations canonical: the radicand is reduced to its
 squarefree part on construction and b == 0 forces rad == 0.  Canonical forms
@@ -27,7 +26,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Mapping, Union
+from typing import Union
 
 from .errors import (
     DivisionByZeroInterval,
@@ -39,7 +38,8 @@ from .errors import (
 Rational = Fraction
 RationalLike = Union[Fraction, int]
 
-DEFAULT_SQRT_WIDTH = Fraction(1, 2**32)
+DEFAULT_SQRT_WIDTH_EXPONENT = 32
+DEFAULT_SQRT_WIDTH = Fraction(1, 2**DEFAULT_SQRT_WIDTH_EXPONENT)
 _ZERO = Fraction(0)
 
 
@@ -472,102 +472,3 @@ def compare(x: QuadraticLike, y: QuadraticLike) -> int:
     if s != w:
         return 1 if s > w else -1
     return s * _field_sign(a * a + u * u * p - v * v * q, 2 * a * u, p)
-
-
-class Expression:
-    """Node of a tiny arithmetic AST evaluated over rational intervals."""
-
-    def _coerce(self, other: ExpressionLike) -> Expression:
-        if isinstance(other, Expression):
-            return other
-        return Const(_as_fraction(other))
-
-    def __add__(self, other: ExpressionLike) -> Expression:
-        return BinOp("+", self, self._coerce(other))
-
-    def __radd__(self, other: ExpressionLike) -> Expression:
-        return BinOp("+", self._coerce(other), self)
-
-    def __sub__(self, other: ExpressionLike) -> Expression:
-        return BinOp("-", self, self._coerce(other))
-
-    def __rsub__(self, other: ExpressionLike) -> Expression:
-        return BinOp("-", self._coerce(other), self)
-
-    def __mul__(self, other: ExpressionLike) -> Expression:
-        return BinOp("*", self, self._coerce(other))
-
-    def __rmul__(self, other: ExpressionLike) -> Expression:
-        return BinOp("*", self._coerce(other), self)
-
-    def __truediv__(self, other: ExpressionLike) -> Expression:
-        return BinOp("/", self, self._coerce(other))
-
-    def __rtruediv__(self, other: ExpressionLike) -> Expression:
-        return BinOp("/", self._coerce(other), self)
-
-    def __neg__(self) -> Expression:
-        return BinOp("-", Const(Fraction(0)), self)
-
-    def sqrt(self) -> Expression:
-        return SqrtOp(self)
-
-
-ExpressionLike = Union[Expression, Fraction, int]
-
-
-@dataclass(frozen=True)
-class Const(Expression):
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class Var(Expression):
-    name: str
-
-
-@dataclass(frozen=True)
-class BinOp(Expression):
-    op: str
-    left: Expression
-    right: Expression
-
-
-@dataclass(frozen=True)
-class SqrtOp(Expression):
-    arg: Expression
-
-
-def interval_eval(
-    expr: Expression,
-    bindings: Mapping[str, RationalInterval],
-    sqrt_width: RationalLike = DEFAULT_SQRT_WIDTH,
-) -> RationalInterval:
-    """Evaluate an expression over interval bindings; result encloses the range.
-
-    Square roots follow RationalInterval.sqrt semantics: a lower radicand
-    endpoint below zero is clamped (the caller asserts true nonnegativity),
-    a fully negative radicand raises NegativeRadicandInterval.
-    """
-    if isinstance(expr, Const):
-        return RationalInterval.point(expr.value)
-    if isinstance(expr, Var):
-        try:
-            return bindings[expr.name]
-        except KeyError:
-            raise KeyError(f"no binding for variable {expr.name!r}") from None
-    if isinstance(expr, SqrtOp):
-        return interval_eval(expr.arg, bindings, sqrt_width).sqrt(sqrt_width)
-    if isinstance(expr, BinOp):
-        left = interval_eval(expr.left, bindings, sqrt_width)
-        right = interval_eval(expr.right, bindings, sqrt_width)
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            return left * right
-        if expr.op == "/":
-            return left / right
-        raise ValueError(f"unknown operator {expr.op!r}")
-    raise TypeError(f"not an expression node: {expr!r}")

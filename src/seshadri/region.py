@@ -33,6 +33,7 @@ large r, where no bisection is needed.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
@@ -43,35 +44,39 @@ from .exact import (
     QuadraticNumber,
     RationalInterval,
     RationalLike,
-    Var,
-    interval_eval,
     sqrt_enclosure,
     _as_fraction,
 )
 
 DEFAULT_DEPTH_LIMIT = 40
+# Deepest bisection allowed.  Past about 3000 levels the witness numerals
+# outgrow the interpreter's 4300-digit limit on int-to-string conversion;
+# an open piece at r = 10 takes about 2.5 s to reach 2000 levels.
+MAX_DEPTH_LIMIT = 2000
 
 CERTIFICATE_KIND = "q_negativity_certificate"
 
-
-@dataclass(frozen=True)
-class QEvaluation:
-    """Interval enclosures of the three coefficients of Q at fixed (r, t)."""
-
-    r: int
-    t: Fraction
-    a: RationalInterval
-    b: RationalInterval
-    c: RationalInterval
+# Longest numeral an audit reads, in decimal digits; keeps every number it
+# parses or prints below the interpreter's 4300-digit conversion limit.
+MAX_NUMBER_LENGTH = 4096
+_MAX_INTEGER = 10**MAX_NUMBER_LENGTH
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[1-9][0-9]*)?")
 
 
-def _coefficients(
+def q_coefficients(
     r: int,
-    t: Fraction,
+    t: RationalLike,
     mu: RationalInterval,
     mu_sq: RationalInterval,
     sqrt_width: RationalLike,
-) -> QEvaluation:
+) -> tuple[RationalInterval, RationalInterval, RationalInterval]:
+    """Enclosures of a, b, c over the mu-interval, given an enclosure mu_sq
+    of mu^2; needs lo(mu) > 0 and hi(mu_sq) >= r.
+
+    The leaf rule passes mu^2 intersected with [r, r+1], which is sound for
+    mu restricted to the strip and keeps hi(a) from leaking above 0 at the
+    left edge.
+    """
     s = (mu_sq - r).sqrt(sqrt_width)
     a = RationalInterval.point(r * r) / mu_sq - r
     b = (2 * r * t) * s / mu_sq + RationalInterval.point(3 * r) / mu - r
@@ -81,44 +86,7 @@ def _coefficients(
         - t
         + 6
     )
-    return QEvaluation(r, t, a, b, c)
-
-
-def q_coefficients(
-    r: int,
-    t: RationalLike,
-    mu: RationalInterval,
-    sqrt_width: RationalLike = DEFAULT_SQRT_WIDTH,
-    clamp_to_strip: bool = False,
-) -> QEvaluation:
-    """Enclose a, b, c over the mu-interval; needs lo(mu) > 0.
-
-    With clamp_to_strip the square mu^2 is intersected with [r, r+1] first,
-    which is sound for enclosures over mu restricted to the strip and keeps
-    hi(a) from leaking above 0 at the left edge.  Raises ValueError when the
-    intersection is empty (the interval misses the strip entirely).
-    """
-    t = _as_fraction(t)
-    mu_sq = mu * mu
-    if clamp_to_strip:
-        clamped = mu_sq.intersect(RationalInterval(r, r + 1))
-        if clamped is None:
-            raise ValueError(f"mu interval {mu} does not meet the strip at r={r}")
-        mu_sq = clamped
-    return _coefficients(r, t, mu, mu_sq, sqrt_width)
-
-
-def q_value(
-    m_bar: RationalLike,
-    t: RationalLike,
-    r: int,
-    mu: RationalInterval,
-    sqrt_width: RationalLike = DEFAULT_SQRT_WIDTH,
-) -> RationalInterval:
-    """Enclosure of Q(m_bar, t) over the mu-interval (no strip clamping)."""
-    m_bar = _as_fraction(m_bar)
-    ev = q_coefficients(r, t, mu, sqrt_width)
-    return (ev.a * m_bar + ev.b) * m_bar + ev.c
+    return a, b, c
 
 
 def q_exact(
@@ -140,53 +108,6 @@ def q_exact(
     b = s * ((2 * r * t) / mu_sq) + (Fraction(3 * r) / mu - r)
     c = s * ((3 * t) / mu) + ((-r * t * t) / mu_sq - t + 6)
     return (a * m_bar + b) * m_bar + c
-
-
-def discriminant_t(
-    m_bar: RationalLike,
-    r: int,
-    mu: RationalInterval,
-    sqrt_width: RationalLike = DEFAULT_SQRT_WIDTH,
-) -> RationalInterval:
-    """Enclosure of the t-discriminant of Q at fixed m_bar:
-
-        D(m_bar) = (1/mu^2) (-(4r^2 - 12 r mu + 4 r sqrt(mu^2 - r)) m_bar
-                             + 15 r + 10 mu^2 - 6 mu sqrt(mu^2 - r)).
-
-    Q(m_bar, .) admits a real root in t exactly when D(m_bar) >= 0, so the
-    sign of D governs whether any multiplicity can be obstructed at this
-    m_bar.  Evaluated through the expression AST as a second, structurally
-    distinct route to the same numbers used by the coefficient functions.
-    """
-    m_bar = _as_fraction(m_bar)
-    x = Var("mu")
-    s = (x * x - r).sqrt()
-    numerator = (
-        -(4 * r * r - (12 * r) * x + (4 * r) * s) * m_bar
-        + (15 * r + 10 * x * x - 6 * x * s)
-    )
-    return interval_eval(numerator / (x * x), {"mu": mu}, sqrt_width)
-
-
-def m_bar_zero(
-    r: int,
-    mu: RationalInterval,
-    sqrt_width: RationalLike = DEFAULT_SQRT_WIDTH,
-) -> RationalInterval:
-    """Enclosure of the zero of the t-discriminant in m_bar:
-
-        m_bar_0(mu) = (15 r + 10 mu^2 - 6 mu sqrt(mu^2 - r))
-                      / (4 r^2 - 12 r mu + 4 r sqrt(mu^2 - r)).
-
-    Mean multiplicities above m_bar_0 admit no obstructed t at all.  The
-    denominator enclosure must exclude zero (true on the strip for r >= 10);
-    DivisionByZeroInterval propagates otherwise.
-    """
-    x = Var("mu")
-    s = (x * x - r).sqrt()
-    numerator = 15 * r + 10 * x * x - 6 * x * s
-    denominator = 4 * r * r - (12 * r) * x + (4 * r) * s
-    return interval_eval(numerator / denominator, {"mu": mu}, sqrt_width)
 
 
 def m_bar_zero_at_sqrt_r(r: int) -> QuadraticNumber:
@@ -243,18 +164,18 @@ def _leaf_rule(
     mu_sq = (mu * mu).intersect(RationalInterval(r, r + 1))
     if mu_sq is None:
         return {"rule": "outside_strip", "witnesses": {"mu_sq": _interval_strings(mu * mu)}}
-    ev = _coefficients(r, Fraction(t0), mu, mu_sq, sqrt_width)
+    a, b, c = q_coefficients(r, t0, mu, mu_sq, sqrt_width)
     witnesses = {
-        "a": _interval_strings(ev.a),
-        "b": _interval_strings(ev.b),
-        "c": _interval_strings(ev.c),
+        "a": _interval_strings(a),
+        "b": _interval_strings(b),
+        "c": _interval_strings(c),
     }
-    if ev.c.hi >= 0:
+    if c.hi >= 0:
         return None
-    if ev.a.hi <= 0 and ev.b.hi <= 0:
+    if a.hi <= 0 and b.hi <= 0:
         return {"rule": "c_negative", "witnesses": witnesses}
-    if ev.a.hi < 0:
-        vertex = ev.c - (ev.b * ev.b) / (ev.a * 4)
+    if a.hi < 0:
+        vertex = c - (b * b) / (a * 4)
         if vertex.hi < 0:
             witnesses["vertex"] = _interval_strings(vertex)
             return {"rule": "vertex_negative", "witnesses": witnesses}
@@ -273,34 +194,43 @@ def verify_t_bound(
     piece closes under a sign rule, and returns the certificate tree.
     Raises DepthLimitExceeded as soon as any piece reaches depth_limit
     without closing: the attempt is inconclusive, not a refutation.
+    depth_limit must lie in 1..MAX_DEPTH_LIMIT.
     """
     if r < 10:
         raise UnsupportedR(f"need r >= 10, got {r}")
     if t0 < 2:
         raise InvalidT0(f"need t0 >= 2, got {t0}")
-    if depth_limit < 1:
-        raise ValueError(f"need depth_limit >= 1, got {depth_limit}")
+    if not 1 <= depth_limit <= MAX_DEPTH_LIMIT:
+        raise ValueError(
+            f"need 1 <= depth_limit <= {MAX_DEPTH_LIMIT}, got {depth_limit}"
+        )
     sqrt_width = _as_fraction(sqrt_width)
     root_lo = sqrt_enclosure(r, sqrt_width).lo
     root_hi = sqrt_enclosure(r + 1, sqrt_width).hi
 
-    def certify(lo: Fraction, hi: Fraction, depth: int) -> tuple[dict, int, int]:
-        node: dict = {"mu_lo": str(lo), "mu_hi": str(hi)}
+    tree: dict = {"mu_lo": str(root_lo), "mu_hi": str(root_hi)}
+    max_depth = leaf_count = 0
+    # explicit stack, left piece on top: the pieces are visited in pre-order
+    stack = [(tree, root_lo, root_hi, 0)]
+    while stack:
+        node, lo, hi, depth = stack.pop()
         leaf = _leaf_rule(r, t0, lo, hi, sqrt_width)
         if leaf is not None:
             node.update(leaf)
-            return node, depth, 1
+            max_depth = max(max_depth, depth)
+            leaf_count += 1
+            continue
         if depth >= depth_limit:
             raise DepthLimitExceeded(
                 f"piece [{lo}, {hi}] still open at depth {depth} (r={r}, t0={t0})"
             )
         mid = (lo + hi) / 2
-        left, left_depth, left_leaves = certify(lo, mid, depth + 1)
-        right, right_depth, right_leaves = certify(mid, hi, depth + 1)
+        left = {"mu_lo": str(lo), "mu_hi": str(mid)}
+        right = {"mu_lo": str(mid), "mu_hi": str(hi)}
         node["children"] = [left, right]
-        return node, max(left_depth, right_depth), left_leaves + right_leaves
+        stack.append((right, mid, hi, depth + 1))
+        stack.append((left, lo, mid, depth + 1))
 
-    tree, max_depth, leaf_count = certify(root_lo, root_hi, 0)
     return Certificate(
         r=r,
         t0=t0,
@@ -314,21 +244,51 @@ def verify_t_bound(
     )
 
 
-def audit_certificate(doc: dict) -> tuple[bool, list[str]]:
+def _parse_rational(text: Any) -> Fraction | None:
+    """The rational a certificate field spells, or None.
+
+    Only the canonical form that str(Fraction) writes is accepted: an
+    optional minus sign, digits, and optionally a slash and a denominator,
+    in lowest terms, at most MAX_NUMBER_LENGTH characters.  Decimal and
+    exponent forms, which Fraction(str) would take, are refused before any
+    number is built.
+    """
+    if not isinstance(text, str) or len(text) > MAX_NUMBER_LENGTH:
+        return None
+    if not _RATIONAL_RE.fullmatch(text):
+        return None
+    value = Fraction(text)
+    return value if str(value) == text else None
+
+
+def _is_integer(value: Any) -> bool:
+    """A JSON integer (not a bool or float) of at most MAX_NUMBER_LENGTH digits."""
+    return type(value) is int and abs(value) < _MAX_INTEGER
+
+
+def audit_certificate(doc: Any) -> tuple[bool, list[str]]:
     """Replay a certificate document from scratch.
 
     Checks the document shape, that the root interval covers the strip, that
-    children partition their parent exactly, and that every leaf's rule
-    really holds when its intervals are recomputed at the recorded
-    sqrt_width (recorded witnesses must match the recomputation bit for
-    bit).  Returns (ok, problems); problems lists every defect found.
+    children partition their parent exactly, that no piece splits at depth
+    depth_limit or deeper, and that every leaf's rule really holds when its
+    intervals are recomputed at the recorded sqrt_width (recorded witnesses
+    must match the recomputation bit for bit).  Integer fields must be JSON
+    integers of at most MAX_NUMBER_LENGTH digits and rational fields
+    canonical strings (see _parse_rational).  Never raises on a document
+    that json.loads returns: returns (ok, problems), where problems lists
+    every defect found.
     """
     problems: list[str] = []
 
     def fail(msg: str) -> None:
         problems.append(msg)
 
-    for key in ("kind", "r", "t0", "sqrt_width", "mu_lo", "mu_hi", "tree"):
+    if not isinstance(doc, dict):
+        return False, ["certificate is not a JSON object"]
+    for key in (
+        "kind", "r", "t0", "depth_limit", "sqrt_width", "mu_lo", "mu_hi", "tree"
+    ):
         if key not in doc:
             fail(f"missing top-level key {key!r}")
     if problems:
@@ -336,23 +296,29 @@ def audit_certificate(doc: dict) -> tuple[bool, list[str]]:
     if doc["kind"] != CERTIFICATE_KIND:
         fail(f"unexpected kind {doc['kind']!r}")
         return False, problems
-    try:
-        r = int(doc["r"])
-        t0 = int(doc["t0"])
-        sqrt_width = Fraction(doc["sqrt_width"])
-        mu_lo = Fraction(doc["mu_lo"])
-        mu_hi = Fraction(doc["mu_hi"])
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
-        fail(f"malformed header field: {exc}")
+    for key in ("r", "t0", "depth_limit"):
+        if not _is_integer(doc[key]):
+            fail(f"malformed header field {key!r}: not an integer")
+    rationals = {
+        key: _parse_rational(doc[key]) for key in ("sqrt_width", "mu_lo", "mu_hi")
+    }
+    for key, value in rationals.items():
+        if value is None:
+            fail(f"malformed header field {key!r}: not a canonical rational")
+    if problems:
         return False, problems
+    r, t0, depth_limit = doc["r"], doc["t0"], doc["depth_limit"]
+    sqrt_width, mu_lo, mu_hi = rationals.values()
     if r < 10:
         fail(f"r = {r} out of range")
     if t0 < 2:
         fail(f"t0 = {t0} out of range")
+    if not 1 <= depth_limit <= MAX_DEPTH_LIMIT:
+        fail(f"depth_limit = {depth_limit} out of range")
     if sqrt_width <= 0:
         fail(f"sqrt_width = {sqrt_width} not positive")
-    if mu_lo < 0 or mu_lo * mu_lo > r:
-        fail(f"root lower end {mu_lo} does not sit at or below sqrt({r})")
+    if mu_lo <= 0 or mu_lo * mu_lo > r:
+        fail(f"root lower end {mu_lo} does not sit in (0, sqrt({r})]")
     if mu_hi * mu_hi < r + 1:
         fail(f"root upper end {mu_hi} does not sit at or above sqrt({r + 1})")
     if problems:
@@ -360,58 +326,66 @@ def audit_certificate(doc: dict) -> tuple[bool, list[str]]:
 
     leaves = 0
     deepest = 0
-
-    def walk(node: Any, lo: Fraction, hi: Fraction, depth: int) -> None:
-        nonlocal leaves, deepest
+    # explicit stack, left child on top: nodes are checked in pre-order
+    stack: list[tuple[Any, Fraction, Fraction, int]] = [(doc["tree"], mu_lo, mu_hi, 0)]
+    while stack:
+        node, lo, hi, depth = stack.pop()
         if not isinstance(node, dict):
             fail(f"non-record node at [{lo}, {hi}]")
-            return
-        try:
-            node_lo = Fraction(node["mu_lo"])
-            node_hi = Fraction(node["mu_hi"])
-        except (KeyError, ValueError, TypeError, ZeroDivisionError):
+            continue
+        node_lo = _parse_rational(node.get("mu_lo"))
+        node_hi = _parse_rational(node.get("mu_hi"))
+        if node_lo is None or node_hi is None:
             fail(f"node at [{lo}, {hi}] lacks rational endpoints")
-            return
+            continue
         if node_lo != lo or node_hi != hi:
             fail(f"node claims [{node_lo}, {node_hi}], expected [{lo}, {hi}]")
-            return
+            continue
         if "children" in node:
+            if depth >= depth_limit:
+                fail(
+                    f"node at [{lo}, {hi}] splits at depth {depth}, "
+                    f"depth_limit is {depth_limit}"
+                )
+                continue
             kids = node["children"]
             if not (isinstance(kids, list) and len(kids) == 2):
                 fail(f"node at [{lo}, {hi}] must have exactly two children")
-                return
-            try:
-                split = Fraction(kids[0]["mu_hi"])
-            except (KeyError, TypeError, ValueError, ZeroDivisionError):
+                continue
+            left = kids[0]
+            split = _parse_rational(left.get("mu_hi")) if isinstance(left, dict) else None
+            if split is None:
                 fail(f"left child of [{lo}, {hi}] lacks an upper endpoint")
-                return
+                continue
             if not lo < split < hi:
                 fail(f"split {split} outside ({lo}, {hi})")
-                return
-            walk(kids[0], lo, split, depth + 1)
-            walk(kids[1], split, hi, depth + 1)
-            return
+                continue
+            stack.append((kids[1], split, hi, depth + 1))
+            stack.append((left, lo, split, depth + 1))
+            continue
         leaves += 1
         deepest = max(deepest, depth)
-        recomputed = _leaf_rule(r, t0, lo, hi, sqrt_width)
+        try:
+            recomputed = _leaf_rule(r, t0, lo, hi, sqrt_width)
+        except ValueError as exc:  # a witness past the digit limit
+            fail(f"leaf [{lo}, {hi}] cannot be recomputed: {exc}")
+            continue
         if recomputed is None:
             fail(f"leaf [{lo}, {hi}] does not close under any rule")
-            return
+            continue
         if node.get("rule") != recomputed["rule"]:
             fail(
                 f"leaf [{lo}, {hi}] records rule {node.get('rule')!r}, "
                 f"recomputation gives {recomputed['rule']!r}"
             )
-            return
+            continue
         if node.get("witnesses") != recomputed["witnesses"]:
             fail(f"leaf [{lo}, {hi}] witnesses do not match recomputation")
 
-    walk(doc["tree"], mu_lo, mu_hi, 0)
     if not problems:
-        if "leaf_count" in doc and doc["leaf_count"] != leaves:
-            fail(f"leaf_count {doc['leaf_count']} != actual {leaves}")
-        if "max_depth" in doc and doc["max_depth"] != deepest:
-            fail(f"max_depth {doc['max_depth']} != actual {deepest}")
+        for key, actual in (("leaf_count", leaves), ("max_depth", deepest)):
+            if key in doc and not (_is_integer(doc[key]) and doc[key] == actual):
+                fail(f"{key} does not match the tree's {actual}")
     return not problems, problems
 
 

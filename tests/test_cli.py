@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -76,6 +77,8 @@ def test_resolve_config_validation(tmp_path):
         resolve_config(ns, env={"SESHADRI_OUTPUT_FORMAT": "yaml"})
     with pytest.raises(UsageError):
         resolve_config(ns, env={"SESHADRI_BISECTION_DEPTH": "0"})
+    with pytest.raises(UsageError):
+        resolve_config(ns, env={"SESHADRI_BISECTION_DEPTH": "2001"})
     with pytest.raises(UsageError):
         resolve_config(ns, env={"SESHADRI_SQRT_WIDTH_EXPONENT": "500"})
     with pytest.raises(UsageError):
@@ -185,6 +188,29 @@ def test_verify_doc_needs_no_enclosures(monkeypatch):
     assert calls["squarefree"] <= 1
 
 
+def test_mu0_is_parsed_once_per_command(capsys, monkeypatch):
+    """A large --mu0 radicand is reduced to squarefree form once per command,
+    not once per r."""
+    big = 999999999999999989
+    calls = []
+
+    def counting(n):
+        if n == big:
+            calls.append(n)
+        return squarefree(n)
+
+    squarefree = exact.squarefree_decomposition
+    monkeypatch.setattr(exact, "squarefree_decomposition", counting)
+    counts = []
+    for r_range in ("10..10", "10..29"):
+        calls.clear()
+        argv = ["verify", "--r", r_range, "--mu0", f"sqrt({big})"]
+        assert main(argv) in (EXIT_PASS, EXIT_FAIL)
+        capsys.readouterr()
+        counts.append(len(calls))
+    assert counts == [1, 1]
+
+
 def test_classify_json(capsys):
     assert main(["classify", "--r", "10", "--mu", "7/2"]) == EXIT_PASS
     doc = json.loads(capsys.readouterr().out)
@@ -222,6 +248,37 @@ def test_region_writes_certificate_and_audit_accepts(capsys, tmp_path):
 def test_region_depth_limit_is_inconclusive(capsys):
     assert main(["region", "--r", "10", "--t0", "6", "--depth", "1"]) == EXIT_INCONCLUSIVE
     assert "inconclusive" in capsys.readouterr().err
+
+
+def test_deep_bisection_is_inconclusive_not_a_crash(capsys):
+    """t0 = 2 never closes at r = 10; the bisection runs down to a depth far
+    past the interpreter's recursion limit and reports it as inconclusive."""
+    argv = ["region", "--r", "10", "--t0", "2", "--depth", "1500"]
+    assert main(argv) == EXIT_INCONCLUSIVE
+    err = capsys.readouterr().err
+    assert err.startswith("inconclusive: ") and "at depth 1500" in err
+    assert err.count("\n") == 1
+
+
+def test_audit_of_unreadable_certificate_is_a_usage_error(capsys, tmp_path):
+    """JSON nested past the recursion limit, or holding an integer past the
+    digit limit, is refused with one line on stderr and exit 2."""
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"tree": ' + '{"children": [' * 3000 + "]}" * 3000 + "}")
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"r": ' + "1" * 5000 + "}")
+    for path in (deep, huge):
+        assert main(["audit-certificate", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: certificate ") and err.count("\n") == 1
+
+
+def test_region_defaults_come_from_the_library(capsys):
+    cfg = resolve_config(_namespace("region", "--r", "10", "--t0", "6"), env={})
+    assert cfg.bisection_depth == region.DEFAULT_DEPTH_LIMIT
+    assert Fraction(1, 2**cfg.sqrt_width_exponent) == exact.DEFAULT_SQRT_WIDTH
+    assert main(["region", "--help"]) == EXIT_PASS
+    assert f"(default {region.DEFAULT_DEPTH_LIMIT})" in capsys.readouterr().out
 
 
 def test_region_certificate_goes_to_cache_dir(capsys, tmp_path):

@@ -15,12 +15,9 @@ from seshadri.errors import (
 )
 from seshadri.exact import (
     DEFAULT_SQRT_WIDTH,
-    Const,
     QuadraticNumber,
     RationalInterval,
-    Var,
     compare,
-    interval_eval,
     parse_quadratic,
     sqrt_enclosure,
     squarefree_decomposition,
@@ -288,22 +285,12 @@ def test_approx_decimal_matches_value():
 
 
 def test_interval_eval_matches_direct_ops():
-    x = Var("x")
-    expr = (x * x - 2).sqrt() / (x + 1)
-    iv = RationalInterval(Fraction(3, 2), 2)
-    got = interval_eval(expr, {"x": iv}, Fraction(1, 2**24))
-    direct = (iv * iv - 2).sqrt(Fraction(1, 2**24)) / (iv + 1)
-    assert got == direct
-    # point evaluation brackets the true value sqrt(2)/3 at x = 2
+    """Point evaluation of sqrt(x^2 - 2)/(x + 1) at x = 2 by interval
+    operations brackets the true value sqrt(2)/3."""
     point = RationalInterval.point(2)
-    enc = interval_eval(expr, {"x": point}, Fraction(1, 2**24))
+    enc = (point * point - 2).sqrt(Fraction(1, 2**24)) / (point + 1)
     true = QuadraticNumber.sqrt(2) / 3
     assert compare(true, enc.lo) >= 0 and compare(true, enc.hi) <= 0
-
-
-def test_interval_eval_missing_binding():
-    with pytest.raises(KeyError):
-        interval_eval(Var("y") + Const(Fraction(1)), {"x": RationalInterval(0, 1)})
 
 
 def test_default_sqrt_width():

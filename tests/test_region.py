@@ -2,10 +2,13 @@
 
 import copy
 import random
+import re
 from fractions import Fraction
-from math import isqrt
+from math import ceil, isqrt
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from seshadri.errors import DepthLimitExceeded, InvalidT0, UnsupportedR
 from seshadri.exact import (
@@ -16,14 +19,13 @@ from seshadri.exact import (
 )
 from seshadri.region import (
     CERTIFICATE_KIND,
+    MAX_DEPTH_LIMIT,
+    MAX_NUMBER_LENGTH,
     audit_certificate,
-    discriminant_t,
     large_r_inequalities,
-    m_bar_zero,
     m_bar_zero_at_sqrt_r,
     q_coefficients,
     q_exact,
-    q_value,
     verify_t_bound,
     verify_large_r,
 )
@@ -46,7 +48,9 @@ def test_q_exact_agrees_with_interval_route():
             t = Fraction(rng.randrange(1, 7))
             m_bar = Fraction(rng.randrange(0, 130), 10)
             exact = q_exact(m_bar, t, r, mu)
-            boxed = q_value(m_bar, t, r, RationalInterval.point(mu))
+            point = RationalInterval.point(mu)
+            a, b, c = q_coefficients(r, t, point, point * point, DEFAULT_SQRT_WIDTH)
+            boxed = (a * m_bar + b) * m_bar + c
             assert compare(exact, boxed.lo) >= 0
             assert compare(exact, boxed.hi) <= 0
             assert boxed.width < Fraction(1, 2**20)
@@ -69,56 +73,6 @@ def test_q_sign_witnesses_at_r_10():
     assert compare(negative, 0) < 0
 
 
-def test_q_coefficients_clamp():
-    ev = q_coefficients(10, 6, RationalInterval(3, 4), clamp_to_strip=True)
-    assert ev.a.hi <= 0
-    with pytest.raises(ValueError):
-        q_coefficients(10, 6, RationalInterval(5, 6), clamp_to_strip=True)
-
-
-def test_discriminant_interval_contains_exact_value():
-    rng = random.Random(277)
-    for r in (10, 12):
-        for mu in _strip_mu_samples(r, rng, 30):
-            m_bar = Fraction(rng.randrange(0, 120), 10)
-            boxed = discriminant_t(m_bar, r, RationalInterval.point(mu))
-            s = QuadraticNumber.sqrt(mu * mu - r)
-            exact = (
-                -(s * (4 * r) + (4 * r * r - 12 * r * mu)) * m_bar
-                + (s * (-6 * mu) + (15 * r + 10 * mu * mu))
-            ) / (mu * mu)
-            assert compare(exact, boxed.lo) >= 0
-            assert compare(exact, boxed.hi) <= 0
-
-
-def test_m_bar_zero_interval_contains_exact_value():
-    rng = random.Random(409)
-    for r in (10, 13):
-        for mu in _strip_mu_samples(r, rng, 30):
-            boxed = m_bar_zero(r, RationalInterval.point(mu))
-            s = QuadraticNumber.sqrt(mu * mu - r)
-            num = s * (-6 * mu) + (15 * r + 10 * mu * mu)
-            den = s * (4 * r) + (4 * r * r - 12 * r * mu)
-            exact = num / den
-            assert compare(exact, boxed.lo) >= 0
-            assert compare(exact, boxed.hi) <= 0
-
-
-def test_m_bar_zero_is_root_of_discriminant():
-    rng = random.Random(63)
-    for mu in _strip_mu_samples(10, rng, 15):
-        s = QuadraticNumber.sqrt(mu * mu - 10)
-        num = s * (-6 * mu) + (150 + 10 * mu * mu)
-        den = s * 40 + (400 - 120 * mu)
-        root = num / den
-        # D is linear in m_bar; enclosing D at a tight box around the root
-        # must produce an interval straddling zero
-        box = root.enclosure(Fraction(1, 2**40))
-        d_box = discriminant_t(box.lo, 10, RationalInterval.point(mu))
-        d_box = d_box.intersect(discriminant_t(box.hi, 10, RationalInterval.point(mu))) or d_box
-        assert d_box.lo <= 0 or d_box.hi >= 0
-
-
 def test_m_bar_zero_at_sqrt_r_closed_forms():
     assert m_bar_zero_at_sqrt_r(10) == QuadraticNumber(
         Fraction(25, 4), Fraction(15, 8), 10
@@ -131,19 +85,6 @@ def test_m_bar_zero_at_sqrt_r_closed_forms():
     )
     with pytest.raises(UnsupportedR):
         m_bar_zero_at_sqrt_r(9)
-
-
-def test_m_bar_zero_at_edge_matches_limit_of_interval_route():
-    """Shrinking mu-boxes hugging sqrt(r) from inside the strip produce
-    m_bar_zero enclosures converging onto the closed-form edge value."""
-    for r in (10, 12):
-        edge = m_bar_zero_at_sqrt_r(r)
-        width = Fraction(1, 2**34)
-        sqrt_box = QuadraticNumber.sqrt(r).enclosure(width)
-        mu = RationalInterval(sqrt_box.lo, sqrt_box.hi)
-        boxed = m_bar_zero(r, mu, sqrt_width=width)
-        assert compare(edge, boxed.lo - Fraction(1, 2**20)) >= 0
-        assert compare(edge, boxed.hi + Fraction(1, 2**20)) <= 0
 
 
 def test_certificates_for_core_range():
@@ -175,6 +116,8 @@ def test_verify_t_bound_errors():
         verify_t_bound(10, 1)
     with pytest.raises(ValueError):
         verify_t_bound(10, 6, depth_limit=0)
+    with pytest.raises(ValueError):
+        verify_t_bound(10, 6, depth_limit=MAX_DEPTH_LIMIT + 1)
     with pytest.raises(DepthLimitExceeded):
         verify_t_bound(10, 6, depth_limit=1)
 
@@ -242,6 +185,203 @@ def test_audit_accepts_header_only_variants():
     del doc["max_depth"]
     ok, problems = audit_certificate(doc)
     assert ok, problems
+
+
+def _rejects(doc, fragment):
+    ok, problems = audit_certificate(doc)
+    return not ok and any(fragment in p for p in problems)
+
+
+def test_audit_requires_depth_limit_and_enforces_it():
+    doc = verify_t_bound(11, 5).to_json_dict()
+    assert doc["max_depth"] >= 2
+
+    bad = copy.deepcopy(doc)
+    del bad["depth_limit"]
+    assert _rejects(bad, "'depth_limit'")
+
+    for value in (0, -3, MAX_DEPTH_LIMIT + 1):
+        bad = copy.deepcopy(doc)
+        bad["depth_limit"] = value
+        assert _rejects(bad, "depth_limit")
+
+    # leaves may sit at depth_limit, but no piece may split there
+    bad = copy.deepcopy(doc)
+    bad["depth_limit"] = doc["max_depth"] - 1
+    assert _rejects(bad, "splits at depth")
+    fine = copy.deepcopy(doc)
+    fine["depth_limit"] = doc["max_depth"]
+    assert audit_certificate(fine) == (True, [])
+
+
+def _chain(mu_lo, mu_hi, levels):
+    """A tree that splits its left piece `levels` times; the right pieces
+    are not records."""
+    root = node = {"mu_lo": str(mu_lo), "mu_hi": str(mu_hi)}
+    lo, hi = mu_lo, mu_hi
+    for _ in range(levels):
+        hi = (lo + hi) / 2
+        child = {"mu_lo": str(lo), "mu_hi": str(hi)}
+        node["children"] = [child, None]
+        node = child
+    return root
+
+
+def test_audit_walks_deep_trees_without_recursion():
+    doc = verify_t_bound(12, 4).to_json_dict()
+    mu_lo, mu_hi = Fraction(doc["mu_lo"]), Fraction(doc["mu_hi"])
+    doc["tree"] = _chain(mu_lo, mu_hi, 3000)
+
+    ok, problems = audit_certificate(doc)
+    assert not ok and len(problems) == 41
+    assert "splits at depth 40, depth_limit is 40" in problems[0]
+    assert all(p.startswith("non-record node") for p in problems[1:])
+
+    doc["depth_limit"] = MAX_DEPTH_LIMIT
+    ok, problems = audit_certificate(doc)
+    assert not ok and len(problems) == MAX_DEPTH_LIMIT + 1
+    assert f"splits at depth {MAX_DEPTH_LIMIT}," in problems[0]
+
+
+def test_audit_accepts_only_canonical_rationals():
+    doc = verify_t_bound(12, 4).to_json_dict()
+    for key in ("sqrt_width", "mu_lo", "mu_hi"):
+        for text in ("1e-5", "1e999999", "0.5", " 1/2", "+1", "2/4", "-0", "1/0",
+                     "1/00", "7/1", "0x10", "\u0663", "1" * (MAX_NUMBER_LENGTH + 1),
+                     2, None):
+            bad = copy.deepcopy(doc)
+            bad[key] = text
+            assert _rejects(bad, f"malformed header field {key!r}"), (key, text)
+    for key in ("r", "t0", "depth_limit"):
+        for value in ("12", 12.0, True, None, [12], 10**MAX_NUMBER_LENGTH):
+            bad = copy.deepcopy(doc)
+            bad[key] = value
+            assert _rejects(bad, f"malformed header field {key!r}"), (key, value)
+
+    node = copy.deepcopy(doc)
+    node["tree"]["children"][0]["mu_hi"] = "1e-5"
+    assert _rejects(node, "lacks an upper endpoint")
+    node = copy.deepcopy(doc)
+    leaf = _first_leaf(node["tree"])
+    leaf["mu_lo"] = str(Fraction(leaf["mu_lo"]) * 2) + "/2"
+    assert _rejects(node, "lacks rational endpoints")
+
+    bad = copy.deepcopy(doc)
+    bad["leaf_count"] = float(doc["leaf_count"])
+    assert _rejects(bad, "leaf_count")
+
+
+def test_audit_survives_oversized_numbers():
+    """Numbers within the grammar but too large to recompute with, and a root
+    piece reaching down to mu = 0, are reported problems, not exceptions."""
+    doc = verify_t_bound(12, 4).to_json_dict()
+    bad = copy.deepcopy(doc)
+    bad["t0"] = 10**4000
+    assert _rejects(bad, "cannot be recomputed")
+    bad = copy.deepcopy(doc)
+    bad["sqrt_width"] = "1/" + "9" * 4000
+    assert _rejects(bad, "witnesses do not match")
+
+    doc = verify_t_bound(50, 3).to_json_dict()
+    assert "children" not in doc["tree"]
+    root = 10**1900
+    bad = copy.deepcopy(doc)
+    bad["r"] = root * root
+    bad["mu_lo"] = bad["tree"]["mu_lo"] = str(root)
+    bad["mu_hi"] = bad["tree"]["mu_hi"] = str(root + 1)
+    assert _rejects(bad, "cannot be recomputed")
+
+    bad = copy.deepcopy(doc)
+    bad["mu_lo"] = bad["tree"]["mu_lo"] = "0"
+    assert _rejects(bad, "root lower end 0")
+
+
+def _field_paths(doc):
+    """Key/index paths to every field of a JSON document, in a fixed order."""
+    paths = []
+    stack = [((), doc)]
+    while stack:
+        path, value = stack.pop()
+        if path:
+            paths.append(path)
+        if isinstance(value, dict):
+            stack.extend((path + (k,), v) for k, v in value.items())
+        elif isinstance(value, list):
+            stack.extend((path + (i,), v) for i, v in enumerate(value))
+    return sorted(paths, key=repr)
+
+
+_MUTATION_BASE = verify_t_bound(12, 4).to_json_dict()
+_MUTATION_PATHS = _field_paths(_MUTATION_BASE)
+# absent counts are skipped by design (test_audit_accepts_header_only_variants)
+_OPTIONAL = {("leaf_count",), ("max_depth",)}
+_REPLACEMENTS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.text(max_size=12),
+    st.fractions().map(str),
+    st.sampled_from(
+        ["1e-5", "1e999999", "6/2", "-0", "1/0", "c_negative", "vertex_negative",
+         "outside_strip", "9" * 5000]
+    ),
+    st.lists(st.integers(), max_size=3),
+    st.dictionaries(st.sampled_from(["mu_lo", "mu_hi", "rule"]), st.text(max_size=4)),
+)
+
+
+def _respellings(value):
+    """Other spellings of the rational that a canonical string spells:
+    unreduced, zero-padded, with an explicit sign or denominator 1, and in
+    decimal form when the denominator is a power of two."""
+    if not (isinstance(value, str) and re.fullmatch(r"-?[0-9]+(/[0-9]+)?", value)):
+        return []
+    x = Fraction(value)
+    n, d = x.numerator, x.denominator
+    spellings = [f"{2 * n}/{2 * d}", f"{n}/{d}", f"+{value}", value + " "]
+    spellings.append(f"-0{-n}/{d}" if n < 0 else f"0{n}/{d}")
+    k = d.bit_length() - 1
+    if d == 1 << k:
+        digits = str(abs(n) * 5**k).rjust(k + 1, "0")
+        sign = "-" if n < 0 else ""
+        spellings.append(f"{sign}{digits[:len(digits) - k]}.{digits[len(digits) - k:]}")
+    return [text for text in spellings if text != value]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_audit_rejects_every_single_field_mutation(data):
+    """One field of a valid certificate deleted, replaced, or respelled as
+    the same rational in another form: the audit rejects it and never
+    raises.  Two replacements certify the same statement and are left out:
+    a larger depth_limit, and a sqrt_width with the same ceil(1/width), the
+    only way the enclosures depend on the width."""
+    doc = copy.deepcopy(_MUTATION_BASE)
+    path = data.draw(st.sampled_from(_MUTATION_PATHS))
+    owner = doc
+    for step in path[:-1]:
+        owner = owner[step]
+    key = path[-1]
+    old = owner[key]
+    if path not in _OPTIONAL and data.draw(st.booleans()):
+        del owner[key]
+    else:
+        respellings = _respellings(old)
+        if respellings and data.draw(st.booleans()):
+            new = data.draw(st.sampled_from(respellings))
+        else:
+            new = data.draw(_REPLACEMENTS)
+        assume(type(new) is not type(old) or new != old)
+        if path == ("depth_limit",) and type(new) is int:
+            assume(new < _MUTATION_BASE["max_depth"])
+        if path == ("sqrt_width",) and isinstance(new, str):
+            if re.fullmatch(r"[0-9]{1,40}/[1-9][0-9]{0,40}", new):
+                width = Fraction(new)
+                assume(width == 0 or ceil(1 / width) != ceil(1 / Fraction(old)))
+        owner[key] = new
+    ok, problems = audit_certificate(doc)
+    assert not ok and problems
 
 
 def test_large_r_inequalities():
