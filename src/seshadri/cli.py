@@ -89,6 +89,10 @@ _DEFAULT_FORMATS = {
 _CSV_COMMANDS = {"table", "enumerate", "verify", "coverage"}
 
 MAX_RADICAND = 10**18
+# Largest --r and --t0 that region takes: the certificate file name spells
+# both, and far larger values outgrow file names and the interpreter's limit
+# on int-to-string conversion.
+MAX_REGION_ARGUMENT = 10**18
 _RADICAND_RE = re.compile(r"sqrt\((\d+)\)")
 
 
@@ -649,6 +653,9 @@ def cmd_region(cfg: RunConfig, args: argparse.Namespace) -> int:
     _require_r(cfg, 10, "region")
     if args.t0 is None:
         raise UsageError("region needs --t0")
+    for flag, value in (("--r", r), ("--t0", args.t0)):
+        if value > MAX_REGION_ARGUMENT:
+            raise UsageError(f"region {flag} must be at most {MAX_REGION_ARGUMENT}")
     params = {
         "t0": args.t0,
         "depth": cfg.bisection_depth,

@@ -95,16 +95,29 @@ def sqrt_enclosure(x: RationalLike, width: RationalLike) -> RationalInterval:
         raise NegativeRadicand(f"cannot enclose sqrt of {x}")
     if width <= 0:
         raise ValueError(f"enclosure width must be positive, got {width}")
-    num, den = x.numerator, x.denominator
-    sn, sd = isqrt(num), isqrt(den)
-    if sn * sn == num and sd * sd == den:
-        root = Fraction(sn, sd)
-        return RationalInterval(root, root)
+    lo, hi = sqrt_bracket(x.numerator, x.denominator, width)
+    return RationalInterval(Fraction(*lo), Fraction(*hi))
+
+
+def sqrt_bracket(
+    num: int, den: int, width: Fraction
+) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The endpoints of sqrt_enclosure(num/den, width) as integer pairs
+    (numerator, denominator), for num >= 0, den > 0 and width > 0.
+
+    num/den need not be in lowest terms, and the pairs are not reduced: the
+    bracket depends only on the value, because num/den is the square of a
+    rational exactly when num*den is a perfect square, and floor(num/den *
+    d^2) does not depend on the representation.
+    """
+    n = num * den
+    root = isqrt(n)
+    if root * root == n:
+        return (root, den), (root, den)
     # denominator d with 1/d <= width; floor(x * d^2) brackets sqrt within 1/d
     d = -((-width.denominator) // width.numerator)
-    n = (num * d * d) // den
-    s = isqrt(n)
-    return RationalInterval(Fraction(s, d), Fraction(s + 1, d))
+    s = isqrt(num * d * d // den)
+    return (s, d), (s + 1, d)
 
 
 @dataclass(frozen=True)

@@ -15,14 +15,22 @@ Q(., t0) < 0 for every m_bar and every mu in the strip therefore excludes
 multiplicity t0, which is where the caps in search.t_range come from.
 
 The proof obligation is verified by adaptive bisection of the strip in mu.
-On each piece the coefficients are enclosed in rational intervals (square
-roots by outward rounding, everything else exact), and a piece is closed by
-one of two sign rules:
+On each piece [lo, hi] the coefficients are enclosed by rational bounds:
+mu^2 is enclosed by [lo^2, hi^2] clamped to [r, r+1], s = sqrt(mu^2 - r) by
+outward-rounded square roots of its ends, and each bound of a coefficient
+is its formula at the corner of that box where the formula is smallest or
+largest.  The formulas are monotone in each variable on the strip, so these
+are exactly the bounds that generic rational interval arithmetic yields
+(see q_coefficients).  A piece is closed by one of two sign rules:
 
 * c_negative: hi(a) <= 0, hi(b) <= 0 and hi(c) < 0, so Q <= c < 0 for every
   m_bar >= 0;
-* vertex_negative: hi(a) < 0, hi(c) < 0 and the vertex value c - b^2/(4a)
+* vertex_negative: hi(a) < 0, hi(c) < 0 and the vertex value c - b*b/(4a)
   has negative upper bound, so the downward parabola is negative everywhere.
+
+Every sign is decided on an integer numerator over a positive denominator,
+hi(c) first; the bounds of a piece that closes are reduced once, and are
+written into the tree as its witnesses.
 
 The result is a machine-checkable certificate tree; audit_certificate
 replays it from scratch.
@@ -42,8 +50,8 @@ from .errors import DepthLimitExceeded, InvalidT0, UnsupportedR
 from .exact import (
     DEFAULT_SQRT_WIDTH,
     QuadraticNumber,
-    RationalInterval,
     RationalLike,
+    sqrt_bracket,
     sqrt_enclosure,
     _as_fraction,
 )
@@ -63,30 +71,76 @@ _MAX_INTEGER = 10**MAX_NUMBER_LENGTH
 _RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[1-9][0-9]*)?")
 
 
-def q_coefficients(
-    r: int,
-    t: RationalLike,
-    mu: RationalInterval,
-    mu_sq: RationalInterval,
-    sqrt_width: RationalLike,
-) -> tuple[RationalInterval, RationalInterval, RationalInterval]:
-    """Enclosures of a, b, c over the mu-interval, given an enclosure mu_sq
-    of mu^2; needs lo(mu) > 0 and hi(mu_sq) >= r.
+IntFraction = tuple[int, int]  # (numerator, denominator > 0), not reduced
 
-    The leaf rule passes mu^2 intersected with [r, r+1], which is sound for
-    mu restricted to the strip and keeps hi(a) from leaking above 0 at the
-    left edge.
+
+def q_coefficients(
+    r: int, t: int, mu_lo: Fraction, mu_hi: Fraction, sqrt_width: Fraction
+) -> tuple[tuple[IntFraction, IntFraction], ...] | None:
+    """Bounds (lo, hi) of each of a, b, c over the piece [mu_lo, mu_hi] of
+    the strip, or None when the piece misses the strip.  Needs mu_lo > 0
+    and t > 0.
+
+    The enclosures are those of rational interval arithmetic on the
+    formulas: mu^2 lies in [mu_lo^2, mu_hi^2] intersected with [r, r+1]
+    (sound for mu in the strip, and it keeps hi(a) from leaking above 0 at
+    the left edge), and s = sqrt(mu^2 - r) in [low end of
+    sqrt_enclosure(lo(mu^2) - r), high end of sqrt_enclosure(hi(mu^2) - r)]
+    at sqrt_width.  Interval arithmetic treats mu^2, s and mu as independent
+    variables.  On the strip every operand has a known sign (mu > 0,
+    mu^2 >= r > 0, s >= 0, t > 0), so each coefficient is monotone in each
+    variable:
+
+        a = r^2/mu^2 - r                  falls with mu^2;
+        b = 2rt s/mu^2 + 3r/mu - r        falls with mu^2 and mu, rises with s;
+        c = -rt^2/mu^2 + 3t s/mu - t + 6  rises with mu^2 and s, falls with mu.
+
+    Each bound is therefore the formula at one corner of the box, e.g.
+    hi(c) = c(hi(mu^2), hi(s), lo(mu)).  This equals the generic interval
+    evaluation bit for bit: with the signs known, every product and
+    quotient of intervals takes its minimum and maximum at the endpoints
+    this monotonicity names, a sum of intervals adds the like endpoints, and
+    no variable enters one formula in two opposite directions.  Both routes
+    compute exact rationals, so they yield the same numbers and, once
+    reduced, the same strings.
+
+    Each bound is an integer pair (numerator, positive denominator), not in
+    lowest terms: the leaf rule decides signs from numerators and reduces
+    only the witnesses of the pieces it closes.
     """
-    s = (mu_sq - r).sqrt(sqrt_width)
-    a = RationalInterval.point(r * r) / mu_sq - r
-    b = (2 * r * t) * s / mu_sq + RationalInterval.point(3 * r) / mu - r
-    c = (
-        RationalInterval.point(-r * t * t) / mu_sq
-        + (3 * t) * s / mu
-        - t
-        + 6
+    ln, ld = mu_lo.numerator, mu_lo.denominator
+    hn, hd = mu_hi.numerator, mu_hi.denominator
+    sq_lo = (ln * ln, ld * ld) if ln * ln > r * ld * ld else (r, 1)
+    sq_hi = (hn * hn, hd * hd) if hn * hn < (r + 1) * hd * hd else (r + 1, 1)
+    if sq_lo[0] * sq_hi[1] > sq_hi[0] * sq_lo[1]:
+        return None
+    s_lo = sqrt_bracket(sq_lo[0] - r * sq_lo[1], sq_lo[1], sqrt_width)[0]
+    s_hi = sqrt_bracket(sq_hi[0] - r * sq_hi[1], sq_hi[1], sqrt_width)[1]
+    return (
+        (_a_at(r, sq_hi), _a_at(r, sq_lo)),
+        (_b_at(r, t, sq_hi, s_lo, (hn, hd)), _b_at(r, t, sq_lo, s_hi, (ln, ld))),
+        (_c_at(r, t, sq_lo, s_lo, (hn, hd)), _c_at(r, t, sq_hi, s_hi, (ln, ld))),
     )
-    return a, b, c
+
+
+def _a_at(r: int, mu_sq: IntFraction) -> IntFraction:
+    qn, qd = mu_sq
+    return r * (r * qd - qn), qn
+
+
+def _b_at(
+    r: int, t: int, mu_sq: IntFraction, s: IntFraction, mu: IntFraction
+) -> IntFraction:
+    (qn, qd), (sn, sd), (mn, md) = mu_sq, s, mu
+    return 2 * r * t * sn * qd * mn + r * (3 * md - mn) * sd * qn, sd * qn * mn
+
+
+def _c_at(
+    r: int, t: int, mu_sq: IntFraction, s: IntFraction, mu: IntFraction
+) -> IntFraction:
+    (qn, qd), (sn, sd), (mn, md) = mu_sq, s, mu
+    den = qn * sd * mn
+    return -r * t * t * qd * sd * mn + 3 * t * sn * md * qn + (6 - t) * den, den
 
 
 def q_exact(
@@ -152,34 +206,63 @@ class Certificate:
         }
 
 
-def _interval_strings(iv: RationalInterval) -> list[str]:
-    return [str(iv.lo), str(iv.hi)]
+def _witnesses(**bounds: tuple[IntFraction, IntFraction]) -> dict[str, list[str]]:
+    return {
+        name: [str(Fraction(*lo)), str(Fraction(*hi))]
+        for name, (lo, hi) in bounds.items()
+    }
+
+
+def _minus_quarter_quotient(
+    c: IntFraction, p: int, q: int, a: IntFraction
+) -> IntFraction:
+    """c - (p/q)/(4a) for q > 0 and a < 0."""
+    (cn, cd), (an, ad) = c, a
+    den = -4 * q * an
+    return cn * den + p * ad * cd, cd * den
 
 
 def _leaf_rule(
     r: int, t0: int, lo: Fraction, hi: Fraction, sqrt_width: Fraction
 ) -> dict | None:
-    """Try to close [lo, hi] with one sign rule; None if inconclusive."""
-    mu = RationalInterval(lo, hi)
-    mu_sq = (mu * mu).intersect(RationalInterval(r, r + 1))
-    if mu_sq is None:
-        return {"rule": "outside_strip", "witnesses": {"mu_sq": _interval_strings(mu * mu)}}
-    a, b, c = q_coefficients(r, t0, mu, mu_sq, sqrt_width)
-    witnesses = {
-        "a": _interval_strings(a),
-        "b": _interval_strings(b),
-        "c": _interval_strings(c),
-    }
-    if c.hi >= 0:
+    """Try to close [lo, hi] with one sign rule; None if inconclusive.
+
+    Every test is a sign test on an integer numerator over a positive
+    denominator; witness strings are built only for a piece that closes.
+    """
+    bounds = q_coefficients(r, t0, lo, hi, sqrt_width)
+    if bounds is None:
+        return {
+            "rule": "outside_strip",
+            "witnesses": {"mu_sq": [str(lo * lo), str(hi * hi)]},
+        }
+    a, b, c = bounds
+    (a_lo, a_hi), (b_lo, b_hi), (c_lo, c_hi) = bounds
+    if c_hi[0] >= 0:
         return None
-    if a.hi <= 0 and b.hi <= 0:
-        return {"rule": "c_negative", "witnesses": witnesses}
-    if a.hi < 0:
-        vertex = c - (b * b) / (a * 4)
-        if vertex.hi < 0:
-            witnesses["vertex"] = _interval_strings(vertex)
-            return {"rule": "vertex_negative", "witnesses": witnesses}
-    return None
+    if a_hi[0] <= 0 and b_hi[0] <= 0:
+        return {"rule": "c_negative", "witnesses": _witnesses(a=a, b=b, c=c)}
+    if a_hi[0] >= 0:
+        return None
+    # vertex = c - (b*b)/(4a) in interval arithmetic.  Here a < 0 and
+    # hi(b) > 0, so hi(b*b) is the square of the end of b larger in size and
+    # lo(b*b) is lo(b)^2 when b >= 0, else lo(b)*hi(b) < 0; dividing by the
+    # negative 4a pairs hi(b*b) with hi(a), and lo(b*b) with lo(a) when it is
+    # >= 0, else with hi(a).
+    big = b_lo if b_lo[0] * b_hi[1] + b_hi[0] * b_lo[1] < 0 else b_hi
+    vertex_hi = _minus_quarter_quotient(c_hi, big[0] ** 2, big[1] ** 2, a_hi)
+    if vertex_hi[0] >= 0:
+        return None
+    if b_lo[0] >= 0:
+        vertex_lo = _minus_quarter_quotient(c_lo, b_lo[0] ** 2, b_lo[1] ** 2, a_lo)
+    else:
+        vertex_lo = _minus_quarter_quotient(
+            c_lo, b_lo[0] * b_hi[0], b_lo[1] * b_hi[1], a_hi
+        )
+    return {
+        "rule": "vertex_negative",
+        "witnesses": _witnesses(a=a, b=b, c=c, vertex=(vertex_lo, vertex_hi)),
+    }
 
 
 def verify_t_bound(

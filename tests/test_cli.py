@@ -14,6 +14,7 @@ from seshadri.cli import (
     EXIT_PASS,
     EXIT_USAGE,
     MAX_RADICAND,
+    MAX_REGION_ARGUMENT,
     UsageError,
     build_parser,
     main,
@@ -153,6 +154,24 @@ def test_mu0_radicand_cap(capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: --mu0 radicands") and err.count("\n") == 1
     assert main(["verify", "--r", "12", "--mu0", f"sqrt({MAX_RADICAND})"]) == EXIT_FAIL
+
+
+def test_region_argument_cap(capsys, tmp_path):
+    """--r and --t0 past MAX_REGION_ARGUMENT are one-line usage errors, not
+    an over-long file name or a digit-limit traceback; the cap itself runs."""
+    huge_r, huge_t0 = "1" + "0" * 300, "1" + "0" * 3000
+    for argv, flag in ((["region", "--r", huge_r, "--t0", "3"], "--r"),
+                       (["region", "--r", "10", "--t0", huge_t0], "--t0"),
+                       (["region", "--r", str(MAX_REGION_ARGUMENT + 1), "--t0", "3"], "--r"),
+                       (["region", "--r", "10", "--t0", str(MAX_REGION_ARGUMENT + 1)], "--t0")):
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"error: region {flag} must be at most {MAX_REGION_ARGUMENT}\n"
+    assert list(tmp_path.iterdir()) == []
+    cap = str(MAX_REGION_ARGUMENT)
+    assert main(["region", "--r", cap, "--t0", cap]) == EXIT_PASS
+    assert json.loads(capsys.readouterr().out)["t0"] == MAX_REGION_ARGUMENT
+    assert (tmp_path / f"certificate-r{cap}-t{cap}.json").exists()
 
 
 def test_verify_doc_needs_no_enclosures(monkeypatch):
@@ -322,6 +341,26 @@ def test_stdout_matches_golden_digest(capsys, argv):
     assert main(list(argv)) == EXIT_PASS
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_STDOUT_SHA256[argv]
+
+
+# sha256 of the certificate file, recorded before the leaf rule moved from
+# generic interval arithmetic to the endpoint formulas of q_coefficients.
+GOLDEN_CERTIFICATE_SHA256 = {
+    (10, 6, 16): "600fa187d4708b432c7eae9288736e97f2f14e52ccec0997d160fdae12f897cc",
+    (13, 3, 16): "98611fee768d54146b722b95062872a9aa239b3d109e9ab4bc76736c897e485b",
+    (10, 6, 256): "1865a7a4eb006c924bf88b5fc8ffdb0d16f33832c9508d39aee807b082bfa089",
+    (13, 3, 256): "4e452cae5fc0a6a85efb7aca85b84c698be09bf1db0c3a005fed0cf8d708f321",
+}
+
+
+@pytest.mark.parametrize("job", sorted(GOLDEN_CERTIFICATE_SHA256))
+def test_certificate_matches_golden_digest(capsys, monkeypatch, tmp_path, job):
+    r, t0, exponent = job
+    monkeypatch.setenv("SESHADRI_SQRT_WIDTH_EXPONENT", str(exponent))
+    assert main(["region", "--r", str(r), "--t0", str(t0)]) == EXIT_PASS
+    capsys.readouterr()
+    data = (tmp_path / f"certificate-r{r}-t{t0}.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_CERTIFICATE_SHA256[job]
 
 
 def test_cache_round_trip(capsys, tmp_path):

@@ -3,6 +3,7 @@
 import copy
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from math import ceil, isqrt
 
@@ -16,11 +17,14 @@ from seshadri.exact import (
     QuadraticNumber,
     RationalInterval,
     compare,
+    sqrt_enclosure,
 )
+from seshadri import region
 from seshadri.region import (
     CERTIFICATE_KIND,
     MAX_DEPTH_LIMIT,
     MAX_NUMBER_LENGTH,
+    _leaf_rule,
     audit_certificate,
     large_r_inequalities,
     m_bar_zero_at_sqrt_r,
@@ -45,15 +49,127 @@ def test_q_exact_agrees_with_interval_route():
     rng = random.Random(811)
     for r in (10, 11, 12, 13):
         for mu in _strip_mu_samples(r, rng, 40):
-            t = Fraction(rng.randrange(1, 7))
+            t = rng.randrange(1, 7)
             m_bar = Fraction(rng.randrange(0, 130), 10)
             exact = q_exact(m_bar, t, r, mu)
-            point = RationalInterval.point(mu)
-            a, b, c = q_coefficients(r, t, point, point * point, DEFAULT_SQRT_WIDTH)
+            a, b, c = (
+                RationalInterval(Fraction(*lo), Fraction(*hi))
+                for lo, hi in q_coefficients(r, t, mu, mu, DEFAULT_SQRT_WIDTH)
+            )
             boxed = (a * m_bar + b) * m_bar + c
             assert compare(exact, boxed.lo) >= 0
             assert compare(exact, boxed.hi) <= 0
             assert boxed.width < Fraction(1, 2**20)
+
+
+def _reference_coefficients(r, t, mu, mu_sq, sqrt_width):
+    """a, b, c by generic RationalInterval arithmetic, term by term."""
+    s = (mu_sq - r).sqrt(sqrt_width)
+    a = RationalInterval.point(r * r) / mu_sq - r
+    b = (2 * r * t) * s / mu_sq + RationalInterval.point(3 * r) / mu - r
+    c = RationalInterval.point(-r * t * t) / mu_sq + (3 * t) * s / mu - t + 6
+    return a, b, c
+
+
+def _reference_leaf_rule(r, t0, lo, hi, sqrt_width):
+    """The leaf rule evaluated by generic interval arithmetic."""
+    mu = RationalInterval(lo, hi)
+    mu_sq = (mu * mu).intersect(RationalInterval(r, r + 1))
+    if mu_sq is None:
+        return {"rule": "outside_strip",
+                "witnesses": {"mu_sq": [str((mu * mu).lo), str((mu * mu).hi)]}}
+    a, b, c = _reference_coefficients(r, t0, mu, mu_sq, sqrt_width)
+    witnesses = {name: [str(iv.lo), str(iv.hi)] for name, iv in zip("abc", (a, b, c))}
+    if c.hi >= 0:
+        return None
+    if a.hi <= 0 and b.hi <= 0:
+        return {"rule": "c_negative", "witnesses": witnesses}
+    if a.hi < 0:
+        vertex = c - (b * b) / (a * 4)
+        if vertex.hi < 0:
+            witnesses["vertex"] = [str(vertex.lo), str(vertex.hi)]
+            return {"rule": "vertex_negative", "witnesses": witnesses}
+    return None
+
+
+def _dyadic_pieces(r, sqrt_width, rng, count):
+    """Pieces of a bisection of the root cover at random depths, with a few
+    pieces just past either end of it."""
+    root_lo = sqrt_enclosure(r, sqrt_width).lo
+    span = sqrt_enclosure(r + 1, sqrt_width).hi - root_lo
+    for _ in range(count):
+        depth = rng.randrange(0, 16)
+        step = span / 2**depth
+        inner = rng.randrange(2**depth)
+        index = rng.choice((-1, 0, 1, inner, inner, inner, 2**depth - 1, 2**depth))
+        yield root_lo + index * step, root_lo + (index + 1) * step
+
+
+def test_endpoint_formulas_match_generic_interval_arithmetic():
+    """q_coefficients and the leaf rule give the same rationals, rules and
+    witnesses as generic interval arithmetic, on every branch."""
+    rng = random.Random(5)
+    seen = Counter()
+    for exponent in (16, 256):
+        width = Fraction(1, 2**exponent)
+        for r in range(10, 20):
+            for t in range(2, 7):
+                for lo, hi in _dyadic_pieces(r, width, rng, 24):
+                    expected = _reference_leaf_rule(r, t, lo, hi, width)
+                    assert _leaf_rule(r, t, lo, hi, width) == expected, (r, t, lo, hi)
+                    seen[expected["rule"] if expected else "open"] += 1
+                    bounds = q_coefficients(r, t, lo, hi, width)
+                    if expected and expected["rule"] == "outside_strip":
+                        assert bounds is None
+                        continue
+                    mu = RationalInterval(lo, hi)
+                    mu_sq = (mu * mu).intersect(RationalInterval(r, r + 1))
+                    reference = _reference_coefficients(r, t, mu, mu_sq, width)
+                    for (low, high), iv in zip(bounds, reference):
+                        assert (Fraction(*low), Fraction(*high)) == (iv.lo, iv.hi)
+                    a, b, c = reference
+                    sign = "b >= 0" if b.lo >= 0 else "b <= 0" if b.hi <= 0 else "b straddles 0"
+                    seen[sign] += 1
+                    seen["|lo(b)| > hi(b) > 0"] += 0 < b.hi < -b.lo
+                    seen["hi(a) >= 0"] += a.hi >= 0
+                    seen["lo(s) = 0"] += (mu_sq - r).sqrt(width).lo == 0
+                    seen["crosses r+1"] += hi * hi > r + 1
+                    seen["hi(c) >= 0"] += c.hi >= 0
+                    if c.hi < 0 and a.hi < 0 and b.hi > 0:
+                        seen["vertex tested"] += 1
+                        seen["vertex tested, b straddles 0"] += b.lo < 0
+                        seen["vertex tested, |lo(b)| > hi(b)"] += -b.lo > b.hi
+    branches = (
+        "outside_strip", "c_negative", "vertex_negative", "open",
+        "b >= 0", "b <= 0", "b straddles 0", "|lo(b)| > hi(b) > 0",
+        "hi(a) >= 0", "lo(s) = 0", "crosses r+1", "hi(c) >= 0",
+        "vertex tested", "vertex tested, b straddles 0",
+        "vertex tested, |lo(b)| > hi(b)",
+    )
+    assert all(seen[name] > 0 for name in branches), seen
+
+
+def test_leaf_rule_needs_no_generic_interval_arithmetic(monkeypatch):
+    """Neither the bisection nor its audit multiplies or divides a
+    RationalInterval, and only a piece that closes builds witness strings."""
+    calls = Counter()
+    for name in ("__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+        def counting(self, other, _name=name, _fn=getattr(RationalInterval, name)):
+            calls[_name] += 1
+            return _fn(self, other)
+        monkeypatch.setattr(RationalInterval, name, counting)
+    built = []
+    witnesses = region._witnesses
+    monkeypatch.setattr(
+        region, "_witnesses", lambda **bounds: built.append(1) or witnesses(**bounds)
+    )
+
+    cert = verify_t_bound(10, 6)
+    assert audit_certificate(cert.to_json_dict()) == (True, [])
+    assert sum(calls.values()) == 0, calls
+    # a tree with more than one leaf has pieces that did not close
+    assert cert.leaf_count > 1
+    assert len(built) == 2 * cert.leaf_count
 
 
 def test_q_exact_validation():
@@ -277,7 +393,9 @@ def test_audit_survives_oversized_numbers():
     doc = verify_t_bound(12, 4).to_json_dict()
     bad = copy.deepcopy(doc)
     bad["t0"] = 10**4000
-    assert _rejects(bad, "cannot be recomputed")
+    # no leaf closes, and a piece that does not close builds no witness
+    # numeral, so nothing reaches the digit limit here
+    assert _rejects(bad, "does not close under any rule")
     bad = copy.deepcopy(doc)
     bad["sqrt_width"] = "1/" + "9" * 4000
     assert _rejects(bad, "witnesses do not match")
