@@ -22,6 +22,9 @@ when present) holds key = value lines with the same lowercase names.
 Reports always carry exact values as canonical strings ("77/24",
 "4 - 1/3*sqrt(3)"); --approx appends 6-digit decimal columns next to them.
 JSON output is serialized with sorted keys so reruns are byte-identical.
+Every JSON document (stdout, certificates, cache entries) is written by
+`_dumps`, whose output matches `json.dumps(doc, sort_keys=True, indent=2)`
+byte for byte.
 With --cache-dir set, per-r results are cached one JSON file per
 (command, r), keyed by command, r, parameters and package version, and
 written atomically.
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -38,10 +42,11 @@ import os
 import re
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
@@ -57,6 +62,7 @@ from .exact import DEFAULT_SQRT_WIDTH_EXPONENT, QuadraticNumber, parse_quadratic
 from .region import (
     DEFAULT_DEPTH_LIMIT,
     MAX_DEPTH_LIMIT,
+    MAX_NUMBER_LENGTH,
     audit_certificate,
     large_r_inequalities,
     verify_t_bound,
@@ -93,7 +99,22 @@ MAX_RADICAND = 10**18
 # both, and far larger values outgrow file names and the interpreter's limit
 # on int-to-string conversion.
 MAX_REGION_ARGUMENT = 10**18
+# Largest --r that coverage and classify take: both build a curve class with
+# r multiplicities, which at r = 10^6 costs about 0.05 s and 40 MB, and at
+# r = 10^7 about 0.7 s and 400 MB.
+MAX_CATALOG_R = 10**6
+# Most digits a --mu may have in its numerator or denominator as written.
+# classify prints mu^2 - r, whose terms have twice as many, and this keeps
+# them within MAX_NUMBER_LENGTH (and the interpreter's 4300-digit limit on
+# int-to-string conversion).
+MAX_MU_DIGITS = MAX_NUMBER_LENGTH // 2
 _RADICAND_RE = re.compile(r"sqrt\((\d+)\)")
+# Every text Fraction reads, and a few it refuses: p/q, or a decimal with an
+# optional exponent; digits may carry underscores.
+_MU_RE = re.compile(
+    r"\s*[-+]?(?P<whole>[\d_]*)(?:\s*/\s*(?P<den>[\d_]+)"
+    r"|(?:\.(?P<frac>[\d_]*))?(?:[eE](?P<exp>[-+]?[\d_]+))?)\s*"
+)
 
 
 class UsageError(SeshadriError):
@@ -167,9 +188,11 @@ _SETTING_NAMES = (
 )
 
 
-def resolve_config(args: argparse.Namespace, env: dict | None = None) -> RunConfig:
+def resolve_config(
+    args: argparse.Namespace, env: Mapping[str, str] | None = None
+) -> RunConfig:
     """Layer defaults, config file, environment and flags into a RunConfig."""
-    env = dict(os.environ) if env is None else env
+    env = os.environ if env is None else env
     settings: dict[str, object] = {}
 
     config_path = env.get("SESHADRI_CONFIG")
@@ -312,6 +335,72 @@ def _compute_doc(command: str, r: int, mu0: QuadraticNumber | None) -> dict:
 
 
 # --------------------------------------------------------------------------
+# JSON
+
+
+def _dumps(doc: object) -> str:
+    """`json.dumps(doc, sort_keys=True, indent=2)`, byte for byte.
+
+    `indent` sends `json` to its pure-Python encoder; this walk is about
+    twice as fast. Strings go through the C routine `encode_basestring_ascii`
+    and ints through `int.__repr__`, as `json` does. It takes dicts with str
+    keys, lists, tuples, str, int, bool and None, and raises TypeError on
+    anything else. Containers are entered with an explicit stack, so nesting
+    depth is not bounded by the recursion limit; each frame is the iterator
+    of a container's (prefix, child) pairs and the text that closes it.
+    """
+    parts: list[str] = []
+    append = parts.append
+    stack: list[tuple] = []
+    items = iter((("", doc),))
+    close = ""
+    while True:
+        for prefix, value in items:
+            append(prefix)
+            kind = type(value)
+            if kind is str:
+                append(encode_basestring_ascii(value))
+            elif kind is int:
+                append(int.__repr__(value))
+            elif value is None:
+                append("null")
+            elif value is True:
+                append("true")
+            elif value is False:
+                append("false")
+            elif kind is dict or kind is list or kind is tuple:
+                if not value:
+                    append("{}" if kind is dict else "[]")
+                    continue
+                newline = "\n" + "  " * len(stack)
+                inner = newline + "  "
+                if kind is dict:
+                    keys = sorted(value)
+                    # encode_basestring_ascii raises TypeError on a non-str key
+                    prefixes = [
+                        "," + inner + encode_basestring_ascii(key) + ": " for key in keys
+                    ]
+                    prefixes[0] = prefixes[0][1:]
+                    children = zip(prefixes, map(value.__getitem__, keys))
+                    append("{")
+                    closing = newline + "}"
+                else:
+                    children = zip(chain((inner,), repeat("," + inner)), value)
+                    append("[")
+                    closing = newline + "]"
+                stack.append((items, close))
+                items, close = children, closing
+                break
+            else:
+                raise TypeError(f"cannot write {kind.__name__} as JSON")
+        else:
+            append(close)
+            if not stack:
+                return "".join(parts)
+            items, close = stack.pop()
+
+
+# --------------------------------------------------------------------------
 # cache
 
 
@@ -358,8 +447,7 @@ def _atomic_write(path: Path, text: str) -> None:
 def _cache_store(path: Path | None, key: dict, result: dict) -> None:
     if path is None:
         return
-    payload = json.dumps({"key": key, "result": result}, sort_keys=True, indent=2)
-    _atomic_write(path, payload)
+    _atomic_write(path, _dumps({"key": key, "result": result}))
 
 
 def _docs_for_range(
@@ -382,6 +470,9 @@ def _docs_for_range(
     missing = [r for r in rs if r not in docs]
     if missing:
         if cfg.parallelism > 1 and len(missing) > 1:
+            # imported here: the import costs about a fifth of start-up
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
                 computed = list(
                     pool.map(_compute_doc, repeat(command), missing, repeat(mu0))
@@ -423,7 +514,7 @@ def _augment_approx(doc: dict) -> dict:
 
 
 def _print_json(doc: dict) -> None:
-    print(json.dumps(doc, sort_keys=True, indent=2))
+    print(_dumps(doc))
 
 
 def _pair_rows_markdown(rows: list[dict], approx: bool, outcome: bool) -> list[str]:
@@ -604,6 +695,41 @@ def _validated_mu0(args: argparse.Namespace) -> QuadraticNumber | None:
         raise UsageError(str(exc)) from None
 
 
+def _written_digits(match: re.Match) -> int:
+    """Most digits of the numerator or denominator of a _MU_RE match as
+    written, before reduction: a decimal d.f with exponent e is d f * 10^k
+    with k = e - len(f)."""
+    whole, den, frac, exp = (
+        (text or "").replace("_", "") for text in match.group("whole", "den", "frac", "exp")
+    )
+    if match.group("den") is not None:
+        return max(len(whole.lstrip("0")), len(den.lstrip("0")))
+    if len(exp.lstrip("+-0")) > 9:  # |e| >= 10^9 is past the cap for any real f
+        return 10**9
+    k = int(exp or "0") - len(frac)
+    return max(len((whole + frac).lstrip("0")) + max(k, 0), 1 + max(-k, 0))
+
+
+def _parse_mu(text: str) -> Fraction:
+    """The --mu value. One whose numerator or denominator would pass
+    MAX_MU_DIGITS digits is refused on the text, before Fraction expands an
+    exponent such as 1e100000000."""
+    match = _MU_RE.fullmatch(text)
+    if match is not None and _written_digits(match) > MAX_MU_DIGITS:
+        raise UsageError(
+            f"--mu numerator and denominator must have at most {MAX_MU_DIGITS} digits"
+        )
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"cannot parse mu from {text!r}: {exc}") from None
+
+
+def _require_catalog_r(cfg: RunConfig, command: str) -> None:
+    if cfg.r_max > MAX_CATALOG_R:
+        raise UsageError(f"{command} --r must be at most {MAX_CATALOG_R}")
+
+
 def cmd_table(cfg: RunConfig, args: argparse.Namespace) -> int:
     _require_r(cfg, 10, "table")
     docs = _docs_for_range(cfg, "table", {"mu0": args.mu0}, _validated_mu0(args))
@@ -675,7 +801,7 @@ def cmd_region(cfg: RunConfig, args: argparse.Namespace) -> int:
         _cache_store(path, key, doc)
     out_dir = Path(cfg.cache_dir) if cfg.cache_dir else Path(".")
     out_path = out_dir / f"certificate-r{r}-t{args.t0}.json"
-    _atomic_write(out_path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _atomic_write(out_path, _dumps(doc) + "\n")
     summary = {
         field: doc[field]
         for field in (
@@ -699,11 +825,8 @@ def cmd_region(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_classify(cfg: RunConfig, args: argparse.Namespace) -> int:
     r = _require_single_r(cfg, "classify")
     _require_r(cfg, 10, "classify")
-    try:
-        mu = Fraction(args.mu)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"cannot parse mu from {args.mu!r}: {exc}") from None
-    result = classify(r, mu)
+    _require_catalog_r(cfg, "classify")
+    result = classify(r, _parse_mu(args.mu))
     doc = {"command": "classify", **result.to_json_dict()}
     _emit_docs(cfg, "classify", [doc])
     return EXIT_PASS
@@ -711,6 +834,7 @@ def cmd_classify(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_coverage(cfg: RunConfig, args: argparse.Namespace) -> int:
     _require_r(cfg, 1, "coverage")
+    _require_catalog_r(cfg, "coverage")
     docs = _docs_for_range(cfg, "coverage", {})
     _emit_docs(cfg, "coverage", docs)
     failed = False
@@ -822,10 +946,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on first use and kept for the process:
+    parsing leaves a parser unchanged, and building one costs about 1 ms."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

@@ -24,7 +24,7 @@ from functools import cmp_to_key
 from math import isqrt
 
 from .errors import NotAboveSqrtR, UnsupportedR
-from .exact import QuadraticNumber, RationalLike, _as_fraction, compare
+from .exact import QuadraticNumber, RationalLike, _as_fraction, _field_sign, compare
 from .surface import CurveClass, MuInterval, submaximal_locus
 
 
@@ -38,9 +38,21 @@ class ThresholdEntry:
     conditional: bool = True
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mu0", QuadraticNumber._coerce(self.mu0))
-        if compare(self.mu0 * self.mu0, self.r) < 0 or compare(self.mu0, 0) <= 0:
-            raise ValueError(f"mu0 = {self.mu0} sits below sqrt({self.r})")
+        mu0 = QuadraticNumber._coerce(self.mu0)
+        object.__setattr__(self, "mu0", mu0)
+        # With D = den(a)*den(b), D*mu0 = A + B*sqrt(n) for integers A, B, and
+        # D^2*(mu0^2 - r) = (A^2 + B^2*n - r*D^2) + 2AB*sqrt(n): both signs
+        # are one-field tests in integers, with no Fraction squaring.
+        a, b, n = mu0.a, mu0.b, mu0.rad
+        d = a.denominator * b.denominator
+        big_a = a.numerator * b.denominator
+        big_b = b.numerator * a.denominator
+        if (
+            _field_sign(big_a, big_b, n) <= 0
+            or _field_sign(big_a * big_a + big_b * big_b * n - self.r * d * d,
+                           2 * big_a * big_b, n) < 0
+        ):
+            raise ValueError(f"mu0 = {mu0} sits below sqrt({self.r})")
 
 
 def threshold(r: int) -> ThresholdEntry:

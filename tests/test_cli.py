@@ -1,11 +1,15 @@
 """End-to-end command-line behavior: formats, exit codes, config, cache."""
 
+import contextlib
 import hashlib
+import io
 import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seshadri import cli, exact, region, search
 from seshadri.cli import (
@@ -13,6 +17,8 @@ from seshadri.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_PASS,
     EXIT_USAGE,
+    MAX_CATALOG_R,
+    MAX_MU_DIGITS,
     MAX_RADICAND,
     MAX_REGION_ARGUMENT,
     UsageError,
@@ -172,6 +178,45 @@ def test_region_argument_cap(capsys, tmp_path):
     assert main(["region", "--r", cap, "--t0", cap]) == EXIT_PASS
     assert json.loads(capsys.readouterr().out)["t0"] == MAX_REGION_ARGUMENT
     assert (tmp_path / f"certificate-r{cap}-t{cap}.json").exists()
+
+
+def test_mu_digit_cap(capsys):
+    """A --mu whose numerator or denominator would pass MAX_MU_DIGITS digits
+    is a one-line usage error, refused before the exponent is expanded; a
+    --mu at the cap runs, since mu^2 - r then stays printable."""
+    for mu in ("1e5000", "1e100000000", "1e2200", "1e-5000", "1e" + "9" * 5000,
+               "1" * (MAX_MU_DIGITS + 1) + "/7", "7/1" + "0" * MAX_MU_DIGITS,
+               f"1e{MAX_MU_DIGITS}", f"1e-{MAX_MU_DIGITS}"):
+        assert main(["classify", "--r", "10", "--mu", mu]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == (f"error: --mu numerator and denominator must have at most "
+                       f"{MAX_MU_DIGITS} digits\n")
+    at_cap = "9" * MAX_MU_DIGITS + "/1" + "0" * (MAX_MU_DIGITS - 1)
+    for mu in (at_cap, f"1e{MAX_MU_DIGITS - 1}", "0.5e3"):
+        assert main(["classify", "--r", "10", "--mu", mu]) == EXIT_PASS
+        assert json.loads(capsys.readouterr().out)["mu"] == str(Fraction(mu))
+    for mu in ("0" * 5000 + "1", "1/0", "7 / 2 / 3"):
+        assert main(["classify", "--r", "10", "--mu", mu]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot parse mu") and err.count("\n") == 1
+
+
+def test_catalog_r_cap(capsys):
+    """coverage and classify build a length-r class: --r past MAX_CATALOG_R
+    is a one-line usage error, not an OverflowError; the cap itself runs."""
+    huge = "1" + "0" * 20
+    for command in ("coverage", "classify"):
+        for r in (huge, str(MAX_CATALOG_R + 1)):
+            argv = [command, "--r", r] + (["--mu", "7/2"] if command == "classify" else [])
+            assert main(argv) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err == f"error: {command} --r must be at most {MAX_CATALOG_R}\n"
+    assert main(["coverage", "--r", f"{MAX_CATALOG_R - 1}..{MAX_CATALOG_R + 1}"]) == EXIT_USAGE
+    capsys.readouterr()
+    assert main(["coverage", "--r", str(MAX_CATALOG_R)]) == EXIT_PASS
+    assert json.loads(capsys.readouterr().out)["covered"] is True
+    assert main(["classify", "--r", str(MAX_CATALOG_R), "--mu", "1001"]) == EXIT_PASS
+    assert json.loads(capsys.readouterr().out)["verdict"] == "RationalWithWitness"
 
 
 def test_verify_doc_needs_no_enclosures(monkeypatch):
@@ -444,3 +489,101 @@ def test_coverage_command(capsys):
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert capsys.readouterr().out.startswith("seshadri ")
+
+
+def _call(argv):
+    """stdout, stderr and exit code of main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return out.getvalue(), err.getvalue(), code
+
+
+def _lone_call(argv):
+    """_call with a freshly built parser."""
+    cli._parser.cache_clear()
+    return _call(argv)
+
+
+def test_parser_reuse_leaks_nothing_between_calls():
+    """main builds its parser once per process; flags and defaults of one
+    call do not carry into the next."""
+    sequence = (
+        ("verify",),  # usage error: --r is missing
+        ("--version",),
+        ("classify", "--r", "10", "--mu", "7/2", "--approx"),
+        ("verify", "--r", "10..11", "--format", "csv"),
+        ("verify", "--r", "10..11"),
+    )
+    lone = [_lone_call(argv) for argv in sequence]
+    assert [code for _, _, code in lone] == [EXIT_USAGE, 0, EXIT_PASS, EXIT_PASS, EXIT_PASS]
+    assert lone[0][1].startswith("usage: seshadri verify")
+    assert '"mu0_approx"' not in lone[4][0] and lone[4][0].startswith("{")
+    cli._parser.cache_clear()
+    parser = cli._parser()
+    assert [_call(argv) for argv in sequence] == lone
+    assert cli._parser() is parser
+
+
+JSON_SCALARS = (
+    st.text()
+    | st.sampled_from(["", '"', "\\", "\x00\x1f\x7f", "\u00e9\u2028", "\U0001f600", "/"])
+    | st.integers(min_value=-(2**80), max_value=2**80)
+    | st.booleans()
+    | st.none()
+)
+JSON_TREES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(JSON_TREES)
+def test_dumps_matches_indented_json_dumps(doc):
+    assert cli._dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+def test_dumps_edge_values():
+    for doc in ({}, [], {"a": {}, "b": [], "c": [[]]}, [2**64, -(2**64) - 1, 0],
+                "\x00\"\\\u00e9", (1, (2,)), {"t": ()}):
+        assert cli._dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
+    for bad in (1.5, [0.0], {"x": 2.5}, {1: "a"}, {"a": {None: 1}}, {1, 2}, b"x"):
+        with pytest.raises(TypeError):
+            cli._dumps(bad)
+
+
+def _certificate_chain(depth):
+    """A certificate-shaped tree: a chain of pieces, each one object whose
+    children array holds the next, `depth` pieces deep."""
+    node = {"mu_hi": "1/2", "mu_lo": "0"}
+    for _ in range(depth):
+        node = {"children": [node]}
+    return node
+
+
+def _shape(text):
+    """Lines and deepest indentation of an indented JSON text."""
+    lines = text.splitlines()
+    return len(lines), max(len(line) - len(line.lstrip(" ")) for line in lines)
+
+
+def test_dumps_serialises_trees_past_the_recursion_limit():
+    """A bisection closing near --depth MAX_DEPTH_LIMIT nests 2 * MAX_DEPTH_LIMIT
+    JSON containers (an object and a children array per piece). json.dumps
+    with indent=2 recurses per container and raises RecursionError; _dumps
+    keeps an explicit stack and writes it."""
+    depth = region.MAX_DEPTH_LIMIT
+    deep = _certificate_chain(depth)
+    with pytest.raises(RecursionError):
+        json.dumps(deep, sort_keys=True, indent=2)
+    # the indented text grows linearly in lines and indentation per piece
+    one, two = (_shape(cli._dumps(_certificate_chain(d))) for d in (1, 2))
+    assert _shape(cli._dumps(deep)) == tuple(
+        a + (depth - 1) * (b - a) for a, b in zip(one, two)
+    )
+    shallow = _certificate_chain(200)
+    assert cli._dumps(shallow) == json.dumps(shallow, sort_keys=True, indent=2)
+    assert json.loads(cli._dumps(shallow)) == shallow

@@ -45,6 +45,31 @@ def test_threshold_entry_invariant():
         ThresholdEntry(10, QuadraticNumber.from_rational(-4))
 
 
+def test_threshold_entry_integer_sign_test():
+    """The check decides mu0 > 0 and mu0^2 >= r in integers; it agrees with
+    squaring mu0 in Fractions, and sqrt(r) itself is admitted."""
+    with pytest.raises(ValueError):
+        ThresholdEntry(20, QuadraticNumber.sqrt(19))
+    with pytest.raises(ValueError):
+        ThresholdEntry(10, -QuadraticNumber.sqrt(11))
+    for r in list(range(10, 14)) + [14, 1500]:
+        assert ThresholdEntry(r, threshold(r).mu0).mu0 == threshold(r).mu0
+    ThresholdEntry(16, QuadraticNumber.from_rational(4))
+    ThresholdEntry(17, QuadraticNumber.sqrt(17))
+    values = sorted({Fraction(p, q) for p in range(-4, 5) for q in (1, 2, 3)})
+    for n in (2, 13):
+        for a in values:
+            for b in values:
+                mu0 = QuadraticNumber(a, b, n)
+                for r in (2, 5, 13):
+                    above = compare(mu0, 0) > 0 and compare(mu0 * mu0, r) >= 0
+                    if above:
+                        ThresholdEntry(r, mu0)
+                    else:
+                        with pytest.raises(ValueError):
+                            ThresholdEntry(r, mu0)
+
+
 def test_catalog_shapes():
     c10 = catalog(10)
     assert [str(cc.curve) for cc in c10] == ["E1", "(3;1^9)", "(10;4,3^9)"]
