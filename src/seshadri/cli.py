@@ -95,14 +95,15 @@ _DEFAULT_FORMATS = {
 _CSV_COMMANDS = {"table", "enumerate", "verify", "coverage"}
 
 MAX_RADICAND = 10**18
-# Largest --r and --t0 that region takes: the certificate file name spells
-# both, and far larger values outgrow file names and the interpreter's limit
-# on int-to-string conversion.
-MAX_REGION_ARGUMENT = 10**18
-# Largest --r that coverage and classify take: both build a curve class with
-# r multiplicities, which at r = 10^6 costs about 0.05 s and 40 MB, and at
-# r = 10^7 about 0.7 s and 400 MB.
-MAX_CATALOG_R = 10**6
+# Largest r any command takes. threshold(r) reduces r + 1 to squarefree form,
+# whose cost grows with r: on a 2-vCPU host verify takes about 0.1 s at
+# r = 10^18 and ran past 20 s at r = 10^29. region spells r in the
+# certificate file name.
+MAX_R = 10**18
+# Largest --t0 that region takes: the certificate file name spells it, and
+# far larger values outgrow file names and the interpreter's limit on
+# int-to-string conversion.
+MAX_T0 = 10**18
 # Most digits a --mu may have in its numerator or denominator as written.
 # classify prints mu^2 - r, whose terms have twice as many, and this keeps
 # them within MAX_NUMBER_LENGTH (and the interpreter's 4300-digit limit on
@@ -134,7 +135,7 @@ class RunConfig:
 
 
 def parse_r_range(text: str) -> tuple[int, int]:
-    """"12" -> (12, 12); "10..19" -> (10, 19)."""
+    """"12" -> (12, 12); "10..19" -> (10, 19); r past MAX_R is refused."""
     s = text.strip()
     try:
         if ".." in s:
@@ -146,6 +147,8 @@ def parse_r_range(text: str) -> tuple[int, int]:
         raise UsageError(f"cannot parse r range from {text!r}") from None
     if lo > hi:
         raise UsageError(f"empty r range {text!r}")
+    if hi > MAX_R:
+        raise UsageError(f"--r must be at most {MAX_R}")
     return lo, hi
 
 
@@ -269,7 +272,7 @@ def resolve_config(
 
 def _pair_record(pair, verdict) -> dict:
     return {
-        "class": pair.render_class(),
+        "class": pair.curve.render(),
         "t": pair.t,
         "M": pair.total_multiplicity,
         "delta": verdict.delta,
@@ -295,7 +298,7 @@ def _verify_doc(r: int, mu0: QuadraticNumber | None) -> dict:
             verdict = check_pair(pair, report.mu0)
             small_records.append(
                 {
-                    "class": pair.render_class(),
+                    "class": pair.curve.render(),
                     "t": pair.t,
                     "M": pair.total_multiplicity,
                     "delta": verdict.delta,
@@ -725,11 +728,6 @@ def _parse_mu(text: str) -> Fraction:
         raise UsageError(f"cannot parse mu from {text!r}: {exc}") from None
 
 
-def _require_catalog_r(cfg: RunConfig, command: str) -> None:
-    if cfg.r_max > MAX_CATALOG_R:
-        raise UsageError(f"{command} --r must be at most {MAX_CATALOG_R}")
-
-
 def cmd_table(cfg: RunConfig, args: argparse.Namespace) -> int:
     _require_r(cfg, 10, "table")
     docs = _docs_for_range(cfg, "table", {"mu0": args.mu0}, _validated_mu0(args))
@@ -779,9 +777,8 @@ def cmd_region(cfg: RunConfig, args: argparse.Namespace) -> int:
     _require_r(cfg, 10, "region")
     if args.t0 is None:
         raise UsageError("region needs --t0")
-    for flag, value in (("--r", r), ("--t0", args.t0)):
-        if value > MAX_REGION_ARGUMENT:
-            raise UsageError(f"region {flag} must be at most {MAX_REGION_ARGUMENT}")
+    if args.t0 > MAX_T0:
+        raise UsageError(f"region --t0 must be at most {MAX_T0}")
     params = {
         "t0": args.t0,
         "depth": cfg.bisection_depth,
@@ -825,7 +822,6 @@ def cmd_region(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_classify(cfg: RunConfig, args: argparse.Namespace) -> int:
     r = _require_single_r(cfg, "classify")
     _require_r(cfg, 10, "classify")
-    _require_catalog_r(cfg, "classify")
     result = classify(r, _parse_mu(args.mu))
     doc = {"command": "classify", **result.to_json_dict()}
     _emit_docs(cfg, "classify", [doc])
@@ -834,7 +830,6 @@ def cmd_classify(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_coverage(cfg: RunConfig, args: argparse.Namespace) -> int:
     _require_r(cfg, 1, "coverage")
-    _require_catalog_r(cfg, "coverage")
     docs = _docs_for_range(cfg, "coverage", {})
     _emit_docs(cfg, "coverage", docs)
     failed = False

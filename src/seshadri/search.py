@@ -26,9 +26,10 @@ left side of (**) has the closed form
 
       C(d+2,2) - s*C(m+1,2) - (r-s)*C(m,2),
 
-so the search works on (d, M, r) alone and never builds a length-r class.
-Each step costs O(1), and the number of steps per r is bounded by the caps
-above, so the search cost per r does not depend on r.
+so the d-scan works on (d, M, r) alone and builds a class (two runs, see
+balanced_class) only for each pair it keeps.  Each step costs O(1), and the
+number of steps per r is bounded by the caps above, so the search cost per r
+does not depend on r.
 
 Each critical pair is then checked against a threshold mu_0: with
 Delta = M^2 - r(d^2 - t^2), the pair is harmless when Delta < 0 (the class
@@ -51,45 +52,40 @@ from . import thresholds as _thresholds
 
 @dataclass(frozen=True)
 class BalancedPair:
-    """Balanced class (d; m^s, (m-1)^(r-s)) with a marked multiplicity t."""
+    """A balanced class (d; m^s, (m-1)^(r-s)), d >= 2 and M >= 1, with a
+    marked multiplicity t; balanced_class builds the class."""
 
-    d: int
-    m: int
-    s: int
-    r: int
+    curve: CurveClass
     t: int
 
     def __post_init__(self) -> None:
-        if self.d < 2:
-            raise ValueError(f"need d >= 2, got {self.d}")
-        if self.m < 1:
-            raise ValueError(f"need m >= 1, got {self.m}")
-        if not 1 <= self.s <= self.r:
-            raise ValueError(f"need 1 <= s <= r, got s={self.s}, r={self.r}")
-        if not 1 <= self.t < self.d:
-            raise InvalidT(f"need 1 <= t < d = {self.d}, got t = {self.t}")
+        c = self.curve
+        if c.d < 2:
+            raise ValueError(f"need d >= 2, got {c.d}")
+        total = c.total_multiplicity
+        if total < 1 or c.runs != _balanced_runs(total, c.r):
+            raise ValueError(f"{c} is not a balanced class with M >= 1")
+        if not 1 <= self.t < c.d:
+            raise InvalidT(f"need 1 <= t < d = {c.d}, got t = {self.t}")
+
+    @property
+    def d(self) -> int:
+        return self.curve.d
+
+    @property
+    def r(self) -> int:
+        return self.curve.r
 
     @property
     def total_multiplicity(self) -> int:
-        return self.s * self.m + (self.r - self.s) * (self.m - 1)
+        return self.curve.total_multiplicity
 
     @property
     def mean_multiplicity(self) -> Fraction:
         return Fraction(self.total_multiplicity, self.r)
 
-    def curve_class(self) -> CurveClass:
-        return CurveClass(self.d, (self.m,) * self.s + (self.m - 1,) * (self.r - self.s))
-
-    def render_class(self) -> str:
-        """The class as CurveClass.render writes it, without the r-tuple."""
-        groups = [f"{self.m}^{self.s}" if self.s > 1 else f"{self.m}"]
-        rest = self.r - self.s
-        if rest and self.m > 1:
-            groups.append(f"{self.m - 1}^{rest}" if rest > 1 else f"{self.m - 1}")
-        return f"({self.d};{','.join(groups)})"
-
     def __str__(self) -> str:
-        return f"({self.render_class()}, t={self.t})"
+        return f"({self.curve}, t={self.t})"
 
 
 class Outcome(enum.Enum):
@@ -143,6 +139,19 @@ def balanced_split(total: int, r: int) -> tuple[int, int]:
     return m, s
 
 
+def _balanced_runs(total: int, r: int) -> tuple[tuple[int, int], ...]:
+    m, s = balanced_split(total, r)
+    if m == 1 or s == r:
+        return ((m, s),)
+    return ((m, s), (m - 1, r - s))
+
+
+def balanced_class(d: int, total: int, r: int) -> CurveClass:
+    """The balanced class (d; m^s, (m-1)^(r-s)) of total multiplicity total,
+    with (m, s) = balanced_split(total, r): at most two runs, whatever r is."""
+    return CurveClass(d, _balanced_runs(total, r), r)
+
+
 def balancing_move(mults: tuple[int, ...]) -> tuple[int, ...]:
     """Decrement one largest multiplicity, increment one smallest.
 
@@ -157,7 +166,7 @@ def balancing_move(mults: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _edim_lhs(c: CurveClass) -> int:
-    return comb(c.d + 2, 2) - sum(comb(m + 1, 2) for m in c.mults)
+    return comb(c.d + 2, 2) - sum(e * comb(m + 1, 2) for m, e in c.runs)
 
 
 def edim_condition(c: CurveClass, t: int) -> bool:
@@ -176,10 +185,11 @@ def edim_condition(c: CurveClass, t: int) -> bool:
 def t_range(r: int) -> frozenset[int]:
     """Multiplicities t worth searching at this r.
 
-    For t outside this set no class can be weakly submaximal on the strip:
-    the bound is t <= 3(1 + 1/(4(r - 3 sqrt(r)))) rounded per r, which gives
-    {1..5} at r = 10, {1..4} at r = 11, {1..3} at r = 12 and {1, 2} for all
-    r >= 13.
+    The table is {1..5} at r = 10, {1..4} at r = 11, {1..3} at r = 12 and
+    {1, 2} from r = 13 on.  It is not derived here.  For r = 10..19 it rests
+    on the region certificates (region.verify_t_bound) at t0 = max + 1 that
+    acceptance criterion 5 in tests/test_acceptance.py closes; for r >= 20
+    it is still assumed (ROADMAP item 1).
     """
     if r < 10:
         raise UnsupportedR(f"need r >= 10, got {r}")
@@ -256,8 +266,7 @@ def critical_pair_for(d: int, t: int, r: int) -> BalancedPair | None:
     m_total = _max_total_satisfying_edim(d, t, r)
     if m_total == 0 or not _is_t_critical(d, t, r, m_total):
         return None
-    m, s = balanced_split(m_total, r)
-    return BalancedPair(d, m, s, r, t)
+    return BalancedPair(balanced_class(d, m_total, r), t)
 
 
 def enumerate_critical_pairs(r: int) -> tuple[BalancedPair, ...]:
@@ -282,8 +291,7 @@ def enumerate_critical_pairs(r: int) -> tuple[BalancedPair, ...]:
             if m_total > bound:
                 break
             if m_total >= 1 and _is_t_critical(d, t, r, m_total):
-                m, s = balanced_split(m_total, r)
-                pairs.append(BalancedPair(d, m, s, r, t))
+                pairs.append(BalancedPair(balanced_class(d, m_total, r), t))
             d += 1
     return tuple(pairs)
 
@@ -296,9 +304,10 @@ def check_pair(pair: BalancedPair, mu0: QuadraticLike) -> Verdict:
     pair passes iff mu_- >= mu0 (equality passes: rationality at mu_- itself
     is witnessed by this very class).
     """
-    d, t, m_total = pair.d, pair.t, pair.total_multiplicity
+    c, t = pair.curve, pair.t
+    d, m_total = c.d, c.total_multiplicity
     lead = d * d - t * t
-    delta = m_total * m_total - pair.r * lead
+    delta = m_total * m_total - c.r * lead
     if delta < 0:
         return Verdict(delta, None, Outcome.PASS_NEGATIVE_DELTA)
     mu_minus = (QuadraticNumber.sqrt(delta) * (-t) + d * m_total) / lead
@@ -331,12 +340,9 @@ def small_degree_pairs(r: int) -> tuple[BalancedPair, ...]:
     """
     if r < 14:
         raise UnsupportedR(f"need r >= 14 to host 14 simple points, got {r}")
-    return (
-        BalancedPair(2, 1, 5, r, 1),
-        BalancedPair(3, 1, 9, r, 1),
-        BalancedPair(4, 1, 14, r, 1),
-        BalancedPair(3, 1, 8, r, 2),
-        BalancedPair(4, 1, 13, r, 2),
+    return tuple(
+        BalancedPair(balanced_class(d, total, r), t)
+        for d, total, t in ((2, 5, 1), (3, 9, 1), (4, 14, 1), (3, 8, 2), (4, 13, 2))
     )
 
 
@@ -393,18 +399,15 @@ def brute_force_oracle(r: int, mu0: QuadraticLike | None = None) -> OracleReport
     for d in range(2, d_max + 1):
         for t in range(1, min(d, t_max + 1)):
             for m_total in range(1, bound + 1):
-                m, s = balanced_split(m_total, r)
-                c = CurveClass(d, (m,) * s + (m - 1,) * (r - s))
+                c = balanced_class(d, m_total, r)
                 if not edim_condition(c, t):
                     continue
-                pair = BalancedPair(d, m, s, r, t)
+                pair = BalancedPair(c, t)
                 pairs_checked += 1
                 verdict = check_pair(pair, mu0)
                 if not verdict.passed:
                     counterexamples.append((pair, verdict))
-                m_next, s_next = balanced_split(m_total + 1, r)
-                c_next = CurveClass(d, (m_next,) * s_next + (m_next - 1,) * (r - s_next))
-                m_critical = not edim_condition(c_next, t)
+                m_critical = not edim_condition(balanced_class(d, m_total + 1, r), t)
                 t_critical = t == d - 1 or not edim_condition(c, t + 1)
                 if m_critical and t_critical:
                     critical.append(pair)

@@ -2,7 +2,10 @@
 
 Classes are written dH - sum(m_i E_i) against the line pull-back H and the
 exceptional divisors E_i, with the intersection pairing H^2 = 1, E_i^2 = -1,
-H.E_i = 0.  The uniform polarization is L(mu) = mu*H - (E_1 + ... + E_r).
+H.E_i = 0.  The points are very general, so nothing here depends on which
+point carries which multiplicity: a CurveClass stores d and the run lengths
+of its multiplicities, and every invariant sums over those runs.  The
+uniform polarization is L(mu) = mu*H - (E_1 + ... + E_r).
 
 The central computation is the weakly-submaximal locus of a class C with a
 point of multiplicity t: the set of mu >= sqrt(r) where
@@ -19,7 +22,8 @@ interval never straddles sqrt(r); it lies entirely on one side.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
@@ -29,64 +33,82 @@ from .exact import QuadraticLike, QuadraticNumber, compare
 
 @dataclass(frozen=True)
 class CurveClass:
-    """Class dH - sum(m_i E_i), encoded as (d, mults).
+    """Class dH - sum(m_i E_i) at r points, stored as runs.
 
-    Interior classes have d >= 1 and all m_i >= 0.  Exceptional divisors are
-    encoded uniformly as d = 0 with exactly one mult equal to -1 (so that
-    degree_against and self_intersection need no special case).
+    runs holds (multiplicity, count) pairs with distinct, nonzero
+    multiplicities in descending order and counts >= 1 summing to at most r;
+    the remaining points have multiplicity 0.  Every invariant depends on d
+    and on how many points carry each multiplicity, never on which points, so
+    a class costs the same whatever r is.  Interior classes have d >= 1 and
+    positive multiplicities.  The exceptional divisor is d = 0 with runs
+    ((-1, 1),), so degree_against and self_intersection need no special case.
     """
 
     d: int
-    mults: tuple[int, ...]
+    runs: tuple[tuple[int, int], ...]
+    r: int
+    # M = sum(m_i), derived from runs in __post_init__
+    total_multiplicity: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mults", tuple(self.mults))
-        if self.d >= 1:
-            if any(m < 0 for m in self.mults):
-                raise ValueError(f"interior class needs all m_i >= 0, got {self.mults}")
-        elif self.d == 0:
-            if sorted(self.mults) != [-1] + [0] * (len(self.mults) - 1):
-                raise ValueError(
-                    "d = 0 encodes an exceptional divisor: exactly one mult -1, rest 0"
-                )
-        else:
+        if self.r < 1:
+            raise ValueError(f"need r >= 1, got {self.r}")
+        if self.d == 0:
+            if self.runs != ((-1, 1),):
+                raise ValueError("d = 0 encodes an exceptional divisor: runs ((-1, 1),)")
+            object.__setattr__(self, "total_multiplicity", -1)
+            return
+        if self.d < 0:
             raise ValueError(f"degree must be nonnegative, got {self.d}")
+        placed = total = 0
+        above = None
+        for m, e in self.runs:
+            if m < 1 or e < 1 or (above is not None and m >= above):
+                raise ValueError(
+                    "interior runs need distinct multiplicities >= 1 in "
+                    f"descending order and counts >= 1, got {self.runs}"
+                )
+            placed += e
+            total += m * e
+            above = m
+        if placed > self.r:
+            raise ValueError(f"{placed} multiplicities exceed r={self.r}")
+        object.__setattr__(self, "total_multiplicity", total)
 
-    @property
-    def r(self) -> int:
-        return len(self.mults)
+    @classmethod
+    def from_multiplicities(cls, d: int, mults: Sequence[int]) -> CurveClass:
+        """The class with multiplicity mults[i] at point i + 1; r = len(mults)."""
+        return cls(d, _canonical_runs((m, 1) for m in mults), len(mults))
 
     @property
     def is_exceptional(self) -> bool:
         return self.d == 0
 
-    @property
-    def total_multiplicity(self) -> int:
-        return sum(self.mults)
-
     @staticmethod
-    def exceptional(r: int, index: int = 0) -> CurveClass:
-        if not 0 <= index < r:
-            raise ValueError(f"index {index} out of range for r={r}")
-        mults = [0] * r
-        mults[index] = -1
-        return CurveClass(0, tuple(mults))
+    def exceptional(r: int) -> CurveClass:
+        return CurveClass(0, ((-1, 1),), r)
 
     def render(self) -> str:
         """Class syntax "(d;m1^e1,m2^e2,...)": multiplicities descending,
-        exponents counting repetition, ^1 and zero entries omitted."""
+        exponents counting repetition, ^1 and zero entries omitted; "E1" for
+        the exceptional divisor."""
         if self.is_exceptional:
-            return f"E{self.mults.index(-1) + 1}"
-        groups: list[str] = []
-        for m in sorted(set(self.mults), reverse=True):
-            if m == 0:
-                continue
-            e = self.mults.count(m)
-            groups.append(f"{m}^{e}" if e > 1 else f"{m}")
+            return "E1"
+        groups = [f"{m}^{e}" if e > 1 else repr(m) for m, e in self.runs]
         return f"({self.d};{','.join(groups)})"
 
     def __str__(self) -> str:
         return self.render()
+
+
+def _canonical_runs(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """Runs from (multiplicity, count) pairs: equal multiplicities merged,
+    zero multiplicities and zero counts dropped, descending."""
+    counts: dict[int, int] = {}
+    for m, e in pairs:
+        if m and e:
+            counts[m] = counts.get(m, 0) + e
+    return tuple(sorted(counts.items(), reverse=True))
 
 
 _CLASS_RE = re.compile(r"^\(\s*(?P<d>\d+)\s*;(?P<mults>[^)]*)\)$")
@@ -94,34 +116,34 @@ _EXC_RE = re.compile(r"^E(?P<i>\d+)?$")
 
 
 def parse_curve_class(text: str, r: int) -> CurveClass:
-    """Inverse of CurveClass.render; needs r to restore omitted zeros.
+    """Inverse of CurveClass.render at r points.
 
-    Accepts "^1" exponents and the padded exceptional form "(0;-1)" as well.
+    Also accepts "^1" exponents, explicit zero entries such as "(3;1^9,0)",
+    the padded exceptional form "(0;-1)", and "E<i>" for 1 <= i <= r, which
+    names the exceptional class like "E1" does.
     """
     s = text.strip()
     m = _EXC_RE.match(s)
     if m:
-        index = int(m.group("i")) - 1 if m.group("i") else 0
-        return CurveClass.exceptional(r, index)
+        if m.group("i") and not 1 <= int(m.group("i")) <= r:
+            raise ValueError(f"{s} is out of range for r={r}")
+        return CurveClass.exceptional(r)
     m = _CLASS_RE.match(s)
     if not m:
         raise ValueError(f"cannot parse curve class from {text!r}")
-    d = int(m.group("d"))
-    mults: list[int] = []
+    entries: list[tuple[int, int]] = []
     body = m.group("mults").strip()
     if body:
         for part in body.split(","):
-            part = part.strip()
-            if "^" in part:
-                base, _, exp = part.partition("^")
-                mults.extend([int(base)] * int(exp))
-            else:
-                mults.append(int(part))
-    if len(mults) > r:
-        raise ValueError(f"{len(mults)} multiplicities exceed r={r}")
-    while len(mults) < r:
-        mults.append(0)
-    return CurveClass(d, tuple(mults))
+            base, _, exp = part.strip().partition("^")
+            count = int(exp) if exp else 1
+            if count < 0:
+                raise ValueError(f"negative exponent in {text!r}")
+            entries.append((int(base), count))
+    placed = sum(e for _, e in entries)
+    if placed > r:
+        raise ValueError(f"{placed} multiplicities exceed r={r}")
+    return CurveClass(int(m.group("d")), _canonical_runs(entries), r)
 
 
 @dataclass(frozen=True)
@@ -181,7 +203,7 @@ class MuInterval:
 
 
 def self_intersection(c: CurveClass) -> int:
-    return c.d * c.d - sum(m * m for m in c.mults)
+    return c.d * c.d - sum(m * m * e for m, e in c.runs)
 
 
 def degree_against(l: UniformPolarization, c: CurveClass) -> QuadraticNumber:
@@ -199,14 +221,14 @@ def _require_interior(c: CurveClass) -> None:
 def expected_dim(c: CurveClass) -> int:
     """max{C(d+2,2) - sum C(m_i+1,2) - 1, -1}."""
     _require_interior(c)
-    edim = comb(c.d + 2, 2) - sum(comb(m + 1, 2) for m in c.mults) - 1
+    edim = comb(c.d + 2, 2) - sum(e * comb(m + 1, 2) for m, e in c.runs) - 1
     return max(edim, -1)
 
 
 def arithmetic_genus(c: CurveClass) -> int:
     """(d-1)(d-2)/2 - sum m_i(m_i-1)/2."""
     _require_interior(c)
-    return (c.d - 1) * (c.d - 2) // 2 - sum(m * (m - 1) // 2 for m in c.mults)
+    return (c.d - 1) * (c.d - 2) // 2 - sum(e * comb(m, 2) for m, e in c.runs)
 
 
 def _check_t(c: CurveClass, t: int) -> None:

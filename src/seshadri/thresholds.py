@@ -10,9 +10,11 @@ threshold, inside (sqrt(r), mu_0(r)), no witness is known; there epsilon(mu)
 and rationality of epsilon(mu) is equivalent to mu^2 - r being a square.
 
 The catalog is small: the exceptional ray [sqrt(r+1), inf) exists for every
-r, and a handful of low-degree pencils close the remaining gap down to
-mu_0(r) for r in {8, ..., 13}; from r = 12 on the exceptional ray alone
-suffices.
+r, and a handful of curves and pencils close the remaining gap down to
+mu_0(r) for r in {8, 9, 10, 11, 13}.  At r = 12 and for every r >= 14 the
+exceptional ray alone suffices, since mu_0(r) = sqrt(r+1) there.  At r = 13
+it does not: mu_0(13) = (26 - sqrt(13))/6 ~ 3.732 < sqrt(14), and the
+pencil (4;1^13), t = 2 covers the difference.
 """
 
 from __future__ import annotations
@@ -84,6 +86,18 @@ class CatalogCurve:
     source: str
 
 
+# The interior witness curves, in ascending degree: the point counts r each
+# serves, then its degree, runs, multiplicity t and description.
+_INTERIOR_WITNESSES = (
+    ((9, 10), 3, ((1, 9),), 1, "cubic through nine of the points"),
+    ((11,), 4, ((2, 1), (1, 10)), 2, "pencil of quartics with one double point"),
+    ((13,), 4, ((1, 13),), 2, "pencil of quartics through all thirteen points"),
+    ((8,), 6, ((3, 1), (2, 7)), 1, "sextic with one triple point and seven double points"),
+    ((10,), 10, ((4, 1), (3, 9)), 2,
+     "pencil of decics with one quadruple point and nine triple points"),
+)
+
+
 def catalog(r: int) -> list[CatalogCurve]:
     """Witness curves at r, exceptional ray first, then by ascending degree.
 
@@ -94,60 +108,13 @@ def catalog(r: int) -> list[CatalogCurve]:
         raise ValueError(f"need r >= 1, got {r}")
     entries = [
         CatalogCurve(
-            r,
-            CurveClass.exceptional(r),
-            1,
-            "exceptional divisor of one blown-up point",
+            r, CurveClass.exceptional(r), 1, "exceptional divisor of one blown-up point"
         )
     ]
-    if r == 8:
-        entries.append(
-            CatalogCurve(
-                r,
-                CurveClass(6, (3,) + (2,) * 7),
-                1,
-                "sextic with one triple point and seven double points",
-            )
-        )
-    if r in (9, 10):
-        entries.append(
-            CatalogCurve(
-                r,
-                CurveClass(3, (1,) * 9 + (0,) * (r - 9)),
-                1,
-                "cubic through nine of the points",
-            )
-        )
-    if r == 10:
-        entries.append(
-            CatalogCurve(
-                r,
-                CurveClass(10, (4,) + (3,) * 9),
-                2,
-                "pencil of decics with one quadruple point and nine triple points",
-            )
-        )
-    if r == 11:
-        entries.append(
-            CatalogCurve(
-                r,
-                CurveClass(4, (2,) + (1,) * 10),
-                2,
-                "pencil of quartics with one double point",
-            )
-        )
-    if r == 13:
-        entries.append(
-            CatalogCurve(
-                r,
-                CurveClass(4, (1,) * 13),
-                2,
-                "pencil of quartics through all thirteen points",
-            )
-        )
-    interior = [e for e in entries if not e.curve.is_exceptional]
-    interior.sort(key=lambda e: e.curve.d)
-    return entries[:1] + interior
+    for points, d, runs, t, source in _INTERIOR_WITNESSES:
+        if r in points:
+            entries.append(CatalogCurve(r, CurveClass(d, runs, r), t, source))
+    return entries
 
 
 @dataclass(frozen=True)

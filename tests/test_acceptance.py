@@ -100,7 +100,7 @@ def test_criterion_1_table_reproduction(capsys):
         for p in pairs:
             v = check_pair(p, mu0)
             rendered = v.mu_minus.render() if v.mu_minus is not None else None
-            actual.append((str(p.curve_class()), p.t, p.total_multiplicity, v.delta, rendered))
+            actual.append((str(p.curve), p.t, p.total_multiplicity, v.delta, rendered))
         assert actual == R12_TABLE
 
     _report(
@@ -141,7 +141,7 @@ def test_criterion_3_large_r_extension(capsys):
             mu0 = threshold(r).mu0
             for pair in small_degree_pairs(r):
                 verdict = check_pair(pair, mu0)
-                assert verdict.delta < 0, (r, str(pair.curve_class()))
+                assert verdict.delta < 0, (r, str(pair.curve))
             assert verify_large_r(r), r
 
     _report(
@@ -282,14 +282,14 @@ def test_criterion_8_property_battery(capsys):
         # criticality sandwich for every enumerated pair
         for r in range(10, 20):
             for p in enumerate_critical_pairs(r):
-                assert edim_condition(p.curve_class(), p.t)
+                assert edim_condition(p.curve, p.t)
                 m_next, s_next = balanced_split(p.total_multiplicity + 1, r)
-                bigger = CurveClass(
+                bigger = CurveClass.from_multiplicities(
                     p.d, (m_next,) * s_next + (m_next - 1,) * (r - s_next)
                 )
                 assert not edim_condition(bigger, p.t)
                 if p.t < p.d - 1:
-                    assert not edim_condition(p.curve_class(), p.t + 1)
+                    assert not edim_condition(p.curve, p.t + 1)
 
         # balancing moves: conserved total, monotone condition count,
         # fixed point equal to the balanced profile (1000 instances)
@@ -320,7 +320,8 @@ def test_criterion_8_property_battery(capsys):
             mults = tuple(rng.randrange(0, 5) for _ in range(r))
             shuffled = list(mults)
             rng.shuffle(shuffled)
-            a, b = CurveClass(d, mults), CurveClass(d, tuple(shuffled))
+            a = CurveClass.from_multiplicities(d, mults)
+            b = CurveClass.from_multiplicities(d, tuple(shuffled))
             assert expected_dim(a) == expected_dim(b)
             assert arithmetic_genus(a) == arithmetic_genus(b)
 

@@ -17,10 +17,10 @@ from seshadri.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_PASS,
     EXIT_USAGE,
-    MAX_CATALOG_R,
     MAX_MU_DIGITS,
+    MAX_R,
     MAX_RADICAND,
-    MAX_REGION_ARGUMENT,
+    MAX_T0,
     UsageError,
     build_parser,
     main,
@@ -58,6 +58,9 @@ def test_parse_r_range():
         parse_r_range("19..10")
     with pytest.raises(UsageError):
         parse_r_range("10..x")
+    assert parse_r_range(f"10..{MAX_R}") == (10, MAX_R)
+    with pytest.raises(UsageError):
+        parse_r_range(f"10..{MAX_R + 1}")
 
 
 def _namespace(*argv):
@@ -163,21 +166,23 @@ def test_mu0_radicand_cap(capsys):
 
 
 def test_region_argument_cap(capsys, tmp_path):
-    """--r and --t0 past MAX_REGION_ARGUMENT are one-line usage errors, not
-    an over-long file name or a digit-limit traceback; the cap itself runs."""
+    """--r past MAX_R and --t0 past MAX_T0 are one-line usage errors, not an
+    over-long file name or a digit-limit traceback; the caps themselves run."""
     huge_r, huge_t0 = "1" + "0" * 300, "1" + "0" * 3000
-    for argv, flag in ((["region", "--r", huge_r, "--t0", "3"], "--r"),
-                       (["region", "--r", "10", "--t0", huge_t0], "--t0"),
-                       (["region", "--r", str(MAX_REGION_ARGUMENT + 1), "--t0", "3"], "--r"),
-                       (["region", "--r", "10", "--t0", str(MAX_REGION_ARGUMENT + 1)], "--t0")):
+    for argv, message in (
+        (["region", "--r", huge_r, "--t0", "3"], f"--r must be at most {MAX_R}"),
+        (["region", "--r", "10", "--t0", huge_t0], f"region --t0 must be at most {MAX_T0}"),
+        (["region", "--r", str(MAX_R + 1), "--t0", "3"], f"--r must be at most {MAX_R}"),
+        (["region", "--r", "10", "--t0", str(MAX_T0 + 1)],
+         f"region --t0 must be at most {MAX_T0}"),
+    ):
         assert main(argv) == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err == f"error: region {flag} must be at most {MAX_REGION_ARGUMENT}\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == []
-    cap = str(MAX_REGION_ARGUMENT)
-    assert main(["region", "--r", cap, "--t0", cap]) == EXIT_PASS
-    assert json.loads(capsys.readouterr().out)["t0"] == MAX_REGION_ARGUMENT
-    assert (tmp_path / f"certificate-r{cap}-t{cap}.json").exists()
+    r_cap, t0_cap = str(MAX_R), str(MAX_T0)
+    assert main(["region", "--r", r_cap, "--t0", t0_cap]) == EXIT_PASS
+    assert json.loads(capsys.readouterr().out)["t0"] == MAX_T0
+    assert (tmp_path / f"certificate-r{r_cap}-t{t0_cap}.json").exists()
 
 
 def test_mu_digit_cap(capsys):
@@ -201,22 +206,27 @@ def test_mu_digit_cap(capsys):
         assert err.startswith("error: cannot parse mu") and err.count("\n") == 1
 
 
-def test_catalog_r_cap(capsys):
-    """coverage and classify build a length-r class: --r past MAX_CATALOG_R
-    is a one-line usage error, not an OverflowError; the cap itself runs."""
-    huge = "1" + "0" * 20
-    for command in ("coverage", "classify"):
-        for r in (huge, str(MAX_CATALOG_R + 1)):
-            argv = [command, "--r", r] + (["--mu", "7/2"] if command == "classify" else [])
-            assert main(argv) == EXIT_USAGE
-            err = capsys.readouterr().err
-            assert err == f"error: {command} --r must be at most {MAX_CATALOG_R}\n"
-    assert main(["coverage", "--r", f"{MAX_CATALOG_R - 1}..{MAX_CATALOG_R + 1}"]) == EXIT_USAGE
-    capsys.readouterr()
-    assert main(["coverage", "--r", str(MAX_CATALOG_R)]) == EXIT_PASS
-    assert json.loads(capsys.readouterr().out)["covered"] is True
-    assert main(["classify", "--r", str(MAX_CATALOG_R), "--mu", "1001"]) == EXIT_PASS
-    assert json.loads(capsys.readouterr().out)["verdict"] == "RationalWithWitness"
+# Every command that takes --r, with the other arguments it needs to run.
+R_COMMANDS = {
+    "classify": ["--mu", str(10**9 + 1)],
+    "coverage": [],
+    "enumerate": [],
+    "region": ["--t0", "3"],
+    "table": [],
+    "verify": [],
+}
+
+
+@pytest.mark.parametrize("command", sorted(R_COMMANDS))
+def test_r_cap(command, capsys):
+    """An r past MAX_R, alone or at the top of a range, is a one-line usage
+    error for every command; r = MAX_R itself runs, with no class of length r."""
+    extra = R_COMMANDS[command]
+    for r in (str(MAX_R + 1), "1" + "0" * 300, f"{MAX_R - 1}..{MAX_R + 1}"):
+        assert main([command, "--r", r, *extra]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: --r must be at most {MAX_R}\n"
+    assert main([command, "--r", str(MAX_R), *extra, "--format", "json"]) == EXIT_PASS
+    assert json.loads(capsys.readouterr().out)["r"] == MAX_R
 
 
 def test_verify_doc_needs_no_enclosures(monkeypatch):

@@ -13,6 +13,7 @@ from seshadri.search import (
     BalancedPair,
     Outcome,
     Verdict,
+    balanced_class,
     balanced_split,
     balancing_move,
     brute_force_oracle,
@@ -85,15 +86,15 @@ def test_balanced_minimizes_condition_count():
 
 def test_edim_condition_examples():
     # cubic through nine general points: 10 - 9 = 1 exceeds max{1 - 2, 0}
-    assert edim_condition(CurveClass(3, (1,) * 9 + (0,)), 1)
+    assert edim_condition(CurveClass(3, ((1, 9),), 10), 1)
     # a tenth simple point exhausts the linear system
-    assert not edim_condition(CurveClass(3, (1,) * 10), 1)
+    assert not edim_condition(CurveClass(3, ((1, 10),), 10), 1)
     # a conic through three points has room to spare
-    assert edim_condition(CurveClass(2, (1, 1, 1, 0, 0)), 1)
+    assert edim_condition(CurveClass(2, ((1, 3),), 5), 1)
     with pytest.raises(ExceptionalClassUnsupported):
         edim_condition(CurveClass.exceptional(10), 1)
     with pytest.raises(InvalidT):
-        edim_condition(CurveClass(3, (1,) * 9), 0)
+        edim_condition(CurveClass(3, ((1, 9),), 9), 0)
 
 
 def test_t_range():
@@ -142,25 +143,30 @@ def test_bound_matches_m_bar_zero_floor():
 
 
 def test_balanced_pair_validation():
-    p = BalancedPair(3, 1, 9, 10, 1)
-    assert p.total_multiplicity == 9
+    p = BalancedPair(balanced_class(3, 9, 10), 1)
+    assert (p.d, p.r, p.total_multiplicity) == (3, 10, 9)
     assert p.mean_multiplicity == Fraction(9, 10)
-    assert p.curve_class() == CurveClass(3, (1,) * 9 + (0,))
+    assert p.curve == CurveClass(3, ((1, 9),), 10)
     with pytest.raises(InvalidT):
-        BalancedPair(3, 1, 9, 10, 3)
+        BalancedPair(balanced_class(3, 9, 10), 3)
     with pytest.raises(ValueError):
-        BalancedPair(1, 1, 9, 10, 1)
+        BalancedPair(balanced_class(1, 9, 10), 1)
+    # not balanced: multiplicities 2 and 0, or 3 and 1, side by side
     with pytest.raises(ValueError):
-        BalancedPair(3, 1, 11, 10, 1)
+        BalancedPair(CurveClass(3, ((2, 1), (1, 1)), 10), 1)
+    with pytest.raises(ValueError):
+        BalancedPair(CurveClass(3, ((3, 2), (1, 8)), 10), 1)
+    with pytest.raises(ValueError):
+        BalancedPair(CurveClass(3, (), 10), 1)
 
 
 def test_critical_pair_for_examples():
     p = critical_pair_for(3, 1, 10)
     assert p is not None
-    assert (p.d, p.m, p.s) == (3, 1, 9)
+    assert p.curve == CurveClass(3, ((1, 9),), 10)
     q = critical_pair_for(10, 2, 10)
     assert q is not None
-    assert q.curve_class() == CurveClass(10, (4,) + (3,) * 9)
+    assert q.curve == CurveClass(10, ((4, 1), (3, 9)), 10)
     with pytest.raises(UnsupportedR):
         critical_pair_for(3, 1, 9)
     with pytest.raises(InvalidT):
@@ -184,12 +190,14 @@ def test_criticality_sandwich():
     unless the pair is forced by t = d - 1 (t is extremal)."""
     for r in (10, 11, 12, 13):
         for p in enumerate_critical_pairs(r):
-            assert edim_condition(p.curve_class(), p.t)
+            assert edim_condition(p.curve, p.t)
             m_next, s_next = balanced_split(p.total_multiplicity + 1, r)
-            bigger = CurveClass(p.d, (m_next,) * s_next + (m_next - 1,) * (r - s_next))
+            bigger = CurveClass.from_multiplicities(
+                p.d, (m_next,) * s_next + (m_next - 1,) * (r - s_next)
+            )
             assert not edim_condition(bigger, p.t)
             if p.t < p.d - 1:
-                assert not edim_condition(p.curve_class(), p.t + 1)
+                assert not edim_condition(p.curve, p.t + 1)
 
 
 def test_increment_smallest_is_balanced_successor():
@@ -237,7 +245,7 @@ def test_mu_minus_is_root_of_submaximality_quadratic():
             v = check_pair(p, mu0)
             if v.mu_minus is None:
                 continue
-            value = submaximality_quadratic(p.curve_class(), p.t, r, v.mu_minus)
+            value = submaximality_quadratic(p.curve, p.t, r, v.mu_minus)
             assert value == 0
             # and it is the smaller root: at mu slightly larger R goes negative
             assert compare(v.mu_minus, QuadraticNumber.sqrt(r)) >= 0
@@ -278,8 +286,9 @@ def test_verify_with_explicit_mu0():
 
 def test_small_degree_pairs():
     pairs = small_degree_pairs(20)
-    shapes = [(p.d, p.m, p.total_multiplicity, p.t) for p in pairs]
-    assert shapes == [(2, 1, 5, 1), (3, 1, 9, 1), (4, 1, 14, 1), (3, 1, 8, 2), (4, 1, 13, 2)]
+    shapes = [(str(p.curve), p.total_multiplicity, p.t) for p in pairs]
+    assert shapes == [("(2;1^5)", 5, 1), ("(3;1^9)", 9, 1), ("(4;1^14)", 14, 1),
+                      ("(3;1^8)", 8, 2), ("(4;1^13)", 13, 2)]
     mu0 = threshold(20).mu0
     deltas = [check_pair(p, mu0).delta for p in pairs]
     r = 20
@@ -301,35 +310,32 @@ def test_balanced_edim_lhs_matches_materialised_class():
         multiple = r * rng.randrange(1, 6)
         for m_total in (below, multiple):
             m, s = balanced_split(m_total, r)
-            c = CurveClass(d, (m,) * s + (m - 1,) * (r - s))
+            c = CurveClass.from_multiplicities(d, (m,) * s + (m - 1,) * (r - s))
+            assert balanced_class(d, m_total, r) == c
             assert search._balanced_edim_lhs(d, m_total, r) == search._edim_lhs(c)
         assert balanced_split(multiple, r)[1] == r
 
 
-def test_render_class_matches_curve_class_render():
+def test_balanced_class_render():
     for r in (10, 11, 12, 13, 14, 19, 20, 37, 100, 1000):
         pairs = enumerate_critical_pairs(r)
         if r >= 14:
             pairs += small_degree_pairs(r)
         for p in pairs:
-            assert p.render_class() == str(p.curve_class())
-            assert str(p) == f"({p.curve_class()}, t={p.t})"
-    edge_cases = [
-        BalancedPair(5, 1, 3, 12, 2),  # m = 1: the zero multiplicities vanish
-        BalancedPair(5, 1, 12, 12, 2),  # m = 1 and s = r
-        BalancedPair(11, 3, 12, 12, 3),  # s = r: no second group
-        BalancedPair(11, 4, 1, 12, 2),  # single top entry: no ^1
-        BalancedPair(7, 2, 11, 12, 2),  # single lower entry: no ^1
-    ]
-    for p in edge_cases:
-        assert p.render_class() == str(p.curve_class())
-    assert BalancedPair(11, 4, 1, 12, 2).render_class() == "(11;4,3^11)"
-    assert BalancedPair(11, 3, 12, 12, 3).render_class() == "(11;3^12)"
+            assert str(p) == f"({p.curve}, t={p.t})"
+    for (d, total, r), text in (
+        ((5, 3, 12), "(5;1^3)"),  # m = 1: the zero multiplicities vanish
+        ((5, 12, 12), "(5;1^12)"),  # m = 1 and s = r
+        ((11, 36, 12), "(11;3^12)"),  # s = r: no second group
+        ((11, 37, 12), "(11;4,3^11)"),  # single top entry: no ^1
+        ((7, 23, 12), "(7;2^11,1)"),  # single lower entry: no ^1
+    ):
+        assert balanced_class(d, total, r).render() == text
 
 
-def test_search_never_builds_curve_classes(monkeypatch):
-    """The critical-pair search and the verify document stay O(1) per
-    candidate: not a single length-r class is built.  r = 10..13 reach the
+def test_search_builds_one_class_per_kept_pair(monkeypatch):
+    """The d-scan stays O(1) per candidate: a class (two runs) is built for
+    each pair it keeps and for nothing else.  r = 10..13 reach the
     t-criticality test with t < d - 1; r = 1000 is the large-r path."""
     built = []
     original = CurveClass.__post_init__
@@ -340,11 +346,13 @@ def test_search_never_builds_curve_classes(monkeypatch):
 
     monkeypatch.setattr(CurveClass, "__post_init__", counting)
     for r in (10, 11, 12, 13, 1000):
-        assert enumerate_critical_pairs(r)
-    assert cli._verify_doc(1000, None)["all_pass"]
-    assert built == []
-    CurveClass(3, (1,) * 9)
-    assert built == [3]  # the counter does see a construction
+        built.clear()
+        pairs = enumerate_critical_pairs(r)
+        assert built == [p.d for p in pairs]
+    built.clear()
+    doc = cli._verify_doc(1000, None)
+    assert doc["all_pass"]
+    assert len(built) == len(doc["pairs"]) + len(doc["small_degree_pairs"])
 
 
 def test_brute_force_oracle_matches_enumeration():

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seshadri.errors import ExceptionalClassUnsupported, InvalidMultiplicityIndex
 from seshadri.exact import QuadraticNumber, compare
@@ -21,9 +23,9 @@ from seshadri.surface import (
     submaximality_quadratic,
 )
 
-CUBIC_10 = CurveClass(3, (1,) * 9 + (0,))
-PENCIL_10 = CurveClass(10, (4,) + (3,) * 9)
-SEXTIC_8 = CurveClass(6, (3,) + (2,) * 7)
+CUBIC_10 = CurveClass(3, ((1, 9),), 10)
+PENCIL_10 = CurveClass(10, ((4, 1), (3, 9)), 10)
+SEXTIC_8 = CurveClass(6, ((3, 1), (2, 7)), 8)
 
 
 def test_curve_class_shapes():
@@ -32,20 +34,30 @@ def test_curve_class_shapes():
     assert not CUBIC_10.is_exceptional
     e = CurveClass.exceptional(10)
     assert e.is_exceptional and e.total_multiplicity == -1
+    assert CurveClass.from_multiplicities(3, (0,) + (1,) * 9) == CUBIC_10
     with pytest.raises(ValueError):
-        CurveClass(2, (1, -1))
+        CurveClass.from_multiplicities(2, (1, -1))
     with pytest.raises(ValueError):
-        CurveClass(0, (-1, -1, 0))
+        CurveClass.from_multiplicities(0, (-1, -1, 0))
     with pytest.raises(ValueError):
-        CurveClass(-1, (0,))
+        CurveClass.from_multiplicities(-1, (0,))
+    # runs must be canonical: distinct, nonzero, descending, counts >= 1,
+    # at most r points in all
+    for runs in (((1, 9), (2, 1)), ((1, 4), (1, 5)), ((2, 0),), ((1, 11),), ((0, 3),)):
+        with pytest.raises(ValueError):
+            CurveClass(3, runs, 10)
+    with pytest.raises(ValueError):
+        CurveClass(0, ((-1, 1),), 0)
 
 
 def test_render():
     assert str(CUBIC_10) == "(3;1^9)"
     assert str(PENCIL_10) == "(10;4,3^9)"
-    assert str(CurveClass(4, (2,) + (1,) * 11)) == "(4;2,1^11)"
+    assert str(CurveClass(4, ((2, 1), (1, 11)), 12)) == "(4;2,1^11)"
+    assert str(CurveClass(5, (), 10)) == "(5;)"
     assert str(CurveClass.exceptional(10)) == "E1"
-    assert str(CurveClass.exceptional(10, 3)) == "E4"
+    # the cost does not grow with r
+    assert str(CurveClass(7, ((3, 10**18 - 1),), 10**18)) == f"(7;3^{10**18 - 1})"
 
 
 def test_parse_round_trip():
@@ -61,14 +73,39 @@ def test_parse_round_trip():
 
 
 def test_parse_accepts_variants():
-    # explicit ^1 exponents and the padded exceptional form
+    # explicit ^1 exponents, zero entries, any order, and the exceptional forms
     assert parse_curve_class("(4;2^1,1^11)", 12) == parse_curve_class("(4;2,1^11)", 12)
+    assert parse_curve_class("(3;1^9,0)", 10) == CUBIC_10
+    assert parse_curve_class("(10;3^4,4,3^5)", 10) == PENCIL_10
     assert parse_curve_class("(0;-1)", 10) == CurveClass.exceptional(10)
     assert parse_curve_class("E", 10) == CurveClass.exceptional(10)
-    with pytest.raises(ValueError):
-        parse_curve_class("(3;1^11)", 10)  # too many multiplicities
-    with pytest.raises(ValueError):
-        parse_curve_class("3;1^9", 10)
+    assert parse_curve_class("E10", 10) == CurveClass.exceptional(10)
+    for text in ("(3;1^11)", "(3;1^10,0)", "3;1^9", "E0", "E11", "(3;1^-1)"):
+        with pytest.raises(ValueError):
+            parse_curve_class(text, 10)
+
+
+@st.composite
+def curve_classes(draw):
+    """A class at up to 10^18 points: the exceptional divisor, or up to four
+    runs with distinct multiplicities and random counts."""
+    r = draw(st.integers(1, 10**18))
+    if draw(st.integers(0, 9)) == 0:
+        return CurveClass.exceptional(r)
+    runs, left = [], r
+    for m in sorted(draw(st.sets(st.integers(1, 10**6), max_size=4)), reverse=True):
+        if left == 0:
+            break
+        e = draw(st.integers(1, left))
+        runs.append((m, e))
+        left -= e
+    return CurveClass(draw(st.integers(1, 10**6)), tuple(runs), r)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(curve_classes())
+def test_parse_inverts_render(c):
+    assert parse_curve_class(c.render(), c.r) == c
 
 
 def test_self_intersection_and_genus():
@@ -85,7 +122,7 @@ def test_expected_dim():
     assert expected_dim(CUBIC_10) == 0
     assert expected_dim(PENCIL_10) == 66 - 10 - 54 - 1
     # overdetermined system floors at -1
-    assert expected_dim(CurveClass(1, (1, 1, 1))) == -1
+    assert expected_dim(CurveClass(1, ((1, 3),), 3)) == -1
     with pytest.raises(ExceptionalClassUnsupported):
         expected_dim(CurveClass.exceptional(4))
 
@@ -98,7 +135,8 @@ def test_permutation_invariance():
         mults = tuple(rng.randrange(0, 5) for _ in range(r))
         shuffled = list(mults)
         rng.shuffle(shuffled)
-        a, b = CurveClass(d, mults), CurveClass(d, tuple(shuffled))
+        a = CurveClass.from_multiplicities(d, mults)
+        b = CurveClass.from_multiplicities(d, shuffled)
         assert expected_dim(a) == expected_dim(b)
         assert arithmetic_genus(a) == arithmetic_genus(b)
         assert self_intersection(a) == self_intersection(b)
@@ -109,7 +147,7 @@ def test_degree_against():
     assert degree_against(l, CUBIC_10) == Fraction(3 * 7, 2) - 9
     assert degree_against(l, CurveClass.exceptional(10)) == 1
     with pytest.raises(ValueError):
-        degree_against(l, CurveClass(1, (1,) * 9))
+        degree_against(l, CurveClass(1, ((1, 9),), 9))
 
 
 def test_polarization_validation():
@@ -128,7 +166,7 @@ def test_quadratic_vanishes_at_locus_roots():
         d = rng.randrange(2, 12)
         t = rng.randrange(1, d)
         mults = tuple(rng.randrange(0, 4) for _ in range(r))
-        c = CurveClass(d, mults)
+        c = CurveClass.from_multiplicities(d, mults)
         if d * d - t * t <= 0:
             continue
         intervals = submaximal_locus(c, t, r)
@@ -151,7 +189,7 @@ def test_quadratic_at_sqrt_r_is_a_square():
         d = rng.randrange(2, 10)
         t = rng.randrange(1, d)
         mults = tuple(rng.randrange(0, 4) for _ in range(r))
-        c = CurveClass(d, mults)
+        c = CurveClass.from_multiplicities(d, mults)
         sqrt_r = QuadraticNumber.sqrt(r)
         value = submaximality_quadratic(c, t, r, sqrt_r)
         root = sqrt_r * d - c.total_multiplicity
@@ -179,14 +217,14 @@ def test_locus_examples_exact():
         )
     ]
     # cubic at r = 9 touches sqrt(9) exactly
-    cubic9 = CurveClass(3, (1,) * 9)
+    cubic9 = CurveClass(3, ((1, 9),), 9)
     assert submaximal_locus(cubic9, 1, 9) == [
         MuInterval(
             QuadraticNumber.from_rational(3),
             QuadraticNumber.from_rational(Fraction(15, 4)),
         )
     ]
-    quartic11 = CurveClass(4, (2,) + (1,) * 10)
+    quartic11 = CurveClass(4, ((2, 1), (1, 10)), 11)
     lo = QuadraticNumber(Fraction(4), Fraction(-1, 3), 3)
     hi = QuadraticNumber(Fraction(4), Fraction(1, 3), 3)
     assert submaximal_locus(quartic11, 2, 11) == [MuInterval(lo, hi)]
@@ -207,7 +245,7 @@ def test_locus_empty_iff_negative_delta():
         d = rng.randrange(2, 10)
         t = rng.randrange(1, d)
         mults = tuple(rng.randrange(0, 4) for _ in range(r))
-        c = CurveClass(d, mults)
+        c = CurveClass.from_multiplicities(d, mults)
         m_total = c.total_multiplicity
         delta = m_total * m_total - r * (d * d - t * t)
         assert bool(submaximal_locus(c, t, r)) == (delta >= 0)
@@ -264,7 +302,7 @@ def test_weak_submaximality_matches_locus_membership():
         d = rng.randrange(2, 11)
         t = rng.randrange(1, d)
         mults = tuple(rng.randrange(0, 4) for _ in range(r))
-        c = CurveClass(d, mults)
+        c = CurveClass.from_multiplicities(d, mults)
         mu = Fraction(rng.randrange(200, 700), 100)
         if mu * mu <= r:
             continue
