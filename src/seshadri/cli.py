@@ -13,6 +13,14 @@ audit-certificate  replay a previously written region certificate; exit 1 on def
 Exit codes: 0 pass, 1 verification failure, 2 usage error, 3 inconclusive
 (bisection hit its depth limit before closing every piece).
 
+Every command takes one route. Its handler returns its documents and its
+stderr lines (FAIL and AUDIT lines); table, enumerate, verify and coverage
+share one handler, driven by _RANGE_COMMANDS. main alone writes the
+documents in the chosen format, then the lines, and picks the exit code: 1
+when there is a line or a document whose verdict (all_pass, covered or ok)
+is false, else 0. Handlers raise usage errors and inconclusive bisections,
+which main turns into exit codes 2 and 3.
+
 Configuration is resolved flags > environment > config file > defaults.
 Environment variables are SESHADRI_OUTPUT_FORMAT, SESHADRI_CACHE_DIR,
 SESHADRI_BISECTION_DEPTH, SESHADRI_SQRT_WIDTH_EXPONENT, SESHADRI_PARALLELISM
@@ -42,7 +50,7 @@ import os
 import re
 import sys
 import tempfile
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
@@ -92,14 +100,16 @@ _DEFAULT_FORMATS = {
     "audit-certificate": "json",
 }
 
-_CSV_COMMANDS = {"table", "enumerate", "verify", "coverage"}
-
 MAX_RADICAND = 10**18
 # Largest r any command takes. threshold(r) reduces r + 1 to squarefree form,
 # whose cost grows with r: on a 2-vCPU host verify takes about 0.1 s at
 # r = 10^18 and ran past 20 s at r = 10^29. region spells r in the
 # certificate file name.
 MAX_R = 10**18
+# Most values of r one range may hold. Each r costs time and memory, and a
+# range's documents are all held until they are written: on a 2-vCPU host
+# verify --r 20..10019 takes 1.4 s and 121 MB, and 10^5 values 16 s and 1 GB.
+MAX_R_COUNT = 10**5
 # Largest --t0 that region takes: the certificate file name spells it, and
 # far larger values outgrow file names and the interpreter's limit on
 # int-to-string conversion.
@@ -135,7 +145,8 @@ class RunConfig:
 
 
 def parse_r_range(text: str) -> tuple[int, int]:
-    """"12" -> (12, 12); "10..19" -> (10, 19); r past MAX_R is refused."""
+    """"12" -> (12, 12); "10..19" -> (10, 19). An r past MAX_R, or a range
+    of more than MAX_R_COUNT values, is refused."""
     s = text.strip()
     try:
         if ".." in s:
@@ -149,6 +160,8 @@ def parse_r_range(text: str) -> tuple[int, int]:
         raise UsageError(f"empty r range {text!r}")
     if hi > MAX_R:
         raise UsageError(f"--r must be at most {MAX_R}")
+    if hi - lo >= MAX_R_COUNT:
+        raise UsageError(f"an --r range may hold at most {MAX_R_COUNT} values")
     return lo, hi
 
 
@@ -169,8 +182,12 @@ def _parse_int(text: str, origin: str) -> int:
 
 
 def _read_config_file(path: Path) -> dict[str, str]:
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"config file {path} cannot be read: {exc}") from None
     values: dict[str, str] = {}
-    for raw in path.read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -281,7 +298,7 @@ def _pair_record(pair, verdict) -> dict:
     }
 
 
-def _table_doc(command: str, r: int, mu0: QuadraticNumber | None) -> dict:
+def _pairs_doc(command: str, r: int, mu0: QuadraticNumber | None) -> dict:
     mu0 = mu0 if mu0 is not None else threshold(r).mu0
     rows = [_pair_record(p, check_pair(p, mu0)) for p in enumerate_critical_pairs(r)]
     return {"command": command, "r": r, "mu0": mu0.render(), "rows": rows}
@@ -323,18 +340,48 @@ def _verify_doc(r: int, mu0: QuadraticNumber | None) -> dict:
     }
 
 
-def _coverage_doc(r: int) -> dict:
+def _coverage_doc(r: int, mu0: None) -> dict:
+    """Coverage at r; coverage takes no --mu0, so mu0 is None."""
     return {"command": "coverage", **verify_coverage(r).to_json_dict()}
 
 
-def _compute_doc(command: str, r: int, mu0: QuadraticNumber | None) -> dict:
-    if command in ("table", "enumerate"):
-        return _table_doc(command, r, mu0)
-    if command == "verify":
-        return _verify_doc(r, mu0)
-    if command == "coverage":
-        return _coverage_doc(r)
-    raise ValueError(f"no document builder for command {command!r}")
+def _verify_failures(doc: dict) -> list[str]:
+    r = doc["r"]
+    lines = [
+        f"FAIL r={r}: {row['class']} t={row['t']} has "
+        f"mu_minus = {row['mu_minus']} below mu0 = {doc['mu0']}"
+        for row in doc["pairs"]
+        if row["outcome"] == "Counterexample"
+    ]
+    lines += [
+        f"FAIL r={r}: small-degree pair {record['class']} "
+        f"t={record['t']} has delta = {record['delta']} >= 0"
+        for record in doc.get("small_degree_pairs") or []
+        if not record["negative_delta"]
+    ]
+    if doc.get("large_r") is not None and not all(doc["large_r"].values()):
+        lines.append(f"FAIL r={r}: large-r inequalities do not hold")
+    return lines
+
+
+def _coverage_failures(doc: dict) -> list[str]:
+    if doc["covered"]:
+        return []
+    return [f"FAIL r={doc['r']}: coverage gap ({lo}, {hi})" for lo, hi in doc["gaps"]]
+
+
+# The commands over an r range: per-r document builder, smallest r, and the
+# stderr lines a document's failures print. A builder is called as
+# build(r, mu0) in pool workers too, so it is a module-level function or a
+# partial of one, which pickle by name.
+_RANGE_COMMANDS = {
+    "table": (functools.partial(_pairs_doc, "table"), 10, lambda doc: []),
+    "enumerate": (functools.partial(_pairs_doc, "enumerate"), 10, lambda doc: []),
+    "verify": (_verify_doc, 10, _verify_failures),
+    "coverage": (_coverage_doc, 1, _coverage_failures),
+}
+# A document whose field of one of these names is false fails its command.
+_VERDICT_FIELDS = ("all_pass", "covered", "ok")
 
 
 # --------------------------------------------------------------------------
@@ -454,12 +501,16 @@ def _cache_store(path: Path | None, key: dict, result: dict) -> None:
 
 
 def _docs_for_range(
-    cfg: RunConfig, command: str, params: dict, mu0: QuadraticNumber | None = None
+    cfg: RunConfig,
+    command: str,
+    params: dict,
+    build: Callable[[int, QuadraticNumber | None], dict],
+    mu0: QuadraticNumber | None,
 ) -> list[dict]:
-    """Per-r documents in ascending r, from cache where possible.
+    """build(r, mu0) for each r in ascending order, from cache where possible.
 
-    params keys the cache (it holds the --mu0 text); mu0 is that text,
-    parsed once per command, which the document builders use.
+    params keys the cache (it holds the --mu0 text, if the command takes
+    one); mu0 is that text, parsed once per command.
     """
     rs = list(range(cfg.r_min, cfg.r_max + 1))
     keyed: dict[int, tuple[dict, str]] = {}
@@ -477,11 +528,9 @@ def _docs_for_range(
             from concurrent.futures import ProcessPoolExecutor
 
             with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
-                computed = list(
-                    pool.map(_compute_doc, repeat(command), missing, repeat(mu0))
-                )
+                computed = list(pool.map(build, missing, repeat(mu0)))
         else:
-            computed = [_compute_doc(command, r, mu0) for r in missing]
+            computed = [build(r, mu0) for r in missing]
         for r, doc in zip(missing, computed):
             if r in keyed:
                 key, digest = keyed[r]
@@ -516,51 +565,76 @@ def _augment_approx(doc: dict) -> dict:
     return out
 
 
-def _print_json(doc: dict) -> None:
-    print(_dumps(doc))
+def _cell(value) -> str:
+    """A markdown or CSV table cell: None is empty."""
+    return "" if value is None else str(value)
 
 
-def _pair_rows_markdown(rows: list[dict], approx: bool, outcome: bool) -> list[str]:
-    headers = ["class", "t", "M", "delta", "mu_minus"]
-    if approx:
-        headers.append("mu_minus_approx")
-    if outcome:
-        headers.append("outcome")
+def _markdown_table(columns: list[str], rows: list[dict]) -> list[str]:
     lines = [
-        "| " + " | ".join(headers) + " |",
-        "|" + "|".join("---" for _ in headers) + "|",
+        "| " + " | ".join(columns) + " |",
+        "|" + "|".join("---" for _ in columns) + "|",
     ]
     for row in rows:
-        cells = [
-            str(row["class"]),
-            str(row["t"]),
-            str(row["M"]),
-            str(row["delta"]),
-            row["mu_minus"] if row["mu_minus"] is not None else "",
-        ]
-        if approx:
-            approx_value = row.get("mu_minus_approx")
-            cells.append(approx_value if approx_value is not None else "")
-        if outcome:
-            cells.append(row["outcome"])
-        lines.append("| " + " | ".join(cells) + " |")
+        lines.append("| " + " | ".join(_cell(row[c]) for c in columns) + " |")
     return lines
 
 
-def _render_pairs_markdown(doc: dict, approx: bool, outcome: bool) -> str:
-    rows = doc.get("rows", doc.get("pairs", []))
-    lines = [f"## r = {doc['r']} (mu0 = {doc['mu0']})", ""]
-    lines.extend(_pair_rows_markdown(rows, approx, outcome))
-    if doc.get("command") == "verify":
-        lines.append("")
-        lines.append(f"all_pass: {doc['all_pass']}")
-        if doc.get("small_degree_pairs") is not None:
-            for record in doc["small_degree_pairs"]:
-                lines.append(
-                    f"- small-degree pair {record['class']} t={record['t']}: "
-                    f"delta = {record['delta']} "
-                    f"({'negative' if record['negative_delta'] else 'NOT NEGATIVE'})"
-                )
+def _csv_table(columns: list[str], rows: list[dict]) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_cell(row[c]) for c in columns] for row in rows)
+    return buffer.getvalue().rstrip("\n")
+
+
+def _table_columns(command: str, approx: bool, csv_format: bool) -> list[str]:
+    """Columns of a range command's table, whose rows are critical pairs or
+    the links of the coverage chain. A CSV row also carries its r first, and
+    for coverage the verdict."""
+    if command == "coverage":
+        columns = ["class", "t", "locus"]
+        return ["r", "covered", *columns] if csv_format else columns
+    columns = ["class", "t", "M", "delta", "mu_minus"]
+    if approx:
+        columns.append("mu_minus_approx")
+    if csv_format or command == "verify":
+        columns.append("outcome")
+    return ["r", *columns] if csv_format else columns
+
+
+def _table_rows(doc: dict) -> list[dict]:
+    return doc.get("rows", doc.get("pairs", doc.get("chain", [])))
+
+
+def _render_markdown(doc: dict, command: str, approx: bool) -> str:
+    if command not in _RANGE_COMMANDS:
+        lines = []
+        for key, value in sorted(doc.items()):
+            if isinstance(value, dict):
+                value = json.dumps(value, sort_keys=True)
+            lines.append(f"- {key}: {value}")
+        return "\n".join(lines)
+    table = _markdown_table(_table_columns(command, approx, False), _table_rows(doc))
+    if command == "coverage":
+        lines = [
+            f"## coverage r = {doc['r']}: {'COVERED' if doc['covered'] else 'GAPS'}",
+            "",
+            f"target: {doc['target']}",
+            "",
+            *table,
+        ]
+        lines += [f"- gap: ({lo}, {hi})" for lo, hi in doc["gaps"]]
+        return "\n".join(lines)
+    lines = [f"## r = {doc['r']} (mu0 = {doc['mu0']})", "", *table]
+    if command == "verify":
+        lines += ["", f"all_pass: {doc['all_pass']}"]
+        for record in doc.get("small_degree_pairs") or []:
+            lines.append(
+                f"- small-degree pair {record['class']} t={record['t']}: "
+                f"delta = {record['delta']} "
+                f"({'negative' if record['negative_delta'] else 'NOT NEGATIVE'})"
+            )
         if doc.get("large_r") is not None:
             lines.append(
                 "- large-r inequalities: "
@@ -570,101 +644,23 @@ def _render_pairs_markdown(doc: dict, approx: bool, outcome: bool) -> str:
     return "\n".join(lines)
 
 
-def _render_coverage_markdown(doc: dict) -> str:
-    lines = [
-        f"## coverage r = {doc['r']}: {'COVERED' if doc['covered'] else 'GAPS'}",
-        "",
-        f"target: {doc['target']}",
-        "",
-        "| class | t | locus |",
-        "|---|---|---|",
-    ]
-    for link in doc["chain"]:
-        lines.append(f"| {link['class']} | {link['t']} | {link['locus']} |")
-    for gap in doc["gaps"]:
-        lines.append(f"- gap: ({gap[0]}, {gap[1]})")
-    return "\n".join(lines)
-
-
-def _render_keyvalue_markdown(doc: dict) -> str:
-    lines = []
-    for key in sorted(doc):
-        value = doc[key]
-        if isinstance(value, dict):
-            value = json.dumps(value, sort_keys=True)
-        lines.append(f"- {key}: {value}")
-    return "\n".join(lines)
-
-
-def _csv_text(headers: list[str], rows: list[list]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(headers)
-    writer.writerows(rows)
-    return buffer.getvalue().rstrip("\n")
-
-
-def _render_pairs_csv(docs: list[dict], approx: bool) -> str:
-    headers = ["r", "class", "t", "M", "delta", "mu_minus"]
-    if approx:
-        headers.append("mu_minus_approx")
-    headers.append("outcome")
-    rows = []
-    for doc in docs:
-        for row in doc.get("rows", doc.get("pairs", [])):
-            cells = [
-                doc["r"],
-                row["class"],
-                row["t"],
-                row["M"],
-                row["delta"],
-                row["mu_minus"] if row["mu_minus"] is not None else "",
-            ]
-            if approx:
-                cells.append(row.get("mu_minus_approx") or "")
-            cells.append(row["outcome"])
-            rows.append(cells)
-    return _csv_text(headers, rows)
-
-
-def _render_coverage_csv(docs: list[dict]) -> str:
-    headers = ["r", "covered", "class", "t", "locus"]
-    rows = []
-    for doc in docs:
-        for link in doc["chain"]:
-            rows.append([doc["r"], doc["covered"], link["class"], link["t"], link["locus"]])
-    return _csv_text(headers, rows)
-
-
 def _emit_docs(cfg: RunConfig, command: str, docs: list[dict]) -> None:
     fmt = cfg.output_format or _DEFAULT_FORMATS[command]
-    if fmt == "csv" and command not in _CSV_COMMANDS:
+    if fmt == "csv" and command not in _RANGE_COMMANDS:
         raise UsageError(f"csv output is not available for {command}")
     if cfg.approx:
         docs = [_augment_approx(doc) for doc in docs]
     if fmt == "json":
-        if len(docs) == 1:
-            _print_json(docs[0])
-        else:
-            _print_json({"command": command, "results": docs})
-        return
-    if fmt == "csv":
-        if command == "coverage":
-            print(_render_coverage_csv(docs))
-        else:
-            print(_render_pairs_csv(docs, cfg.approx))
-        return
-    blocks = []
-    for doc in docs:
-        if command == "coverage":
-            blocks.append(_render_coverage_markdown(doc))
-        elif command in ("table", "enumerate"):
-            blocks.append(_render_pairs_markdown(doc, cfg.approx, outcome=False))
-        elif command == "verify":
-            blocks.append(_render_pairs_markdown(doc, cfg.approx, outcome=True))
-        else:
-            blocks.append(_render_keyvalue_markdown(doc))
-    print("\n\n".join(blocks))
+        print(_dumps(docs[0] if len(docs) == 1 else {"command": command, "results": docs}))
+    elif fmt == "csv":
+        rows = [
+            {"r": doc["r"], "covered": doc.get("covered"), **row}
+            for doc in docs
+            for row in _table_rows(doc)
+        ]
+        print(_csv_table(_table_columns(command, cfg.approx, True), rows))
+    else:
+        print("\n\n".join(_render_markdown(doc, command, cfg.approx) for doc in docs))
 
 
 # --------------------------------------------------------------------------
@@ -682,18 +678,18 @@ def _require_single_r(cfg: RunConfig, command: str) -> int:
     return cfg.r_min
 
 
-def _validated_mu0(args: argparse.Namespace) -> QuadraticNumber | None:
+def _validated_mu0(text: str | None) -> QuadraticNumber | None:
     """The --mu0 value, once it parses and every radicand is at most
     MAX_RADICAND, which bounds the cost of reducing it to squarefree form."""
-    if args.mu0 is None:
+    if text is None:
         return None
     try:
         if any(
             len(n.lstrip("0")) > len(str(MAX_RADICAND)) or int(n) > MAX_RADICAND
-            for n in _RADICAND_RE.findall(args.mu0)
+            for n in _RADICAND_RE.findall(text)
         ):
             raise UsageError(f"--mu0 radicands must be at most {MAX_RADICAND}")
-        return parse_quadratic(args.mu0)
+        return parse_quadratic(text)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -728,51 +724,22 @@ def _parse_mu(text: str) -> Fraction:
         raise UsageError(f"cannot parse mu from {text!r}: {exc}") from None
 
 
-def cmd_table(cfg: RunConfig, args: argparse.Namespace) -> int:
-    _require_r(cfg, 10, "table")
-    docs = _docs_for_range(cfg, "table", {"mu0": args.mu0}, _validated_mu0(args))
-    _emit_docs(cfg, "table", docs)
-    return EXIT_PASS
+# What every handler returns: its documents and its stderr lines. main writes
+# both and picks the exit code.
+Outcome = tuple[list[dict], list[str]]
 
 
-def cmd_enumerate(cfg: RunConfig, args: argparse.Namespace) -> int:
-    _require_r(cfg, 10, "enumerate")
-    docs = _docs_for_range(cfg, "enumerate", {"mu0": args.mu0}, _validated_mu0(args))
-    _emit_docs(cfg, "enumerate", docs)
-    return EXIT_PASS
+def cmd_range(cfg: RunConfig, args: argparse.Namespace) -> Outcome:
+    """table, enumerate, verify and coverage: one document per r."""
+    build, smallest_r, failures = _RANGE_COMMANDS[args.command]
+    _require_r(cfg, smallest_r, args.command)
+    params = {"mu0": args.mu0} if "mu0" in args else {}
+    mu0 = _validated_mu0(params.get("mu0"))
+    docs = _docs_for_range(cfg, args.command, params, build, mu0)
+    return docs, [line for doc in docs for line in failures(doc)]
 
 
-def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
-    _require_r(cfg, 10, "verify")
-    docs = _docs_for_range(cfg, "verify", {"mu0": args.mu0}, _validated_mu0(args))
-    _emit_docs(cfg, "verify", docs)
-    failed = False
-    for doc in docs:
-        for row in doc["pairs"]:
-            if row["outcome"] == "Counterexample":
-                failed = True
-                print(
-                    f"FAIL r={doc['r']}: {row['class']} t={row['t']} has "
-                    f"mu_minus = {row['mu_minus']} below mu0 = {doc['mu0']}",
-                    file=sys.stderr,
-                )
-        for record in doc.get("small_degree_pairs") or []:
-            if not record["negative_delta"]:
-                failed = True
-                print(
-                    f"FAIL r={doc['r']}: small-degree pair {record['class']} "
-                    f"t={record['t']} has delta = {record['delta']} >= 0",
-                    file=sys.stderr,
-                )
-        if doc.get("large_r") is not None and not all(doc["large_r"].values()):
-            failed = True
-            print(f"FAIL r={doc['r']}: large-r inequalities do not hold", file=sys.stderr)
-        if not doc["all_pass"]:
-            failed = True
-    return EXIT_FAIL if failed else EXIT_PASS
-
-
-def cmd_region(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_region(cfg: RunConfig, args: argparse.Namespace) -> Outcome:
     r = _require_single_r(cfg, "region")
     _require_r(cfg, 10, "region")
     if args.t0 is None:
@@ -799,52 +766,22 @@ def cmd_region(cfg: RunConfig, args: argparse.Namespace) -> int:
     out_dir = Path(cfg.cache_dir) if cfg.cache_dir else Path(".")
     out_path = out_dir / f"certificate-r{r}-t{args.t0}.json"
     _atomic_write(out_path, _dumps(doc) + "\n")
-    summary = {
-        field: doc[field]
-        for field in (
-            "kind",
-            "r",
-            "t0",
-            "depth_limit",
-            "sqrt_width",
-            "mu_lo",
-            "mu_hi",
-            "max_depth",
-            "leaf_count",
-        )
-    }
+    fields = ("kind", "r", "t0", "depth_limit", "sqrt_width", "mu_lo", "mu_hi",
+              "max_depth", "leaf_count")
+    summary = {field: doc[field] for field in fields}
     summary["command"] = "region"
     summary["certificate_path"] = str(out_path)
-    _emit_docs(cfg, "region", [summary])
-    return EXIT_PASS
+    return [summary], []
 
 
-def cmd_classify(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_classify(cfg: RunConfig, args: argparse.Namespace) -> Outcome:
     r = _require_single_r(cfg, "classify")
     _require_r(cfg, 10, "classify")
     result = classify(r, _parse_mu(args.mu))
-    doc = {"command": "classify", **result.to_json_dict()}
-    _emit_docs(cfg, "classify", [doc])
-    return EXIT_PASS
+    return [{"command": "classify", **result.to_json_dict()}], []
 
 
-def cmd_coverage(cfg: RunConfig, args: argparse.Namespace) -> int:
-    _require_r(cfg, 1, "coverage")
-    docs = _docs_for_range(cfg, "coverage", {})
-    _emit_docs(cfg, "coverage", docs)
-    failed = False
-    for doc in docs:
-        if not doc["covered"]:
-            failed = True
-            for gap in doc["gaps"]:
-                print(
-                    f"FAIL r={doc['r']}: coverage gap ({gap[0]}, {gap[1]})",
-                    file=sys.stderr,
-                )
-    return EXIT_FAIL if failed else EXIT_PASS
-
-
-def cmd_audit(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_audit(cfg: RunConfig, args: argparse.Namespace) -> Outcome:
     path = Path(args.certificate)
     try:
         doc = json.loads(path.read_text())
@@ -861,10 +798,7 @@ def cmd_audit(cfg: RunConfig, args: argparse.Namespace) -> int:
         "ok": ok,
         "problems": problems,
     }
-    _emit_docs(cfg, "audit-certificate", [summary])
-    for problem in problems:
-        print(f"AUDIT: {problem}", file=sys.stderr)
-    return EXIT_PASS if ok else EXIT_FAIL
+    return [summary], [f"AUDIT: {problem}" for problem in problems]
 
 
 # --------------------------------------------------------------------------
@@ -900,19 +834,19 @@ def build_parser() -> argparse.ArgumentParser:
                        help="critical pairs at r, Table-style")
     p.add_argument("--r", required=True, help="point count, e.g. 12 or 10..13")
     p.add_argument("--mu0", default=None, help="threshold override, e.g. 7/2 or sqrt(13)")
-    p.set_defaults(handler=cmd_table)
+    p.set_defaults(handler=cmd_range)
 
     p = sub.add_parser("enumerate", parents=[common],
                        help="critical pairs over a range of r")
     p.add_argument("--r", required=True, help="point count range, e.g. 10..13")
     p.add_argument("--mu0", default=None, help="threshold override")
-    p.set_defaults(handler=cmd_enumerate)
+    p.set_defaults(handler=cmd_range)
 
     p = sub.add_parser("verify", parents=[common],
                        help="check critical pairs against the threshold")
     p.add_argument("--r", required=True, help="point count range, e.g. 10..19")
     p.add_argument("--mu0", default=None, help="threshold override")
-    p.set_defaults(handler=cmd_verify)
+    p.set_defaults(handler=cmd_range)
 
     p = sub.add_parser("region", parents=[common],
                        help="certify the multiplicity cut-off t0 by bisection; "
@@ -931,7 +865,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coverage", parents=[common],
                        help="chain the witness catalog over the target ray")
     p.add_argument("--r", required=True, help="point count range, e.g. 8..13")
-    p.set_defaults(handler=cmd_coverage)
+    p.set_defaults(handler=cmd_range)
 
     p = sub.add_parser("audit-certificate", parents=[common],
                        help="replay a region certificate from scratch")
@@ -955,16 +889,18 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         cfg = resolve_config(args)
-        return args.handler(cfg, args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (UnsupportedR, InvalidT, InvalidT0, NotAboveSqrtR) as exc:
+        docs, lines = args.handler(cfg, args)
+        _emit_docs(cfg, args.command, docs)
+    except (UsageError, UnsupportedR, InvalidT, InvalidT0, NotAboveSqrtR) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DepthLimitExceeded as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
+    for line in lines:
+        print(line, file=sys.stderr)
+    failed = lines or any(doc.get(field) is False for doc in docs for field in _VERDICT_FIELDS)
+    return EXIT_FAIL if failed else EXIT_PASS
 
 
 if __name__ == "__main__":

@@ -418,23 +418,29 @@ _QN_RATIONAL_RE = re.compile(rf"^(?P<a>{_RATIONAL_RE})$")
 
 
 def parse_quadratic(text: str) -> QuadraticNumber:
-    """Inverse of QuadraticNumber.render (accepts any valid spacing)."""
+    """Inverse of QuadraticNumber.render (accepts any valid spacing).
+
+    Raises ValueError on text it cannot read, a zero denominator included.
+    """
     s = text.strip()
-    m = _QN_RATIONAL_RE.match(s)
-    if m:
-        return QuadraticNumber(Fraction(m.group("a")))
-    m = _QN_ROOT_RE.match(s)
-    if m:
-        b = Fraction(m.group("b")) if m.group("b") else Fraction(1)
-        if m.group("sign") == "-":
-            b = -b
-        return QuadraticNumber(Fraction(0), b, int(m.group("n")))
-    m = _QN_FULL_RE.match(s)
-    if m:
-        b = Fraction(m.group("b")) if m.group("b") else Fraction(1)
-        if m.group("op") == "-":
-            b = -b
-        return QuadraticNumber(Fraction(m.group("a")), b, int(m.group("n")))
+    try:
+        m = _QN_RATIONAL_RE.match(s)
+        if m:
+            return QuadraticNumber(Fraction(m.group("a")))
+        m = _QN_ROOT_RE.match(s)
+        if m:
+            b = Fraction(m.group("b")) if m.group("b") else Fraction(1)
+            if m.group("sign") == "-":
+                b = -b
+            return QuadraticNumber(Fraction(0), b, int(m.group("n")))
+        m = _QN_FULL_RE.match(s)
+        if m:
+            b = Fraction(m.group("b")) if m.group("b") else Fraction(1)
+            if m.group("op") == "-":
+                b = -b
+            return QuadraticNumber(Fraction(m.group("a")), b, int(m.group("n")))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in quadratic number {text!r}") from None
     raise ValueError(f"cannot parse quadratic number from {text!r}")
 
 

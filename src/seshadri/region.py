@@ -168,9 +168,9 @@ def m_bar_zero_at_sqrt_r(r: int) -> QuadraticNumber:
     """Exact value of m_bar_0 at the left edge mu = sqrt(r): 25r/(4r^2 - 12r sqrt(r)).
 
     At mu = sqrt(r) the radical sqrt(mu^2 - r) vanishes and the formula
-    collapses to 25/(4r - 12 sqrt(r)), an exact quadratic number.  This is
-    also the quantity whose floor is total_multiplicity_bound(r)/r-adjacent:
-    M/r <= m_bar_0(sqrt(r)) recovers the cap 4rM - 25r <= 12M sqrt(r).
+    collapses to 25/(4r - 12 sqrt(r)), an exact quadratic number.
+    total_multiplicity_bound(r) is the floor of r times it: M/r <=
+    m_bar_0(sqrt(r)) is the cap 4rM - 25r <= 12M sqrt(r).
     """
     if r < 10:
         raise UnsupportedR(f"need r >= 10, got {r}")

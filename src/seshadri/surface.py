@@ -274,19 +274,24 @@ def is_weakly_submaximal(c: CurveClass, t: int, l: UniformPolarization) -> bool:
     return compare(submaximality_quadratic(c, t, l.r, l.mu), 0) <= 0
 
 
-def submaximal_locus(c: CurveClass, t: int, r: int) -> list[MuInterval]:
+def submaximal_locus(
+    c: CurveClass, t: int, r: int, sqrt_r_plus_1: QuadraticNumber | None = None
+) -> list[MuInterval]:
     """Locus {mu >= sqrt(r)} cut out by R(mu) <= 0; endpoints are R's roots.
 
-    Exceptional class: [sqrt(r+1), inf).  Interior: [mu_-, mu_+] clipped at
-    sqrt(r), empty when Delta < 0 or the root interval sits below sqrt(r).
-    Endpoints attain equality, so intervals are closed (boundary points have
-    rational sqrt(L^2)); restricting to the ample range is the caller's job.
+    Exceptional class: [sqrt(r+1), inf), from sqrt_r_plus_1 when the caller
+    has built it.  Interior: [mu_-, mu_+] clipped at sqrt(r), empty when
+    Delta < 0 or the root interval sits below sqrt(r).  Endpoints attain
+    equality, so intervals are closed (boundary points have rational
+    sqrt(L^2)); restricting to the ample range is the caller's job.
     """
     if c.r != r:
         raise ValueError(f"class has r={c.r}, expected {r}")
     _check_t(c, t)
     if c.is_exceptional:
-        return [MuInterval(QuadraticNumber.sqrt(r + 1), None)]
+        if sqrt_r_plus_1 is None:
+            sqrt_r_plus_1 = QuadraticNumber.sqrt(r + 1)
+        return [MuInterval(sqrt_r_plus_1, None)]
     d, m_total = c.d, c.total_multiplicity
     lead = d * d - t * t
     delta = m_total * m_total - r * lead

@@ -57,9 +57,13 @@ class ThresholdEntry:
             raise ValueError(f"mu0 = {mu0} sits below sqrt({self.r})")
 
 
-def threshold(r: int) -> ThresholdEntry:
+def threshold(r: int, sqrt_r_plus_1: QuadraticNumber | None = None) -> ThresholdEntry:
     """mu_0(r): 77/24, 4 - sqrt(3)/3, sqrt(13), (26 - sqrt(13))/6 for
-    r = 10..13, and sqrt(r+1) from r = 14 on."""
+    r = 10..13, and sqrt(r+1) from r = 14 on.
+
+    A caller that needs sqrt(r + 1) too builds it once and passes it as
+    sqrt_r_plus_1: reducing r + 1 to squarefree form dominates at large r.
+    """
     if r < 10:
         raise UnsupportedR(f"thresholds start at r = 10, got {r}")
     if r == 10:
@@ -71,7 +75,7 @@ def threshold(r: int) -> ThresholdEntry:
     elif r == 13:
         mu0 = QuadraticNumber(Fraction(13, 3), Fraction(-1, 6), 13)
     else:
-        mu0 = QuadraticNumber.sqrt(r + 1)
+        mu0 = QuadraticNumber.sqrt(r + 1) if sqrt_r_plus_1 is None else sqrt_r_plus_1
     return ThresholdEntry(r, mu0)
 
 
@@ -142,7 +146,9 @@ class CoverageReport:
         }
 
 
-def _coverage_target(r: int) -> tuple[QuadraticNumber, bool]:
+def _coverage_target(
+    r: int, sqrt_r_plus_1: QuadraticNumber
+) -> tuple[QuadraticNumber, bool]:
     """Ray the catalog is expected to cover at this r.
 
     r >= 10: [mu_0(r), inf).  r = 9: the ample range (3, inf).  r = 8: the
@@ -150,12 +156,12 @@ def _coverage_target(r: int) -> tuple[QuadraticNumber, bool]:
     [sqrt(r+1), inf) is claimed.
     """
     if r >= 10:
-        return threshold(r).mu0, True
+        return threshold(r, sqrt_r_plus_1).mu0, True
     if r == 9:
         return QuadraticNumber.from_rational(3), False
     if r == 8:
         return QuadraticNumber.from_rational(Fraction(17, 6)), False
-    return QuadraticNumber.sqrt(r + 1), True
+    return sqrt_r_plus_1, True
 
 
 def verify_coverage(r: int) -> CoverageReport:
@@ -164,12 +170,14 @@ def verify_coverage(r: int) -> CoverageReport:
     Starting from the target's left end, each locus must begin no later than
     the point already reached; the sweep succeeds when some locus is
     unbounded above and no gap was recorded.  All loci are closed, so
-    touching endpoints chain.
+    touching endpoints chain.  sqrt(r + 1) is built once, for the target and
+    the exceptional ray.
     """
-    target_lo, target_closed = _coverage_target(r)
+    sqrt_r_plus_1 = QuadraticNumber.sqrt(r + 1)
+    target_lo, target_closed = _coverage_target(r, sqrt_r_plus_1)
     loci: list[tuple[CatalogCurve, MuInterval]] = []
     for cc in catalog(r):
-        for iv in submaximal_locus(cc.curve, cc.t, r):
+        for iv in submaximal_locus(cc.curve, cc.t, r, sqrt_r_plus_1):
             loci.append((cc, iv))
     loci.sort(key=cmp_to_key(lambda p, q: compare(p[1].lo, q[1].lo)))
     reach = target_lo
@@ -255,6 +263,7 @@ def classify(r: int, mu: RationalLike) -> Classification:
     over the exceptional ray when several apply).  Below the threshold the
     verdict rides on the submaximality conjecture: epsilon(mu) would equal
     sqrt(mu^2 - r), rational exactly when mu^2 - r is a rational square.
+    sqrt(r + 1) is built once, for the threshold and the exceptional ray.
     """
     if r < 10:
         raise UnsupportedR(f"classification starts at r = 10, got {r}")
@@ -262,7 +271,8 @@ def classify(r: int, mu: RationalLike) -> Classification:
     l_squared = mu * mu - r
     if mu <= 0 or l_squared <= 0:
         raise NotAboveSqrtR(f"need mu > sqrt({r}), got {mu}")
-    entry = threshold(r)
+    sqrt_r_plus_1 = QuadraticNumber.sqrt(r + 1)
+    entry = threshold(r, sqrt_r_plus_1)
     below = compare(mu, entry.mu0) < 0
     square = _is_rational_square(l_squared)
     if not below:
@@ -270,7 +280,7 @@ def classify(r: int, mu: RationalLike) -> Classification:
             catalog(r), key=lambda cc: (cc.curve.is_exceptional, cc.curve.d)
         )
         for cc in candidates:
-            for iv in submaximal_locus(cc.curve, cc.t, r):
+            for iv in submaximal_locus(cc.curve, cc.t, r, sqrt_r_plus_1):
                 if iv.contains(mu):
                     return Classification(
                         r=r,

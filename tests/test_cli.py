@@ -19,6 +19,7 @@ from seshadri.cli import (
     EXIT_USAGE,
     MAX_MU_DIGITS,
     MAX_R,
+    MAX_R_COUNT,
     MAX_RADICAND,
     MAX_T0,
     UsageError,
@@ -58,9 +59,21 @@ def test_parse_r_range():
         parse_r_range("19..10")
     with pytest.raises(UsageError):
         parse_r_range("10..x")
-    assert parse_r_range(f"10..{MAX_R}") == (10, MAX_R)
+    top = f"{MAX_R - MAX_R_COUNT + 1}..{MAX_R}"
+    assert parse_r_range(top) == (MAX_R - MAX_R_COUNT + 1, MAX_R)
     with pytest.raises(UsageError):
         parse_r_range(f"10..{MAX_R + 1}")
+
+
+def test_r_range_length_cap(capsys):
+    """A range of MAX_R_COUNT values parses and one more is refused, before
+    any r is listed: the largest range is one line on stderr and exit 2."""
+    assert parse_r_range(f"10..{9 + MAX_R_COUNT}") == (10, 9 + MAX_R_COUNT)
+    with pytest.raises(UsageError, match=f"at most {MAX_R_COUNT} values"):
+        parse_r_range(f"10..{10 + MAX_R_COUNT}")
+    assert main(["verify", "--r", f"10..{MAX_R}"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"error: an --r range may hold at most {MAX_R_COUNT} values\n"
 
 
 def _namespace(*argv):
@@ -95,6 +108,22 @@ def test_resolve_config_validation(tmp_path):
         resolve_config(ns, env={"SESHADRI_PARALLELISM": "junk"})
     with pytest.raises(UsageError):
         resolve_config(ns, env={"SESHADRI_CONFIG": "no/such/file.conf"})
+
+
+def test_unreadable_config_file_is_a_usage_error(capsys, monkeypatch, tmp_path):
+    """A config file that is a directory or is not UTF-8 is refused like a
+    missing one: one line on stderr and exit 2."""
+    (tmp_path / "conf-dir").mkdir()
+    monkeypatch.setenv("SESHADRI_CONFIG", "conf-dir")
+    assert main(["verify", "--r", "10"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: config file conf-dir cannot be read") and err.count("\n") == 1
+    monkeypatch.delenv("SESHADRI_CONFIG")
+    Path("seshadri.conf").write_bytes(b"approx = \xff\n")
+    assert main(["verify", "--r", "10"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: config file seshadri.conf cannot be read")
+    assert err.count("\n") == 1
 
 
 def test_env_format_applies_end_to_end(capsys, monkeypatch):
@@ -163,6 +192,14 @@ def test_mu0_radicand_cap(capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: --mu0 radicands") and err.count("\n") == 1
     assert main(["verify", "--r", "12", "--mu0", f"sqrt({MAX_RADICAND})"]) == EXIT_FAIL
+
+
+def test_mu0_zero_denominator_is_a_usage_error(capsys):
+    for mu0 in ("1/0", "1/0*sqrt(2)", "3 + 1/0*sqrt(2)", "1/0 + sqrt(2)"):
+        assert main(["verify", "--r", "12", "--mu0", mu0]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: zero denominator in quadratic number {mu0!r}\n"
+        )
 
 
 def test_region_argument_cap(capsys, tmp_path):
@@ -447,6 +484,31 @@ def test_cache_round_trip(capsys, tmp_path):
     assert json.loads(target.read_text())["result"]["mu0"] == "77/24"
 
 
+def test_failing_cached_document_sets_the_exit_code(capsys, tmp_path):
+    """A document fails its command whether or not it has a FAIL line: a
+    hand-edited cache entry with all_pass or covered false exits 1 with
+    nothing on stderr, and one with a counterexample row exits 1 with its
+    FAIL line."""
+    cache = tmp_path / "cache"
+    for command, field in (("verify", "all_pass"), ("coverage", "covered")):
+        argv = [command, "--r", "12", "--cache-dir", str(cache)]
+        assert main(argv) == EXIT_PASS
+        capsys.readouterr()
+        (entry_path,) = cache.glob(f"{command}-r12-*.json")
+        entry = json.loads(entry_path.read_text())
+        entry["result"][field] = False
+        entry_path.write_text(json.dumps(entry))
+        assert main(argv) == EXIT_FAIL
+        assert capsys.readouterr().err == ""
+    (entry_path,) = cache.glob("verify-r12-*.json")
+    entry = json.loads(entry_path.read_text())
+    entry["result"]["all_pass"] = True
+    entry["result"]["pairs"][0]["outcome"] = "Counterexample"
+    entry_path.write_text(json.dumps(entry))
+    assert main(["verify", "--r", "12", "--cache-dir", str(cache)]) == EXIT_FAIL
+    assert capsys.readouterr().err.startswith("FAIL r=12: ")
+
+
 def test_no_cache_keys_without_cache_dir(capsys, monkeypatch):
     def no_key(*args):
         raise AssertionError("cache key computed without a cache directory")
@@ -597,3 +659,75 @@ def test_dumps_serialises_trees_past_the_recursion_limit():
     shallow = _certificate_chain(200)
     assert cli._dumps(shallow) == json.dumps(shallow, sort_keys=True, indent=2)
     assert json.loads(cli._dumps(shallow)) == shallow
+
+
+# --------------------------------------------------------------------------
+# every command's output, pinned
+
+
+# Each command with arguments that run it; audit-certificate reads the
+# certificate that region wrote just before it.
+MATRIX_RUNS = (
+    ("table", "--r", "12"),
+    ("table", "--r", "12..13", "--mu0", "7/2"),
+    ("enumerate", "--r", "10..11"),
+    ("verify", "--r", "10..11"),
+    ("verify", "--r", "19..20"),
+    ("verify", "--r", "12", "--mu0", "9/2"),  # fails: counterexamples below mu0
+    ("coverage", "--r", "8..13"),
+    ("classify", "--r", "10", "--mu", "7/2"),
+    ("classify", "--r", "10", "--mu", "16/5"),
+    ("region", "--r", "13", "--t0", "3"),
+    ("audit-certificate", "certificate-r13-t3.json"),
+    ("audit-certificate", "bad-certificate.json"),  # fails with AUDIT lines
+)
+MATRIX_EXTRAS = (
+    ("region", "--r", "10", "--t0", "3", "--depth", "3"),  # inconclusive
+    ("verify", "--r", "19..10"),
+    ("table", "--r", "9"),
+    ("coverage", "--r", "0"),
+    ("table", "--r", "12", "--mu0", "not-a-number"),
+    ("verify", "--r", "12", "--mu0", f"sqrt({MAX_RADICAND + 1})"),
+    ("classify", "--r", "10", "--mu", "3"),
+    ("classify", "--r", "10..11", "--mu", "7/2"),
+    ("region", "--r", "10..11", "--t0", "3"),
+    ("audit-certificate", "no-such-file.json"),
+    ("enumerate", "--r", "10..11", "--jobs", "2"),
+    ("verify", "--r", "10..11", "--cache-dir", "cache"),
+    ("verify", "--r", "10..11", "--cache-dir", "cache"),
+    ("coverage", "--r", "9..10", "--cache-dir", "cache", "--format", "csv"),
+    ("region", "--r", "12", "--t0", "4", "--cache-dir", "cache"),
+    ("region", "--r", "12", "--t0", "4", "--cache-dir", "cache"),
+    ("audit-certificate", "cache/certificate-r12-t4.json", "--format", "markdown"),
+)
+OUTPUT_MATRIX = tuple(
+    (*run, *fmt, *approx)
+    for run in MATRIX_RUNS
+    for fmt in ((), ("--format", "json"), ("--format", "markdown"), ("--format", "csv"))
+    for approx in ((), ("--approx",))
+) + MATRIX_EXTRAS
+OUTPUT_DIGESTS_PATH = Path(__file__).with_name("cli_output_digests.json")
+
+
+def _output_matrix_digests():
+    """{argv: [sha256 of stdout, sha256 of stderr, exit code]} over
+    OUTPUT_MATRIX, run in order in the current directory."""
+    Path("bad-certificate.json").write_text('{"kind": "q_negativity_certificate", "r": 13}')
+    digests = {}
+    for argv in OUTPUT_MATRIX:
+        out, err, code = _call(argv)
+        digests[" ".join(argv)] = [
+            hashlib.sha256(out.encode("utf-8")).hexdigest(),
+            hashlib.sha256(err.encode("utf-8")).hexdigest(),
+            code,
+        ]
+    return digests
+
+
+def test_every_command_output_matches_recorded_digests():
+    """stdout, stderr and exit code of each command in every format, with and
+    without --approx, plus failing, inconclusive and usage-error runs. The
+    digests were recorded before the command handlers were merged into one
+    route; any change to them must be deliberate."""
+    recorded = json.loads(OUTPUT_DIGESTS_PATH.read_text())
+    assert _output_matrix_digests() == recorded

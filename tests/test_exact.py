@@ -6,6 +6,8 @@ from functools import cmp_to_key
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seshadri.errors import (
     DivisionByZeroInterval,
@@ -252,17 +254,6 @@ def test_enclosure_width_and_containment():
         assert compare(x, iv.lo) >= 0 and compare(x, iv.hi) <= 0
 
 
-def test_render_parse_round_trip_random():
-    rng = random.Random(17)
-    for _ in range(300):
-        x = QuadraticNumber(
-            Fraction(rng.randrange(-40, 41), rng.randrange(1, 12)),
-            Fraction(rng.randrange(-40, 41), rng.randrange(1, 12)),
-            rng.choice([0, 2, 3, 7, 13, 14]),
-        )
-        assert parse_quadratic(x.render()) == x
-
-
 def test_render_canonical_forms():
     assert QuadraticNumber.from_rational(Fraction(77, 24)).render() == "77/24"
     assert QuadraticNumber.sqrt(13).render() == "sqrt(13)"
@@ -275,6 +266,33 @@ def test_parse_quadratic_rejects_garbage():
     for bad in ("", "sqrt", "1 +", "sqrt(-4)", "two"):
         with pytest.raises(ValueError):
             parse_quadratic(bad)
+
+
+def test_parse_quadratic_zero_denominator_is_a_value_error():
+    for bad in ("1/0", "1/0*sqrt(2)", "3 + 1/0*sqrt(2)", "1/0 + sqrt(2)", "-1/0*sqrt(3)"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_quadratic(bad)
+
+
+RATIONAL_PARTS = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+    st.fractions(min_value=-(10**12), max_value=10**12, max_denominator=10**6),
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(RATIONAL_PARTS, RATIONAL_PARTS, st.integers(min_value=0, max_value=10**6))
+def test_render_parse_round_trip_random(a, b, radicand):
+    """parse_quadratic(x.render()) == x, over negative, zero and unit parts."""
+    x = QuadraticNumber(a, b, radicand)
+    assert parse_quadratic(x.render()) == x
+
+
+def test_render_parse_round_trip_near_1e18():
+    for a, b, radicand in ((0, -1, 10**18 + 1), (Fraction(-7, 3), 1, 999999999999999989),
+                           (5, Fraction(-2, 9), 10**18 - 1), (1, 1, 10**18)):
+        x = QuadraticNumber(Fraction(a), Fraction(b), radicand)
+        assert parse_quadratic(x.render()) == x
 
 
 def test_approx_decimal_matches_value():

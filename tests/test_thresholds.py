@@ -217,3 +217,26 @@ def test_classify_exhaustive_trichotomy():
                 assert c.conditional_on_conjecture == (
                     c.verdict is RationalityVerdict.CONDITIONALLY_IRRATIONAL
                 )
+
+
+def test_large_r_reduces_r_plus_1_once(monkeypatch):
+    """coverage and classify reduce r + 1 to squarefree form once per call,
+    for the threshold and the exceptional ray together."""
+    from seshadri import exact
+
+    r = 10**18
+    calls = []
+    squarefree = exact.squarefree_decomposition
+
+    def counting(n):
+        if n == r + 1:
+            calls.append(n)
+        return squarefree(n)
+
+    monkeypatch.setattr(exact, "squarefree_decomposition", counting)
+    report = verify_coverage(r)
+    assert report.covered and len(calls) == 1
+    calls.clear()
+    result = classify(r, 10**9 + 1)
+    assert result.verdict is RationalityVerdict.RATIONAL_WITH_WITNESS
+    assert len(calls) == 1
