@@ -19,7 +19,8 @@ share one handler, driven by _RANGE_COMMANDS. main alone writes the
 documents in the chosen format, then the lines, and picks the exit code: 1
 when there is a line or a document whose verdict (all_pass, covered or ok)
 is false, else 0. Handlers raise usage errors and inconclusive bisections,
-which main turns into exit codes 2 and 3.
+which main turns into exit codes 2 and 3. A format the command does not
+offer (csv outside the range commands) is refused before the handler runs.
 
 Configuration is resolved flags > environment > config file > defaults.
 Environment variables are SESHADRI_OUTPUT_FORMAT, SESHADRI_CACHE_DIR,
@@ -35,7 +36,8 @@ Every JSON document (stdout, certificates, cache entries) is written by
 byte for byte.
 With --cache-dir set, per-r results are cached one JSON file per
 (command, r), keyed by command, r, parameters and package version, and
-written atomically.
+written atomically. An entry that cannot be read, is not a JSON object or
+has another key is a miss: the result is recomputed and the entry rewritten.
 """
 
 from __future__ import annotations
@@ -472,10 +474,10 @@ def _cache_load(path: Path | None, key: dict) -> dict | None:
     if path is None or not path.exists():
         return None
     try:
-        data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError):  # ValueError: bad UTF-8 or JSON
         return None
-    if data.get("key") != key:
+    if not isinstance(data, dict) or data.get("key") != key:
         return None
     result = data.get("result")
     return result if isinstance(result, dict) else None
@@ -646,8 +648,6 @@ def _render_markdown(doc: dict, command: str, approx: bool) -> str:
 
 def _emit_docs(cfg: RunConfig, command: str, docs: list[dict]) -> None:
     fmt = cfg.output_format or _DEFAULT_FORMATS[command]
-    if fmt == "csv" and command not in _RANGE_COMMANDS:
-        raise UsageError(f"csv output is not available for {command}")
     if cfg.approx:
         docs = [_augment_approx(doc) for doc in docs]
     if fmt == "json":
@@ -889,6 +889,9 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         cfg = resolve_config(args)
+        if cfg.output_format == "csv" and args.command not in _RANGE_COMMANDS:
+            # refused before the handler runs, so region writes no certificate
+            raise UsageError(f"csv output is not available for {args.command}")
         docs, lines = args.handler(cfg, args)
         _emit_docs(cfg, args.command, docs)
     except (UsageError, UnsupportedR, InvalidT, InvalidT0, NotAboveSqrtR) as exc:

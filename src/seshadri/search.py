@@ -27,9 +27,14 @@ left side of (**) has the closed form
       C(d+2,2) - s*C(m+1,2) - (r-s)*C(m,2),
 
 so the d-scan works on (d, M, r) alone and builds a class (two runs, see
-balanced_class) only for each pair it keeps.  Each step costs O(1), and the
-number of steps per r is bounded by the caps above, so the search cost per r
-does not depend on r.
+balanced_class) only for each pair it keeps.  That left side strictly
+decreases in M (one more unit on a smallest multiplicity m adds m + 1 >= 1
+to sum C(m_i+1,2)) and, at fixed M, grows with d, so the maximal M at d + 1
+is at least the one at d.  The scan over d therefore resumes the M-scan
+where the previous d left it: for each t it costs O(d_max + B) evaluations
+of (**), B = total_multiplicity_bound(r), rather than O(d_max * B).  Each
+evaluation costs O(1), and d_max and B are bounded by the caps above, so
+the search cost per r does not depend on r.
 
 Each critical pair is then checked against a threshold mu_0: with
 Delta = M^2 - r(d^2 - t^2), the pair is harmless when Delta < 0 (the class
@@ -45,7 +50,7 @@ from fractions import Fraction
 from math import comb, isqrt
 
 from .errors import ExceptionalClassUnsupported, InvalidT, UnsupportedR
-from .exact import QuadraticLike, QuadraticNumber, compare
+from .exact import QuadraticLike, QuadraticNumber, compare, squarefree_decomposition
 from .surface import CurveClass
 from . import thresholds as _thresholds
 
@@ -232,14 +237,18 @@ def _balanced_edim_lhs(d: int, m_total: int, r: int) -> int:
     return comb(d + 2, 2) - s * comb(m + 1, 2) - (r - s) * comb(m, 2)
 
 
-def _max_total_satisfying_edim(d: int, t: int, r: int) -> int:
+def _max_total_satisfying_edim(d: int, t: int, r: int, start: int = 0) -> int:
     """Largest M >= 1 whose balanced class satisfies (**) at t; 0 if none.
 
     The left side of (**) strictly decreases in M, so the scan stops at the
-    first M that fails.
+    first M that fails.  It starts at M = start, which must be 0 or satisfy
+    (**) at (d, t); a start that fails raises RuntimeError, since the scan
+    would then return a wrong maximum.
     """
     rhs = max(comb(t + 1, 2) - 2, 0)
-    m_total = 0
+    if start and _balanced_edim_lhs(d, start, r) <= rhs:
+        raise RuntimeError(f"maximal M not monotone in d at r={r}, t={t}, d={d}")
+    m_total = start
     while _balanced_edim_lhs(d, m_total + 1, r) > rhs:
         m_total += 1
     return m_total
@@ -274,20 +283,20 @@ def enumerate_critical_pairs(r: int) -> tuple[BalancedPair, ...]:
 
     For fixed t the maximal M satisfying (**) grows with d (the left side of
     (**) gains a full row of C(d+2,2) while the balanced sum is unchanged),
-    so the d-scan stops at the first d whose maximal M exceeds the bound.
-    The monotonicity is asserted on every step.
+    so the d-scan stops at the first d whose maximal M exceeds the bound,
+    and each d's M-scan starts at the previous d's maximal M.  Monotonicity
+    is checked on every step: as the left side strictly decreases in M, the
+    maximal M at d is at least the previous one exactly when the previous
+    one is 0 or still satisfies (**) at d, which _max_total_satisfying_edim
+    tests before it scans (RuntimeError otherwise).
     """
     bound = total_multiplicity_bound(r)
     pairs: list[BalancedPair] = []
     for t in sorted(t_range(r)):
-        previous = 0
+        m_total = 0
         d = t + 1
         while True:
-            m_total = _max_total_satisfying_edim(d, t, r)
-            assert m_total >= previous, (
-                f"maximal M not monotone in d at r={r}, t={t}, d={d}"
-            )
-            previous = m_total
+            m_total = _max_total_satisfying_edim(d, t, r, m_total)
             if m_total > bound:
                 break
             if m_total >= 1 and _is_t_critical(d, t, r, m_total):
@@ -303,6 +312,12 @@ def check_pair(pair: BalancedPair, mu0: QuadraticLike) -> Verdict:
     submaximality starts at mu_- = (dM - t sqrt(Delta))/(d^2 - t^2) and the
     pair passes iff mu_- >= mu0 (equality passes: rationality at mu_- itself
     is witnessed by this very class).
+
+    mu_- is built from one squarefree split Delta = f^2 * rad: it is
+    dM/lead - (t f/lead) sqrt(rad) with lead = d^2 - t^2 > 0, already in
+    canonical form when rad >= 2.  When rad <= 1 (Delta = 0 gives rad = 0,
+    a perfect square gives rad = 1) sqrt(Delta) = f * rad and mu_- is the
+    rational (dM - t f rad)/lead.
     """
     c, t = pair.curve, pair.t
     d, m_total = c.d, c.total_multiplicity
@@ -310,7 +325,13 @@ def check_pair(pair: BalancedPair, mu0: QuadraticLike) -> Verdict:
     delta = m_total * m_total - c.r * lead
     if delta < 0:
         return Verdict(delta, None, Outcome.PASS_NEGATIVE_DELTA)
-    mu_minus = (QuadraticNumber.sqrt(delta) * (-t) + d * m_total) / lead
+    f, rad = squarefree_decomposition(delta)
+    if rad <= 1:
+        mu_minus = QuadraticNumber._coerce(Fraction(d * m_total - t * f * rad, lead))
+    else:
+        mu_minus = QuadraticNumber._canonical(
+            Fraction(d * m_total, lead), Fraction(-t * f, lead), rad
+        )
     if compare(mu_minus, mu0) >= 0:
         return Verdict(delta, mu_minus, Outcome.PASS_MU_MINUS_ABOVE_THRESHOLD)
     return Verdict(delta, mu_minus, Outcome.COUNTEREXAMPLE)

@@ -288,6 +288,7 @@ def test_verify_doc_needs_no_enclosures(monkeypatch):
     monkeypatch.setattr(region, "sqrt_enclosure", exact.sqrt_enclosure)
     monkeypatch.setattr(exact, "squarefree_decomposition",
                         counting("squarefree", exact.squarefree_decomposition))
+    monkeypatch.setattr(search, "squarefree_decomposition", exact.squarefree_decomposition)
     monkeypatch.setattr(search, "compare", counting_compare)
     for r in range(10, 20):
         cli._verify_doc(r, None)
@@ -484,6 +485,23 @@ def test_cache_round_trip(capsys, tmp_path):
     assert json.loads(target.read_text())["result"]["mu0"] == "77/24"
 
 
+
+@pytest.mark.parametrize("corrupt", [b"\xff\xfe", b"[1,2]"], ids=["not-utf8", "not-an-object"])
+def test_corrupt_cache_entry_is_a_miss(capsys, tmp_path, corrupt):
+    """An entry that is not UTF-8, or not a JSON object, is recomputed and
+    rewritten, and the output is the uncached bytes."""
+    assert main(["verify", "--r", "12"]) == EXIT_PASS
+    uncached = capsys.readouterr().out
+    cache = tmp_path / "cache"
+    argv = ["verify", "--r", "12", "--cache-dir", str(cache)]
+    assert main(argv) == EXIT_PASS
+    capsys.readouterr()
+    (target,) = cache.iterdir()
+    target.write_bytes(corrupt)
+    assert main(argv) == EXIT_PASS
+    assert capsys.readouterr().out == uncached
+    assert json.loads(target.read_text())["result"]["r"] == 12
+
 def test_failing_cached_document_sets_the_exit_code(capsys, tmp_path):
     """A document fails its command whether or not it has a FAIL line: a
     hand-edited cache entry with all_pass or covered false exits 1 with
@@ -548,6 +566,18 @@ def test_csv_output(capsys):
     assert len(lines) == 1 + 27
     assert lines[1].startswith("12,")
 
+
+
+def test_unavailable_format_is_refused_before_the_handler_runs(isolated):
+    """region writes no certificate and audit-certificate reads nothing when
+    csv is asked for: the format is checked before either runs."""
+    out, err, code = _call(["region", "--r", "13", "--t0", "3", "--format", "csv"])
+    assert (out, err, code) == ("", "error: csv output is not available for region\n", EXIT_USAGE)
+    assert list(isolated.iterdir()) == []
+    out, err, code = _call(["audit-certificate", "missing.json", "--format", "csv"])
+    assert (out, err, code) == (
+        "", "error: csv output is not available for audit-certificate\n", EXIT_USAGE
+    )
 
 def test_coverage_command(capsys):
     assert main(["coverage", "--r", "8..13"]) == EXIT_PASS

@@ -355,6 +355,56 @@ def test_search_builds_one_class_per_kept_pair(monkeypatch):
     assert len(built) == len(doc["pairs"]) + len(doc["small_degree_pairs"])
 
 
+
+def test_resumed_scan_evaluates_edim_linearly(monkeypatch):
+    """Each d's M-scan resumes at the previous d's maximum, so r = 10 costs
+    O(d_max + B) evaluations of (**) per t, not O(d_max * B)."""
+    calls = 0
+    original = search._balanced_edim_lhs
+
+    def counting(d, m_total, r):
+        nonlocal calls
+        calls += 1
+        return original(d, m_total, r)
+
+    monkeypatch.setattr(search, "_balanced_edim_lhs", counting)
+    pairs = enumerate_critical_pairs(10)
+    assert len(pairs) == 100
+    assert calls <= 1200
+
+
+def test_resumed_scan_checks_its_start():
+    """A start that fails (**) is a broken monotonicity premise, refused even
+    under python -O; a start that satisfies it gives the maximum from 0."""
+    with pytest.raises(RuntimeError, match="r=10, t=1, d=3"):
+        search._max_total_satisfying_edim(3, 1, 10, 100)
+    for d, t, r in ((3, 1, 10), (7, 3, 10), (12, 2, 13), (40, 1, 1000)):
+        best = search._max_total_satisfying_edim(d, t, r)
+        for start in range(best + 1):
+            assert search._max_total_satisfying_edim(d, t, r, start) == best
+
+
+def test_mu_minus_matches_the_quadratic_arithmetic():
+    """check_pair builds mu_- from one squarefree split; it is the same
+    canonical triple as (sqrt(Delta) * (-t) + dM) / (d^2 - t^2)."""
+    kinds = set()
+    for r in [*range(10, 301), 1000, 100000]:
+        for pair in enumerate_critical_pairs(r):
+            verdict = check_pair(pair, threshold(r).mu0)
+            if verdict.mu_minus is None:
+                continue
+            d, t, total = pair.d, pair.t, pair.total_multiplicity
+            lead = d * d - t * t
+            expected = (QuadraticNumber.sqrt(verdict.delta) * (-t) + d * total) / lead
+            got = verdict.mu_minus
+            assert (got.a, got.b, got.rad) == (expected.a, expected.b, expected.rad)
+            assert type(got.a) is type(got.b) is Fraction
+            if verdict.delta == 0:
+                kinds.add("zero")
+            elif got.rad == 0:
+                kinds.add("square")
+    assert kinds == {"zero", "square"}
+
 def test_brute_force_oracle_matches_enumeration():
     for r in [*range(10, 61), 100, 500, 1000, 2000]:
         report = brute_force_oracle(r)
