@@ -10,8 +10,9 @@ classify           rationality status of epsilon(mu) at a rational mu
 coverage           chain the witness catalog over the target ray; exit 1 on gaps
 audit-certificate  replay a previously written region certificate; exit 1 on defects
 
-Exit codes: 0 pass, 1 verification failure, 2 usage error, 3 inconclusive
-(bisection hit its depth limit before closing every piece).
+Exit codes: 0 pass, 1 verification failure, 2 usage error (also a
+certificate or cache entry that cannot be written), 3 inconclusive (bisection
+hit its depth limit before closing every piece).
 
 Every command takes one route. Its handler returns its documents and its
 stderr lines (FAIL and AUDIT lines); table, enumerate, verify and coverage
@@ -33,7 +34,9 @@ Reports always carry exact values as canonical strings ("77/24",
 JSON output is serialized with sorted keys so reruns are byte-identical.
 Every JSON document (stdout, certificates, cache entries) is written by
 `_dumps`, whose output matches `json.dumps(doc, sort_keys=True, indent=2)`
-byte for byte.
+byte for byte. It sorts and encodes the keys of each dict shape (nesting
+depth and keys) once per call, in a write plan that it reuses for every
+later dict of that shape and drops when it returns.
 With --cache-dir set, per-r results are cached one JSON file per
 (command, r), keyed by command, r, parameters and package version, and
 written atomically. An entry that cannot be read, is not a JSON object or
@@ -110,7 +113,8 @@ MAX_RADICAND = 10**18
 MAX_R = 10**18
 # Most values of r one range may hold. Each r costs time and memory, and a
 # range's documents are all held until they are written: on a 2-vCPU host
-# verify --r 20..10019 takes 1.4 s and 121 MB, and 10^5 values 16 s and 1 GB.
+# verify --r 20..10019 takes about 1.4 s and 86 MB, and 10^5 values 15 s and
+# 680 MB.
 MAX_R_COUNT = 10**5
 # Largest --t0 that region takes: the certificate file name spells it, and
 # far larger values outgrow file names and the interpreter's limit on
@@ -390,19 +394,39 @@ _VERDICT_FIELDS = ("all_pass", "covered", "ok")
 # JSON
 
 
+def _dict_plan(keys: tuple, depth: int) -> tuple[list, list[str], str]:
+    """How to write a dict with these keys at this nesting depth: its sorted
+    keys, the text before each value (the first without its comma), and the
+    text that closes it."""
+    newline = "\n" + "  " * depth
+    inner = newline + "  "
+    ordered = sorted(keys)
+    # encode_basestring_ascii raises TypeError on a non-str key
+    prefixes = ["," + inner + encode_basestring_ascii(key) + ": " for key in ordered]
+    prefixes[0] = prefixes[0][1:]
+    return ordered, prefixes, newline + "}"
+
+
 def _dumps(doc: object) -> str:
     """`json.dumps(doc, sort_keys=True, indent=2)`, byte for byte.
 
-    `indent` sends `json` to its pure-Python encoder; this walk is about
-    twice as fast. Strings go through the C routine `encode_basestring_ascii`
+    `indent` sends `json` to its pure-Python encoder, which this walk
+    outpaces. Strings go through the C routine `encode_basestring_ascii`
     and ints through `int.__repr__`, as `json` does. It takes dicts with str
     keys, lists, tuples, str, int, bool and None, and raises TypeError on
     anything else. Containers are entered with an explicit stack, so nesting
     depth is not bounded by the recursion limit; each frame is the iterator
     of a container's (prefix, child) pairs and the text that closes it.
+
+    A document repeats a few dict shapes (nesting depth and keys in
+    insertion order) many times: a range's per-r documents, their pair
+    records. The first dict of a shape builds its plan (_dict_plan) and every
+    later one reuses it, so keys are sorted and encoded once per shape.
+    Plans live in this call alone; nothing is kept between calls.
     """
     parts: list[str] = []
     append = parts.append
+    plans: dict[tuple, tuple[list, list[str], str]] = {}
     stack: list[tuple] = []
     items = iter((("", doc),))
     close = ""
@@ -424,19 +448,17 @@ def _dumps(doc: object) -> str:
                 if not value:
                     append("{}" if kind is dict else "[]")
                     continue
-                newline = "\n" + "  " * len(stack)
-                inner = newline + "  "
                 if kind is dict:
-                    keys = sorted(value)
-                    # encode_basestring_ascii raises TypeError on a non-str key
-                    prefixes = [
-                        "," + inner + encode_basestring_ascii(key) + ": " for key in keys
-                    ]
-                    prefixes[0] = prefixes[0][1:]
+                    shape = (len(stack), *value)
+                    plan = plans.get(shape)
+                    if plan is None:
+                        plan = plans[shape] = _dict_plan(shape[1:], len(stack))
+                    keys, prefixes, closing = plan
                     children = zip(prefixes, map(value.__getitem__, keys))
                     append("{")
-                    closing = newline + "}"
                 else:
+                    newline = "\n" + "  " * len(stack)
+                    inner = newline + "  "
                     children = zip(chain((inner,), repeat("," + inner)), value)
                     append("[")
                     closing = newline + "]"
@@ -484,16 +506,21 @@ def _cache_load(path: Path | None, key: dict) -> dict | None:
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=f".{path.name}.")
+    """Write text to path through a temporary file in its directory. A path
+    that cannot be written (under a regular file, say) is a UsageError."""
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=f".{path.name}.")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _cache_store(path: Path | None, key: dict, result: dict) -> None:

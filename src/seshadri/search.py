@@ -237,28 +237,35 @@ def _balanced_edim_lhs(d: int, m_total: int, r: int) -> int:
     return comb(d + 2, 2) - s * comb(m + 1, 2) - (r - s) * comb(m, 2)
 
 
-def _max_total_satisfying_edim(d: int, t: int, r: int, start: int = 0) -> int:
-    """Largest M >= 1 whose balanced class satisfies (**) at t; 0 if none.
+def _max_total_satisfying_edim(
+    d: int, t: int, r: int, start: int = 0
+) -> tuple[int, int | None]:
+    """(M, lhs): the largest M >= 1 whose balanced class satisfies (**) at t,
+    and the left side of (**) there; (0, None) if there is no such M.
 
     The left side of (**) strictly decreases in M, so the scan stops at the
     first M that fails.  It starts at M = start, which must be 0 or satisfy
     (**) at (d, t); a start that fails raises RuntimeError, since the scan
-    would then return a wrong maximum.
+    would then return a wrong maximum.  lhs is the value the scan computed
+    last before that failing M, so _is_t_critical need not recompute it.
     """
     rhs = max(comb(t + 1, 2) - 2, 0)
-    if start and _balanced_edim_lhs(d, start, r) <= rhs:
+    lhs = _balanced_edim_lhs(d, start, r) if start else None
+    if lhs is not None and lhs <= rhs:
         raise RuntimeError(f"maximal M not monotone in d at r={r}, t={t}, d={d}")
     m_total = start
-    while _balanced_edim_lhs(d, m_total + 1, r) > rhs:
+    while (following := _balanced_edim_lhs(d, m_total + 1, r)) > rhs:
         m_total += 1
-    return m_total
+        lhs = following
+    return m_total, lhs
 
 
-def _is_t_critical(d: int, t: int, r: int, m_total: int) -> bool:
-    """t = d - 1, or (**) fails once t is bumped to t + 1."""
+def _is_t_critical(d: int, t: int, lhs: int) -> bool:
+    """t = d - 1, or (**) fails once t is bumped to t + 1; lhs is the left
+    side of (**) at (d, M)."""
     if t == d - 1:
         return True
-    return _balanced_edim_lhs(d, m_total, r) <= max(comb(t + 2, 2) - 2, 0)
+    return lhs <= max(comb(t + 2, 2) - 2, 0)
 
 
 def critical_pair_for(d: int, t: int, r: int) -> BalancedPair | None:
@@ -272,8 +279,8 @@ def critical_pair_for(d: int, t: int, r: int) -> BalancedPair | None:
         raise UnsupportedR(f"need r >= 10, got {r}")
     if not 1 <= t < d:
         raise InvalidT(f"need 1 <= t < d = {d}, got t = {t}")
-    m_total = _max_total_satisfying_edim(d, t, r)
-    if m_total == 0 or not _is_t_critical(d, t, r, m_total):
+    m_total, lhs = _max_total_satisfying_edim(d, t, r)
+    if m_total == 0 or not _is_t_critical(d, t, lhs):
         return None
     return BalancedPair(balanced_class(d, m_total, r), t)
 
@@ -296,10 +303,10 @@ def enumerate_critical_pairs(r: int) -> tuple[BalancedPair, ...]:
         m_total = 0
         d = t + 1
         while True:
-            m_total = _max_total_satisfying_edim(d, t, r, m_total)
+            m_total, lhs = _max_total_satisfying_edim(d, t, r, m_total)
             if m_total > bound:
                 break
-            if m_total >= 1 and _is_t_critical(d, t, r, m_total):
+            if m_total >= 1 and _is_t_critical(d, t, lhs):
                 pairs.append(BalancedPair(balanced_class(d, m_total, r), t))
             d += 1
     return tuple(pairs)

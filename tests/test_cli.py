@@ -4,6 +4,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -408,6 +411,26 @@ def test_region_certificate_goes_to_cache_dir(capsys, tmp_path):
     capsys.readouterr()
 
 
+UNWRITABLE_RUNS = (
+    ("region", "--r", "13", "--t0", "3", "--cache-dir", "plain-file/sub"),
+    ("verify", "--r", "10..11", "--cache-dir", "plain-file/sub"),
+)
+
+
+@pytest.mark.parametrize("argv", UNWRITABLE_RUNS, ids=lambda argv: argv[0])
+def test_unwritable_output_directory_is_a_usage_error(capsys, argv):
+    """A certificate or cache entry under a regular file cannot be written:
+    one error line and exit 2, not a traceback and exit 1 (which reads as a
+    failed verification). A path under a file fails for root too, where a
+    read-only directory would not."""
+    Path("plain-file").write_text("")
+    assert main(list(argv)) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: cannot write plain-file/sub/")
+    assert err.endswith(": Not a directory\n") and err.count("\n") == 1
+
+
 def test_json_output_is_deterministic(capsys):
     assert main(["verify", "--r", "10..12"]) == EXIT_PASS
     first = capsys.readouterr().out
@@ -627,6 +650,30 @@ def test_parser_reuse_leaks_nothing_between_calls():
     assert cli._parser() is parser
 
 
+def _entry_point(*argv):
+    """`python -m seshadri argv` in a fresh interpreter: stdout, stderr and
+    exit code."""
+    src = Path(cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-m", "seshadri", *argv],
+        capture_output=True, text=True, env=env, timeout=60, check=False,
+    )
+    return done.stdout, done.stderr, done.returncode
+
+
+def test_entry_point_runs_the_cli():
+    """The real entry point, not main in-process: --version, a verify whose
+    stdout matches the in-process run, and an unwritable cache directory."""
+    out, _, code = _entry_point("--version")
+    assert code == 0 and out.startswith("seshadri ")
+    assert _entry_point("verify", "--r", "10..11") == (*_call(["verify", "--r", "10..11"])[:2], 0)
+    Path("plain-file").write_text("")
+    out, err, code = _entry_point(*UNWRITABLE_RUNS[1])
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+
+
 JSON_SCALARS = (
     st.text()
     | st.sampled_from(["", '"', "\\", "\x00\x1f\x7f", "\u00e9\u2028", "\U0001f600", "/"])
@@ -689,6 +736,57 @@ def test_dumps_serialises_trees_past_the_recursion_limit():
     shallow = _certificate_chain(200)
     assert cli._dumps(shallow) == json.dumps(shallow, sort_keys=True, indent=2)
     assert json.loads(cli._dumps(shallow)) == shallow
+
+
+# Dicts whose keys come from a small alphabet, so one key set recurs at
+# several depths and in several insertion orders, and _dumps reuses its
+# write plans.
+SHAPED_TREES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(["a", "b", "", "\u00e9"]), children, max_size=3),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(SHAPED_TREES)
+def test_dumps_reuses_plans_across_depths_and_orders(doc):
+    assert cli._dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+def _dict_shapes(doc):
+    """The number of non-empty dicts in doc and the set of their shapes,
+    (nesting depth, *keys in insertion order)."""
+    count, shapes, stack = 0, set(), [(doc, 0)]
+    while stack:
+        value, depth = stack.pop()
+        if isinstance(value, dict) and value:
+            count += 1
+            shapes.add((depth, *value))
+            stack.extend((child, depth + 1) for child in value.values())
+        elif isinstance(value, (list, tuple)):
+            stack.extend((child, depth + 1) for child in value)
+    return count, shapes
+
+
+def test_dumps_sorts_once_per_dict_shape(monkeypatch):
+    """A verify range repeats a few dict shapes hundreds of times; _dumps
+    sorts the keys of each shape once, not those of every dict."""
+    docs = [cli._verify_doc(r, None) for r in range(20, 70)]
+    doc = {"command": "verify", "results": docs}
+    count, shapes = _dict_shapes(doc)
+    calls = 0
+
+    def counting_sorted(iterable):
+        nonlocal calls
+        calls += 1
+        return sorted(iterable)
+
+    monkeypatch.setattr(cli, "sorted", counting_sorted, raising=False)
+    text = cli._dumps(doc)
+    assert calls == len(shapes) <= 12 and count >= 500
+    assert text == json.dumps(doc, sort_keys=True, indent=2)
 
 
 # --------------------------------------------------------------------------

@@ -370,7 +370,7 @@ def test_resumed_scan_evaluates_edim_linearly(monkeypatch):
     monkeypatch.setattr(search, "_balanced_edim_lhs", counting)
     pairs = enumerate_critical_pairs(10)
     assert len(pairs) == 100
-    assert calls <= 1200
+    assert calls <= 1000
 
 
 def test_resumed_scan_checks_its_start():
@@ -379,9 +379,10 @@ def test_resumed_scan_checks_its_start():
     with pytest.raises(RuntimeError, match="r=10, t=1, d=3"):
         search._max_total_satisfying_edim(3, 1, 10, 100)
     for d, t, r in ((3, 1, 10), (7, 3, 10), (12, 2, 13), (40, 1, 1000)):
-        best = search._max_total_satisfying_edim(d, t, r)
+        best, lhs = search._max_total_satisfying_edim(d, t, r)
+        assert lhs == search._balanced_edim_lhs(d, best, r)
         for start in range(best + 1):
-            assert search._max_total_satisfying_edim(d, t, r, start) == best
+            assert search._max_total_satisfying_edim(d, t, r, start) == (best, lhs)
 
 
 def test_mu_minus_matches_the_quadratic_arithmetic():
