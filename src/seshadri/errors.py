@@ -36,7 +36,7 @@ class UnsupportedR(SeshadriError):
 
 
 class InvalidT(SeshadriError):
-    """Tangency order t outside the admissible range for the given class."""
+    """Marked multiplicity t outside the admissible range for the class."""
 
 
 class InvalidT0(SeshadriError):
@@ -45,10 +45,6 @@ class InvalidT0(SeshadriError):
 
 class DepthLimitExceeded(SeshadriError):
     """Branch-and-bound hit the bisection depth limit before certifying."""
-
-
-class InvalidMultiplicityIndex(SeshadriError):
-    """Marked multiplicity t incompatible with the shape of the class."""
 
 
 class NotAboveSqrtR(SeshadriError):

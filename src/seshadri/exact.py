@@ -35,7 +35,6 @@ from .errors import (
     NegativeRadicandInterval,
 )
 
-Rational = Fraction
 RationalLike = Union[Fraction, int]
 
 DEFAULT_SQRT_WIDTH_EXPONENT = 32

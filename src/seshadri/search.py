@@ -46,12 +46,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, isqrt
 
 from .errors import ExceptionalClassUnsupported, InvalidT, UnsupportedR
-from .exact import QuadraticLike, QuadraticNumber, compare, squarefree_decomposition
-from .surface import CurveClass
+from .exact import QuadraticLike, QuadraticNumber, compare
+from .surface import CurveClass, lower_root
 from . import thresholds as _thresholds
 
 
@@ -84,10 +83,6 @@ class BalancedPair:
     @property
     def total_multiplicity(self) -> int:
         return self.curve.total_multiplicity
-
-    @property
-    def mean_multiplicity(self) -> Fraction:
-        return Fraction(self.total_multiplicity, self.r)
 
     def __str__(self) -> str:
         return f"({self.curve}, t={self.t})"
@@ -238,20 +233,22 @@ def _balanced_edim_lhs(d: int, m_total: int, r: int) -> int:
 
 
 def _max_total_satisfying_edim(
-    d: int, t: int, r: int, start: int = 0
-) -> tuple[int, int | None]:
-    """(M, lhs): the largest M >= 1 whose balanced class satisfies (**) at t,
-    and the left side of (**) there; (0, None) if there is no such M.
+    d: int, t: int, r: int, start: int = 1
+) -> tuple[int, int]:
+    """(M, lhs): the largest M whose balanced class satisfies (**) at t, and
+    the left side of (**) there.
 
-    The left side of (**) strictly decreases in M, so the scan stops at the
-    first M that fails.  It starts at M = start, which must be 0 or satisfy
-    (**) at (d, t); a start that fails raises RuntimeError, since the scan
-    would then return a wrong maximum.  lhs is the value the scan computed
-    last before that failing M, so _is_t_critical need not recompute it.
+    M = 1 always satisfies (**) when 1 <= t < d: its left side is
+    C(d+2,2) - 1 > C(t+1,2) - 2.  The left side strictly decreases in M, so
+    the scan stops at the first M that fails.  It starts at M = start >= 1,
+    which must satisfy (**) at (d, t); a start that fails raises
+    RuntimeError, since the scan would then return a wrong maximum.  lhs is
+    the value the scan computed last before that failing M, so
+    _is_t_critical need not recompute it.
     """
     rhs = max(comb(t + 1, 2) - 2, 0)
-    lhs = _balanced_edim_lhs(d, start, r) if start else None
-    if lhs is not None and lhs <= rhs:
+    lhs = _balanced_edim_lhs(d, start, r)
+    if lhs <= rhs:
         raise RuntimeError(f"maximal M not monotone in d at r={r}, t={t}, d={d}")
     m_total = start
     while (following := _balanced_edim_lhs(d, m_total + 1, r)) > rhs:
@@ -268,23 +265,6 @@ def _is_t_critical(d: int, t: int, lhs: int) -> bool:
     return lhs <= max(comb(t + 2, 2) - 2, 0)
 
 
-def critical_pair_for(d: int, t: int, r: int) -> BalancedPair | None:
-    """The critical balanced pair at (d, t), if any.
-
-    Maximizes M subject to (**), then keeps the pair only if t is extremal
-    (see module docstring).  None when no M >= 1 satisfies (**) or when t is
-    not extremal.
-    """
-    if r < 10:
-        raise UnsupportedR(f"need r >= 10, got {r}")
-    if not 1 <= t < d:
-        raise InvalidT(f"need 1 <= t < d = {d}, got t = {t}")
-    m_total, lhs = _max_total_satisfying_edim(d, t, r)
-    if m_total == 0 or not _is_t_critical(d, t, lhs):
-        return None
-    return BalancedPair(balanced_class(d, m_total, r), t)
-
-
 def enumerate_critical_pairs(r: int) -> tuple[BalancedPair, ...]:
     """All critical pairs with M <= total_multiplicity_bound(r), sorted (t, d).
 
@@ -294,19 +274,19 @@ def enumerate_critical_pairs(r: int) -> tuple[BalancedPair, ...]:
     and each d's M-scan starts at the previous d's maximal M.  Monotonicity
     is checked on every step: as the left side strictly decreases in M, the
     maximal M at d is at least the previous one exactly when the previous
-    one is 0 or still satisfies (**) at d, which _max_total_satisfying_edim
-    tests before it scans (RuntimeError otherwise).
+    one still satisfies (**) at d, which _max_total_satisfying_edim tests
+    before it scans (RuntimeError otherwise).  The first d starts at M = 1.
     """
     bound = total_multiplicity_bound(r)
     pairs: list[BalancedPair] = []
     for t in sorted(t_range(r)):
-        m_total = 0
+        m_total = 1
         d = t + 1
         while True:
             m_total, lhs = _max_total_satisfying_edim(d, t, r, m_total)
             if m_total > bound:
                 break
-            if m_total >= 1 and _is_t_critical(d, t, lhs):
+            if _is_t_critical(d, t, lhs):
                 pairs.append(BalancedPair(balanced_class(d, m_total, r), t))
             d += 1
     return tuple(pairs)
@@ -320,25 +300,11 @@ def check_pair(pair: BalancedPair, mu0: QuadraticLike) -> Verdict:
     pair passes iff mu_- >= mu0 (equality passes: rationality at mu_- itself
     is witnessed by this very class).
 
-    mu_- is built from one squarefree split Delta = f^2 * rad: it is
-    dM/lead - (t f/lead) sqrt(rad) with lead = d^2 - t^2 > 0, already in
-    canonical form when rad >= 2.  When rad <= 1 (Delta = 0 gives rad = 0,
-    a perfect square gives rad = 1) sqrt(Delta) = f * rad and mu_- is the
-    rational (dM - t f rad)/lead.
+    surface.lower_root computes Delta and mu_-.
     """
-    c, t = pair.curve, pair.t
-    d, m_total = c.d, c.total_multiplicity
-    lead = d * d - t * t
-    delta = m_total * m_total - c.r * lead
-    if delta < 0:
+    delta, mu_minus = lower_root(pair.curve, pair.t)
+    if mu_minus is None:
         return Verdict(delta, None, Outcome.PASS_NEGATIVE_DELTA)
-    f, rad = squarefree_decomposition(delta)
-    if rad <= 1:
-        mu_minus = QuadraticNumber._coerce(Fraction(d * m_total - t * f * rad, lead))
-    else:
-        mu_minus = QuadraticNumber._canonical(
-            Fraction(d * m_total, lead), Fraction(-t * f, lead), rad
-        )
     if compare(mu_minus, mu0) >= 0:
         return Verdict(delta, mu_minus, Outcome.PASS_MU_MINUS_ABOVE_THRESHOLD)
     return Verdict(delta, mu_minus, Outcome.COUNTEREXAMPLE)

@@ -16,7 +16,9 @@ the degree side d*mu - M is nonnegative) this is controlled by the quadratic
 
 whose roots mu_± = (dM ± t sqrt(Delta))/(d^2 - t^2), Delta = M^2 - r(d^2-t^2),
 are exact quadratic numbers.  R(sqrt(r)) = (d sqrt(r) - M)^2 >= 0, so the root
-interval never straddles sqrt(r); it lies entirely on one side.
+interval never straddles sqrt(r); it lies entirely on one side.  lower_root
+builds Delta and mu_- for both the locus and the search's pair check;
+mu_+ = 2dM/(d^2 - t^2) - mu_- follows by Vieta.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .errors import ExceptionalClassUnsupported, InvalidMultiplicityIndex
-from .exact import QuadraticLike, QuadraticNumber, compare
+from .errors import ExceptionalClassUnsupported, InvalidT
+from .exact import QuadraticLike, QuadraticNumber, compare, squarefree_decomposition
 
 
 @dataclass(frozen=True)
@@ -41,7 +43,7 @@ class CurveClass:
     and on how many points carry each multiplicity, never on which points, so
     a class costs the same whatever r is.  Interior classes have d >= 1 and
     positive multiplicities.  The exceptional divisor is d = 0 with runs
-    ((-1, 1),), so degree_against and self_intersection need no special case.
+    ((-1, 1),).
     """
 
     d: int
@@ -147,70 +149,29 @@ def parse_curve_class(text: str, r: int) -> CurveClass:
 
 
 @dataclass(frozen=True)
-class UniformPolarization:
-    """L(mu) = mu*H - (E_1 + ... + E_r)."""
-
-    r: int
-    mu: QuadraticNumber
-
-    def __post_init__(self) -> None:
-        if self.r < 1:
-            raise ValueError(f"need r >= 1, got {self.r}")
-        object.__setattr__(self, "mu", QuadraticNumber._coerce(self.mu))
-        if compare(self.mu, 0) <= 0:
-            raise ValueError(f"need mu > 0, got {self.mu}")
-
-    def self_intersection(self) -> QuadraticNumber:
-        return self.mu * self.mu - self.r
-
-
-@dataclass(frozen=True)
 class MuInterval:
-    """Interval of mu values; hi = None means unbounded above."""
+    """Closed interval [lo, hi] of mu values; hi = None means [lo, inf)."""
 
     lo: QuadraticNumber
     hi: QuadraticNumber | None
-    lo_closed: bool = True
-    hi_closed: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lo", QuadraticNumber._coerce(self.lo))
-        if self.hi is None:
-            object.__setattr__(self, "hi_closed", False)
-        else:
+        if self.hi is not None:
             object.__setattr__(self, "hi", QuadraticNumber._coerce(self.hi))
             if compare(self.lo, self.hi) > 0:
                 raise ValueError(f"empty interval: {self.lo} > {self.hi}")
 
     def contains(self, mu: QuadraticLike) -> bool:
-        lo_cmp = compare(mu, self.lo)
-        if lo_cmp < 0 or (lo_cmp == 0 and not self.lo_closed):
-            return False
-        if self.hi is None:
-            return True
-        hi_cmp = compare(mu, self.hi)
-        return hi_cmp < 0 or (hi_cmp == 0 and self.hi_closed)
+        return compare(mu, self.lo) >= 0 and (self.hi is None or compare(mu, self.hi) <= 0)
 
     def render(self) -> str:
-        left = "[" if self.lo_closed else "("
         if self.hi is None:
-            return f"{left}{self.lo.render()}, inf)"
-        right = "]" if self.hi_closed else ")"
-        return f"{left}{self.lo.render()}, {self.hi.render()}{right}"
+            return f"[{self.lo.render()}, inf)"
+        return f"[{self.lo.render()}, {self.hi.render()}]"
 
     def __str__(self) -> str:
         return self.render()
-
-
-def self_intersection(c: CurveClass) -> int:
-    return c.d * c.d - sum(m * m * e for m, e in c.runs)
-
-
-def degree_against(l: UniformPolarization, c: CurveClass) -> QuadraticNumber:
-    """L(mu).C = mu*d - M."""
-    if c.r != l.r:
-        raise ValueError(f"class has r={c.r}, polarization has r={l.r}")
-    return l.mu * c.d - c.total_multiplicity
 
 
 def _require_interior(c: CurveClass) -> None:
@@ -231,14 +192,6 @@ def arithmetic_genus(c: CurveClass) -> int:
     return (c.d - 1) * (c.d - 2) // 2 - sum(e * comb(m, 2) for m, e in c.runs)
 
 
-def _check_t(c: CurveClass, t: int) -> None:
-    if c.is_exceptional:
-        if t != 1:
-            raise InvalidMultiplicityIndex(f"exceptional class needs t = 1, got {t}")
-    elif not 1 <= t < c.d:
-        raise InvalidMultiplicityIndex(f"need 1 <= t < d = {c.d}, got t = {t}")
-
-
 def submaximality_quadratic(
     c: CurveClass, t: int, r: int, mu: QuadraticLike
 ) -> QuadraticNumber:
@@ -257,21 +210,30 @@ def submaximality_quadratic(
     )
 
 
-def is_weakly_submaximal(c: CurveClass, t: int, l: UniformPolarization) -> bool:
-    """Decide (L(mu).C)/t <= sqrt(mu^2 - r) exactly.
+def lower_root(c: CurveClass, t: int) -> tuple[int, QuadraticNumber | None]:
+    """(Delta, mu_-) for an interior class and 1 <= t < d: Delta = M^2 -
+    r(d^2 - t^2), and mu_- = (dM - t sqrt(Delta))/(d^2 - t^2), the lower root
+    of R, or None when Delta < 0 and R has no real root.
 
-    False whenever L(mu)^2 <= 0.  For positive L^2 the inequality holds
-    trivially when the degree side is nonpositive; otherwise both sides are
-    positive and squaring reduces it to R(mu) <= 0.
+    mu_- is built from one squarefree split Delta = f^2 * rad: it is
+    dM/lead - (t f/lead) sqrt(rad) with lead = d^2 - t^2 > 0, already in
+    canonical form when rad >= 2.  When rad <= 1 (Delta = 0 gives rad = 0,
+    a perfect square gives rad = 1) sqrt(Delta) = f * rad and mu_- is the
+    rational (dM - t f rad)/lead.
     """
-    _check_t(c, t)
-    if c.r != l.r:
-        raise ValueError(f"class has r={c.r}, polarization has r={l.r}")
-    if compare(l.self_intersection(), 0) <= 0:
-        return False
-    if compare(degree_against(l, c), 0) <= 0:
-        return True
-    return compare(submaximality_quadratic(c, t, l.r, l.mu), 0) <= 0
+    d, m_total = c.d, c.total_multiplicity
+    if not 1 <= t < d:
+        raise InvalidT(f"need 1 <= t < d = {d}, got t = {t}")
+    lead = d * d - t * t
+    delta = m_total * m_total - c.r * lead
+    if delta < 0:
+        return delta, None
+    f, rad = squarefree_decomposition(delta)
+    if rad <= 1:
+        return delta, QuadraticNumber._coerce(Fraction(d * m_total - t * f * rad, lead))
+    return delta, QuadraticNumber._canonical(
+        Fraction(d * m_total, lead), Fraction(-t * f, lead), rad
+    )
 
 
 def submaximal_locus(
@@ -287,20 +249,18 @@ def submaximal_locus(
     """
     if c.r != r:
         raise ValueError(f"class has r={c.r}, expected {r}")
-    _check_t(c, t)
     if c.is_exceptional:
+        if t != 1:
+            raise InvalidT(f"exceptional class needs t = 1, got {t}")
         if sqrt_r_plus_1 is None:
             sqrt_r_plus_1 = QuadraticNumber.sqrt(r + 1)
         return [MuInterval(sqrt_r_plus_1, None)]
-    d, m_total = c.d, c.total_multiplicity
-    lead = d * d - t * t
-    delta = m_total * m_total - r * lead
-    if delta < 0:
+    _, mu_minus = lower_root(c, t)
+    if mu_minus is None:
         return []
-    half_span = QuadraticNumber.sqrt(delta) * Fraction(t, lead)
-    center = QuadraticNumber.from_rational(Fraction(d * m_total, lead))
-    mu_minus = center - half_span
-    mu_plus = center + half_span
+    # Vieta: mu_- + mu_+ = 2dM/(d^2 - t^2)
+    d = c.d
+    mu_plus = Fraction(2 * d * c.total_multiplicity, d * d - t * t) - mu_minus
     sqrt_r = QuadraticNumber.sqrt(r)
     if compare(mu_plus, sqrt_r) < 0:
         return []

@@ -32,12 +32,10 @@ from .surface import CurveClass, MuInterval, submaximal_locus
 
 @dataclass(frozen=True)
 class ThresholdEntry:
-    """Threshold mu_0(r); conditional marks reliance on the submaximality
-    conjecture for the region below it."""
+    """Threshold mu_0(r) at r points."""
 
     r: int
     mu0: QuadraticNumber
-    conditional: bool = True
 
     def __post_init__(self) -> None:
         mu0 = QuadraticNumber._coerce(self.mu0)

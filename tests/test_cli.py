@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seshadri import cli, exact, region, search
+from seshadri import cli, exact, region, search, surface
 from seshadri.cli import (
     EXIT_FAIL,
     EXIT_INCONCLUSIVE,
@@ -291,7 +291,7 @@ def test_verify_doc_needs_no_enclosures(monkeypatch):
     monkeypatch.setattr(region, "sqrt_enclosure", exact.sqrt_enclosure)
     monkeypatch.setattr(exact, "squarefree_decomposition",
                         counting("squarefree", exact.squarefree_decomposition))
-    monkeypatch.setattr(search, "squarefree_decomposition", exact.squarefree_decomposition)
+    monkeypatch.setattr(surface, "squarefree_decomposition", exact.squarefree_decomposition)
     monkeypatch.setattr(search, "compare", counting_compare)
     for r in range(10, 20):
         cli._verify_doc(r, None)

@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from seshadri import cli, search
+from seshadri import cli, exact, search, surface
 from seshadri.errors import ExceptionalClassUnsupported, InvalidT, UnsupportedR
 from seshadri.exact import QuadraticNumber, compare
 from seshadri.search import (
@@ -18,7 +18,6 @@ from seshadri.search import (
     balancing_move,
     brute_force_oracle,
     check_pair,
-    critical_pair_for,
     edim_condition,
     enumerate_critical_pairs,
     small_degree_pairs,
@@ -26,7 +25,7 @@ from seshadri.search import (
     total_multiplicity_bound,
     verify_no_counterexample,
 )
-from seshadri.surface import CurveClass, submaximality_quadratic
+from seshadri.surface import CurveClass, submaximal_locus, submaximality_quadratic
 from seshadri.thresholds import threshold
 
 
@@ -145,7 +144,6 @@ def test_bound_matches_m_bar_zero_floor():
 def test_balanced_pair_validation():
     p = BalancedPair(balanced_class(3, 9, 10), 1)
     assert (p.d, p.r, p.total_multiplicity) == (3, 10, 9)
-    assert p.mean_multiplicity == Fraction(9, 10)
     assert p.curve == CurveClass(3, ((1, 9),), 10)
     with pytest.raises(InvalidT):
         BalancedPair(balanced_class(3, 9, 10), 3)
@@ -160,17 +158,20 @@ def test_balanced_pair_validation():
         BalancedPair(CurveClass(3, (), 10), 1)
 
 
+def _critical_pair_for(d, t, r):
+    """The enumerated critical pair at (d, t), or None."""
+    return next((p for p in enumerate_critical_pairs(r) if (p.d, p.t) == (d, t)), None)
+
+
 def test_critical_pair_for_examples():
-    p = critical_pair_for(3, 1, 10)
+    p = _critical_pair_for(3, 1, 10)
     assert p is not None
     assert p.curve == CurveClass(3, ((1, 9),), 10)
-    q = critical_pair_for(10, 2, 10)
+    q = _critical_pair_for(10, 2, 10)
     assert q is not None
     assert q.curve == CurveClass(10, ((4, 1), (3, 9)), 10)
     with pytest.raises(UnsupportedR):
-        critical_pair_for(3, 1, 9)
-    with pytest.raises(InvalidT):
-        critical_pair_for(3, 6, 10)
+        enumerate_critical_pairs(9)
 
 
 def test_enumeration_counts_and_order():
@@ -221,13 +222,13 @@ def test_verdict_invariant():
 
 def test_check_pair_exact_values():
     mu0 = threshold(12).mu0  # sqrt(13)
-    p = critical_pair_for(3, 2, 12)
+    p = _critical_pair_for(3, 2, 12)
     assert p is not None and p.total_multiplicity == 8
     v = check_pair(p, mu0)
     assert v.delta == 64 - 12 * 5
     assert v.outcome is Outcome.PASS_MU_MINUS_ABOVE_THRESHOLD
     assert v.mu_minus == QuadraticNumber.from_rational(4)
-    neg = critical_pair_for(2, 1, 12)
+    neg = _critical_pair_for(2, 1, 12)
     assert neg is not None
     vn = check_pair(neg, mu0)
     assert vn.delta < 0 and vn.mu_minus is None
@@ -375,14 +376,27 @@ def test_resumed_scan_evaluates_edim_linearly(monkeypatch):
 
 def test_resumed_scan_checks_its_start():
     """A start that fails (**) is a broken monotonicity premise, refused even
-    under python -O; a start that satisfies it gives the maximum from 0."""
+    under python -O; a start that satisfies it gives the maximum from 1."""
     with pytest.raises(RuntimeError, match="r=10, t=1, d=3"):
         search._max_total_satisfying_edim(3, 1, 10, 100)
     for d, t, r in ((3, 1, 10), (7, 3, 10), (12, 2, 13), (40, 1, 1000)):
         best, lhs = search._max_total_satisfying_edim(d, t, r)
         assert lhs == search._balanced_edim_lhs(d, best, r)
-        for start in range(best + 1):
+        for start in range(1, best + 1):
             assert search._max_total_satisfying_edim(d, t, r, start) == (best, lhs)
+
+
+def test_maximal_total_is_at_least_one():
+    """M = 1 satisfies (**) whenever 1 <= t < d, so the scan that starts
+    there never raises and no (d, t) has an empty maximum."""
+    for r in (10, 11, 12, 13, 20, 100, 10**6, 10**18):
+        for d in range(2, 25):
+            for t in range(1, d):
+                lhs_at_one = search._balanced_edim_lhs(d, 1, r)
+                assert lhs_at_one == comb(d + 2, 2) - 1 > max(comb(t + 1, 2) - 2, 0)
+                best, lhs = search._max_total_satisfying_edim(d, t, r)
+                assert best >= 1
+                assert lhs == search._balanced_edim_lhs(d, best, r)
 
 
 def test_mu_minus_matches_the_quadratic_arithmetic():
@@ -405,6 +419,60 @@ def test_mu_minus_matches_the_quadratic_arithmetic():
             elif got.rad == 0:
                 kinds.add("square")
     assert kinds == {"zero", "square"}
+
+def test_check_pair_and_locus_share_the_roots():
+    """Wherever check_pair's mu_- is at least sqrt(r) it is the lower end of
+    the pair's locus, and the upper end is (dM + t sqrt(Delta))/(d^2 - t^2)
+    as built from QuadraticNumber.sqrt(Delta)."""
+    lower_ends = 0
+    for r in [*range(10, 61), 1000, 10**6, 10**18 - 1]:
+        mu0 = threshold(r).mu0
+        sqrt_r = QuadraticNumber.sqrt(r)
+        for pair in enumerate_critical_pairs(r):
+            verdict = check_pair(pair, mu0)
+            if verdict.delta < 0:
+                continue
+            d, t, total = pair.d, pair.t, pair.total_multiplicity
+            lead = d * d - t * t
+            mu_plus = (QuadraticNumber.sqrt(verdict.delta) * t + d * total) / lead
+            locus = submaximal_locus(pair.curve, t, r)
+            if compare(mu_plus, sqrt_r) < 0:
+                assert locus == []
+                continue
+            [iv] = locus
+            assert iv.hi == mu_plus
+            if compare(verdict.mu_minus, sqrt_r) >= 0:
+                assert iv.lo == verdict.mu_minus
+                lower_ends += 1
+            else:
+                assert iv.lo == sqrt_r
+    assert lower_ends > 0
+
+
+def test_root_route_splits_delta_once(monkeypatch):
+    """check_pair splits Delta once; submaximal_locus splits Delta and r, and
+    builds mu_+ without a further split."""
+    calls = []
+    original = exact.squarefree_decomposition
+
+    def counting(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(exact, "squarefree_decomposition", counting)
+    monkeypatch.setattr(surface, "squarefree_decomposition", counting)
+    most = {"check_pair": 0, "submaximal_locus": 0}
+    for r in (10, 11, 12, 13, 50, 1000):
+        mu0 = threshold(r).mu0
+        for pair in enumerate_critical_pairs(r):
+            calls.clear()
+            check_pair(pair, mu0)
+            most["check_pair"] = max(most["check_pair"], len(calls))
+            calls.clear()
+            submaximal_locus(pair.curve, pair.t, r)
+            most["submaximal_locus"] = max(most["submaximal_locus"], len(calls))
+    assert most == {"check_pair": 1, "submaximal_locus": 2}
+
 
 def test_brute_force_oracle_matches_enumeration():
     for r in [*range(10, 61), 100, 500, 1000, 2000]:

@@ -1,4 +1,4 @@
-"""Curve classes, intersection numbers, and weakly-submaximal loci."""
+"""Curve classes, their invariants, and weakly-submaximal loci."""
 
 import random
 from fractions import Fraction
@@ -7,18 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seshadri.errors import ExceptionalClassUnsupported, InvalidMultiplicityIndex
+from seshadri.errors import ExceptionalClassUnsupported, InvalidT
 from seshadri.exact import QuadraticNumber, compare
 from seshadri.surface import (
     CurveClass,
     MuInterval,
-    UniformPolarization,
     arithmetic_genus,
-    degree_against,
     expected_dim,
-    is_weakly_submaximal,
+    lower_root,
     parse_curve_class,
-    self_intersection,
     submaximal_locus,
     submaximality_quadratic,
 )
@@ -108,10 +105,19 @@ def test_parse_inverts_render(c):
     assert parse_curve_class(c.render(), c.r) == c
 
 
+def _self_intersection(c):
+    return c.d * c.d - sum(m * m * e for m, e in c.runs)
+
+
 def test_self_intersection_and_genus():
-    assert self_intersection(CUBIC_10) == 0
-    assert self_intersection(PENCIL_10) == 100 - 16 - 81
-    assert self_intersection(CurveClass.exceptional(10)) == -1
+    """Adjunction: 2 p_a - 2 = C^2 + K.C with K.C = -3d + M."""
+    assert _self_intersection(CUBIC_10) == 0
+    assert _self_intersection(PENCIL_10) == 100 - 16 - 81
+    assert _self_intersection(CurveClass.exceptional(10)) == -1
+    for c in (CUBIC_10, PENCIL_10, SEXTIC_8):
+        assert 2 * arithmetic_genus(c) - 2 == (
+            _self_intersection(c) - 3 * c.d + c.total_multiplicity
+        )
     assert arithmetic_genus(CUBIC_10) == 1
     assert arithmetic_genus(SEXTIC_8) == 10 - 3 - 7
     with pytest.raises(ExceptionalClassUnsupported):
@@ -139,22 +145,7 @@ def test_permutation_invariance():
         b = CurveClass.from_multiplicities(d, shuffled)
         assert expected_dim(a) == expected_dim(b)
         assert arithmetic_genus(a) == arithmetic_genus(b)
-        assert self_intersection(a) == self_intersection(b)
-
-
-def test_degree_against():
-    l = UniformPolarization(10, QuadraticNumber.from_rational(Fraction(7, 2)))
-    assert degree_against(l, CUBIC_10) == Fraction(3 * 7, 2) - 9
-    assert degree_against(l, CurveClass.exceptional(10)) == 1
-    with pytest.raises(ValueError):
-        degree_against(l, CurveClass(1, ((1, 9),), 9))
-
-
-def test_polarization_validation():
-    with pytest.raises(ValueError):
-        UniformPolarization(0, QuadraticNumber.from_rational(1))
-    with pytest.raises(ValueError):
-        UniformPolarization(10, QuadraticNumber.from_rational(0))
+        assert a.total_multiplicity == b.total_multiplicity
 
 
 def test_quadratic_vanishes_at_locus_roots():
@@ -252,43 +243,59 @@ def test_locus_empty_iff_negative_delta():
 
 
 def test_invalid_multiplicity_index():
-    with pytest.raises(InvalidMultiplicityIndex):
+    with pytest.raises(InvalidT):
         submaximal_locus(CUBIC_10, 3, 10)
-    with pytest.raises(InvalidMultiplicityIndex):
+    with pytest.raises(InvalidT):
         submaximal_locus(CUBIC_10, 0, 10)
-    with pytest.raises(InvalidMultiplicityIndex):
+    with pytest.raises(InvalidT):
         submaximal_locus(CurveClass.exceptional(10), 2, 10)
+    for t in (0, 3):
+        with pytest.raises(InvalidT):
+            lower_root(CUBIC_10, t)
+    with pytest.raises(InvalidT):
+        lower_root(CurveClass.exceptional(10), 1)
     with pytest.raises(ValueError):
         submaximal_locus(CUBIC_10, 1, 11)  # r mismatch
 
 
+def _weakly_submaximal(c, t, r, mu):
+    """(L(mu).C)/t <= sqrt(L(mu)^2), decided from its definition.
+
+    False when L(mu)^2 = mu^2 - r <= 0.  For positive L^2 it holds outright
+    when the degree side d*mu - M is nonpositive; otherwise both sides are
+    positive and squaring reduces it to R(mu) <= 0."""
+    mu = QuadraticNumber._coerce(mu)
+    if compare(mu * mu - r, 0) <= 0:
+        return False
+    if compare(mu * c.d - c.total_multiplicity, 0) <= 0:
+        return True
+    return compare(submaximality_quadratic(c, t, r, mu), 0) <= 0
+
+
+def _in_locus(c, t, r, mu):
+    return any(iv.contains(mu) for iv in submaximal_locus(c, t, r))
+
+
 def test_weak_submaximality_examples():
-    # cubic at mu = 7/2, r = 10: equality case (L.C)/1 = 3/2 = sqrt(49/4 - 10)
-    l = UniformPolarization(10, QuadraticNumber.from_rational(Fraction(7, 2)))
-    assert is_weakly_submaximal(CUBIC_10, 1, l)
-    # strictly inside
-    l2 = UniformPolarization(10, QuadraticNumber.from_rational(Fraction(27, 8)))
-    assert is_weakly_submaximal(CUBIC_10, 1, l2)
-    # outside the locus
-    l3 = UniformPolarization(10, QuadraticNumber.from_rational(4))
-    assert not is_weakly_submaximal(CUBIC_10, 1, l3)
-    # below sqrt(r): L^2 <= 0 kills it regardless of the class
-    l4 = UniformPolarization(10, QuadraticNumber.from_rational(3))
-    assert not is_weakly_submaximal(CUBIC_10, 1, l4)
+    for mu, expected in (
+        (Fraction(7, 2), True),  # equality: (L.C)/1 = 3/2 = sqrt(49/4 - 10)
+        (Fraction(27, 8), True),  # strictly inside
+        (Fraction(4), False),  # outside the locus
+        (Fraction(3), False),  # below sqrt(r): L^2 <= 0
+    ):
+        assert _weakly_submaximal(CUBIC_10, 1, 10, mu) == expected
+        assert _in_locus(CUBIC_10, 1, 10, mu) == expected
 
 
 def test_weak_submaximality_degree_nonpositive_branch():
-    """On the sextic the degree side d*mu - M dips below zero inside the
-    strip; weak submaximality must hold there without consulting R."""
+    """On the sextic the degree side d*mu - M reaches zero and below inside
+    the strip; weak submaximality holds there without consulting R, and the
+    locus contains those points."""
     c = SEXTIC_8
-    mu = Fraction(17, 6)  # 6*mu - 17 = 0
-    l = UniformPolarization(8, QuadraticNumber.from_rational(mu))
-    assert degree_against(l, c) == 0
-    assert is_weakly_submaximal(c, 1, l)
-    below = Fraction(283, 100)  # degree side negative, mu^2 > 8
-    lb = UniformPolarization(8, QuadraticNumber.from_rational(below))
-    assert degree_against(lb, c) < 0
-    assert is_weakly_submaximal(c, 1, lb)
+    for mu in (Fraction(17, 6), Fraction(283, 100)):  # 6*mu - 17 = 0, then < 0
+        assert 6 * mu - 17 <= 0 and mu * mu > 8
+        assert _weakly_submaximal(c, 1, 8, mu)
+        assert _in_locus(c, 1, 8, mu)
 
 
 def test_weak_submaximality_matches_locus_membership():
@@ -309,22 +316,61 @@ def test_weak_submaximality_matches_locus_membership():
         if d * mu - c.total_multiplicity < 0:
             continue
         checked += 1
-        l = UniformPolarization(r, QuadraticNumber.from_rational(mu))
-        member = any(iv.contains(mu) for iv in submaximal_locus(c, t, r))
-        assert is_weakly_submaximal(c, t, l) == member
+        assert _weakly_submaximal(c, t, r, mu) == _in_locus(c, t, r, mu)
+
+
+def _locus_by_square_root(c, t, r):
+    """The locus as built before the shared root route: both roots from
+    QuadraticNumber.sqrt(Delta), then clipped at sqrt(r)."""
+    d, m_total = c.d, c.total_multiplicity
+    lead = d * d - t * t
+    delta = m_total * m_total - r * lead
+    if delta < 0:
+        return []
+    half_span = QuadraticNumber.sqrt(delta) * Fraction(t, lead)
+    center = QuadraticNumber.from_rational(Fraction(d * m_total, lead))
+    mu_minus, mu_plus = center - half_span, center + half_span
+    sqrt_r = QuadraticNumber.sqrt(r)
+    if compare(mu_plus, sqrt_r) < 0:
+        return []
+    return [MuInterval(mu_minus if compare(mu_minus, sqrt_r) >= 0 else sqrt_r, mu_plus)]
+
+
+def test_locus_matches_the_square_root_route():
+    """mu_+ from Vieta (2dM/(d^2 - t^2) - mu_-) is the same canonical number
+    as (dM + t sqrt(Delta))/(d^2 - t^2), on random classes."""
+    rng = random.Random(8085)
+    nonempty = 0
+    for _ in range(3000):
+        r = rng.randrange(2, 40)
+        d = rng.randrange(2, 16)
+        t = rng.randrange(1, d)
+        c = CurveClass.from_multiplicities(d, tuple(rng.randrange(0, 5) for _ in range(r)))
+        locus = submaximal_locus(c, t, r)
+        assert locus == _locus_by_square_root(c, t, r)
+        for iv in locus:
+            assert type(iv.hi.a) is type(iv.hi.b) is Fraction
+        nonempty += bool(locus)
+    assert nonempty > 300
 
 
 def test_mu_interval_semantics():
-    iv = MuInterval(
-        QuadraticNumber.from_rational(1),
-        QuadraticNumber.from_rational(2),
-        lo_closed=False,
-    )
-    assert not iv.contains(1)
+    """Every locus is closed; hi = None is the ray [lo, inf)."""
+    iv = MuInterval(QuadraticNumber.from_rational(1), QuadraticNumber.from_rational(2))
+    assert iv.contains(1)
     assert iv.contains(Fraction(3, 2))
     assert iv.contains(2)
-    assert iv.render() == "(1, 2]"
+    assert not iv.contains(Fraction(99, 100))
+    assert not iv.contains(Fraction(201, 100))
+    assert iv.render() == "[1, 2]"
+    assert str(iv) == "[1, 2]"
     ray = MuInterval(QuadraticNumber.sqrt(11), None)
     assert ray.render() == "[sqrt(11), inf)"
+    assert ray.contains(QuadraticNumber.sqrt(11))
+    assert ray.contains(10**30)
+    assert not ray.contains(Fraction(33, 10))
+    point = MuInterval(QuadraticNumber.sqrt(11), QuadraticNumber.sqrt(11))
+    assert point.contains(QuadraticNumber.sqrt(11))
+    assert point.render() == "[sqrt(11), sqrt(11)]"
     with pytest.raises(ValueError):
         MuInterval(QuadraticNumber.from_rational(2), QuadraticNumber.from_rational(1))

@@ -27,7 +27,6 @@ def test_threshold_exact_values():
     assert threshold(13).mu0 == QuadraticNumber(Fraction(13, 3), Fraction(-1, 6), 13)
     assert threshold(14).mu0 == QuadraticNumber.sqrt(15)
     assert threshold(200).mu0 == QuadraticNumber.sqrt(201)
-    assert threshold(10).conditional
     with pytest.raises(UnsupportedR):
         threshold(9)
 
