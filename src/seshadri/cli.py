@@ -23,11 +23,11 @@ is false, else 0. Handlers raise usage errors and inconclusive bisections,
 which main turns into exit codes 2 and 3. A format the command does not
 offer (csv outside the range commands) is refused before the handler runs.
 
-Configuration is resolved flags > environment > config file > defaults.
-Environment variables are SESHADRI_OUTPUT_FORMAT, SESHADRI_CACHE_DIR,
-SESHADRI_BISECTION_DEPTH, SESHADRI_SQRT_WIDTH_EXPONENT, SESHADRI_PARALLELISM
-and SESHADRI_APPROX; the config file (SESHADRI_CONFIG, or ./seshadri.conf
-when present) holds key = value lines with the same lowercase names.
+Settings are flags (--format, --cache-dir, --depth, --jobs, --approx), with
+their defaults in the parser. The one exception is the width 2^-e of the
+sqrt enclosures region starts from, read from SESHADRI_SQRT_WIDTH_EXPONENT
+(e in 1..256). No config file and no other variable is read. --jobs is
+capped at the number of CPUs and of values of r to compute.
 
 Reports always carry exact values as canonical strings ("77/24",
 "4 - 1/3*sqrt(3)"); --approx appends 6-digit decimal columns next to them.
@@ -80,13 +80,8 @@ from .region import (
     large_r_inequalities,
     verify_t_bound,
 )
-from .search import (
-    check_pair,
-    enumerate_critical_pairs,
-    small_degree_pairs,
-    verify_no_counterexample,
-)
-from .thresholds import classify, threshold, verify_coverage
+from .search import check_pair, small_degree_pairs, verify_no_counterexample
+from .thresholds import classify, verify_coverage
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -171,107 +166,30 @@ def parse_r_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _parse_bool(text: str, origin: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise UsageError(f"{origin}: cannot parse boolean from {text!r}")
-
-
-def _parse_int(text: str, origin: str) -> int:
-    try:
-        return int(text.strip())
-    except ValueError:
-        raise UsageError(f"{origin}: cannot parse integer from {text!r}") from None
-
-
-def _read_config_file(path: Path) -> dict[str, str]:
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise UsageError(f"config file {path} cannot be read: {exc}") from None
-    values: dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}: malformed line {raw!r} (expected key = value)")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
-    return values
-
-
-_SETTING_NAMES = (
-    "output_format",
-    "cache_dir",
-    "bisection_depth",
-    "sqrt_width_exponent",
-    "parallelism",
-    "approx",
-)
+# The one setting that has no flag: the width of the sqrt enclosures the
+# bisection starts from, as an exponent e for a width of 2^-e.
+WIDTH_VARIABLE = "SESHADRI_SQRT_WIDTH_EXPONENT"
 
 
 def resolve_config(
     args: argparse.Namespace, env: Mapping[str, str] | None = None
 ) -> RunConfig:
-    """Layer defaults, config file, environment and flags into a RunConfig."""
+    """The RunConfig of a parsed command line: the flags, range-checked, the
+    width from WIDTH_VARIABLE in env (default os.environ), and the --r range."""
     env = os.environ if env is None else env
-    settings: dict[str, object] = {}
-
-    config_path = env.get("SESHADRI_CONFIG")
-    path = Path(config_path) if config_path else Path("seshadri.conf")
-    if config_path and not path.exists():
-        raise UsageError(f"config file {path} does not exist")
-    if path.exists():
-        file_values = _read_config_file(path)
-        unknown = set(file_values) - set(_SETTING_NAMES)
-        if unknown:
-            raise UsageError(f"{path}: unknown settings {sorted(unknown)}")
-        settings.update(file_values)
-
-    for name in _SETTING_NAMES:
-        env_value = env.get(f"SESHADRI_{name.upper()}")
-        if env_value is not None:
-            settings[name] = env_value
-
-    for name in _SETTING_NAMES:
-        flag_value = getattr(args, name, None)
-        if flag_value is not None:
-            settings[name] = flag_value
-
-    def as_int(name: str, default: int) -> int:
-        value = settings.get(name, default)
-        return value if isinstance(value, int) else _parse_int(str(value), name)
-
-    def as_bool(name: str) -> bool:
-        value = settings.get(name, False)
-        return value if isinstance(value, bool) else _parse_bool(str(value), name)
-
-    output_format = settings.get("output_format")
-    if output_format is not None:
-        output_format = str(output_format)
-        if output_format not in FORMATS:
-            raise UsageError(
-                f"output_format must be one of {', '.join(FORMATS)}, got {output_format!r}"
-            )
-    cache_dir = settings.get("cache_dir")
-    cache_dir = str(cache_dir) if cache_dir else None
-    bisection_depth = as_int("bisection_depth", DEFAULT_DEPTH_LIMIT)
-    if not 1 <= bisection_depth <= MAX_DEPTH_LIMIT:
+    if not 1 <= args.bisection_depth <= MAX_DEPTH_LIMIT:
         raise UsageError(
-            f"bisection_depth must be in 1..{MAX_DEPTH_LIMIT}, got {bisection_depth}"
+            f"--depth must be in 1..{MAX_DEPTH_LIMIT}, got {args.bisection_depth}"
         )
-    sqrt_width_exponent = as_int("sqrt_width_exponent", DEFAULT_SQRT_WIDTH_EXPONENT)
+    if args.parallelism < 1:
+        raise UsageError(f"--jobs must be >= 1, got {args.parallelism}")
+    width = env.get(WIDTH_VARIABLE, str(DEFAULT_SQRT_WIDTH_EXPONENT))
+    try:
+        sqrt_width_exponent = int(width)
+    except ValueError:
+        sqrt_width_exponent = 0  # refused below
     if not 1 <= sqrt_width_exponent <= 256:
-        raise UsageError(
-            f"sqrt_width_exponent must be in 1..256, got {sqrt_width_exponent}"
-        )
-    parallelism = as_int("parallelism", 1)
-    if parallelism < 1:
-        raise UsageError(f"parallelism must be >= 1, got {parallelism}")
+        raise UsageError(f"{WIDTH_VARIABLE} must be an integer in 1..256, got {width!r}")
 
     r_min = r_max = 0
     if getattr(args, "r", None) is not None:
@@ -280,12 +198,12 @@ def resolve_config(
     return RunConfig(
         r_min=r_min,
         r_max=r_max,
-        output_format=output_format,
-        cache_dir=cache_dir,
-        bisection_depth=bisection_depth,
+        output_format=args.output_format,
+        cache_dir=args.cache_dir or None,
+        bisection_depth=args.bisection_depth,
         sqrt_width_exponent=sqrt_width_exponent,
-        parallelism=parallelism,
-        approx=as_bool("approx"),
+        parallelism=args.parallelism,
+        approx=args.approx,
     )
 
 
@@ -305,9 +223,9 @@ def _pair_record(pair, verdict) -> dict:
 
 
 def _pairs_doc(command: str, r: int, mu0: QuadraticNumber | None) -> dict:
-    mu0 = mu0 if mu0 is not None else threshold(r).mu0
-    rows = [_pair_record(p, check_pair(p, mu0)) for p in enumerate_critical_pairs(r)]
-    return {"command": command, "r": r, "mu0": mu0.render(), "rows": rows}
+    report = verify_no_counterexample(r, mu0)
+    rows = [_pair_record(p, v) for p, v in report.pairs]
+    return {"command": command, "r": r, "mu0": report.mu0.render(), "rows": rows}
 
 
 def _verify_doc(r: int, mu0: QuadraticNumber | None) -> dict:
@@ -551,20 +469,22 @@ def _docs_for_range(
         if cached is not None:
             docs[r] = cached
     missing = [r for r in rs if r not in docs]
-    if missing:
-        if cfg.parallelism > 1 and len(missing) > 1:
-            # imported here: the import costs about a fifth of start-up
-            from concurrent.futures import ProcessPoolExecutor
+    # The pool forks all its workers on its first task, so their number is
+    # capped by the work and the host as well as by --jobs.
+    workers = min(cfg.parallelism, len(missing), os.cpu_count() or 1)
+    if workers > 1:
+        # imported here: the import costs about a fifth of start-up
+        from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
-                computed = list(pool.map(build, missing, repeat(mu0)))
-        else:
-            computed = [build(r, mu0) for r in missing]
-        for r, doc in zip(missing, computed):
-            if r in keyed:
-                key, digest = keyed[r]
-                _cache_store(_cache_path(cfg, command, r, digest), key, doc)
-            docs[r] = doc
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            computed = list(pool.map(build, missing, repeat(mu0)))
+    else:
+        computed = [build(r, mu0) for r in missing]
+    for r, doc in zip(missing, computed):
+        if r in keyed:
+            key, digest = keyed[r]
+            _cache_store(_cache_path(cfg, command, r, digest), key, doc)
+        docs[r] = doc
     return [docs[r] for r in rs]
 
 
@@ -840,11 +760,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--cache-dir", dest="cache_dir", default=None,
                         help="cache per-r results in this directory")
-    common.add_argument("--depth", dest="bisection_depth", type=int, default=None,
+    common.add_argument("--depth", dest="bisection_depth", type=int,
+                        default=DEFAULT_DEPTH_LIMIT,
                         help=f"bisection depth limit (default {DEFAULT_DEPTH_LIMIT})")
-    common.add_argument("--jobs", dest="parallelism", type=int, default=None,
-                        help="compute per-r results with this many processes")
-    common.add_argument("--approx", dest="approx", action="store_true", default=None,
+    common.add_argument("--jobs", dest="parallelism", type=int, default=1,
+                        help="compute per-r results with up to this many processes "
+                        "(at most one per CPU)")
+    common.add_argument("--approx", dest="approx", action="store_true",
                         help="append 6-digit decimal approximations to exact values")
 
     parser = argparse.ArgumentParser(

@@ -32,22 +32,11 @@ from seshadri.cli import (
     resolve_config,
 )
 
-ENV_NAMES = [
-    "SESHADRI_CONFIG",
-    "SESHADRI_OUTPUT_FORMAT",
-    "SESHADRI_CACHE_DIR",
-    "SESHADRI_BISECTION_DEPTH",
-    "SESHADRI_SQRT_WIDTH_EXPONENT",
-    "SESHADRI_PARALLELISM",
-    "SESHADRI_APPROX",
-]
-
-
 @pytest.fixture(autouse=True)
 def isolated(tmp_path, monkeypatch):
-    """Run every test in a scratch directory with a clean environment."""
-    for name in ENV_NAMES:
-        monkeypatch.delenv(name, raising=False)
+    """Run every test in a scratch directory, where region writes its
+    certificates, without the one variable the CLI reads."""
+    monkeypatch.delenv(cli.WIDTH_VARIABLE, raising=False)
     monkeypatch.chdir(tmp_path)
     return tmp_path
 
@@ -83,57 +72,41 @@ def _namespace(*argv):
     return build_parser().parse_args(list(argv))
 
 
-def test_resolve_config_precedence(tmp_path):
-    Path("seshadri.conf").write_text("bisection_depth = 7\n")
+def test_resolve_config_precedence():
+    """A flag overrides its default, which the parser holds."""
+    cfg = resolve_config(_namespace("verify", "--r", "10"), env={})
+    assert (cfg.output_format, cfg.cache_dir, cfg.bisection_depth, cfg.parallelism,
+            cfg.approx) == (None, None, region.DEFAULT_DEPTH_LIMIT, 1, False)
+    flagged = _namespace("verify", "--r", "10", "--depth", "11", "--jobs", "3",
+                         "--approx", "--format", "csv", "--cache-dir", "c")
+    cfg = resolve_config(flagged, env={cli.WIDTH_VARIABLE: "20"})
+    assert (cfg.output_format, cfg.cache_dir, cfg.bisection_depth, cfg.parallelism,
+            cfg.approx, cfg.sqrt_width_exponent) == ("csv", "c", 11, 3, True, 20)
+
+
+def test_resolve_config_validation():
     ns = _namespace("verify", "--r", "10")
-    assert resolve_config(ns, env={}).bisection_depth == 7
-    env = {"SESHADRI_BISECTION_DEPTH": "9"}
-    assert resolve_config(ns, env=env).bisection_depth == 9
-    flagged = _namespace("verify", "--r", "10", "--depth", "11")
-    assert resolve_config(flagged, env=env).bisection_depth == 11
+    for argv in (("--depth", "0"), ("--depth", str(region.MAX_DEPTH_LIMIT + 1)),
+                 ("--jobs", "0")):
+        with pytest.raises(UsageError):
+            resolve_config(_namespace("verify", "--r", "10", *argv), env={})
+    for width in ("0", "500", "junk"):
+        with pytest.raises(UsageError, match=cli.WIDTH_VARIABLE):
+            resolve_config(ns, env={cli.WIDTH_VARIABLE: width})
+    assert resolve_config(ns, env={cli.WIDTH_VARIABLE: " 256 "}).sqrt_width_exponent == 256
 
 
-def test_resolve_config_validation(tmp_path):
-    ns = _namespace("verify", "--r", "10")
-    Path("seshadri.conf").write_text("frobnicate = 1\n")
-    with pytest.raises(UsageError):
-        resolve_config(ns, env={})
-    Path("seshadri.conf").unlink()
-    with pytest.raises(UsageError):
-        resolve_config(ns, env={"SESHADRI_OUTPUT_FORMAT": "yaml"})
-    with pytest.raises(UsageError):
-        resolve_config(ns, env={"SESHADRI_BISECTION_DEPTH": "0"})
-    with pytest.raises(UsageError):
-        resolve_config(ns, env={"SESHADRI_BISECTION_DEPTH": "2001"})
-    with pytest.raises(UsageError):
-        resolve_config(ns, env={"SESHADRI_SQRT_WIDTH_EXPONENT": "500"})
-    with pytest.raises(UsageError):
-        resolve_config(ns, env={"SESHADRI_PARALLELISM": "junk"})
-    with pytest.raises(UsageError):
-        resolve_config(ns, env={"SESHADRI_CONFIG": "no/such/file.conf"})
-
-
-def test_unreadable_config_file_is_a_usage_error(capsys, monkeypatch, tmp_path):
-    """A config file that is a directory or is not UTF-8 is refused like a
-    missing one: one line on stderr and exit 2."""
-    (tmp_path / "conf-dir").mkdir()
-    monkeypatch.setenv("SESHADRI_CONFIG", "conf-dir")
-    assert main(["verify", "--r", "10"]) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err.startswith("error: config file conf-dir cannot be read") and err.count("\n") == 1
-    monkeypatch.delenv("SESHADRI_CONFIG")
-    Path("seshadri.conf").write_bytes(b"approx = \xff\n")
-    assert main(["verify", "--r", "10"]) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err.startswith("error: config file seshadri.conf cannot be read")
-    assert err.count("\n") == 1
-
-
-def test_env_format_applies_end_to_end(capsys, monkeypatch):
+def test_ambient_configuration_is_ignored(monkeypatch, tmp_path):
+    """A seshadri.conf in the working directory and SESHADRI_* copies of the
+    flags change no output byte and no exit code: settings are flags."""
+    runs = (("verify", "--r", "10"), ("region", "--r", "10", "--t0", "6"))
+    clean = [_call(argv) for argv in runs]
+    Path("seshadri.conf").write_text("output_format = markdown\nnot a setting\n")
     monkeypatch.setenv("SESHADRI_OUTPUT_FORMAT", "markdown")
-    assert main(["verify", "--r", "10"]) == EXIT_PASS
-    out = capsys.readouterr().out
-    assert out.startswith("## r = 10")
+    monkeypatch.setenv("SESHADRI_BISECTION_DEPTH", "3")
+    monkeypatch.setenv("SESHADRI_CONFIG", "no/such/file")
+    assert [_call(argv) for argv in runs] == clean
+    assert [code for _, _, code in clean] == [EXIT_PASS, EXIT_PASS]
 
 
 def test_table_markdown_r12(capsys):
@@ -557,6 +530,44 @@ def test_no_cache_keys_without_cache_dir(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_cache_key", no_key)
     assert main(["verify", "--r", "10..13"]) == EXIT_PASS
     assert main(["coverage", "--r", "8..9"]) == EXIT_PASS
+
+
+def test_pool_is_bounded_by_cpus_and_work(monkeypatch):
+    """--jobs asks for at most that many processes: the pool gets no more
+    workers than CPUs or values of r to compute, and one worker is no pool.
+    The pool is a stand-in, so no process is started."""
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        """Records max_workers and maps serially."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    for cpus, r, jobs, pool_sizes in (
+        (4, "10..15", "100000", [4]),
+        (64, "10..15", "100000", [6]),
+        (64, "10..15", "3", [3]),
+        (None, "10..15", "100000", []),
+        (64, "10", "100000", []),
+    ):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        sizes.clear()
+        argv = ("verify", "--r", r)
+        assert _call((*argv, "--jobs", jobs)) == _call(argv)
+        assert sizes == pool_sizes
 
 
 def test_parallel_matches_serial(capsys):

@@ -92,6 +92,38 @@ def test_catalog_loci_nonempty():
             assert submaximal_locus(cc.curve, cc.t, r), (r, str(cc.curve))
 
 
+def test_threshold_is_the_smallest_enumerated_mu_minus():
+    """mu_0(r) is sqrt(r + 1) or the lower root mu_- of a critical pair,
+    whichever is smaller: the hand-written table agrees with the search."""
+    from functools import cmp_to_key
+
+    from seshadri.search import enumerate_critical_pairs
+    from seshadri.surface import lower_root
+
+    for r in range(10, 501):
+        roots = [QuadraticNumber.sqrt(r + 1)]
+        for pair in enumerate_critical_pairs(r):
+            _, mu_minus = lower_root(pair.curve, pair.t)
+            if mu_minus is not None:
+                roots.append(mu_minus)
+        smallest = min(roots, key=cmp_to_key(compare))
+        assert compare(threshold(r).mu0, smallest) == 0, r
+
+
+def test_interior_witnesses_are_critical_pairs():
+    """Every interior catalog curve, with its t, is a critical pair that the
+    search enumerates."""
+    from seshadri.search import BalancedPair, enumerate_critical_pairs
+
+    seen = 0
+    for r in range(10, 200):
+        pairs = set(enumerate_critical_pairs(r))
+        for cc in catalog(r)[1:]:
+            assert BalancedPair(cc.curve, cc.t) in pairs, (r, str(cc.curve), cc.t)
+            seen += 1
+    assert seen == 4  # (3;1^9) and (10;4,3^9) at 10, one pencil each at 11 and 13
+
+
 def test_coverage_covered_through_30():
     for r in range(1, 31):
         report = verify_coverage(r)

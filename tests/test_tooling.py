@@ -1,5 +1,6 @@
-"""perfbench's tracer still finds every function it wraps, and the package
-exports resolve.
+"""perfbench's tracer still finds every function it wraps, the package
+exports resolve, and the documentation names only environment variables
+the CLI reads.
 
 perfbench/tracer.py is loaded by path and left as it is: a rename or a
 deletion in seshadri that would stop `perfbench/run.py --trace 1` with
@@ -8,12 +9,15 @@ BindingMissed or a KeyError fails here instead.
 
 import importlib
 import importlib.util
+import os
+import re
 from pathlib import Path
 
 import seshadri
 import seshadri.cli  # noqa: F401 - the tracer patches every loaded seshadri module
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER_PATH = ROOT / "perfbench" / "tracer.py"
 
 
 def _load_tracer():
@@ -59,3 +63,41 @@ def test_package_exports_resolve():
     assert len(set(seshadri.__all__)) == len(seshadri.__all__)
     for name in seshadri.__all__:
         assert hasattr(seshadri, name), name
+
+
+class _RecordingEnviron(dict):
+    """A copy of the environment that records every name looked up in it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+
+def test_documented_variables_are_the_ones_read(capsys, monkeypatch, tmp_path):
+    """Every SESHADRI_* name in README.md or the cli docstring is a variable
+    the CLI reads, and it reads one: the sqrt width of region."""
+    documented = set(re.findall(
+        r"SESHADRI_[A-Z_]+", (ROOT / "README.md").read_text() + seshadri.cli.__doc__
+    ))
+    environ = _RecordingEnviron(os.environ)
+    monkeypatch.setattr(os, "environ", environ)
+    monkeypatch.chdir(tmp_path)
+    for argv in (["verify", "--r", "10"], ["region", "--r", "10", "--t0", "6"],
+                 ["audit-certificate", "certificate-r10-t6.json"]):
+        assert seshadri.cli.main(argv) == 0
+    capsys.readouterr()
+    read = {name for name in environ.read if name.startswith("SESHADRI_")}
+    assert read == {seshadri.cli.WIDTH_VARIABLE}
+    assert documented and documented <= read
