@@ -14,12 +14,13 @@ Exit codes: 0 pass, 1 verification failure, 2 usage error (also a
 certificate or cache entry that cannot be written), 3 inconclusive (bisection
 hit its depth limit before closing every piece).
 
-Every command takes one route. Its handler returns its documents and its
-stderr lines (FAIL and AUDIT lines); table, enumerate, verify and coverage
-share one handler, driven by _RANGE_COMMANDS. main alone writes the
-documents in the chosen format, then the lines, and picks the exit code: 1
-when there is a line or a document whose verdict (all_pass, covered or ok)
-is false, else 0. Handlers raise usage errors and inconclusive bisections,
+Every command takes one route. Its handler takes one argument, the parsed
+command line that resolve_config has checked and completed, and returns its
+documents and its stderr lines (FAIL and AUDIT lines); table, enumerate,
+verify and coverage share one handler, driven by _RANGE_COMMANDS. main alone
+writes the documents in the chosen format, then the lines, and picks the
+exit code: 1 when there is a line or a document whose verdict (all_pass,
+covered or ok) is false, else 0. Handlers raise usage errors and inconclusive bisections,
 which main turns into exit codes 2 and 3. A format the command does not
 offer (csv outside the range commands) is refused before the handler runs.
 
@@ -27,7 +28,7 @@ Settings are flags (--format, --cache-dir, --depth, --jobs, --approx), with
 their defaults in the parser. The one exception is the width 2^-e of the
 sqrt enclosures region starts from, read from SESHADRI_SQRT_WIDTH_EXPONENT
 (e in 1..256). No config file and no other variable is read. --jobs is
-capped at the number of CPUs and of values of r to compute.
+capped at the number of CPUs and of values of r.
 
 Reports always carry exact values as canonical strings ("77/24",
 "4 - 1/3*sqrt(3)"); --approx appends 6-digit decimal columns next to them.
@@ -39,8 +40,11 @@ depth and keys) once per call, in a write plan that it reuses for every
 later dict of that shape and drops when it returns.
 With --cache-dir set, per-r results are cached one JSON file per
 (command, r), keyed by command, r, parameters and package version, and
-written atomically. An entry that cannot be read, is not a JSON object or
-has another key is a miss: the result is recomputed and the entry rewritten.
+written atomically. `_cached` alone reads and writes the entries, for the
+range commands and for region; the process that computes an r, a pool
+worker or main, reads and writes its entry. An entry that cannot be read,
+is not a JSON object or has another key is a miss: the result is
+recomputed and the entry rewritten.
 """
 
 from __future__ import annotations
@@ -56,7 +60,6 @@ import re
 import sys
 import tempfile
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
@@ -89,16 +92,6 @@ EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
 FORMATS = ("json", "markdown", "csv")
-
-_DEFAULT_FORMATS = {
-    "table": "markdown",
-    "enumerate": "json",
-    "verify": "json",
-    "region": "json",
-    "classify": "json",
-    "coverage": "json",
-    "audit-certificate": "json",
-}
 
 MAX_RADICAND = 10**18
 # Largest r any command takes. threshold(r) reduces r + 1 to squarefree form,
@@ -133,18 +126,6 @@ class UsageError(SeshadriError):
     """Bad command line, bad configuration, or out-of-domain request."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    r_min: int
-    r_max: int
-    output_format: str | None = None
-    cache_dir: str | None = None
-    bisection_depth: int = DEFAULT_DEPTH_LIMIT
-    sqrt_width_exponent: int = DEFAULT_SQRT_WIDTH_EXPONENT
-    parallelism: int = 1
-    approx: bool = False
-
-
 def parse_r_range(text: str) -> tuple[int, int]:
     """"12" -> (12, 12); "10..19" -> (10, 19). An r past MAX_R, or a range
     of more than MAX_R_COUNT values, is refused."""
@@ -173,9 +154,11 @@ WIDTH_VARIABLE = "SESHADRI_SQRT_WIDTH_EXPONENT"
 
 def resolve_config(
     args: argparse.Namespace, env: Mapping[str, str] | None = None
-) -> RunConfig:
-    """The RunConfig of a parsed command line: the flags, range-checked, the
-    width from WIDTH_VARIABLE in env (default os.environ), and the --r range."""
+) -> argparse.Namespace:
+    """Check a parsed command line and complete it in place: the flags,
+    range-checked; sqrt_width_exponent, from WIDTH_VARIABLE in env (default
+    os.environ); r_min and r_max, from --r (0 without one); and cache_dir,
+    None when empty. Returns args."""
     env = os.environ if env is None else env
     if not 1 <= args.bisection_depth <= MAX_DEPTH_LIMIT:
         raise UsageError(
@@ -191,20 +174,12 @@ def resolve_config(
     if not 1 <= sqrt_width_exponent <= 256:
         raise UsageError(f"{WIDTH_VARIABLE} must be an integer in 1..256, got {width!r}")
 
-    r_min = r_max = 0
+    args.r_min = args.r_max = 0
     if getattr(args, "r", None) is not None:
-        r_min, r_max = parse_r_range(args.r)
-
-    return RunConfig(
-        r_min=r_min,
-        r_max=r_max,
-        output_format=args.output_format,
-        cache_dir=args.cache_dir or None,
-        bisection_depth=args.bisection_depth,
-        sqrt_width_exponent=sqrt_width_exponent,
-        parallelism=args.parallelism,
-        approx=args.approx,
-    )
+        args.r_min, args.r_max = parse_r_range(args.r)
+    args.sqrt_width_exponent = sqrt_width_exponent
+    args.cache_dir = args.cache_dir or None
+    return args
 
 
 # --------------------------------------------------------------------------
@@ -396,33 +371,6 @@ def _dumps(doc: object) -> str:
 # cache
 
 
-def _cache_key(command: str, r: int, params: dict) -> tuple[dict, str]:
-    key = {"command": command, "r": r, "params": params, "version": __version__}
-    digest = hashlib.sha256(
-        json.dumps(key, sort_keys=True).encode("utf-8")
-    ).hexdigest()[:16]
-    return key, digest
-
-
-def _cache_path(cfg: RunConfig, command: str, r: int, digest: str) -> Path | None:
-    if cfg.cache_dir is None:
-        return None
-    return Path(cfg.cache_dir) / f"{command}-r{r}-{digest}.json"
-
-
-def _cache_load(path: Path | None, key: dict) -> dict | None:
-    if path is None or not path.exists():
-        return None
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError, RecursionError):  # ValueError: bad UTF-8 or JSON
-        return None
-    if not isinstance(data, dict) or data.get("key") != key:
-        return None
-    result = data.get("result")
-    return result if isinstance(result, dict) else None
-
-
 def _atomic_write(path: Path, text: str) -> None:
     """Write text to path through a temporary file in its directory. A path
     that cannot be written (under a regular file, say) is a UsageError."""
@@ -441,51 +389,37 @@ def _atomic_write(path: Path, text: str) -> None:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _cache_store(path: Path | None, key: dict, result: dict) -> None:
-    if path is None:
-        return
-    _atomic_write(path, _dumps({"key": key, "result": result}))
-
-
-def _docs_for_range(
-    cfg: RunConfig,
+def _cached(
+    cache_dir: str | None,
     command: str,
     params: dict,
-    build: Callable[[int, QuadraticNumber | None], dict],
-    mu0: QuadraticNumber | None,
-) -> list[dict]:
-    """build(r, mu0) for each r in ascending order, from cache where possible.
+    compute: Callable[..., dict],
+    r: int,
+    *extra,
+) -> dict:
+    """compute(r, *extra), through the cache directory when there is one.
 
-    params keys the cache (it holds the --mu0 text, if the command takes
-    one); mu0 is that text, parsed once per command.
+    The entry is keyed by command, r, params and the package version, in a
+    file named by the key's sha256. An entry that cannot be read, is not a
+    JSON object or has another key is a miss: the result is computed and the
+    entry written atomically.
     """
-    rs = list(range(cfg.r_min, cfg.r_max + 1))
-    keyed: dict[int, tuple[dict, str]] = {}
-    if cfg.cache_dir is not None:
-        keyed = {r: _cache_key(command, r, params) for r in rs}
-    docs: dict[int, dict] = {}
-    for r, (key, digest) in keyed.items():
-        cached = _cache_load(_cache_path(cfg, command, r, digest), key)
-        if cached is not None:
-            docs[r] = cached
-    missing = [r for r in rs if r not in docs]
-    # The pool forks all its workers on its first task, so their number is
-    # capped by the work and the host as well as by --jobs.
-    workers = min(cfg.parallelism, len(missing), os.cpu_count() or 1)
-    if workers > 1:
-        # imported here: the import costs about a fifth of start-up
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            computed = list(pool.map(build, missing, repeat(mu0)))
-    else:
-        computed = [build(r, mu0) for r in missing]
-    for r, doc in zip(missing, computed):
-        if r in keyed:
-            key, digest = keyed[r]
-            _cache_store(_cache_path(cfg, command, r, digest), key, doc)
-        docs[r] = doc
-    return [docs[r] for r in rs]
+    if cache_dir is None:
+        return compute(r, *extra)
+    key = {"command": command, "r": r, "params": params, "version": __version__}
+    digest = hashlib.sha256(json.dumps(key, sort_keys=True).encode("utf-8")).hexdigest()
+    path = Path(cache_dir) / f"{command}-r{r}-{digest[:16]}.json"
+    try:
+        entry = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError):  # ValueError: bad UTF-8 or JSON
+        entry = None
+    if isinstance(entry, dict) and entry.get("key") == key:
+        result = entry.get("result")
+        if isinstance(result, dict):
+            return result
+    result = compute(r, *extra)
+    _atomic_write(path, _dumps({"key": key, "result": result}))
+    return result
 
 
 # --------------------------------------------------------------------------
@@ -593,9 +527,10 @@ def _render_markdown(doc: dict, command: str, approx: bool) -> str:
     return "\n".join(lines)
 
 
-def _emit_docs(cfg: RunConfig, command: str, docs: list[dict]) -> None:
-    fmt = cfg.output_format or _DEFAULT_FORMATS[command]
-    if cfg.approx:
+def _emit_docs(args: argparse.Namespace, docs: list[dict]) -> None:
+    command = args.command
+    fmt = args.output_format or ("markdown" if command == "table" else "json")
+    if args.approx:
         docs = [_augment_approx(doc) for doc in docs]
     if fmt == "json":
         print(_dumps(docs[0] if len(docs) == 1 else {"command": command, "results": docs}))
@@ -605,24 +540,24 @@ def _emit_docs(cfg: RunConfig, command: str, docs: list[dict]) -> None:
             for doc in docs
             for row in _table_rows(doc)
         ]
-        print(_csv_table(_table_columns(command, cfg.approx, True), rows))
+        print(_csv_table(_table_columns(command, args.approx, True), rows))
     else:
-        print("\n\n".join(_render_markdown(doc, command, cfg.approx) for doc in docs))
+        print("\n\n".join(_render_markdown(doc, command, args.approx) for doc in docs))
 
 
 # --------------------------------------------------------------------------
 # command handlers
 
 
-def _require_r(cfg: RunConfig, minimum: int, command: str) -> None:
-    if cfg.r_min < minimum:
-        raise UsageError(f"{command} needs r >= {minimum}, got {cfg.r_min}")
+def _require_r(args: argparse.Namespace, minimum: int) -> None:
+    if args.r_min < minimum:
+        raise UsageError(f"{args.command} needs r >= {minimum}, got {args.r_min}")
 
 
-def _require_single_r(cfg: RunConfig, command: str) -> int:
-    if cfg.r_min != cfg.r_max:
-        raise UsageError(f"{command} takes a single r, got {cfg.r_min}..{cfg.r_max}")
-    return cfg.r_min
+def _require_single_r(args: argparse.Namespace) -> int:
+    if args.r_min != args.r_max:
+        raise UsageError(f"{args.command} takes a single r, got {args.r_min}..{args.r_max}")
+    return args.r_min
 
 
 def _validated_mu0(text: str | None) -> QuadraticNumber | None:
@@ -676,41 +611,52 @@ def _parse_mu(text: str) -> Fraction:
 Outcome = tuple[list[dict], list[str]]
 
 
-def cmd_range(cfg: RunConfig, args: argparse.Namespace) -> Outcome:
-    """table, enumerate, verify and coverage: one document per r."""
+def cmd_range(args: argparse.Namespace) -> Outcome:
+    """table, enumerate, verify and coverage: build(r, mu0) through the cache
+    for each r in ascending order, in pool workers when --jobs asks for them.
+    params keys the cache (it holds the --mu0 text, if the command takes
+    one); mu0 is that text, parsed once per command."""
     build, smallest_r, failures = _RANGE_COMMANDS[args.command]
-    _require_r(cfg, smallest_r, args.command)
+    _require_r(args, smallest_r)
     params = {"mu0": args.mu0} if "mu0" in args else {}
     mu0 = _validated_mu0(params.get("mu0"))
-    docs = _docs_for_range(cfg, args.command, params, build, mu0)
+    rs = range(args.r_min, args.r_max + 1)
+    doc_for = functools.partial(_cached, args.cache_dir, args.command, params, build)
+    # The pool forks all its workers on its first task, so their number is
+    # capped by the range and the host as well as by --jobs.
+    workers = min(args.parallelism, len(rs), os.cpu_count() or 1)
+    if workers > 1:
+        # imported here: the import costs about a fifth of start-up
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            docs = list(pool.map(doc_for, rs, repeat(mu0)))
+    else:
+        docs = [doc_for(r, mu0) for r in rs]
     return docs, [line for doc in docs for line in failures(doc)]
 
 
-def cmd_region(cfg: RunConfig, args: argparse.Namespace) -> Outcome:
-    r = _require_single_r(cfg, "region")
-    _require_r(cfg, 10, "region")
+def cmd_region(args: argparse.Namespace) -> Outcome:
+    r = _require_single_r(args)
+    _require_r(args, 10)
     if args.t0 is None:
         raise UsageError("region needs --t0")
     if args.t0 > MAX_T0:
         raise UsageError(f"region --t0 must be at most {MAX_T0}")
     params = {
         "t0": args.t0,
-        "depth": cfg.bisection_depth,
-        "sqrt_width_exponent": cfg.sqrt_width_exponent,
+        "depth": args.bisection_depth,
+        "sqrt_width_exponent": args.sqrt_width_exponent,
     }
-    key, digest = _cache_key("region", r, params)
-    path = _cache_path(cfg, "region", r, digest)
-    doc = _cache_load(path, key)
-    if doc is None:
-        certificate = verify_t_bound(
-            r,
-            args.t0,
-            depth_limit=cfg.bisection_depth,
-            sqrt_width=Fraction(1, 2**cfg.sqrt_width_exponent),
-        )
-        doc = certificate.to_json_dict()
-        _cache_store(path, key, doc)
-    out_dir = Path(cfg.cache_dir) if cfg.cache_dir else Path(".")
+
+    def certify(r: int) -> dict:
+        width = Fraction(1, 2**args.sqrt_width_exponent)
+        return verify_t_bound(
+            r, args.t0, depth_limit=args.bisection_depth, sqrt_width=width
+        ).to_json_dict()
+
+    doc = _cached(args.cache_dir, "region", params, certify, r)
+    out_dir = Path(args.cache_dir) if args.cache_dir else Path(".")
     out_path = out_dir / f"certificate-r{r}-t{args.t0}.json"
     _atomic_write(out_path, _dumps(doc) + "\n")
     fields = ("kind", "r", "t0", "depth_limit", "sqrt_width", "mu_lo", "mu_hi",
@@ -721,14 +667,14 @@ def cmd_region(cfg: RunConfig, args: argparse.Namespace) -> Outcome:
     return [summary], []
 
 
-def cmd_classify(cfg: RunConfig, args: argparse.Namespace) -> Outcome:
-    r = _require_single_r(cfg, "classify")
-    _require_r(cfg, 10, "classify")
+def cmd_classify(args: argparse.Namespace) -> Outcome:
+    r = _require_single_r(args)
+    _require_r(args, 10)
     result = classify(r, _parse_mu(args.mu))
     return [{"command": "classify", **result.to_json_dict()}], []
 
 
-def cmd_audit(cfg: RunConfig, args: argparse.Namespace) -> Outcome:
+def cmd_audit(args: argparse.Namespace) -> Outcome:
     path = Path(args.certificate)
     try:
         doc = json.loads(path.read_text())
@@ -837,12 +783,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        cfg = resolve_config(args)
-        if cfg.output_format == "csv" and args.command not in _RANGE_COMMANDS:
+        args = resolve_config(args)
+        if args.output_format == "csv" and args.command not in _RANGE_COMMANDS:
             # refused before the handler runs, so region writes no certificate
             raise UsageError(f"csv output is not available for {args.command}")
-        docs, lines = args.handler(cfg, args)
-        _emit_docs(cfg, args.command, docs)
+        docs, lines = args.handler(args)
+        _emit_docs(args, docs)
     except (UsageError, UnsupportedR, InvalidT, InvalidT0, NotAboveSqrtR) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

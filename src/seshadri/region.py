@@ -54,6 +54,7 @@ from .exact import (
     sqrt_bracket,
     sqrt_enclosure,
     _as_fraction,
+    _field_sign,
 )
 
 DEFAULT_DEPTH_LIMIT = 40
@@ -483,16 +484,14 @@ def large_r_inequalities(r: int) -> tuple[bool, bool]:
     five small-degree pairs harmless (negative Delta).  (i) holds from
     r = 20 on and fails at r = 19.
 
-    Both are decided in integers.  (i): 3 sqrt(r) > 0, so it needs r > 6,
-    and then both sides are positive and squaring gives (r - 6)^2 > 9r.
-    (ii): multiplying through by (r + 1) sqrt(r) > 0 gives
-    (6r - 3) sqrt(r) > 9(r + 1); the right side is positive and so is
-    6r - 3 for r >= 1, so squaring gives (6r - 3)^2 r > 81 (r + 1)^2.
+    Both are decided exactly, as signs of a + b sqrt(r): (i) is
+    (r - 6) - 3 sqrt(r) > 0, and (ii), multiplied through by
+    (r + 1) sqrt(r) > 0, is -9(r + 1) + (6r - 3) sqrt(r) > 0.
     """
     if r < 1:
         raise UnsupportedR(f"need r >= 1, got {r}")
-    first = r > 6 and (r - 6) ** 2 > 9 * r
-    second = (6 * r - 3) ** 2 * r > 81 * (r + 1) ** 2
+    first = _field_sign(r - 6, -3, r) > 0
+    second = _field_sign(-9 * (r + 1), 6 * r - 3, r) > 0
     return first, second
 
 

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from math import comb, isqrt
 
 from .errors import ExceptionalClassUnsupported, InvalidT, UnsupportedR
-from .exact import QuadraticLike, QuadraticNumber, compare
+from .exact import QuadraticLike, QuadraticNumber, _field_sign, compare
 from .surface import CurveClass, lower_root
 from . import thresholds as _thresholds
 
@@ -207,18 +207,14 @@ def total_multiplicity_bound(r: int) -> int:
 
     A weakly submaximal class on [sqrt(r), sqrt(r+1)) satisfies
     4rM - 25r <= 12M sqrt(r), so the bound is the largest M with that
-    inequality, i.e. floor(25r / (4r - 12 sqrt(r))).  Decided exactly: for
-    4rM - 25r <= 0 it holds outright, otherwise both sides are positive and
-    squaring gives the rational test (4rM - 25r)^2 <= 144 M^2 r.
+    inequality, i.e. floor(25r / (4r - 12 sqrt(r))).  Decided exactly, as
+    the sign of (25r - 4rM) + 12M sqrt(r) >= 0.
     """
     if r < 10:
         raise UnsupportedR(f"need r >= 10, got {r}")
 
     def holds(m_total: int) -> bool:
-        lhs = 4 * r * m_total - 25 * r
-        if lhs <= 0:
-            return True
-        return lhs * lhs <= 144 * m_total * m_total * r
+        return _field_sign(25 * r - 4 * r * m_total, 12 * m_total, r) >= 0
 
     m_total = 1
     while holds(m_total + 1):

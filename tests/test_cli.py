@@ -524,12 +524,34 @@ def test_failing_cached_document_sets_the_exit_code(capsys, tmp_path):
 
 
 def test_no_cache_keys_without_cache_dir(capsys, monkeypatch):
-    def no_key(*args):
+    """Without --cache-dir no entry is keyed: the sha256 that names entries
+    is never taken."""
+    def no_digest(*args):
         raise AssertionError("cache key computed without a cache directory")
 
-    monkeypatch.setattr(cli, "_cache_key", no_key)
+    monkeypatch.setattr(cli.hashlib, "sha256", no_digest)
     assert main(["verify", "--r", "10..13"]) == EXIT_PASS
     assert main(["coverage", "--r", "8..9"]) == EXIT_PASS
+
+
+def test_pool_workers_read_and_write_the_cache(tmp_path):
+    """With --jobs 2 and a cache directory, a cold run and a warm run print
+    the bytes of the serial run without a cache. The directory ends with
+    exactly one entry per r, and the warm run rewrites none of them."""
+    serial = _call(("verify", "--r", "10..13"))
+    cache = tmp_path / "cache"
+    argv = ("verify", "--r", "10..13", "--jobs", "2", "--cache-dir", str(cache))
+
+    def entries():
+        return {p.name: p.stat().st_ino for p in cache.iterdir()}
+
+    assert _call(argv) == serial
+    cold = entries()
+    assert sorted(name.rsplit("-", 1)[0] for name in cold) == [
+        f"verify-r{r}" for r in range(10, 14)
+    ]
+    assert _call(argv) == serial
+    assert entries() == cold
 
 
 def test_pool_is_bounded_by_cpus_and_work(monkeypatch):

@@ -510,6 +510,17 @@ def test_large_r_inequalities():
         assert verify_large_r(r)
 
 
+def test_large_r_inequalities_match_the_squared_tests():
+    """The field-sign tests decide what the squared integer tests decided,
+    for r = 1..20000, 2000 seeded random r below 10^18, 10^18 - 1 and 10^18."""
+    rng = random.Random(1901)
+    rs = [*range(1, 20001), *(rng.randrange(1, 10**18) for _ in range(2000))]
+    for r in rs + [10**18 - 1, 10**18]:
+        first = r > 6 and (r - 6) ** 2 > 9 * r
+        second = (6 * r - 3) ** 2 * r > 81 * (r + 1) ** 2
+        assert large_r_inequalities(r) == (first, second), r
+
+
 def test_large_r_inequalities_match_quadratic_formulation():
     """The integer forms against the inequalities as stated, in Q(sqrt(r))."""
     for r in range(1, 5001):

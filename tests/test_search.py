@@ -130,6 +130,25 @@ def test_total_multiplicity_bound_squaring_crosscheck():
         assert not ok(bound + 1)
 
 
+def test_total_multiplicity_bound_matches_the_squared_test():
+    """The field-sign test gives the bound the squared integer test gave, for
+    r = 10..20000, 2000 seeded random r below 10^18, 10^18 - 1 and 10^18."""
+    def old_bound(r):
+        def holds(m_total):
+            lhs = 4 * r * m_total - 25 * r
+            return lhs <= 0 or lhs * lhs <= 144 * m_total * m_total * r
+
+        m_total = 1
+        while holds(m_total + 1):
+            m_total += 1
+        return m_total
+
+    rng = random.Random(1901)
+    rs = [*range(10, 20001), *(rng.randrange(10, 10**18) for _ in range(2000))]
+    for r in rs + [10**18 - 1, 10**18]:
+        assert total_multiplicity_bound(r) == old_bound(r), r
+
+
 def test_bound_matches_m_bar_zero_floor():
     """r * m_bar_0(sqrt(r)) sits in [bound, bound + 1)."""
     from seshadri.region import m_bar_zero_at_sqrt_r
@@ -298,8 +317,35 @@ def test_small_degree_pairs():
         small_degree_pairs(13)
 
 
+def _small_degree_critical_pairs(r):
+    """Every critical pair with d <= 4 and t in {1, 2}, by the oracle's
+    route: (**) by edim_condition on balanced_class, at M and at M + 1, and
+    at t + 1 unless t = d - 1. The left side of (**) falls below 0 before
+    M = C(d+2,2), so the M-scan stops there."""
+    pairs = []
+    for d in range(2, 5):
+        for t in range(1, min(d, 3)):
+            for m_total in range(1, comb(d + 2, 2)):
+                c = balanced_class(d, m_total, r)
+                if (
+                    edim_condition(c, t)
+                    and not edim_condition(balanced_class(d, m_total + 1, r), t)
+                    and (t == d - 1 or not edim_condition(c, t + 1))
+                ):
+                    pairs.append(BalancedPair(c, t))
+    return tuple(sorted(pairs, key=lambda p: (p.t, p.d)))
+
+
 def test_enumeration_at_r_20_is_the_small_degree_list():
+    """small_degree_pairs(r) is every critical pair with d <= 4 and t <= 2
+    for r = 14..3000 and at 10^6, 10^12 and 10^18; from r = 20 on the
+    enumeration holds no other pair."""
     assert enumerate_critical_pairs(20) == small_degree_pairs(20)
+    for r in (*range(14, 3001), 10**6, 10**12, 10**18):
+        small = small_degree_pairs(r)
+        assert _small_degree_critical_pairs(r) == small, r
+        if r >= 20:
+            assert set(enumerate_critical_pairs(r)) <= set(small), r
 
 
 def test_balanced_edim_lhs_matches_materialised_class():

@@ -1,34 +1,38 @@
-"""perfbench's tracer still finds every function it wraps, the package
-exports resolve, and the documentation names only environment variables
-the CLI reads.
+"""perfbench's tracer still finds every function it wraps, every command
+line the benchmark runs still parses, the package exports resolve, and the
+documentation names only environment variables the CLI reads.
 
-perfbench/tracer.py is loaded by path and left as it is: a rename or a
-deletion in seshadri that would stop `perfbench/run.py --trace 1` with
-BindingMissed or a KeyError fails here instead.
+perfbench/tracer.py and perfbench/ops.py are loaded by path and left as they
+are: a rename, a deletion or a settings change in seshadri that would stop
+`perfbench/run.py` (with BindingMissed, a KeyError or a usage error) fails
+here instead.
 """
 
 import importlib
 import importlib.util
 import os
 import re
+import sys
 from pathlib import Path
 
 import seshadri
 import seshadri.cli  # noqa: F401 - the tracer patches every loaded seshadri module
 
 ROOT = Path(__file__).resolve().parents[1]
-TRACER_PATH = ROOT / "perfbench" / "tracer.py"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
-    module = importlib.util.module_from_spec(spec)
+def _load_perfbench(name):
+    """perfbench/<name>.py, loaded by path; it imports only the stdlib. It is
+    registered in sys.modules first, as its dataclasses need."""
+    path = ROOT / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_tracer_targets_resolve():
-    tracer = _load_tracer()
+    tracer = _load_perfbench("tracer")
     assert tracer.TARGETS
     for module, path in tracer.TARGETS:
         owner = importlib.import_module(f"seshadri.{module}")
@@ -41,7 +45,7 @@ def test_tracer_targets_resolve():
 
 
 def test_tracer_installs_and_uninstalls():
-    tracer = _load_tracer()
+    tracer = _load_perfbench("tracer")
     originals = {
         (module, path): getattr(importlib.import_module(f"seshadri.{module}"), path)
         for module, path in tracer.TARGETS
@@ -57,6 +61,27 @@ def test_tracer_installs_and_uninstalls():
         t.uninstall()
     for (module, path), original in originals.items():
         assert getattr(importlib.import_module(f"seshadri.{module}"), path) is original
+
+
+def test_benchmark_command_lines_resolve():
+    """Every operation of every workload, and every trace probe (--jobs 2
+    and --cache-dir among them), parses and passes resolve_config with its
+    width variable set. No command is run."""
+    ops = _load_perfbench("ops")
+    assert ops.WIDTH_ENV == seshadri.cli.WIDTH_VARIABLE
+    every_op = [op for workload in ops.WORKLOADS for op in ops.universe(workload)]
+    every_op += [op for probe in ops.probe_ops().values() for op in probe]
+    parser = seshadri.cli.build_parser()
+    resolved = []
+    for op in every_op:
+        env = {} if op.exponent is None else {ops.WIDTH_ENV: str(op.exponent)}
+        args = seshadri.cli.resolve_config(parser.parse_args(list(op.argv)), env=env)
+        assert args.command == op.argv[0], op.key
+        if op.exponent is not None:
+            assert args.sqrt_width_exponent == op.exponent, op.key
+        resolved.append(args)
+    assert any(args.parallelism == 2 for args in resolved)
+    assert any(args.cache_dir == ops.PROBE_CACHE for args in resolved)
 
 
 def test_package_exports_resolve():
