@@ -12,7 +12,9 @@ audit-certificate  replay a previously written region certificate; exit 1 on def
 
 Exit codes: 0 pass, 1 verification failure, 2 usage error (also a
 certificate or cache entry that cannot be written), 3 inconclusive (bisection
-hit its depth limit before closing every piece).
+hit its depth limit before closing every piece), 4 internal error (any other
+exception, such as a broken premise the search checks: one stderr line
+`internal error: <Type>: <message>`, no traceback).
 
 Every command takes one route. Its handler takes one argument, the parsed
 command line that resolve_config has checked and completed, and returns its
@@ -21,8 +23,9 @@ verify and coverage share one handler, driven by _RANGE_COMMANDS. main alone
 writes the documents in the chosen format, then the lines, and picks the
 exit code: 1 when there is a line or a document whose verdict (all_pass,
 covered or ok) is false, else 0. Handlers raise usage errors and inconclusive bisections,
-which main turns into exit codes 2 and 3. A format the command does not
-offer (csv outside the range commands) is refused before the handler runs.
+which main turns into exit codes 2 and 3; any other exception is exit 4. A
+format the command does not offer (csv outside the range commands) is refused
+before the handler runs.
 
 Settings are flags (--format, --cache-dir, --depth, --jobs, --approx), with
 their defaults in the parser. The one exception is the width 2^-e of the
@@ -90,6 +93,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_INTERNAL = 4
 
 FORMATS = ("json", "markdown", "csv")
 
@@ -101,8 +105,8 @@ MAX_RADICAND = 10**18
 MAX_R = 10**18
 # Most values of r one range may hold. Each r costs time and memory, and a
 # range's documents are all held until they are written: on a 2-vCPU host
-# verify --r 20..10019 takes about 1.4 s and 86 MB, and 10^5 values 15 s and
-# 680 MB.
+# verify --r 20..10019 takes about 0.5 s and 86 MB, and 10^5 values 5.5 s and
+# 670 MB.
 MAX_R_COUNT = 10**5
 # Largest --t0 that region takes: the certificate file name spells it, and
 # far larger values outgrow file names and the interpreter's limit on
@@ -795,6 +799,11 @@ def main(argv: list[str] | None = None) -> int:
     except DepthLimitExceeded as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
+    except Exception as exc:
+        # a defect, not a verdict: exit 1 is reserved for failed verification
+        message = " ".join(str(exc).splitlines())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
     for line in lines:
         print(line, file=sys.stderr)
     failed = lines or any(doc.get(field) is False for doc in docs for field in _VERDICT_FIELDS)

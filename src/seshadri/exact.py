@@ -267,8 +267,12 @@ class QuadraticNumber:
         x = _as_fraction(x)
         if x < 0:
             raise NegativeRadicand(f"cannot take the square root of {x}")
-        # sqrt(p/q) = sqrt(p*q)/q
-        return QuadraticNumber(Fraction(0), Fraction(1, x.denominator), x.numerator * x.denominator)
+        # sqrt(p/q) = sqrt(p*q)/q = f*sqrt(m)/q with p*q = f^2*m, m squarefree
+        q = x.denominator
+        f, m = squarefree_decomposition(x.numerator * q)
+        if m <= 1:
+            return QuadraticNumber._canonical(Fraction(f * m, q), _ZERO, 0)
+        return QuadraticNumber._canonical(_ZERO, Fraction(f, q), m)
 
     @property
     def is_rational(self) -> bool:

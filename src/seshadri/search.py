@@ -21,19 +21,20 @@ finitely many pairs:
   and M is capped by total_multiplicity_bound; both caps come from the
   geometry of the strip [sqrt(r), sqrt(r+1)).
 
-On the balanced class of total M, with (m, s) = balanced_split(M, r), the
-left side of (**) has the closed form
+On the balanced class of total M = (m-1)*r + s, with (m, s) =
+balanced_split(M, r), the sum in (**) is
 
-      C(d+2,2) - s*C(m+1,2) - (r-s)*C(m,2),
+      S(M) = s*C(m+1,2) + (r-s)*C(m,2) = r*C(m,2) + s*m,
 
 so the d-scan works on (d, M, r) alone and builds a class (two runs, see
-balanced_class) only for each pair it keeps.  That left side strictly
-decreases in M (one more unit on a smallest multiplicity m adds m + 1 >= 1
-to sum C(m_i+1,2)) and, at fixed M, grows with d, so the maximal M at d + 1
-is at least the one at d.  The scan over d therefore resumes the M-scan
-where the previous d left it: for each t it costs O(d_max + B) evaluations
-of (**), B = total_multiplicity_bound(r), rather than O(d_max * B).  Each
-evaluation costs O(1), and d_max and B are bounded by the caps above, so
+balanced_class) only for each pair it keeps.  S strictly increases in M (one
+more unit on a smallest multiplicity m adds m >= 1), so for fixed (d, t) the
+maximal M is the largest one with S(M) < C(d+2,2) - max{C(t+1,2) - 2, 0}.
+That is solved in closed form: m from one integer square root of the
+quadratic r*C(m,2) + m < target, made exact by integer +-1 steps, then s by
+one division.  Each (d, t) costs O(1) evaluations, and the d-scan for a t
+stops at the first d whose maximal M exceeds B = total_multiplicity_bound(r),
+so a t costs O(d_max) of them; d_max and B are bounded by the caps above, so
 the search cost per r does not depend on r.
 
 Each critical pair is then checked against a threshold mu_0: with
@@ -208,7 +209,8 @@ def total_multiplicity_bound(r: int) -> int:
     A weakly submaximal class on [sqrt(r), sqrt(r+1)) satisfies
     4rM - 25r <= 12M sqrt(r), so the bound is the largest M with that
     inequality, i.e. floor(25r / (4r - 12 sqrt(r))).  Decided exactly, as
-    the sign of (25r - 4rM) + 12M sqrt(r) >= 0.
+    the sign of (25r - 4rM) + 12M sqrt(r) >= 0, stepping up from an integer
+    lower estimate of that floor: at most three sign tests for any r.
     """
     if r < 10:
         raise UnsupportedR(f"need r >= 10, got {r}")
@@ -216,41 +218,51 @@ def total_multiplicity_bound(r: int) -> int:
     def holds(m_total: int) -> bool:
         return _field_sign(25 * r - 4 * r * m_total, 12 * m_total, r) >= 0
 
-    m_total = 1
+    # sqrt(r) >= q / 2^32, so this floor is at most 25r / (4r - 12 sqrt(r))
+    # and less than one unit below it for every r >= 10.
+    q = isqrt(r << 64)
+    m_total = (25 * r << 32) // ((4 * r << 32) - 12 * q)
+    if not holds(m_total):
+        raise RuntimeError(f"multiplicity bound start {m_total} fails at r={r}")
     while holds(m_total + 1):
         m_total += 1
     return m_total
 
 
 def _balanced_edim_lhs(d: int, m_total: int, r: int) -> int:
-    """Left side of (**) on the balanced class of total m_total at r."""
+    """Left side of (**) on the balanced class of total m_total at r, term
+    by term; the reference the closed form of _max_total_satisfying_edim is
+    tested against."""
     m, s = balanced_split(m_total, r)
     return comb(d + 2, 2) - s * comb(m + 1, 2) - (r - s) * comb(m, 2)
 
 
-def _max_total_satisfying_edim(
-    d: int, t: int, r: int, start: int = 1
-) -> tuple[int, int]:
+def _max_total_satisfying_edim(d: int, t: int, r: int) -> tuple[int, int]:
     """(M, lhs): the largest M whose balanced class satisfies (**) at t, and
     the left side of (**) there.
 
-    M = 1 always satisfies (**) when 1 <= t < d: its left side is
-    C(d+2,2) - 1 > C(t+1,2) - 2.  The left side strictly decreases in M, so
-    the scan stops at the first M that fails.  It starts at M = start >= 1,
-    which must satisfy (**) at (d, t); a start that fails raises
-    RuntimeError, since the scan would then return a wrong maximum.  lhs is
-    the value the scan computed last before that failing M, so
-    _is_t_critical need not recompute it.
+    With target = C(d+2,2) - max{C(t+1,2) - 2, 0}, M = (m-1)*r + s is the
+    largest total with S(M) = r*C(m,2) + s*m < target.  m is the largest
+    value with r*C(m,2) + m < target, the root of r*m^2 + (2-r)*m - 2*target
+    rounded down; isqrt estimates it and exact +-1 steps settle it, whatever
+    the estimate.  s is then the largest value in 1..r that keeps S below
+    target.  M = 1 satisfies (**) whenever 1 <= t < d (its left side is
+    C(d+2,2) - 1 > C(t+1,2) - 2); a (d, t) where it fails raises
+    RuntimeError.  lhs is returned so that _is_t_critical need not
+    recompute it.
     """
-    rhs = max(comb(t + 1, 2) - 2, 0)
-    lhs = _balanced_edim_lhs(d, start, r)
-    if lhs <= rhs:
-        raise RuntimeError(f"maximal M not monotone in d at r={r}, t={t}, d={d}")
-    m_total = start
-    while (following := _balanced_edim_lhs(d, m_total + 1, r)) > rhs:
-        m_total += 1
-        lhs = following
-    return m_total, lhs
+    full = comb(d + 2, 2)
+    target = full - max(comb(t + 1, 2) - 2, 0)
+    if target <= 1:
+        raise RuntimeError(f"M = 1 fails (**) at r={r}, t={t}, d={d}")
+    m = ((r - 2) + isqrt((r - 2) ** 2 + 8 * r * target)) // (2 * r)
+    while m > 1 and r * comb(m, 2) + m >= target:
+        m -= 1
+    while r * comb(m + 1, 2) + m + 1 < target:
+        m += 1
+    base = r * comb(m, 2)
+    s = min(r, (target - 1 - base) // m)
+    return (m - 1) * r + s, full - base - s * m
 
 
 def _is_t_critical(d: int, t: int, lhs: int) -> bool:
@@ -264,26 +276,27 @@ def _is_t_critical(d: int, t: int, lhs: int) -> bool:
 def enumerate_critical_pairs(r: int) -> tuple[BalancedPair, ...]:
     """All critical pairs with M <= total_multiplicity_bound(r), sorted (t, d).
 
-    For fixed t the maximal M satisfying (**) grows with d (the left side of
-    (**) gains a full row of C(d+2,2) while the balanced sum is unchanged),
-    so the d-scan stops at the first d whose maximal M exceeds the bound,
-    and each d's M-scan starts at the previous d's maximal M.  Monotonicity
-    is checked on every step: as the left side strictly decreases in M, the
-    maximal M at d is at least the previous one exactly when the previous
-    one still satisfies (**) at d, which _max_total_satisfying_edim tests
-    before it scans (RuntimeError otherwise).  The first d starts at M = 1.
+    Each (d, t) gets its maximal M from the closed form of
+    _max_total_satisfying_edim.  For fixed t that M never decreases in d:
+    the target C(d+2,2) - max{C(t+1,2) - 2, 0} grows with d while S(M) does
+    not depend on d.  So the d-scan stops at the first d whose maximal M
+    exceeds the bound.  The scan checks that premise on every step and
+    raises RuntimeError if a later d ever gives a smaller M.
     """
     bound = total_multiplicity_bound(r)
     pairs: list[BalancedPair] = []
     for t in sorted(t_range(r)):
-        m_total = 1
+        previous = 1
         d = t + 1
         while True:
-            m_total, lhs = _max_total_satisfying_edim(d, t, r, m_total)
+            m_total, lhs = _max_total_satisfying_edim(d, t, r)
+            if m_total < previous:
+                raise RuntimeError(f"maximal M not monotone in d at r={r}, t={t}, d={d}")
             if m_total > bound:
                 break
             if _is_t_critical(d, t, lhs):
                 pairs.append(BalancedPair(balanced_class(d, m_total, r), t))
+            previous = m_total
             d += 1
     return tuple(pairs)
 

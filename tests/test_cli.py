@@ -18,6 +18,7 @@ from seshadri import cli, exact, region, search, surface
 from seshadri.cli import (
     EXIT_FAIL,
     EXIT_INCONCLUSIVE,
+    EXIT_INTERNAL,
     EXIT_PASS,
     EXIT_USAGE,
     MAX_MU_DIGITS,
@@ -331,6 +332,21 @@ def test_region_writes_certificate_and_audit_accepts(capsys, tmp_path):
     cert_path.write_text("{ not json")
     assert main(["audit-certificate", str(cert_path)]) == EXIT_USAGE
     capsys.readouterr()
+
+
+def test_internal_error_is_one_line_and_exit_4(capsys, monkeypatch):
+    """An exception no handler expects (here a broken premise of the search)
+    is exit 4 with one stderr line, not a traceback under exit 1."""
+    def broken(d, t, r):
+        raise RuntimeError(f"maximal M not monotone in d at r={r}, t={t}, d={d}")
+
+    monkeypatch.setattr(search, "_max_total_satisfying_edim", broken)
+    assert main(["verify", "--r", "10"]) == EXIT_INTERNAL
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "internal error: RuntimeError: maximal M not monotone in d at r=10, t=1, d=2\n"
+    )
 
 
 def test_region_depth_limit_is_inconclusive(capsys):

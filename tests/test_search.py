@@ -403,33 +403,74 @@ def test_search_builds_one_class_per_kept_pair(monkeypatch):
 
 
 
-def test_resumed_scan_evaluates_edim_linearly(monkeypatch):
-    """Each d's M-scan resumes at the previous d's maximum, so r = 10 costs
-    O(d_max + B) evaluations of (**) per t, not O(d_max * B)."""
+def test_maximal_total_evaluations_per_r(monkeypatch):
+    """Each (d, t) solves for its maximal M in closed form, once: 180 calls
+    at r = 10 (966 evaluations of (**) for the resumed scan before), and
+    from r = 20 on a handful per r, whatever r is."""
     calls = 0
-    original = search._balanced_edim_lhs
+    original = search._max_total_satisfying_edim
 
-    def counting(d, m_total, r):
+    def counting(d, t, r):
         nonlocal calls
         calls += 1
-        return original(d, m_total, r)
+        return original(d, t, r)
 
-    monkeypatch.setattr(search, "_balanced_edim_lhs", counting)
-    pairs = enumerate_critical_pairs(10)
-    assert len(pairs) == 100
-    assert calls <= 1000
+    monkeypatch.setattr(search, "_max_total_satisfying_edim", counting)
+    monkeypatch.setattr(search, "_balanced_edim_lhs", None)  # no term-by-term scan
+    assert len(enumerate_critical_pairs(10)) == 100
+    assert calls <= 200
+    for r in range(20, 3001):
+        calls = 0
+        enumerate_critical_pairs(r)
+        assert calls <= 8, r
 
 
-def test_resumed_scan_checks_its_start():
-    """A start that fails (**) is a broken monotonicity premise, refused even
-    under python -O; a start that satisfies it gives the maximum from 1."""
-    with pytest.raises(RuntimeError, match="r=10, t=1, d=3"):
-        search._max_total_satisfying_edim(3, 1, 10, 100)
-    for d, t, r in ((3, 1, 10), (7, 3, 10), (12, 2, 13), (40, 1, 1000)):
-        best, lhs = search._max_total_satisfying_edim(d, t, r)
-        assert lhs == search._balanced_edim_lhs(d, best, r)
-        for start in range(1, best + 1):
-            assert search._max_total_satisfying_edim(d, t, r, start) == (best, lhs)
+def _scan_over_d(t, r, d_stop):
+    """(d, (M, lhs)) for d = t+1 .. d_stop-1, by the linear M-scan resumed
+    across d: the term-by-term left side of (**), stepped one unit of M at a
+    time."""
+    rhs = max(comb(t + 1, 2) - 2, 0)
+    m_total = 1
+    for d in range(t + 1, d_stop):
+        while search._balanced_edim_lhs(d, m_total + 1, r) > rhs:
+            m_total += 1
+        yield d, (m_total, search._balanced_edim_lhs(d, m_total, r))
+
+
+def test_closed_form_maximal_total_matches_the_linear_scan():
+    """486,495 (d, t, r): r = 10..199 with d < 70, and with d < 40 r = 10^3,
+    10^6, 10^12, 10^18 - 1, 10^18 and 50 seeded random r below 10^18."""
+    rng = random.Random(1901)
+    grid = [(r, 70) for r in range(10, 200)]
+    grid += [(r, 40) for r in (10**3, 10**6, 10**12, 10**18 - 1, 10**18)]
+    grid += [(rng.randrange(10, 10**18), 40) for _ in range(50)]
+    checked = 0
+    for r, d_stop in grid:
+        for t in range(1, d_stop - 1):
+            for d, expected in _scan_over_d(t, r, d_stop):
+                assert search._max_total_satisfying_edim(d, t, r) == expected, (d, t, r)
+                checked += 1
+    assert checked == 486_495
+
+
+def test_total_multiplicity_bound_starts_at_its_answer(monkeypatch):
+    """The isqrt start is the bound or one below it: at most three sign
+    tests for r = 10..20000, near 10^18 and at 200 seeded random r."""
+    calls = 0
+    original = search._field_sign
+
+    def counting(a, b, n):
+        nonlocal calls
+        calls += 1
+        return original(a, b, n)
+
+    monkeypatch.setattr(search, "_field_sign", counting)
+    rng = random.Random(1901)
+    rs = [*range(10, 20001), *range(10**18 - 1000, 10**18 + 1)]
+    for r in rs + [rng.randrange(10, 10**18) for _ in range(200)]:
+        calls = 0
+        total_multiplicity_bound(r)
+        assert calls <= 3, r
 
 
 def test_maximal_total_is_at_least_one():

@@ -1,6 +1,7 @@
 """perfbench's tracer still finds every function it wraps, every command
-line the benchmark runs still parses, the package exports resolve, and the
-documentation names only environment variables the CLI reads.
+line the benchmark runs still parses, check_pair runs once per row it
+prints (the traced benchmark's count check), the package exports resolve,
+and the documentation names only environment variables the CLI reads.
 
 perfbench/tracer.py and perfbench/ops.py are loaded by path and left as they
 are: a rename, a deletion or a settings change in seshadri that would stop
@@ -10,6 +11,7 @@ here instead.
 
 import importlib
 import importlib.util
+import json
 import os
 import re
 import sys
@@ -82,6 +84,37 @@ def test_benchmark_command_lines_resolve():
         resolved.append(args)
     assert any(args.parallelism == 2 for args in resolved)
     assert any(args.cache_dir == ops.PROBE_CACHE for args in resolved)
+
+
+def test_check_pair_calls_equal_the_rows_they_print(capsys, monkeypatch):
+    """perfbench --trace 1 reports correct: false unless check_pair runs once
+    per pair row and small-degree row of verify and once per table row, so a
+    verdict reused to skip a call fails here. check_pair is wrapped at every
+    module that binds it, as the tracer wraps it."""
+    calls = 0
+    original = seshadri.search.check_pair
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "seshadri" or name.startswith("seshadri."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    assert seshadri.cli.check_pair is counting
+    rows = 0
+    for r in ("10..69", "1000..1009"):
+        assert seshadri.cli.main(["verify", "--r", r]) == 0
+        for doc in json.loads(capsys.readouterr().out)["results"]:
+            rows += len(doc["pairs"]) + len(doc["small_degree_pairs"] or [])
+    assert seshadri.cli.main(["table", "--r", "12"]) == 0
+    table = capsys.readouterr().out
+    table_rows = sum(1 for line in table.splitlines() if line.startswith("|")) - 2
+    assert table_rows == 27
+    assert calls == rows + table_rows
 
 
 def test_package_exports_resolve():
