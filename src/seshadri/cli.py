@@ -11,9 +11,9 @@ coverage           chain the witness catalog over the target ray; exit 1 on gaps
 audit-certificate  replay a previously written region certificate; exit 1 on defects
 
 Exit codes: 0 pass, 1 verification failure, 2 usage error (also a
-certificate or cache entry that cannot be written), 3 inconclusive (bisection
-hit its depth limit before closing every piece), 4 internal error (any other
-exception, such as a broken premise the search checks: one stderr line
+certificate that cannot be written), 3 inconclusive (bisection hit its depth
+limit before closing every piece), 4 internal error (any other exception,
+such as a broken premise the search checks: one stderr line
 `internal error: <Type>: <message>`, no traceback).
 
 Every command takes one route. Its handler takes one argument, the parsed
@@ -30,24 +30,19 @@ before the handler runs.
 Settings are flags (--format, --cache-dir, --depth, --jobs, --approx), with
 their defaults in the parser. The one exception is the width 2^-e of the
 sqrt enclosures region starts from, read from SESHADRI_SQRT_WIDTH_EXPONENT
-(e in 1..256). No config file and no other variable is read. --jobs is
-capped at the number of CPUs and of values of r.
+(e in 1..256). No config file and no other variable is read. Every r is
+computed in this process, in ascending order: --jobs is accepted and has no
+effect, and --cache-dir only names the directory region writes its
+certificate to; the other commands accept it and ignore it.
 
 Reports always carry exact values as canonical strings ("77/24",
 "4 - 1/3*sqrt(3)"); --approx appends 6-digit decimal columns next to them.
 JSON output is serialized with sorted keys so reruns are byte-identical.
-Every JSON document (stdout, certificates, cache entries) is written by
-`_dumps`, whose output matches `json.dumps(doc, sort_keys=True, indent=2)`
-byte for byte. It sorts and encodes the keys of each dict shape (nesting
-depth and keys) once per call, in a write plan that it reuses for every
-later dict of that shape and drops when it returns.
-With --cache-dir set, per-r results are cached one JSON file per
-(command, r), keyed by command, r, parameters and package version, and
-written atomically. `_cached` alone reads and writes the entries, for the
-range commands and for region; the process that computes an r, a pool
-worker or main, reads and writes its entry. An entry that cannot be read,
-is not a JSON object or has another key is a miss: the result is
-recomputed and the entry rewritten.
+Every JSON document (stdout and certificates) is written by `_dumps`, whose
+output matches `json.dumps(doc, sort_keys=True, indent=2)` byte for byte.
+It sorts and encodes the keys of each dict shape (nesting depth and keys)
+once per call, in a write plan that it reuses for every later dict of that
+shape and drops when it returns.
 """
 
 from __future__ import annotations
@@ -55,14 +50,13 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import hashlib
 import io
 import json
 import os
 import re
 import sys
 import tempfile
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
@@ -187,7 +181,7 @@ def resolve_config(
 
 
 # --------------------------------------------------------------------------
-# result documents (pure data, cache- and pool-friendly)
+# result documents (pure data)
 
 
 def _pair_record(pair, verdict) -> dict:
@@ -273,10 +267,8 @@ def _coverage_failures(doc: dict) -> list[str]:
     return [f"FAIL r={doc['r']}: coverage gap ({lo}, {hi})" for lo, hi in doc["gaps"]]
 
 
-# The commands over an r range: per-r document builder, smallest r, and the
-# stderr lines a document's failures print. A builder is called as
-# build(r, mu0) in pool workers too, so it is a module-level function or a
-# partial of one, which pickle by name.
+# The commands over an r range: per-r document builder, called as
+# build(r, mu0), smallest r, and the stderr lines a document's failures print.
 _RANGE_COMMANDS = {
     "table": (functools.partial(_pairs_doc, "table"), 10, lambda doc: []),
     "enumerate": (functools.partial(_pairs_doc, "enumerate"), 10, lambda doc: []),
@@ -372,7 +364,7 @@ def _dumps(doc: object) -> str:
 
 
 # --------------------------------------------------------------------------
-# cache
+# certificate file
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -391,39 +383,6 @@ def _atomic_write(path: Path, text: str) -> None:
             raise
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
-
-
-def _cached(
-    cache_dir: str | None,
-    command: str,
-    params: dict,
-    compute: Callable[..., dict],
-    r: int,
-    *extra,
-) -> dict:
-    """compute(r, *extra), through the cache directory when there is one.
-
-    The entry is keyed by command, r, params and the package version, in a
-    file named by the key's sha256. An entry that cannot be read, is not a
-    JSON object or has another key is a miss: the result is computed and the
-    entry written atomically.
-    """
-    if cache_dir is None:
-        return compute(r, *extra)
-    key = {"command": command, "r": r, "params": params, "version": __version__}
-    digest = hashlib.sha256(json.dumps(key, sort_keys=True).encode("utf-8")).hexdigest()
-    path = Path(cache_dir) / f"{command}-r{r}-{digest[:16]}.json"
-    try:
-        entry = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError, RecursionError):  # ValueError: bad UTF-8 or JSON
-        entry = None
-    if isinstance(entry, dict) and entry.get("key") == key:
-        result = entry.get("result")
-        if isinstance(result, dict):
-            return result
-    result = compute(r, *extra)
-    _atomic_write(path, _dumps({"key": key, "result": result}))
-    return result
 
 
 # --------------------------------------------------------------------------
@@ -616,27 +575,13 @@ Outcome = tuple[list[dict], list[str]]
 
 
 def cmd_range(args: argparse.Namespace) -> Outcome:
-    """table, enumerate, verify and coverage: build(r, mu0) through the cache
-    for each r in ascending order, in pool workers when --jobs asks for them.
-    params keys the cache (it holds the --mu0 text, if the command takes
-    one); mu0 is that text, parsed once per command."""
+    """table, enumerate, verify and coverage: build(r, mu0) for each r in
+    ascending order, with mu0 the --mu0 text (if the command takes one)
+    parsed once per command."""
     build, smallest_r, failures = _RANGE_COMMANDS[args.command]
     _require_r(args, smallest_r)
-    params = {"mu0": args.mu0} if "mu0" in args else {}
-    mu0 = _validated_mu0(params.get("mu0"))
-    rs = range(args.r_min, args.r_max + 1)
-    doc_for = functools.partial(_cached, args.cache_dir, args.command, params, build)
-    # The pool forks all its workers on its first task, so their number is
-    # capped by the range and the host as well as by --jobs.
-    workers = min(args.parallelism, len(rs), os.cpu_count() or 1)
-    if workers > 1:
-        # imported here: the import costs about a fifth of start-up
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            docs = list(pool.map(doc_for, rs, repeat(mu0)))
-    else:
-        docs = [doc_for(r, mu0) for r in rs]
+    mu0 = _validated_mu0(getattr(args, "mu0", None))
+    docs = [build(r, mu0) for r in range(args.r_min, args.r_max + 1)]
     return docs, [line for doc in docs for line in failures(doc)]
 
 
@@ -647,19 +592,10 @@ def cmd_region(args: argparse.Namespace) -> Outcome:
         raise UsageError("region needs --t0")
     if args.t0 > MAX_T0:
         raise UsageError(f"region --t0 must be at most {MAX_T0}")
-    params = {
-        "t0": args.t0,
-        "depth": args.bisection_depth,
-        "sqrt_width_exponent": args.sqrt_width_exponent,
-    }
-
-    def certify(r: int) -> dict:
-        width = Fraction(1, 2**args.sqrt_width_exponent)
-        return verify_t_bound(
-            r, args.t0, depth_limit=args.bisection_depth, sqrt_width=width
-        ).to_json_dict()
-
-    doc = _cached(args.cache_dir, "region", params, certify, r)
+    width = Fraction(1, 2**args.sqrt_width_exponent)
+    doc = verify_t_bound(
+        r, args.t0, depth_limit=args.bisection_depth, sqrt_width=width
+    ).to_json_dict()
     out_dir = Path(args.cache_dir) if args.cache_dir else Path(".")
     out_path = out_dir / f"certificate-r{r}-t{args.t0}.json"
     _atomic_write(out_path, _dumps(doc) + "\n")
@@ -709,13 +645,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (defaults: markdown for table, json elsewhere)",
     )
     common.add_argument("--cache-dir", dest="cache_dir", default=None,
-                        help="cache per-r results in this directory")
+                        help="directory region writes its certificate to "
+                        "(the other commands ignore it)")
     common.add_argument("--depth", dest="bisection_depth", type=int,
                         default=DEFAULT_DEPTH_LIMIT,
                         help=f"bisection depth limit (default {DEFAULT_DEPTH_LIMIT})")
     common.add_argument("--jobs", dest="parallelism", type=int, default=1,
-                        help="compute per-r results with up to this many processes "
-                        "(at most one per CPU)")
+                        help="accepted and has no effect: every r is computed "
+                        "in this process")
     common.add_argument("--approx", dest="approx", action="store_true",
                         help="append 6-digit decimal approximations to exact values")
 
@@ -749,8 +686,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("region", parents=[common],
                        help="certify the multiplicity cut-off t0 by bisection; "
-                       "writes certificate-r<r>-t<t0>.json to the cache "
-                       "directory when set, else to the working directory")
+                       "writes certificate-r<r>-t<t0>.json to --cache-dir "
+                       "when set, else to the working directory")
     p.add_argument("--r", required=True, help="point count (single value)")
     p.add_argument("--t0", type=int, required=True, help="multiplicity to exclude")
     p.set_defaults(handler=cmd_region)

@@ -229,14 +229,6 @@ def total_multiplicity_bound(r: int) -> int:
     return m_total
 
 
-def _balanced_edim_lhs(d: int, m_total: int, r: int) -> int:
-    """Left side of (**) on the balanced class of total m_total at r, term
-    by term; the reference the closed form of _max_total_satisfying_edim is
-    tested against."""
-    m, s = balanced_split(m_total, r)
-    return comb(d + 2, 2) - s * comb(m + 1, 2) - (r - s) * comb(m, 2)
-
-
 def _max_total_satisfying_edim(d: int, t: int, r: int) -> tuple[int, int]:
     """(M, lhs): the largest M whose balanced class satisfies (**) at t, and
     the left side of (**) there.

@@ -1,4 +1,4 @@
-"""End-to-end command-line behavior: formats, exit codes, config, cache."""
+"""End-to-end command-line behavior: formats, exit codes, config."""
 
 import contextlib
 import hashlib
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seshadri import cli, exact, region, search, surface
+from seshadri import cli, exact, region, search, surface, thresholds
 from seshadri.cli import (
     EXIT_FAIL,
     EXIT_INCONCLUSIVE,
@@ -391,9 +391,8 @@ def test_region_certificate_goes_to_cache_dir(capsys, tmp_path):
     assert main(argv) == EXIT_PASS
     capsys.readouterr()
     out = cache / "certificate-r13-t3.json"
-    assert out.exists()
-    # the cache entry sits next to it and makes the rerun a pure replay
-    assert any(p.name.startswith("region-r13-") for p in cache.iterdir())
+    # the certificate is the one file region writes there
+    assert [p.name for p in cache.iterdir()] == ["certificate-r13-t3.json"]
     assert main(argv) == EXIT_PASS
     capsys.readouterr()
     assert main(["audit-certificate", str(out)]) == EXIT_PASS
@@ -402,13 +401,12 @@ def test_region_certificate_goes_to_cache_dir(capsys, tmp_path):
 
 UNWRITABLE_RUNS = (
     ("region", "--r", "13", "--t0", "3", "--cache-dir", "plain-file/sub"),
-    ("verify", "--r", "10..11", "--cache-dir", "plain-file/sub"),
 )
 
 
 @pytest.mark.parametrize("argv", UNWRITABLE_RUNS, ids=lambda argv: argv[0])
 def test_unwritable_output_directory_is_a_usage_error(capsys, argv):
-    """A certificate or cache entry under a regular file cannot be written:
+    """A certificate under a regular file cannot be written:
     one error line and exit 2, not a traceback and exit 1 (which reads as a
     failed verification). A path under a file fails for root too, where a
     read-only directory would not."""
@@ -468,144 +466,43 @@ def test_certificate_matches_golden_digest(capsys, monkeypatch, tmp_path, job):
     assert hashlib.sha256(data).hexdigest() == GOLDEN_CERTIFICATE_SHA256[job]
 
 
-def test_cache_round_trip(capsys, tmp_path):
-    cache = tmp_path / "cache"
-    argv = ["verify", "--r", "10..11", "--cache-dir", str(cache)]
-    assert main(argv) == EXIT_PASS
-    first = capsys.readouterr().out
-    files = sorted(p.name for p in cache.iterdir())
-    assert len(files) == 2
-    assert files[0].startswith("verify-r10-") and files[0].endswith(".json")
+def test_range_flags_start_nothing_and_write_nothing(monkeypatch, isolated):
+    """--jobs and --cache-dir still parse on a range command and change
+    nothing: the bytes of the plain run, no directory created, and no
+    process started."""
+    import multiprocessing.process
 
-    # a second run serves from the cache and prints the same bytes
-    assert main(argv) == EXIT_PASS
-    assert capsys.readouterr().out == first
+    def no_process(self):
+        raise AssertionError("a range command started a process")
 
-    # matching key: the cached result is trusted as-is
-    target = cache / files[0]
-    entry = json.loads(target.read_text())
-    entry["result"]["mu0"] = "99"
-    target.write_text(json.dumps(entry))
-    assert main(argv) == EXIT_PASS
-    assert '"mu0": "99"' in capsys.readouterr().out
-
-    # stale key: the entry is recomputed and rewritten
-    entry["key"] = {"stale": True}
-    target.write_text(json.dumps(entry))
-    assert main(argv) == EXIT_PASS
-    assert capsys.readouterr().out == first
-    assert json.loads(target.read_text())["result"]["mu0"] == "77/24"
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
+    plain = _call(("verify", "--r", "10..13"))
+    assert plain[2] == EXIT_PASS
+    flagged = ("verify", "--r", "10..13", "--jobs", "2", "--cache-dir", "D")
+    assert _call(flagged) == plain
+    assert list(isolated.iterdir()) == []
 
 
+def test_coverage_gap_fails_the_command(capsys, monkeypatch):
+    """A coverage document whose covered field is false exits 1 with one
+    FAIL line per gap: with the exceptional class as the whole catalog, the
+    chain at r = 10 leaves (mu0, sqrt(11)) uncovered. The field alone sets
+    the exit code: without its FAIL lines the command still exits 1."""
+    catalog = thresholds.catalog
 
-@pytest.mark.parametrize("corrupt", [b"\xff\xfe", b"[1,2]"], ids=["not-utf8", "not-an-object"])
-def test_corrupt_cache_entry_is_a_miss(capsys, tmp_path, corrupt):
-    """An entry that is not UTF-8, or not a JSON object, is recomputed and
-    rewritten, and the output is the uncached bytes."""
-    assert main(["verify", "--r", "12"]) == EXIT_PASS
-    uncached = capsys.readouterr().out
-    cache = tmp_path / "cache"
-    argv = ["verify", "--r", "12", "--cache-dir", str(cache)]
-    assert main(argv) == EXIT_PASS
-    capsys.readouterr()
-    (target,) = cache.iterdir()
-    target.write_bytes(corrupt)
-    assert main(argv) == EXIT_PASS
-    assert capsys.readouterr().out == uncached
-    assert json.loads(target.read_text())["result"]["r"] == 12
+    def only_exceptional(r):
+        return [cc for cc in catalog(r) if cc.curve.is_exceptional]
 
-def test_failing_cached_document_sets_the_exit_code(capsys, tmp_path):
-    """A document fails its command whether or not it has a FAIL line: a
-    hand-edited cache entry with all_pass or covered false exits 1 with
-    nothing on stderr, and one with a counterexample row exits 1 with its
-    FAIL line."""
-    cache = tmp_path / "cache"
-    for command, field in (("verify", "all_pass"), ("coverage", "covered")):
-        argv = [command, "--r", "12", "--cache-dir", str(cache)]
-        assert main(argv) == EXIT_PASS
-        capsys.readouterr()
-        (entry_path,) = cache.glob(f"{command}-r12-*.json")
-        entry = json.loads(entry_path.read_text())
-        entry["result"][field] = False
-        entry_path.write_text(json.dumps(entry))
-        assert main(argv) == EXIT_FAIL
-        assert capsys.readouterr().err == ""
-    (entry_path,) = cache.glob("verify-r12-*.json")
-    entry = json.loads(entry_path.read_text())
-    entry["result"]["all_pass"] = True
-    entry["result"]["pairs"][0]["outcome"] = "Counterexample"
-    entry_path.write_text(json.dumps(entry))
-    assert main(["verify", "--r", "12", "--cache-dir", str(cache)]) == EXIT_FAIL
-    assert capsys.readouterr().err.startswith("FAIL r=12: ")
+    monkeypatch.setattr(thresholds, "catalog", only_exceptional)
+    assert main(["coverage", "--r", "10"]) == EXIT_FAIL
+    out, err = capsys.readouterr()
+    assert json.loads(out)["gaps"] == [["77/24", "sqrt(11)"]]
+    assert err == "FAIL r=10: coverage gap (77/24, sqrt(11))\n"
 
-
-def test_no_cache_keys_without_cache_dir(capsys, monkeypatch):
-    """Without --cache-dir no entry is keyed: the sha256 that names entries
-    is never taken."""
-    def no_digest(*args):
-        raise AssertionError("cache key computed without a cache directory")
-
-    monkeypatch.setattr(cli.hashlib, "sha256", no_digest)
-    assert main(["verify", "--r", "10..13"]) == EXIT_PASS
-    assert main(["coverage", "--r", "8..9"]) == EXIT_PASS
-
-
-def test_pool_workers_read_and_write_the_cache(tmp_path):
-    """With --jobs 2 and a cache directory, a cold run and a warm run print
-    the bytes of the serial run without a cache. The directory ends with
-    exactly one entry per r, and the warm run rewrites none of them."""
-    serial = _call(("verify", "--r", "10..13"))
-    cache = tmp_path / "cache"
-    argv = ("verify", "--r", "10..13", "--jobs", "2", "--cache-dir", str(cache))
-
-    def entries():
-        return {p.name: p.stat().st_ino for p in cache.iterdir()}
-
-    assert _call(argv) == serial
-    cold = entries()
-    assert sorted(name.rsplit("-", 1)[0] for name in cold) == [
-        f"verify-r{r}" for r in range(10, 14)
-    ]
-    assert _call(argv) == serial
-    assert entries() == cold
-
-
-def test_pool_is_bounded_by_cpus_and_work(monkeypatch):
-    """--jobs asks for at most that many processes: the pool gets no more
-    workers than CPUs or values of r to compute, and one worker is no pool.
-    The pool is a stand-in, so no process is started."""
-    import concurrent.futures
-
-    sizes = []
-
-    class RecordingPool:
-        """Records max_workers and maps serially."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    for cpus, r, jobs, pool_sizes in (
-        (4, "10..15", "100000", [4]),
-        (64, "10..15", "100000", [6]),
-        (64, "10..15", "3", [3]),
-        (None, "10..15", "100000", []),
-        (64, "10", "100000", []),
-    ):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        sizes.clear()
-        argv = ("verify", "--r", r)
-        assert _call((*argv, "--jobs", jobs)) == _call(argv)
-        assert sizes == pool_sizes
+    build, smallest_r, _ = cli._RANGE_COMMANDS["coverage"]
+    monkeypatch.setitem(cli._RANGE_COMMANDS, "coverage", (build, smallest_r, lambda doc: []))
+    assert main(["coverage", "--r", "10"]) == EXIT_FAIL
+    assert capsys.readouterr().err == ""
 
 
 def test_parallel_matches_serial(capsys):
@@ -713,12 +610,14 @@ def _entry_point(*argv):
 
 def test_entry_point_runs_the_cli():
     """The real entry point, not main in-process: --version, a verify whose
-    stdout matches the in-process run, and an unwritable cache directory."""
+    stdout matches the in-process run, and a certificate directory under a
+    regular file."""
     out, _, code = _entry_point("--version")
     assert code == 0 and out.startswith("seshadri ")
     assert _entry_point("verify", "--r", "10..11") == (*_call(["verify", "--r", "10..11"])[:2], 0)
     Path("plain-file").write_text("")
-    out, err, code = _entry_point(*UNWRITABLE_RUNS[1])
+    (unwritable,) = UNWRITABLE_RUNS
+    out, err, code = _entry_point(*unwritable)
     assert code == EXIT_USAGE and out == ""
     assert err.startswith("error: cannot write ") and err.count("\n") == 1
 

@@ -348,6 +348,14 @@ def test_enumeration_at_r_20_is_the_small_degree_list():
             assert set(enumerate_critical_pairs(r)) <= set(small), r
 
 
+def _balanced_edim_lhs(d, m_total, r):
+    """Left side of (**) on the balanced class of total m_total at r, term
+    by term: the reference the closed form of _max_total_satisfying_edim is
+    tested against."""
+    m, s = balanced_split(m_total, r)
+    return comb(d + 2, 2) - s * comb(m + 1, 2) - (r - s) * comb(m, 2)
+
+
 def test_balanced_edim_lhs_matches_materialised_class():
     rng = random.Random(2019)
     for _ in range(300):
@@ -359,7 +367,7 @@ def test_balanced_edim_lhs_matches_materialised_class():
             m, s = balanced_split(m_total, r)
             c = CurveClass.from_multiplicities(d, (m,) * s + (m - 1,) * (r - s))
             assert balanced_class(d, m_total, r) == c
-            assert search._balanced_edim_lhs(d, m_total, r) == search._edim_lhs(c)
+            assert _balanced_edim_lhs(d, m_total, r) == search._edim_lhs(c)
         assert balanced_split(multiple, r)[1] == r
 
 
@@ -416,7 +424,6 @@ def test_maximal_total_evaluations_per_r(monkeypatch):
         return original(d, t, r)
 
     monkeypatch.setattr(search, "_max_total_satisfying_edim", counting)
-    monkeypatch.setattr(search, "_balanced_edim_lhs", None)  # no term-by-term scan
     assert len(enumerate_critical_pairs(10)) == 100
     assert calls <= 200
     for r in range(20, 3001):
@@ -432,9 +439,9 @@ def _scan_over_d(t, r, d_stop):
     rhs = max(comb(t + 1, 2) - 2, 0)
     m_total = 1
     for d in range(t + 1, d_stop):
-        while search._balanced_edim_lhs(d, m_total + 1, r) > rhs:
+        while _balanced_edim_lhs(d, m_total + 1, r) > rhs:
             m_total += 1
-        yield d, (m_total, search._balanced_edim_lhs(d, m_total, r))
+        yield d, (m_total, _balanced_edim_lhs(d, m_total, r))
 
 
 def test_closed_form_maximal_total_matches_the_linear_scan():
@@ -479,11 +486,11 @@ def test_maximal_total_is_at_least_one():
     for r in (10, 11, 12, 13, 20, 100, 10**6, 10**18):
         for d in range(2, 25):
             for t in range(1, d):
-                lhs_at_one = search._balanced_edim_lhs(d, 1, r)
+                lhs_at_one = _balanced_edim_lhs(d, 1, r)
                 assert lhs_at_one == comb(d + 2, 2) - 1 > max(comb(t + 1, 2) - 2, 0)
                 best, lhs = search._max_total_satisfying_edim(d, t, r)
                 assert best >= 1
-                assert lhs == search._balanced_edim_lhs(d, best, r)
+                assert lhs == _balanced_edim_lhs(d, best, r)
 
 
 def test_mu_minus_matches_the_quadratic_arithmetic():
