@@ -34,8 +34,17 @@ That is solved in closed form: m from one integer square root of the
 quadratic r*C(m,2) + m < target, made exact by integer +-1 steps, then s by
 one division.  Each (d, t) costs O(1) evaluations, and the d-scan for a t
 stops at the first d whose maximal M exceeds B = total_multiplicity_bound(r),
-so a t costs O(d_max) of them; d_max and B are bounded by the caps above, so
-the search cost per r does not depend on r.
+so a t costs O(d_max) of them.  The d-scan is the route for r = 10..19 only.
+
+From r = 20 on no scan runs: the critical pairs are the small-degree pairs
+(_SMALL_DEGREE) whose M is at most B, one bound and at most five classes
+per r.  t_range is {1, 2} there, and the d = 2..4 pairs are fixed because
+for M <= r every multiplicity is 0 or 1, so the left side of (**) is
+C(d+2,2) - M, which does not depend on r.  For d >= 5 the maximal M already
+exceeds B by large_r_inequalities (i), r - 6 > 3 sqrt(r), which holds from
+r = 20 on, and that M rises in d, so no higher degree survives.  The tests
+hold this route equal to the d-scan (_scan_critical_pairs) on r = 20..3000
+and at 10^6, 10^12 and 10^18.
 
 Each critical pair is then checked against a threshold mu_0: with
 Delta = M^2 - r(d^2 - t^2), the pair is harmless when Delta < 0 (the class
@@ -265,8 +274,35 @@ def _is_t_critical(d: int, t: int, lhs: int) -> bool:
     return lhs <= max(comb(t + 2, 2) - 2, 0)
 
 
+# (d, M, t) of the five balanced pairs with d <= 4 that are critical for
+# every r >= 14, in (t, d) order: the maximal M of (**) when M <= r, namely
+# C(d+2,2) - 1 at t = 1 and C(d+2,2) - 2 at t = 2.
+_SMALL_DEGREE = ((2, 5, 1), (3, 9, 1), (4, 14, 1), (3, 8, 2), (4, 13, 2))
+
+
 def enumerate_critical_pairs(r: int) -> tuple[BalancedPair, ...]:
     """All critical pairs with M <= total_multiplicity_bound(r), sorted (t, d).
+
+    For r = 10..19 this is the d-scan of _scan_critical_pairs.  From r = 20
+    on it is the small-degree pairs (_SMALL_DEGREE) whose M is at most the
+    bound, with no scan: no degree d >= 5 survives, since there the maximal
+    M exceeds the bound by large_r_inequalities (i) and M rises in d; and
+    for d <= 4 and M <= r the left side of (**) is C(d+2,2) - M, whatever r
+    is.  Each class (d; 1^M) is balanced because M <= 14 <= r.
+    """
+    if r < 20:
+        return _scan_critical_pairs(r)
+    bound = total_multiplicity_bound(r)
+    return tuple(
+        BalancedPair(CurveClass(d, ((1, total),), r), t)
+        for d, total, t in _SMALL_DEGREE
+        if total <= bound
+    )
+
+
+def _scan_critical_pairs(r: int) -> tuple[BalancedPair, ...]:
+    """The d-scan: all critical pairs with M <= total_multiplicity_bound(r),
+    sorted (t, d), for any r >= 10.
 
     Each (d, t) gets its maximal M from the closed form of
     _max_total_satisfying_edim.  For fixed t that M never decreases in d:
@@ -329,15 +365,16 @@ def verify_no_counterexample(
 def small_degree_pairs(r: int) -> tuple[BalancedPair, ...]:
     """The five balanced pairs with d <= 4 that are critical for every large r.
 
-    For r >= 20 these are the only critical pairs in degrees d < 5, and each
-    has Delta = M^2 - r(d^2 - t^2) < 0 there, which is what the large-r
-    verification consumes.
+    They are read from _SMALL_DEGREE.  For r >= 20 the critical pairs are
+    exactly those of them with M <= total_multiplicity_bound(r) (see
+    enumerate_critical_pairs), and each has Delta = M^2 - r(d^2 - t^2) < 0
+    there, which is what the large-r verification consumes.
     """
     if r < 14:
         raise UnsupportedR(f"need r >= 14 to host 14 simple points, got {r}")
     return tuple(
-        BalancedPair(balanced_class(d, total, r), t)
-        for d, total, t in ((2, 5, 1), (3, 9, 1), (4, 14, 1), (3, 8, 2), (4, 13, 2))
+        BalancedPair(CurveClass(d, ((1, total),), r), t)
+        for d, total, t in _SMALL_DEGREE
     )
 
 
@@ -360,8 +397,8 @@ class OracleReport:
 def brute_force_oracle(r: int, mu0: QuadraticLike | None = None) -> OracleReport:
     """Exhaustive sweep over balanced pairs, independent of the d-scan cutoff.
 
-    Scans every balanced pair (d, t, M) with 2 <= d <= d_max, 1 <= t <
-    min(d, max t_range) and 1 <= M <= total_multiplicity_bound(r) that
+    Scans every balanced pair (d, t, M) with 2 <= d <= d_max, 1 <= t <=
+    min(d - 1, max t_range) and 1 <= M <= total_multiplicity_bound(r) that
     satisfies (**), checking each against mu0 and recording which are
     critical.  The finite d_max genuinely covers all d >= 2:
 

@@ -775,6 +775,12 @@ MATRIX_EXTRAS = (
     ("region", "--r", "12", "--t0", "4", "--cache-dir", "cache"),
     ("region", "--r", "12", "--t0", "4", "--cache-dir", "cache"),
     ("audit-certificate", "cache/certificate-r12-t4.json", "--format", "markdown"),
+    # r >= 20, where the small-degree pairs are the whole enumeration: every
+    # point where the set shrinks (r = 30, 34, 97, 189) and r near 10^18.
+    ("verify", "--r", "20..200"),
+    ("enumerate", "--r", "20..200"),
+    ("table", "--r", "29..35"),
+    ("verify", "--r", "999999999999999995..1000000000000000000"),
 )
 OUTPUT_MATRIX = tuple(
     (*run, *fmt, *approx)

@@ -339,13 +339,26 @@ def _small_degree_critical_pairs(r):
 def test_enumeration_at_r_20_is_the_small_degree_list():
     """small_degree_pairs(r) is every critical pair with d <= 4 and t <= 2
     for r = 14..3000 and at 10^6, 10^12 and 10^18; from r = 20 on the
-    enumeration holds no other pair."""
+    enumeration, built from that list without a scan, equals the d-scan."""
     assert enumerate_critical_pairs(20) == small_degree_pairs(20)
     for r in (*range(14, 3001), 10**6, 10**12, 10**18):
         small = small_degree_pairs(r)
         assert _small_degree_critical_pairs(r) == small, r
         if r >= 20:
-            assert set(enumerate_critical_pairs(r)) <= set(small), r
+            pairs = enumerate_critical_pairs(r)
+            assert pairs == search._scan_critical_pairs(r), r
+            assert set(pairs) <= set(small), r
+
+
+def test_small_degree_pair_counts_where_the_set_shrinks():
+    """From r = 20 on the bound drops one small-degree pair at a time:
+    (4;1^14) at r = 30, (4;1^13) at 34, (3;1^9) at 97 and (3;1^8) at 189,
+    leaving (2;1^5)."""
+    counts = {20: 5, 29: 5, 30: 4, 33: 4, 34: 3, 96: 3, 97: 2, 188: 2, 189: 1}
+    for r, count in counts.items():
+        assert len(enumerate_critical_pairs(r)) == count, r
+        assert len(search._scan_critical_pairs(r)) == count, r
+    assert [str(p) for p in enumerate_critical_pairs(189)] == ["((2;1^5), t=1)"]
 
 
 def _balanced_edim_lhs(d, m_total, r):
@@ -414,7 +427,8 @@ def test_search_builds_one_class_per_kept_pair(monkeypatch):
 def test_maximal_total_evaluations_per_r(monkeypatch):
     """Each (d, t) solves for its maximal M in closed form, once: 180 calls
     at r = 10 (966 evaluations of (**) for the resumed scan before), and
-    from r = 20 on a handful per r, whatever r is."""
+    from r = 20 on a handful per r for the d-scan, whatever r is.  The
+    enumeration itself makes none there: it reads the small-degree list."""
     calls = 0
     original = search._max_total_satisfying_edim
 
@@ -428,8 +442,11 @@ def test_maximal_total_evaluations_per_r(monkeypatch):
     assert calls <= 200
     for r in range(20, 3001):
         calls = 0
-        enumerate_critical_pairs(r)
+        search._scan_critical_pairs(r)
         assert calls <= 8, r
+        calls = 0
+        enumerate_critical_pairs(r)
+        assert calls == 0, r
 
 
 def _scan_over_d(t, r, d_stop):
@@ -569,7 +586,9 @@ def test_root_route_splits_delta_once(monkeypatch):
 
 
 def test_brute_force_oracle_matches_enumeration():
-    for r in [*range(10, 61), 100, 500, 1000, 2000]:
+    """The exhaustive sweep against the d-scan at r = 10..19 and against the
+    small-degree route from r = 20 on, past every point where it shrinks."""
+    for r in [*range(10, 401), 500, 1000, 2000]:
         report = brute_force_oracle(r)
         assert report.all_pass
         assert report.matches_enumeration
