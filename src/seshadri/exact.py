@@ -263,13 +263,21 @@ class QuadraticNumber:
 
     @staticmethod
     def sqrt(x: RationalLike) -> QuadraticNumber:
-        """sqrt of a nonnegative rational, as an exact quadratic number."""
-        x = _as_fraction(x)
-        if x < 0:
+        """sqrt of a nonnegative rational, as an exact quadratic number.
+
+        Decided on integers: an int is read as p/1 and a Fraction as its
+        numerator and denominator, so the result's coefficient is the only
+        Fraction built.
+        """
+        if type(x) is int:  # a bool goes through _as_fraction
+            p, q = x, 1
+        else:
+            x = _as_fraction(x)
+            p, q = x.numerator, x.denominator
+        if p < 0:
             raise NegativeRadicand(f"cannot take the square root of {x}")
         # sqrt(p/q) = sqrt(p*q)/q = f*sqrt(m)/q with p*q = f^2*m, m squarefree
-        q = x.denominator
-        f, m = squarefree_decomposition(x.numerator * q)
+        f, m = squarefree_decomposition(p * q)
         if m <= 1:
             return QuadraticNumber._canonical(Fraction(f * m, q), _ZERO, 0)
         return QuadraticNumber._canonical(_ZERO, Fraction(f, q), m)
@@ -393,15 +401,23 @@ class QuadraticNumber:
         Fractions are reduced, a unit coefficient on the root is omitted,
         a zero rational part is omitted, and the root term's sign becomes
         the connective ("a - b*sqrt(n)" rather than "a + -b*sqrt(n)").
+        Decided on integers: the root term is written from b's numerator and
+        denominator, with no Fraction arithmetic.
         """
-        if self.b == 0:
+        b = self.b
+        if not b:
             return str(self.a)
-        babs = abs(self.b)
-        root = f"sqrt({self.rad})" if babs == 1 else f"{babs}*sqrt({self.rad})"
-        if self.a == 0:
-            return root if self.b > 0 else f"-{root}"
-        op = "+" if self.b > 0 else "-"
-        return f"{self.a} {op} {root}"
+        num, den = b.numerator, b.denominator
+        mag = num if num > 0 else -num
+        if den != 1:
+            root = f"{mag}/{den}*sqrt({self.rad})"
+        elif mag != 1:
+            root = f"{mag}*sqrt({self.rad})"
+        else:
+            root = f"sqrt({self.rad})"
+        if not self.a:
+            return root if num > 0 else f"-{root}"
+        return f"{self.a} {'+' if num > 0 else '-'} {root}"
 
     def __str__(self) -> str:
         return self.render()
@@ -447,23 +463,20 @@ def parse_quadratic(text: str) -> QuadraticNumber:
     raise ValueError(f"cannot parse quadratic number from {text!r}")
 
 
-def _sign(x: int) -> int:
-    return (x > 0) - (x < 0)
-
-
 def _field_sign(a: int, b: int, n: int) -> int:
-    """Sign of a + b*sqrt(n) for integers a, b and n >= 0.
+    """Sign of a + b*sqrt(n) for integers a, b and n >= 0, decided on
+    integers.
 
     Equal signs, or a zero term, decide at once.  Otherwise
     a + b*sqrt(n) = (a^2 - b^2*n) / (a - b*sqrt(n)), whose denominator has
     the sign of a, so the answer is sign(a) * sign(a^2 - b^2*n).
     """
-    sa, sb = _sign(a), _sign(b)
-    if sb == 0 or n == 0:
-        return sa
-    if sa == 0 or sa == sb:
-        return sb
-    return sa * _sign(a * a - b * b * n)
+    if not b or not n:
+        return (a > 0) - (a < 0)
+    if not a or (a > 0) == (b > 0):
+        return 1 if b > 0 else -1
+    norm = a * a - b * b * n
+    return (norm > 0) - (norm < 0) if a > 0 else (norm < 0) - (norm > 0)
 
 
 def compare(x: QuadraticLike, y: QuadraticLike) -> int:
@@ -490,7 +503,7 @@ def compare(x: QuadraticLike, y: QuadraticLike) -> int:
     p, q = qx.rad, qy.rad
     if p == q or not p or not q:
         return _field_sign(a, u - v, p or q)
-    s, w = _field_sign(a, u, p), _sign(v)
+    s, w = _field_sign(a, u, p), (v > 0) - (v < 0)
     if s != w:
         return 1 if s > w else -1
     return s * _field_sign(a * a + u * u * p - v * v * q, 2 * a * u, p)

@@ -94,7 +94,7 @@ class CurveClass:
         """Class syntax "(d;m1^e1,m2^e2,...)": multiplicities descending,
         exponents counting repetition, ^1 and zero entries omitted; "E1" for
         the exceptional divisor."""
-        if self.is_exceptional:
+        if self.d == 0:
             return "E1"
         groups = [f"{m}^{e}" if e > 1 else repr(m) for m, e in self.runs]
         return f"({self.d};{','.join(groups)})"

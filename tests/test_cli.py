@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: formats, exit codes, config."""
 
 import contextlib
+import fractions
 import hashlib
 import io
 import json
@@ -275,6 +276,23 @@ def test_verify_doc_needs_no_enclosures(monkeypatch):
     assert calls["enclosure"] == 0
     assert calls["sqrt_enclosure"] == 0
     assert calls["squarefree"] <= 1
+
+
+def test_verify_doc_builds_at_most_one_fraction(monkeypatch):
+    """At large r, sqrt(r + 1) and its string are built from integers: the
+    one Fraction made is the coefficient of the root."""
+    calls = 0
+    original = vars(fractions.Fraction)["__new__"]
+
+    def counting(cls, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", staticmethod(counting))
+    doc = cli._verify_doc(1500, None)
+    assert doc["mu0"] == "sqrt(1501)"
+    assert calls <= 1
 
 
 def test_mu0_is_parsed_once_per_command(capsys, monkeypatch):

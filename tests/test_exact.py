@@ -6,9 +6,10 @@ from functools import cmp_to_key
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from seshadri import exact
 from seshadri.errors import (
     DivisionByZeroInterval,
     IncompatibleRadicands,
@@ -19,6 +20,7 @@ from seshadri.exact import (
     DEFAULT_SQRT_WIDTH,
     QuadraticNumber,
     RationalInterval,
+    _field_sign,
     compare,
     parse_quadratic,
     sqrt_enclosure,
@@ -106,6 +108,39 @@ def test_sqrt_of_rational():
     assert (y * y) == Fraction(2, 3)
     with pytest.raises(NegativeRadicand):
         QuadraticNumber.sqrt(-2)
+
+
+def test_sqrt_of_int_equals_sqrt_of_fraction(monkeypatch):
+    """The int route reads n as n/1 and gives the number the Fraction route
+    gives, for n = 0..2000 with the real decomposition.  Near 10^18, where
+    trial division up to the cube root makes the decomposition slow, a
+    recording stand-in checks what differs between the routes: the integer
+    each one decomposes and the number built from the answer."""
+    for n in range(2001):
+        x, y = QuadraticNumber.sqrt(n), QuadraticNumber.sqrt(Fraction(n))
+        assert (x.a, x.b, x.rad) == (y.a, y.b, y.rad), n
+    for n in (10**18 - 1, 10**18, 10**18 + 1):
+        assert QuadraticNumber.sqrt(n) == QuadraticNumber.sqrt(Fraction(n))
+    seen = []
+
+    def recording(n):
+        seen.append(n)
+        return 1, n
+
+    monkeypatch.setattr(exact, "squarefree_decomposition", recording)
+    for n in range(10**18 - 500, 10**18 + 500):
+        x, y = QuadraticNumber.sqrt(n), QuadraticNumber.sqrt(Fraction(n))
+        assert (x.a, x.b, x.rad) == (y.a, y.b, y.rad) == (0, 1, n)
+        assert seen == [n, n]
+        seen.clear()
+
+
+def test_sqrt_of_bool_and_negative_arguments():
+    assert QuadraticNumber.sqrt(True) == QuadraticNumber.sqrt(1) == 1
+    for x in (-5, Fraction(-5)):
+        with pytest.raises(NegativeRadicand) as err:
+            QuadraticNumber.sqrt(x)
+        assert str(err.value) == "cannot take the square root of -5"
 
 
 def test_arithmetic_in_a_fixed_field():
@@ -288,6 +323,34 @@ def test_render_parse_round_trip_random(a, b, radicand):
     assert parse_quadratic(x.render()) == x
 
 
+def _render_oracle(x):
+    """QuadraticNumber.render written in Fraction arithmetic."""
+    if x.b == 0:
+        return str(x.a)
+    babs = abs(x.b)
+    root = f"sqrt({x.rad})" if babs == 1 else f"{babs}*sqrt({x.rad})"
+    if x.a == 0:
+        return root if x.b > 0 else f"-{root}"
+    op = "+" if x.b > 0 else "-"
+    return f"{x.a} {op} {root}"
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(RATIONAL_PARTS, RATIONAL_PARTS, st.integers(min_value=0, max_value=10**6))
+@example(Fraction(0), Fraction(1), 13)
+@example(Fraction(0), Fraction(-1), 13)
+@example(Fraction(0), Fraction(1, 2), 2)
+@example(Fraction(0), Fraction(-1, 2), 2)
+@example(Fraction(7, 3), Fraction(1), 999983)
+@example(Fraction(7, 3), Fraction(-1), 999983)
+@example(Fraction(-5), Fraction(1, 2), 6)
+@example(Fraction(-5), Fraction(-1, 2), 6)
+@example(Fraction(0), Fraction(0), 0)
+def test_render_matches_fraction_oracle(a, b, radicand):
+    x = QuadraticNumber(a, b, radicand)
+    assert x.render() == _render_oracle(x)
+
+
 def test_render_parse_round_trip_near_1e18():
     for a, b, radicand in ((0, -1, 10**18 + 1), (Fraction(-7, 3), 1, 999999999999999989),
                            (5, Fraction(-2, 9), 10**18 - 1), (1, 1, 10**18)):
@@ -468,3 +531,37 @@ def test_arithmetic_results_equal_public_constructor():
             assert hash(got) == hash(expected)
             if got.is_rational:
                 assert got.rad == 0 and hash(got) == hash(got.a)
+
+
+def _field_sign_oracle(a, b, n):
+    """_field_sign written with one sign helper per term."""
+    def sign(x):
+        return (x > 0) - (x < 0)
+
+    sa, sb = sign(a), sign(b)
+    if sb == 0 or n == 0:
+        return sa
+    if sa == 0 or sa == sb:
+        return sb
+    return sa * sign(a * a - b * b * n)
+
+
+def test_field_sign_matches_oracle_on_small_integers():
+    """Zeros, n = 0 and 1, and perfect squares (exact ties) included."""
+    for n in range(51):
+        for a in range(-30, 31):
+            for b in range(-30, 31):
+                assert _field_sign(a, b, n) == _field_sign_oracle(a, b, n), (a, b, n)
+
+
+def test_field_sign_matches_oracle_on_pell_near_ties():
+    """x - y*sqrt(n) with x^2 - n*y^2 = +-1, up to 10^18: |x - y*sqrt(n)| is
+    about 1/(2x), so one squaring decides it and no enclosure would."""
+    for n in (2, 3, 13):
+        solutions = [(p, q) for p, q in _sqrt_convergents(n, 100)
+                     if p <= 10**18 and abs(p * p - n * q * q) == 1]
+        assert len(solutions) >= 6
+        for x, y in solutions:
+            expected = 1 if x * x - n * y * y > 0 else -1
+            assert _field_sign(x, -y, n) == _field_sign_oracle(x, -y, n) == expected
+            assert _field_sign(-x, y, n) == _field_sign_oracle(-x, y, n) == -expected

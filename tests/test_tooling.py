@@ -1,7 +1,8 @@
 """perfbench's tracer still finds every function it wraps, every command
 line the benchmark runs still parses, check_pair runs once per row it
 prints (the traced benchmark's count check), the package exports resolve,
-and the documentation names only environment variables the CLI reads.
+the documentation names only environment variables the CLI reads, and the
+README's Python example runs as written.
 
 perfbench/tracer.py and perfbench/ops.py are loaded by path and left as they
 are: a rename, a deletion or a settings change in seshadri that would stop
@@ -9,6 +10,7 @@ are: a rename, a deletion or a settings change in seshadri that would stop
 here instead.
 """
 
+import doctest
 import importlib
 import importlib.util
 import json
@@ -159,3 +161,14 @@ def test_documented_variables_are_the_ones_read(capsys, monkeypatch, tmp_path):
     read = {name for name in environ.read if name.startswith("SESHADRI_")}
     assert read == {seshadri.cli.WIDTH_VARIABLE}
     assert documented and documented <= read
+
+
+def test_readme_python_example_runs():
+    """The README's ```python block, run as a doctest; the closing fence
+    would otherwise read as expected output of the last example."""
+    readme = ROOT / "README.md"
+    (block,) = re.findall(r"^```python\n(.*?)^```$", readme.read_text(), re.M | re.S)
+    test = doctest.DocTestParser().get_doctest(block, {}, "README.md", str(readme), 0)
+    result = doctest.DocTestRunner().run(test)
+    assert result.attempted == 6
+    assert result.failed == 0
