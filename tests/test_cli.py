@@ -523,6 +523,40 @@ def test_coverage_gap_fails_the_command(capsys, monkeypatch):
     assert capsys.readouterr().err == ""
 
 
+def test_verify_large_r_failures_fail_the_command(capsys, monkeypatch):
+    """verify's two r >= 20 checks, made to fail: small-degree pairs with
+    delta >= 0 and large-r inequalities that do not hold. No real r fails
+    either, so a stand-in serves cli's check_pair (which checks only the
+    small-degree rows) and large_r_inequalities."""
+    original = search.check_pair
+
+    def nonnegative_delta(pair, mu0):
+        verdict = original(pair, mu0)
+        assert verdict.delta < 0
+        return search.Verdict(-verdict.delta, mu0, verdict.outcome)
+
+    monkeypatch.setattr(cli, "check_pair", nonnegative_delta)
+    monkeypatch.setattr(cli, "large_r_inequalities", lambda r: (True, False))
+    assert main(["verify", "--r", "188..189"]) == EXIT_FAIL
+    out, err = capsys.readouterr()
+    docs = json.loads(out)["results"]
+    assert [doc["all_pass"] for doc in docs] == [False, False]
+    assert err == "\n".join([
+        "FAIL r=188: small-degree pair (2;1^5) t=1 has delta = 539 >= 0",
+        "FAIL r=188: small-degree pair (3;1^9) t=1 has delta = 1423 >= 0",
+        "FAIL r=188: small-degree pair (4;1^14) t=1 has delta = 2624 >= 0",
+        "FAIL r=188: small-degree pair (3;1^8) t=2 has delta = 876 >= 0",
+        "FAIL r=188: small-degree pair (4;1^13) t=2 has delta = 2087 >= 0",
+        "FAIL r=188: large-r inequalities do not hold",
+        "FAIL r=189: small-degree pair (2;1^5) t=1 has delta = 542 >= 0",
+        "FAIL r=189: small-degree pair (3;1^9) t=1 has delta = 1431 >= 0",
+        "FAIL r=189: small-degree pair (4;1^14) t=1 has delta = 2639 >= 0",
+        "FAIL r=189: small-degree pair (3;1^8) t=2 has delta = 881 >= 0",
+        "FAIL r=189: small-degree pair (4;1^13) t=2 has delta = 2099 >= 0",
+        "FAIL r=189: large-r inequalities do not hold",
+    ]) + "\n"
+
+
 def test_parallel_matches_serial(capsys):
     assert main(["enumerate", "--r", "10..13"]) == EXIT_PASS
     serial = capsys.readouterr().out

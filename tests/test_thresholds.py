@@ -251,23 +251,34 @@ def test_classify_exhaustive_trichotomy():
 
 
 def test_large_r_reduces_r_plus_1_once(monkeypatch):
-    """coverage and classify reduce r + 1 to squarefree form once per call,
-    for the threshold and the exceptional ray together."""
+    """coverage and classify make one squarefree split per call near MAX_R,
+    for the threshold and the exceptional ray together: every call is
+    counted, at every module that binds squarefree_decomposition. r + 1 is
+    10^18 (fast to split) and 10^18 + 1 (about 70 ms by trial division)."""
+    import sys
+
     from seshadri import exact
 
-    r = 10**18
+    original = exact.squarefree_decomposition
     calls = []
-    squarefree = exact.squarefree_decomposition
 
     def counting(n):
-        if n == r + 1:
-            calls.append(n)
-        return squarefree(n)
+        calls.append(n)
+        return original(n)
 
-    monkeypatch.setattr(exact, "squarefree_decomposition", counting)
-    report = verify_coverage(r)
-    assert report.covered and len(calls) == 1
-    calls.clear()
-    result = classify(r, 10**9 + 1)
-    assert result.verdict is RationalityVerdict.RATIONAL_WITH_WITNESS
-    assert len(calls) == 1
+    bound = set()
+    for name, module in list(sys.modules.items()):
+        if name == "seshadri" or name.startswith("seshadri."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+                    bound.add(name)
+    assert {"seshadri.exact", "seshadri.surface"} <= bound
+    for r in (10**18 - 1, 10**18):
+        calls.clear()
+        assert verify_coverage(r).covered
+        assert calls == [r + 1]
+        calls.clear()
+        result = classify(r, Fraction(10**9 + 1))
+        assert result.verdict is RationalityVerdict.RATIONAL_WITH_WITNESS
+        assert calls == [r + 1]

@@ -2,7 +2,7 @@
 line the benchmark runs still parses, check_pair runs once per row it
 prints (the traced benchmark's count check), the package exports resolve,
 the documentation names only environment variables the CLI reads, and the
-README's Python example runs as written.
+README's Python example and command lines run as written.
 
 perfbench/tracer.py and perfbench/ops.py are loaded by path and left as they
 are: a rename, a deletion or a settings change in seshadri that would stop
@@ -16,6 +16,7 @@ import importlib.util
 import json
 import os
 import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -172,3 +173,23 @@ def test_readme_python_example_runs():
     result = doctest.DocTestRunner().run(test)
     assert result.attempted == 6
     assert result.failed == 0
+
+
+def test_readme_command_lines_run(capsys, monkeypatch, tmp_path):
+    """Every `seshadri ...` line of the README's ```sh blocks, its comment
+    stripped, exits 0 through cli.main, in order: region writes the
+    certificate that audit-certificate reads."""
+    monkeypatch.delenv(seshadri.cli.WIDTH_VARIABLE, raising=False)
+    monkeypatch.chdir(tmp_path)
+    blocks = re.findall(r"^```sh\n(.*?)^```$", (ROOT / "README.md").read_text(), re.M | re.S)
+    commands = [
+        shlex.split(line, comments=True)
+        for block in blocks
+        for line in block.splitlines()
+        if line.startswith("seshadri ")
+    ]
+    assert len(commands) == 7
+    for argv in commands:
+        assert seshadri.cli.main(argv[1:]) == 0, argv
+        capsys.readouterr()
+    assert (tmp_path / "certificate-r12-t4.json").is_file()
