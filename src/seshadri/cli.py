@@ -19,12 +19,14 @@ such as a broken premise the search checks: one stderr line
 Every command takes one route. Its handler takes one argument, the parsed
 command line that resolve_config has checked and completed, and returns its
 documents and its stderr lines (FAIL and AUDIT lines); table, enumerate,
-verify and coverage share one handler, driven by _RANGE_COMMANDS. main alone
-writes the documents in the chosen format, then the lines, and picks the
-exit code: 1 when there is a line or a document whose verdict (all_pass,
-covered or ok) is false, else 0. Handlers raise usage errors and inconclusive bisections,
-which main turns into exit codes 2 and 3; any other exception is exit 4. A
-format the command does not offer (csv outside the range commands) is refused
+verify and coverage share one handler, driven by _RANGE_COMMANDS, whose
+per-r builders each return the document and its FAIL lines, written where
+the failing check is made. main alone writes the documents in the chosen
+format, then the lines, and picks the exit code: 1 when there is a line or
+a document whose verdict (all_pass, covered or ok) is false, else 0.
+Handlers raise usage errors and inconclusive bisections, which main turns
+into exit codes 2 and 3; any other exception is exit 4. A format the
+command does not offer (csv outside the range commands) is refused
 before the handler runs.
 
 Settings are flags (--format, --cache-dir, --depth, --jobs, --approx), with
@@ -195,85 +197,77 @@ def _pair_record(pair, verdict) -> dict:
     }
 
 
-def _pairs_doc(command: str, r: int, mu0: QuadraticNumber | None) -> dict:
+def _pairs_doc(command: str, r: int, mu0: QuadraticNumber | None) -> tuple[dict, list[str]]:
     report = verify_no_counterexample(r, mu0)
     rows = [_pair_record(p, v) for p, v in report.pairs]
-    return {"command": command, "r": r, "mu0": report.mu0.render(), "rows": rows}
+    return {"command": command, "r": r, "mu0": report.mu0.render(), "rows": rows}, []
 
 
-def _verify_doc(r: int, mu0: QuadraticNumber | None) -> dict:
+def _verify_doc(r: int, mu0: QuadraticNumber | None) -> tuple[dict, list[str]]:
+    """verify at r, with a FAIL line for each check that fails where it is
+    made: a pair below mu0, a small-degree pair with delta >= 0, large-r
+    inequalities that do not hold. all_pass is the absence of FAIL lines."""
     report = verify_no_counterexample(r, mu0)
-    all_pass = report.all_pass
-    small_records = None
-    large_r = None
+    mu0_text = report.mu0.render()
+    pairs, lines = [], []
+    for pair, verdict in report.pairs:
+        record = _pair_record(pair, verdict)
+        pairs.append(record)
+        if not verdict.passed:
+            lines.append(
+                f"FAIL r={r}: {record['class']} t={record['t']} has "
+                f"mu_minus = {record['mu_minus']} below mu0 = {mu0_text}"
+            )
+    small_records = large_r = None
     if r >= 20:
         small_records = []
         for pair in small_degree_pairs(r):
             verdict = check_pair(pair, report.mu0)
-            small_records.append(
-                {
-                    "class": pair.curve.render(),
-                    "t": pair.t,
-                    "M": pair.total_multiplicity,
-                    "delta": verdict.delta,
-                    "negative_delta": verdict.delta < 0,
-                }
-            )
-            all_pass = all_pass and verdict.delta < 0
+            record = {
+                "class": pair.curve.render(),
+                "t": pair.t,
+                "M": pair.total_multiplicity,
+                "delta": verdict.delta,
+                "negative_delta": verdict.delta < 0,
+            }
+            small_records.append(record)
+            if verdict.delta >= 0:
+                lines.append(
+                    f"FAIL r={r}: small-degree pair {record['class']} "
+                    f"t={record['t']} has delta = {verdict.delta} >= 0"
+                )
         first, second = large_r_inequalities(r)
         large_r = {
             "degree_five_inequality": first,
             "small_degree_inequality": second,
         }
-        all_pass = all_pass and first and second
+        if not (first and second):
+            lines.append(f"FAIL r={r}: large-r inequalities do not hold")
     return {
         "command": "verify",
         "r": r,
-        "mu0": report.mu0.render(),
-        "all_pass": all_pass,
-        "pairs": [_pair_record(p, v) for p, v in report.pairs],
+        "mu0": mu0_text,
+        "all_pass": not lines,
+        "pairs": pairs,
         "small_degree_pairs": small_records,
         "large_r": large_r,
-    }
+    }, lines
 
 
-def _coverage_doc(r: int, mu0: None) -> dict:
-    """Coverage at r; coverage takes no --mu0, so mu0 is None."""
-    return {"command": "coverage", **verify_coverage(r).to_json_dict()}
+def _coverage_doc(r: int, mu0: None) -> tuple[dict, list[str]]:
+    """Coverage at r, with a FAIL line per gap; coverage takes no --mu0, so
+    mu0 is None."""
+    doc = {"command": "coverage", **verify_coverage(r).to_json_dict()}
+    return doc, [f"FAIL r={r}: coverage gap ({lo}, {hi})" for lo, hi in doc["gaps"]]
 
 
-def _verify_failures(doc: dict) -> list[str]:
-    r = doc["r"]
-    lines = [
-        f"FAIL r={r}: {row['class']} t={row['t']} has "
-        f"mu_minus = {row['mu_minus']} below mu0 = {doc['mu0']}"
-        for row in doc["pairs"]
-        if row["outcome"] == "Counterexample"
-    ]
-    lines += [
-        f"FAIL r={r}: small-degree pair {record['class']} "
-        f"t={record['t']} has delta = {record['delta']} >= 0"
-        for record in doc.get("small_degree_pairs") or []
-        if not record["negative_delta"]
-    ]
-    if doc.get("large_r") is not None and not all(doc["large_r"].values()):
-        lines.append(f"FAIL r={r}: large-r inequalities do not hold")
-    return lines
-
-
-def _coverage_failures(doc: dict) -> list[str]:
-    if doc["covered"]:
-        return []
-    return [f"FAIL r={doc['r']}: coverage gap ({lo}, {hi})" for lo, hi in doc["gaps"]]
-
-
-# The commands over an r range: per-r document builder, called as
-# build(r, mu0), smallest r, and the stderr lines a document's failures print.
+# The commands over an r range: per-r builder, called as build(r, mu0) and
+# returning the document and its FAIL lines, and the smallest r.
 _RANGE_COMMANDS = {
-    "table": (functools.partial(_pairs_doc, "table"), 10, lambda doc: []),
-    "enumerate": (functools.partial(_pairs_doc, "enumerate"), 10, lambda doc: []),
-    "verify": (_verify_doc, 10, _verify_failures),
-    "coverage": (_coverage_doc, 1, _coverage_failures),
+    "table": (functools.partial(_pairs_doc, "table"), 10),
+    "enumerate": (functools.partial(_pairs_doc, "enumerate"), 10),
+    "verify": (_verify_doc, 10),
+    "coverage": (_coverage_doc, 1),
 }
 # A document whose field of one of these names is false fails its command.
 _VERDICT_FIELDS = ("all_pass", "covered", "ok")
@@ -577,12 +571,12 @@ Outcome = tuple[list[dict], list[str]]
 def cmd_range(args: argparse.Namespace) -> Outcome:
     """table, enumerate, verify and coverage: build(r, mu0) for each r in
     ascending order, with mu0 the --mu0 text (if the command takes one)
-    parsed once per command."""
-    build, smallest_r, failures = _RANGE_COMMANDS[args.command]
+    parsed once per command; the documents in order, and their FAIL lines."""
+    build, smallest_r = _RANGE_COMMANDS[args.command]
     _require_r(args, smallest_r)
     mu0 = _validated_mu0(getattr(args, "mu0", None))
-    docs = [build(r, mu0) for r in range(args.r_min, args.r_max + 1)]
-    return docs, [line for doc in docs for line in failures(doc)]
+    built = [build(r, mu0) for r in range(args.r_min, args.r_max + 1)]
+    return [doc for doc, _ in built], [line for _, lines in built for line in lines]
 
 
 def cmd_region(args: argparse.Namespace) -> Outcome:

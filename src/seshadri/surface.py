@@ -236,13 +236,11 @@ def lower_root(c: CurveClass, t: int) -> tuple[int, QuadraticNumber | None]:
     )
 
 
-def submaximal_locus(
-    c: CurveClass, t: int, r: int, sqrt_r_plus_1: QuadraticNumber | None = None
-) -> list[MuInterval]:
+def submaximal_locus(c: CurveClass, t: int, r: int) -> list[MuInterval]:
     """Locus {mu >= sqrt(r)} cut out by R(mu) <= 0; endpoints are R's roots.
 
-    Exceptional class: [sqrt(r+1), inf), from sqrt_r_plus_1 when the caller
-    has built it.  Interior: [mu_-, mu_+] clipped at sqrt(r), empty when
+    Exceptional class: [sqrt(r+1), inf), with sqrt(r+1) built here from r.
+    Interior: [mu_-, mu_+] clipped at sqrt(r), empty when
     Delta < 0 or the root interval sits below sqrt(r).  Endpoints attain
     equality, so intervals are closed (boundary points have rational
     sqrt(L^2)); restricting to the ample range is the caller's job.
@@ -252,9 +250,7 @@ def submaximal_locus(
     if c.is_exceptional:
         if t != 1:
             raise InvalidT(f"exceptional class needs t = 1, got {t}")
-        if sqrt_r_plus_1 is None:
-            sqrt_r_plus_1 = QuadraticNumber.sqrt(r + 1)
-        return [MuInterval(sqrt_r_plus_1, None)]
+        return [MuInterval(QuadraticNumber.sqrt(r + 1), None)]
     _, mu_minus = lower_root(c, t)
     if mu_minus is None:
         return []

@@ -55,26 +55,30 @@ class ThresholdEntry:
             raise ValueError(f"mu0 = {mu0} sits below sqrt({self.r})")
 
 
-def threshold(r: int, sqrt_r_plus_1: QuadraticNumber | None = None) -> ThresholdEntry:
+# mu_0(r) at the r >= 10 where it is not sqrt(r + 1).
+_TABLED_MU0 = {
+    10: QuadraticNumber.from_rational(Fraction(77, 24)),
+    11: QuadraticNumber(Fraction(4), Fraction(-1, 3), 3),
+    13: QuadraticNumber(Fraction(13, 3), Fraction(-1, 6), 13),
+}
+
+
+def _mu0(r: int, sqrt_r_plus_1: QuadraticNumber) -> QuadraticNumber:
+    """mu_0(r) for r >= 10, the one statement of the rule: the table entry
+    at r = 10, 11 and 13, else sqrt(r + 1), which the caller has built."""
+    return _TABLED_MU0.get(r, sqrt_r_plus_1)
+
+
+def threshold(r: int) -> ThresholdEntry:
     """mu_0(r): 77/24, 4 - sqrt(3)/3, sqrt(13), (26 - sqrt(13))/6 for
     r = 10..13, and sqrt(r+1) from r = 14 on.
 
-    A caller that needs sqrt(r + 1) too builds it once and passes it as
-    sqrt_r_plus_1: reducing r + 1 to squarefree form dominates at large r.
+    sqrt(r + 1) is built here, from r; classify and verify_coverage build it
+    once themselves, for mu_0 and the exceptional ray together.
     """
     if r < 10:
         raise UnsupportedR(f"thresholds start at r = 10, got {r}")
-    if r == 10:
-        mu0 = QuadraticNumber.from_rational(Fraction(77, 24))
-    elif r == 11:
-        mu0 = QuadraticNumber(Fraction(4), Fraction(-1, 3), 3)
-    elif r == 12:
-        mu0 = QuadraticNumber.sqrt(13)
-    elif r == 13:
-        mu0 = QuadraticNumber(Fraction(13, 3), Fraction(-1, 6), 13)
-    else:
-        mu0 = QuadraticNumber.sqrt(r + 1) if sqrt_r_plus_1 is None else sqrt_r_plus_1
-    return ThresholdEntry(r, mu0)
+    return ThresholdEntry(r, _mu0(r, QuadraticNumber.sqrt(r + 1)))
 
 
 @dataclass(frozen=True)
@@ -154,12 +158,27 @@ def _coverage_target(
     [sqrt(r+1), inf) is claimed.
     """
     if r >= 10:
-        return threshold(r, sqrt_r_plus_1).mu0, True
+        return _mu0(r, sqrt_r_plus_1), True
     if r == 9:
         return QuadraticNumber.from_rational(3), False
     if r == 8:
         return QuadraticNumber.from_rational(Fraction(17, 6)), False
     return sqrt_r_plus_1, True
+
+
+def _catalog_loci(
+    r: int, sqrt_r_plus_1: QuadraticNumber
+) -> list[tuple[CatalogCurve, MuInterval]]:
+    """Each catalog curve at r with each interval of its locus, in catalog
+    order. The exceptional ray is [sqrt(r+1), inf), from the caller's
+    sqrt_r_plus_1; the interior loci come from submaximal_locus."""
+    loci = []
+    for cc in catalog(r):
+        if cc.curve.is_exceptional:
+            loci.append((cc, MuInterval(sqrt_r_plus_1, None)))
+        else:
+            loci += [(cc, iv) for iv in submaximal_locus(cc.curve, cc.t, r)]
+    return loci
 
 
 def verify_coverage(r: int) -> CoverageReport:
@@ -173,10 +192,7 @@ def verify_coverage(r: int) -> CoverageReport:
     """
     sqrt_r_plus_1 = QuadraticNumber.sqrt(r + 1)
     target_lo, target_closed = _coverage_target(r, sqrt_r_plus_1)
-    loci: list[tuple[CatalogCurve, MuInterval]] = []
-    for cc in catalog(r):
-        for iv in submaximal_locus(cc.curve, cc.t, r, sqrt_r_plus_1):
-            loci.append((cc, iv))
+    loci = _catalog_loci(r, sqrt_r_plus_1)
     loci.sort(key=cmp_to_key(lambda p, q: compare(p[1].lo, q[1].lo)))
     reach = target_lo
     unbounded = False
@@ -270,44 +286,37 @@ def classify(r: int, mu: RationalLike) -> Classification:
     if mu <= 0 or l_squared <= 0:
         raise NotAboveSqrtR(f"need mu > sqrt({r}), got {mu}")
     sqrt_r_plus_1 = QuadraticNumber.sqrt(r + 1)
-    entry = threshold(r, sqrt_r_plus_1)
-    below = compare(mu, entry.mu0) < 0
+    mu0 = _mu0(r, sqrt_r_plus_1)
+    below = compare(mu, mu0) < 0
     square = _is_rational_square(l_squared)
-    if not below:
-        candidates = sorted(
-            catalog(r), key=lambda cc: (cc.curve.is_exceptional, cc.curve.d)
+    if below:
+        witness = witness_locus = None
+        verdict = (
+            RationalityVerdict.RATIONAL_SQRT
+            if square
+            else RationalityVerdict.CONDITIONALLY_IRRATIONAL
         )
-        for cc in candidates:
-            for iv in submaximal_locus(cc.curve, cc.t, r, sqrt_r_plus_1):
-                if iv.contains(mu):
-                    return Classification(
-                        r=r,
-                        mu=mu,
-                        verdict=RationalityVerdict.RATIONAL_WITH_WITNESS,
-                        witness=cc,
-                        witness_locus=iv,
-                        mu0=entry.mu0,
-                        mu_below_mu0=False,
-                        l_squared=l_squared,
-                        l_squared_is_rational_square=square,
-                        conditional_on_conjecture=False,
-                    )
-        raise RuntimeError(
-            f"coverage invariant violated: no witness at r={r}, mu={mu}"
+    else:
+        loci = sorted(
+            _catalog_loci(r, sqrt_r_plus_1),
+            key=lambda p: (p[0].curve.is_exceptional, p[0].curve.d),
         )
-    verdict = (
-        RationalityVerdict.RATIONAL_SQRT
-        if square
-        else RationalityVerdict.CONDITIONALLY_IRRATIONAL
-    )
+        for witness, witness_locus in loci:
+            if witness_locus.contains(mu):
+                break
+        else:
+            raise RuntimeError(
+                f"coverage invariant violated: no witness at r={r}, mu={mu}"
+            )
+        verdict = RationalityVerdict.RATIONAL_WITH_WITNESS
     return Classification(
         r=r,
         mu=mu,
         verdict=verdict,
-        witness=None,
-        witness_locus=None,
-        mu0=entry.mu0,
-        mu_below_mu0=True,
+        witness=witness,
+        witness_locus=witness_locus,
+        mu0=mu0,
+        mu_below_mu0=below,
         l_squared=l_squared,
         l_squared_is_rational_square=square,
         conditional_on_conjecture=verdict

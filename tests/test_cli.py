@@ -290,7 +290,7 @@ def test_verify_doc_builds_at_most_one_fraction(monkeypatch):
         return original(cls, *args, **kwargs)
 
     monkeypatch.setattr(fractions.Fraction, "__new__", staticmethod(counting))
-    doc = cli._verify_doc(1500, None)
+    doc, _ = cli._verify_doc(1500, None)
     assert doc["mu0"] == "sqrt(1501)"
     assert calls <= 1
 
@@ -517,10 +517,23 @@ def test_coverage_gap_fails_the_command(capsys, monkeypatch):
     assert json.loads(out)["gaps"] == [["77/24", "sqrt(11)"]]
     assert err == "FAIL r=10: coverage gap (77/24, sqrt(11))\n"
 
-    build, smallest_r, _ = cli._RANGE_COMMANDS["coverage"]
-    monkeypatch.setitem(cli._RANGE_COMMANDS, "coverage", (build, smallest_r, lambda doc: []))
+    build, smallest_r = cli._RANGE_COMMANDS["coverage"]
+
+    def without_lines(r, mu0):
+        doc, _ = build(r, mu0)
+        return doc, []
+
+    monkeypatch.setitem(cli._RANGE_COMMANDS, "coverage", (without_lines, smallest_r))
     assert main(["coverage", "--r", "10"]) == EXIT_FAIL
     assert capsys.readouterr().err == ""
+
+
+def _nonnegative_delta(pair, mu0):
+    """A stand-in for cli's check_pair: the real verdict of a small-degree
+    pair (delta < 0 at every r >= 20) with its delta negated."""
+    verdict = search.check_pair(pair, mu0)
+    assert verdict.delta < 0
+    return search.Verdict(-verdict.delta, mu0, search.Outcome.PASS_MU_MINUS_ABOVE_THRESHOLD)
 
 
 def test_verify_large_r_failures_fail_the_command(capsys, monkeypatch):
@@ -528,14 +541,7 @@ def test_verify_large_r_failures_fail_the_command(capsys, monkeypatch):
     delta >= 0 and large-r inequalities that do not hold. No real r fails
     either, so a stand-in serves cli's check_pair (which checks only the
     small-degree rows) and large_r_inequalities."""
-    original = search.check_pair
-
-    def nonnegative_delta(pair, mu0):
-        verdict = original(pair, mu0)
-        assert verdict.delta < 0
-        return search.Verdict(-verdict.delta, mu0, verdict.outcome)
-
-    monkeypatch.setattr(cli, "check_pair", nonnegative_delta)
+    monkeypatch.setattr(cli, "check_pair", _nonnegative_delta)
     monkeypatch.setattr(cli, "large_r_inequalities", lambda r: (True, False))
     assert main(["verify", "--r", "188..189"]) == EXIT_FAIL
     out, err = capsys.readouterr()
@@ -555,6 +561,74 @@ def test_verify_large_r_failures_fail_the_command(capsys, monkeypatch):
         "FAIL r=189: small-degree pair (4;1^13) t=2 has delta = 2099 >= 0",
         "FAIL r=189: large-r inequalities do not hold",
     ]) + "\n"
+
+
+def _oracle_verify_failures(doc):
+    """verify's FAIL lines read back from a finished document: the pass
+    the CLI made over every row before its builders wrote their own lines."""
+    r = doc["r"]
+    lines = [
+        f"FAIL r={r}: {row['class']} t={row['t']} has "
+        f"mu_minus = {row['mu_minus']} below mu0 = {doc['mu0']}"
+        for row in doc["pairs"]
+        if row["outcome"] == "Counterexample"
+    ]
+    lines += [
+        f"FAIL r={r}: small-degree pair {record['class']} "
+        f"t={record['t']} has delta = {record['delta']} >= 0"
+        for record in doc.get("small_degree_pairs") or []
+        if not record["negative_delta"]
+    ]
+    if doc.get("large_r") is not None and not all(doc["large_r"].values()):
+        lines.append(f"FAIL r={r}: large-r inequalities do not hold")
+    return lines
+
+
+def _oracle_coverage_failures(doc):
+    if doc["covered"]:
+        return []
+    return [f"FAIL r={doc['r']}: coverage gap ({lo}, {hi})" for lo, hi in doc["gaps"]]
+
+
+def test_builder_lines_match_the_document_oracle(monkeypatch):
+    """Each range builder's FAIL lines are the ones read back from its
+    document, and verify's all_pass is their absence: r = 10..19 at the
+    published thresholds and at --mu0 7/2, 9/2, 4 and sqrt(13) (several
+    fail), r = 20..40 as they are and with their checks made to fail,
+    coverage over r = 1..40, and a coverage gap."""
+    build_verify, _ = cli._RANGE_COMMANDS["verify"]
+    build_coverage, _ = cli._RANGE_COMMANDS["coverage"]
+    runs = [(r, None) for r in range(10, 41)] + [
+        (r, cli._validated_mu0(text))
+        for text in ("7/2", "9/2", "4", "sqrt(13)")
+        for r in range(10, 20)
+    ]
+    failing = 0
+    for r, mu0 in runs:
+        doc, lines = build_verify(r, mu0)
+        assert lines == _oracle_verify_failures(doc), (r, mu0)
+        assert doc["all_pass"] == (not lines), (r, mu0)
+        failing += bool(lines)
+    assert failing > 0
+    for r in range(1, 41):
+        doc, lines = build_coverage(r, None)
+        assert lines == _oracle_coverage_failures(doc) == [], r
+    catalog = thresholds.catalog
+    monkeypatch.setattr(
+        thresholds, "catalog",
+        lambda r: [cc for cc in catalog(r) if cc.curve.is_exceptional],
+    )
+    doc, lines = build_coverage(10, None)
+    assert lines == _oracle_coverage_failures(doc) == [
+        "FAIL r=10: coverage gap (77/24, sqrt(11))"
+    ]
+    # the r >= 20 checks made to fail, as no real r fails them
+    monkeypatch.setattr(cli, "check_pair", _nonnegative_delta)
+    monkeypatch.setattr(cli, "large_r_inequalities", lambda r: (False, True))
+    for r in range(20, 41):
+        doc, lines = build_verify(r, None)
+        assert len(lines) == 6 and lines == _oracle_verify_failures(doc), r
+        assert doc["all_pass"] is False
 
 
 def test_parallel_matches_serial(capsys):
@@ -773,7 +847,7 @@ def _dict_shapes(doc):
 def test_dumps_sorts_once_per_dict_shape(monkeypatch):
     """A verify range repeats a few dict shapes hundreds of times; _dumps
     sorts the keys of each shape once, not those of every dict."""
-    docs = [cli._verify_doc(r, None) for r in range(20, 70)]
+    docs = [cli._verify_doc(r, None)[0] for r in range(20, 70)]
     doc = {"command": "verify", "results": docs}
     count, shapes = _dict_shapes(doc)
     calls = 0

@@ -418,7 +418,7 @@ def test_search_builds_one_class_per_kept_pair(monkeypatch):
         pairs = enumerate_critical_pairs(r)
         assert built == [p.d for p in pairs]
     built.clear()
-    doc = cli._verify_doc(1000, None)
+    doc, _ = cli._verify_doc(1000, None)
     assert doc["all_pass"]
     assert len(built) == len(doc["pairs"]) + len(doc["small_degree_pairs"])
 

@@ -1,5 +1,6 @@
 """Thresholds, the witness catalog, coverage sweep, and classification."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -255,8 +256,6 @@ def test_large_r_reduces_r_plus_1_once(monkeypatch):
     for the threshold and the exceptional ray together: every call is
     counted, at every module that binds squarefree_decomposition. r + 1 is
     10^18 (fast to split) and 10^18 + 1 (about 70 ms by trial division)."""
-    import sys
-
     from seshadri import exact
 
     original = exact.squarefree_decomposition
