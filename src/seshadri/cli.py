@@ -50,14 +50,12 @@ shape and drops when it returns.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
 import os
 import re
 import sys
-import tempfile
 from collections.abc import Mapping
 from fractions import Fraction
 from itertools import chain, repeat
@@ -364,6 +362,8 @@ def _dumps(doc: object) -> str:
 def _atomic_write(path: Path, text: str) -> None:
     """Write text to path through a temporary file in its directory. A path
     that cannot be written (under a regular file, say) is a UsageError."""
+    import tempfile  # only region writes a file
+
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=f".{path.name}.")
@@ -421,6 +421,8 @@ def _markdown_table(columns: list[str], rows: list[dict]) -> list[str]:
 
 
 def _csv_table(columns: list[str], rows: list[dict]) -> str:
+    import csv  # only --format csv reads it
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(columns)

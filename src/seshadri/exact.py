@@ -18,15 +18,23 @@ involved, so there is nothing to refine and no termination argument.
 
 All interval endpoint arithmetic is exact rational arithmetic.  The only
 outward rounding in the package happens in sqrt_enclosure.
+
+Every value type of the package derives from Frozen: a slotted class that
+lists its compared fields in _fields.  Its __init__ sets them through
+object.__setattr__ and then calls __post_init__, which checks them and may
+normalise them, where the class has one; assigning or deleting an attribute
+afterwards raises AttributeError.  Two instances are equal when they are of
+the same class and their field tuples are equal, the hash is the hash of
+that tuple, the repr is Name(field=value, ...), and pickle and copy rebuild
+an instance by calling the class on its field tuple.  Instances have no
+__dict__.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Union
 
 from .errors import (
     DivisionByZeroInterval,
@@ -35,7 +43,7 @@ from .errors import (
     NegativeRadicandInterval,
 )
 
-RationalLike = Union[Fraction, int]
+RationalLike = Fraction | int
 
 DEFAULT_SQRT_WIDTH_EXPONENT = 32
 DEFAULT_SQRT_WIDTH = Fraction(1, 2**DEFAULT_SQRT_WIDTH_EXPONENT)
@@ -119,12 +127,47 @@ def sqrt_bracket(
     return (s, d), (s + 1, d)
 
 
-@dataclass(frozen=True)
-class RationalInterval:
+class Frozen:
+    """Base of the immutable value types: equality, hash, repr and pickling
+    over the field tuple named by _fields (see the module docstring)."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__name__}({body})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values()
+
+
+class RationalInterval(Frozen):
     """Closed interval [lo, hi] with exact rational endpoints."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = _fields = ("lo", "hi")
+
+    def __init__(self, lo: Fraction, hi: Fraction) -> None:
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lo", _as_fraction(self.lo))
@@ -210,11 +253,7 @@ class RationalInterval:
         return f"[{self.lo}, {self.hi}]"
 
 
-QuadraticLike = Union["QuadraticNumber", Fraction, int]
-
-
-@dataclass(frozen=True)
-class QuadraticNumber:
+class QuadraticNumber(Frozen):
     """Exact real number a + b*sqrt(rad) with a, b rational, rad an integer >= 0.
 
     Canonical invariants, enforced on construction: rad is squarefree,
@@ -222,9 +261,13 @@ class QuadraticNumber:
     they are equal as triples.
     """
 
-    a: Fraction
-    b: Fraction = Fraction(0)
-    rad: int = 0
+    __slots__ = _fields = ("a", "b", "rad")
+
+    def __init__(self, a: Fraction, b: Fraction = _ZERO, rad: int = 0) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "rad", rad)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         a = _as_fraction(self.a)
@@ -424,6 +467,9 @@ class QuadraticNumber:
 
     def __repr__(self) -> str:
         return f"QuadraticNumber({self.render()!r})"
+
+
+QuadraticLike = QuadraticNumber | Fraction | int
 
 
 _RATIONAL_RE = r"-?\d+(?:/\d+)?"

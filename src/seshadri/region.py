@@ -42,13 +42,12 @@ large r, where no bisection is needed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
 
 from .errors import DepthLimitExceeded, InvalidT0, UnsupportedR
 from .exact import (
     DEFAULT_SQRT_WIDTH,
+    Frozen,
     QuadraticNumber,
     RationalLike,
     sqrt_bracket,
@@ -178,19 +177,35 @@ def m_bar_zero_at_sqrt_r(r: int) -> QuadraticNumber:
     return 25 / (QuadraticNumber.sqrt(r) * (-12) + 4 * r)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Frozen):
     """Bisection certificate that Q(., t0) < 0 on the whole strip at r."""
 
-    r: int
-    t0: int
-    depth_limit: int
-    sqrt_width: Fraction
-    mu_lo: Fraction
-    mu_hi: Fraction
-    max_depth: int
-    leaf_count: int
-    tree: dict
+    __slots__ = _fields = (
+        "r", "t0", "depth_limit", "sqrt_width", "mu_lo", "mu_hi", "max_depth",
+        "leaf_count", "tree",
+    )
+
+    def __init__(
+        self,
+        r: int,
+        t0: int,
+        depth_limit: int,
+        sqrt_width: Fraction,
+        mu_lo: Fraction,
+        mu_hi: Fraction,
+        max_depth: int,
+        leaf_count: int,
+        tree: dict,
+    ) -> None:
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "t0", t0)
+        object.__setattr__(self, "depth_limit", depth_limit)
+        object.__setattr__(self, "sqrt_width", sqrt_width)
+        object.__setattr__(self, "mu_lo", mu_lo)
+        object.__setattr__(self, "mu_hi", mu_hi)
+        object.__setattr__(self, "max_depth", max_depth)
+        object.__setattr__(self, "leaf_count", leaf_count)
+        object.__setattr__(self, "tree", tree)
 
     def to_json_dict(self) -> dict:
         return {
@@ -328,7 +343,7 @@ def verify_t_bound(
     )
 
 
-def _parse_rational(text: Any) -> Fraction | None:
+def _parse_rational(text: object) -> Fraction | None:
     """The rational a certificate field spells, or None.
 
     Only the canonical form that str(Fraction) writes is accepted: an
@@ -345,12 +360,12 @@ def _parse_rational(text: Any) -> Fraction | None:
     return value if str(value) == text else None
 
 
-def _is_integer(value: Any) -> bool:
+def _is_integer(value: object) -> bool:
     """A JSON integer (not a bool or float) of at most MAX_NUMBER_LENGTH digits."""
     return type(value) is int and abs(value) < _MAX_INTEGER
 
 
-def audit_certificate(doc: Any) -> tuple[bool, list[str]]:
+def audit_certificate(doc: object) -> tuple[bool, list[str]]:
     """Replay a certificate document from scratch.
 
     Checks the document shape, that the root interval covers the strip, that
@@ -411,7 +426,7 @@ def audit_certificate(doc: Any) -> tuple[bool, list[str]]:
     leaves = 0
     deepest = 0
     # explicit stack, left child on top: nodes are checked in pre-order
-    stack: list[tuple[Any, Fraction, Fraction, int]] = [(doc["tree"], mu_lo, mu_hi, 0)]
+    stack: list[tuple[object, Fraction, Fraction, int]] = [(doc["tree"], mu_lo, mu_hi, 0)]
     while stack:
         node, lo, hi, depth = stack.pop()
         if not isinstance(node, dict):

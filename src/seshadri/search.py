@@ -55,22 +55,24 @@ is never submaximal on the strip) or when mu_- = (dM - t*sqrt(Delta))/(d^2
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from math import comb, isqrt
 
 from .errors import ExceptionalClassUnsupported, InvalidT, UnsupportedR
-from .exact import QuadraticLike, QuadraticNumber, _field_sign, compare
+from .exact import Frozen, QuadraticLike, QuadraticNumber, _field_sign, compare
 from .surface import CurveClass, lower_root
 from . import thresholds as _thresholds
 
 
-@dataclass(frozen=True)
-class BalancedPair:
+class BalancedPair(Frozen):
     """A balanced class (d; m^s, (m-1)^(r-s)), d >= 2 and M >= 1, with a
     marked multiplicity t; balanced_class builds the class."""
 
-    curve: CurveClass
-    t: int
+    __slots__ = _fields = ("curve", "t")
+
+    def __init__(self, curve: CurveClass, t: int) -> None:
+        object.__setattr__(self, "curve", curve)
+        object.__setattr__(self, "t", t)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         c = self.curve
@@ -104,28 +106,43 @@ class Outcome(enum.Enum):
     COUNTEREXAMPLE = "Counterexample"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of checking one pair; mu_minus is present iff delta >= 0."""
+class Verdict(Frozen):
+    """Outcome of checking one pair; mu_minus is present, and the outcome is
+    other than PASS_NEGATIVE_DELTA, iff delta >= 0."""
 
-    delta: int
-    mu_minus: QuadraticNumber | None
-    outcome: Outcome
+    __slots__ = _fields = ("delta", "mu_minus", "outcome")
+
+    def __init__(
+        self, delta: int, mu_minus: QuadraticNumber | None, outcome: Outcome
+    ) -> None:
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "mu_minus", mu_minus)
+        object.__setattr__(self, "outcome", outcome)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if (self.delta >= 0) != (self.mu_minus is not None):
             raise ValueError("mu_minus must be present exactly when delta >= 0")
+        if (self.delta < 0) != (self.outcome is Outcome.PASS_NEGATIVE_DELTA):
+            raise ValueError(f"{self.outcome} contradicts delta = {self.delta}")
 
     @property
     def passed(self) -> bool:
         return self.outcome is not Outcome.COUNTEREXAMPLE
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    r: int
-    mu0: QuadraticNumber
-    pairs: tuple[tuple[BalancedPair, Verdict], ...]
+class VerificationReport(Frozen):
+    __slots__ = _fields = ("r", "mu0", "pairs")
+
+    def __init__(
+        self,
+        r: int,
+        mu0: QuadraticNumber,
+        pairs: tuple[tuple[BalancedPair, Verdict], ...],
+    ) -> None:
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "mu0", mu0)
+        object.__setattr__(self, "pairs", pairs)
 
     @property
     def all_pass(self) -> bool:
@@ -378,16 +395,29 @@ def small_degree_pairs(r: int) -> tuple[BalancedPair, ...]:
     )
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(Frozen):
     """Result of the independent brute-force sweep at one r."""
 
-    r: int
-    mu0: QuadraticNumber
-    pairs_checked: int
-    counterexamples: tuple[tuple[BalancedPair, Verdict], ...]
-    critical: tuple[BalancedPair, ...]
-    matches_enumeration: bool
+    __slots__ = _fields = (
+        "r", "mu0", "pairs_checked", "counterexamples", "critical",
+        "matches_enumeration",
+    )
+
+    def __init__(
+        self,
+        r: int,
+        mu0: QuadraticNumber,
+        pairs_checked: int,
+        counterexamples: tuple[tuple[BalancedPair, Verdict], ...],
+        critical: tuple[BalancedPair, ...],
+        matches_enumeration: bool,
+    ) -> None:
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "mu0", mu0)
+        object.__setattr__(self, "pairs_checked", pairs_checked)
+        object.__setattr__(self, "counterexamples", counterexamples)
+        object.__setattr__(self, "critical", critical)
+        object.__setattr__(self, "matches_enumeration", matches_enumeration)
 
     @property
     def all_pass(self) -> bool:

@@ -25,16 +25,20 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
 from .errors import ExceptionalClassUnsupported, InvalidT
-from .exact import QuadraticLike, QuadraticNumber, compare, squarefree_decomposition
+from .exact import (
+    Frozen,
+    QuadraticLike,
+    QuadraticNumber,
+    compare,
+    squarefree_decomposition,
+)
 
 
-@dataclass(frozen=True)
-class CurveClass:
+class CurveClass(Frozen):
     """Class dH - sum(m_i E_i) at r points, stored as runs.
 
     runs holds (multiplicity, count) pairs with distinct, nonzero
@@ -46,11 +50,16 @@ class CurveClass:
     ((-1, 1),).
     """
 
-    d: int
-    runs: tuple[tuple[int, int], ...]
-    r: int
-    # M = sum(m_i), derived from runs in __post_init__
-    total_multiplicity: int = field(init=False, repr=False, compare=False)
+    _fields = ("d", "runs", "r")
+    # total_multiplicity is M = sum(m_i), derived from runs in __post_init__;
+    # it is neither compared nor printed
+    __slots__ = _fields + ("total_multiplicity",)
+
+    def __init__(self, d: int, runs: tuple[tuple[int, int], ...], r: int) -> None:
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "runs", runs)
+        object.__setattr__(self, "r", r)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.r < 1:
@@ -148,12 +157,15 @@ def parse_curve_class(text: str, r: int) -> CurveClass:
     return CurveClass(int(m.group("d")), _canonical_runs(entries), r)
 
 
-@dataclass(frozen=True)
-class MuInterval:
+class MuInterval(Frozen):
     """Closed interval [lo, hi] of mu values; hi = None means [lo, inf)."""
 
-    lo: QuadraticNumber
-    hi: QuadraticNumber | None
+    __slots__ = _fields = ("lo", "hi")
+
+    def __init__(self, lo: QuadraticNumber, hi: QuadraticNumber | None) -> None:
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lo", QuadraticNumber._coerce(self.lo))

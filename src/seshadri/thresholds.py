@@ -20,22 +20,31 @@ pencil (4;1^13), t = 2 covers the difference.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from math import isqrt
 
 from .errors import NotAboveSqrtR, UnsupportedR
-from .exact import QuadraticNumber, RationalLike, _as_fraction, _field_sign, compare
+from .exact import (
+    Frozen,
+    QuadraticNumber,
+    RationalLike,
+    _as_fraction,
+    _field_sign,
+    compare,
+)
 from .surface import CurveClass, MuInterval, submaximal_locus
 
 
-@dataclass(frozen=True)
-class ThresholdEntry:
+class ThresholdEntry(Frozen):
     """Threshold mu_0(r) at r points."""
 
-    r: int
-    mu0: QuadraticNumber
+    __slots__ = _fields = ("r", "mu0")
+
+    def __init__(self, r: int, mu0: QuadraticNumber) -> None:
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "mu0", mu0)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         mu0 = QuadraticNumber._coerce(self.mu0)
@@ -81,15 +90,17 @@ def threshold(r: int) -> ThresholdEntry:
     return ThresholdEntry(r, _mu0(r, QuadraticNumber.sqrt(r + 1)))
 
 
-@dataclass(frozen=True)
-class CatalogCurve:
+class CatalogCurve(Frozen):
     """A witness curve: its class, the multiplicity t it is used with, and a
     plain-language description of the geometry."""
 
-    r: int
-    curve: CurveClass
-    t: int
-    source: str
+    __slots__ = _fields = ("r", "curve", "t", "source")
+
+    def __init__(self, r: int, curve: CurveClass, t: int, source: str) -> None:
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "curve", curve)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "source", source)
 
 
 # The interior witness curves, in ascending degree: the point counts r each
@@ -123,16 +134,28 @@ def catalog(r: int) -> list[CatalogCurve]:
     return entries
 
 
-@dataclass(frozen=True)
-class CoverageReport:
+class CoverageReport(Frozen):
     """Result of chaining the catalog loci against the target ray."""
 
-    r: int
-    target_lo: QuadraticNumber
-    target_lo_closed: bool
-    chain: tuple[tuple[CatalogCurve, MuInterval], ...]
-    gaps: tuple[tuple[QuadraticNumber, QuadraticNumber], ...]
-    covered: bool
+    __slots__ = _fields = (
+        "r", "target_lo", "target_lo_closed", "chain", "gaps", "covered",
+    )
+
+    def __init__(
+        self,
+        r: int,
+        target_lo: QuadraticNumber,
+        target_lo_closed: bool,
+        chain: tuple[tuple[CatalogCurve, MuInterval], ...],
+        gaps: tuple[tuple[QuadraticNumber, QuadraticNumber], ...],
+        covered: bool,
+    ) -> None:
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "target_lo", target_lo)
+        object.__setattr__(self, "target_lo_closed", target_lo_closed)
+        object.__setattr__(self, "chain", chain)
+        object.__setattr__(self, "gaps", gaps)
+        object.__setattr__(self, "covered", covered)
 
     def to_json_dict(self) -> dict:
         left = "[" if self.target_lo_closed else "("
@@ -222,20 +245,39 @@ class RationalityVerdict(enum.Enum):
     CONDITIONALLY_IRRATIONAL = "ConditionallyIrrational"
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(Frozen):
     """Rationality status of epsilon(mu) at one rational mu > sqrt(r)."""
 
-    r: int
-    mu: Fraction
-    verdict: RationalityVerdict
-    witness: CatalogCurve | None
-    witness_locus: MuInterval | None
-    mu0: QuadraticNumber
-    mu_below_mu0: bool
-    l_squared: Fraction
-    l_squared_is_rational_square: bool
-    conditional_on_conjecture: bool
+    __slots__ = _fields = (
+        "r", "mu", "verdict", "witness", "witness_locus", "mu0", "mu_below_mu0",
+        "l_squared", "l_squared_is_rational_square", "conditional_on_conjecture",
+    )
+
+    def __init__(
+        self,
+        r: int,
+        mu: Fraction,
+        verdict: RationalityVerdict,
+        witness: CatalogCurve | None,
+        witness_locus: MuInterval | None,
+        mu0: QuadraticNumber,
+        mu_below_mu0: bool,
+        l_squared: Fraction,
+        l_squared_is_rational_square: bool,
+        conditional_on_conjecture: bool,
+    ) -> None:
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "witness_locus", witness_locus)
+        object.__setattr__(self, "mu0", mu0)
+        object.__setattr__(self, "mu_below_mu0", mu_below_mu0)
+        object.__setattr__(self, "l_squared", l_squared)
+        object.__setattr__(
+            self, "l_squared_is_rational_square", l_squared_is_rational_square
+        )
+        object.__setattr__(self, "conditional_on_conjecture", conditional_on_conjecture)
 
     def to_json_dict(self) -> dict:
         return {

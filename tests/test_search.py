@@ -237,6 +237,13 @@ def test_verdict_invariant():
         Verdict(delta=-1, mu_minus=QuadraticNumber.from_rational(3), outcome=Outcome.PASS_NEGATIVE_DELTA)
     with pytest.raises(ValueError):
         Verdict(delta=4, mu_minus=None, outcome=Outcome.PASS_MU_MINUS_ABOVE_THRESHOLD)
+    # the outcome must agree with delta: PASS_NEGATIVE_DELTA exactly when delta < 0
+    with pytest.raises(ValueError):
+        Verdict(delta=539, mu_minus=QuadraticNumber.sqrt(11), outcome=Outcome.PASS_NEGATIVE_DELTA)
+    with pytest.raises(ValueError):
+        Verdict(delta=-1, mu_minus=None, outcome=Outcome.PASS_MU_MINUS_ABOVE_THRESHOLD)
+    with pytest.raises(ValueError):
+        Verdict(delta=-1, mu_minus=None, outcome=Outcome.COUNTEREXAMPLE)
 
 
 def test_check_pair_exact_values():

@@ -1,8 +1,9 @@
 """perfbench's tracer still finds every function it wraps, every command
 line the benchmark runs still parses, check_pair runs once per row it
 prints (the traced benchmark's count check), the package exports resolve,
-the documentation names only environment variables the CLI reads, and the
-README's Python example and command lines run as written.
+the documentation names only environment variables the CLI reads, the
+README's Python example and command lines run as written, and starting the
+CLI loads none of the modules it does not need.
 
 perfbench/tracer.py and perfbench/ops.py are loaded by path and left as they
 are: a rename, a deletion or a settings change in seshadri that would stop
@@ -17,6 +18,7 @@ import json
 import os
 import re
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -118,6 +120,28 @@ def test_check_pair_calls_equal_the_rows_they_print(capsys, monkeypatch):
     table_rows = sum(1 for line in table.splitlines() if line.startswith("|")) - 2
     assert table_rows == 27
     assert calls == rows + table_rows
+
+
+# Modules that `import seshadri.cli` plus build_parser() must not load: the
+# dataclasses machinery (with the inspect, ast, dis and tokenize it pulls
+# in), typing, and what only region (tempfile) or --format csv (csv) uses.
+UNNEEDED_AT_START = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing",
+                     "tempfile", "csv")
+
+
+def test_cli_start_loads_no_unneeded_module():
+    """A fresh interpreter under -S, so no site .pth file preloads anything,
+    imports the CLI and builds its parser."""
+    code = (
+        "import sys, seshadri.cli; seshadri.cli.build_parser(); "
+        f"print(' '.join(m for m in {UNNEEDED_AT_START!r} if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True,
+        timeout=60, check=True,
+    )
+    assert result.stdout.split() == []
 
 
 def test_package_exports_resolve():
