@@ -16,18 +16,25 @@ limit before closing every piece), 4 internal error (any other exception,
 such as a broken premise the search checks: one stderr line
 `internal error: <Type>: <message>`, no traceback).
 
-Every command takes one route. Its handler takes one argument, the parsed
-command line that resolve_config has checked and completed, and returns its
-documents and its stderr lines (FAIL and AUDIT lines); table, enumerate,
-verify and coverage share one handler, driven by _RANGE_COMMANDS, whose
-per-r builders each return the document and its FAIL lines, written where
-the failing check is made. main alone writes the documents in the chosen
-format, then the lines, and picks the exit code: 1 when there is a line or
-a document whose verdict (all_pass, covered or ok) is false, else 0.
+Every command takes one route. main parses the command line in one argparse
+pass: when the first argument names a command, that command's subparser
+alone parses the rest, and main adds the name to its namespace. The
+two-level parse of build_parser (the top-level parser, which hands the rest
+to the subparser) runs only when no command comes first (no arguments, -h,
+--version, an unknown command, --) or the subparser leaves arguments over.
+Both give the same namespace, and every usage line, help text, error and
+exit code is the two-level parse's own. The handler takes one argument, the
+parsed command line that resolve_config has checked and completed, and
+returns its documents and its stderr lines (FAIL and AUDIT lines); table,
+enumerate, verify and coverage share one handler, driven by _RANGE_COMMANDS,
+whose per-r builders each return the document and its FAIL lines, written
+where the failing check is made. main alone writes the documents in the
+chosen format, then the lines, and picks the exit code: 1 when there is a
+line or a document whose verdict (all_pass, covered or ok) is false, else 0.
 Handlers raise usage errors and inconclusive bisections, which main turns
-into exit codes 2 and 3; any other exception is exit 4. A format the
-command does not offer (csv outside the range commands) is refused
-before the handler runs.
+into exit codes 2 and 3; any other exception is exit 4. A format the command
+does not offer (csv outside the range commands) is refused before the
+handler runs.
 
 Settings are flags (--format, --cache-dir, --depth, --jobs, --approx), with
 their defaults in the parser. The one exception is the width 2^-e of the
@@ -60,7 +67,6 @@ from collections.abc import Mapping
 from fractions import Fraction
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 
 from . import __version__
 from .errors import (
@@ -359,14 +365,16 @@ def _dumps(doc: object) -> str:
 # certificate file
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: str, text: str) -> None:
     """Write text to path through a temporary file in its directory. A path
     that cannot be written (under a regular file, say) is a UsageError."""
     import tempfile  # only region writes a file
 
+    directory, name = os.path.split(path)
+    directory = directory or "."
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=f".{path.name}.")
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".{name}.")
         try:
             with os.fdopen(fd, "w") as handle:
                 handle.write(text)
@@ -582,6 +590,8 @@ def cmd_range(args: argparse.Namespace) -> Outcome:
 
 
 def cmd_region(args: argparse.Namespace) -> Outcome:
+    from pathlib import Path  # only region and audit-certificate name a file
+
     r = _require_single_r(args)
     _require_r(args, 10)
     if args.t0 is None:
@@ -592,14 +602,14 @@ def cmd_region(args: argparse.Namespace) -> Outcome:
     doc = verify_t_bound(
         r, args.t0, depth_limit=args.bisection_depth, sqrt_width=width
     ).to_json_dict()
-    out_dir = Path(args.cache_dir) if args.cache_dir else Path(".")
-    out_path = out_dir / f"certificate-r{r}-t{args.t0}.json"
+    # Path spells the name ("./c" as "c"), which os.path.join would not
+    out_path = str(Path(args.cache_dir or ".") / f"certificate-r{r}-t{args.t0}.json")
     _atomic_write(out_path, _dumps(doc) + "\n")
     fields = ("kind", "r", "t0", "depth_limit", "sqrt_width", "mu_lo", "mu_hi",
               "max_depth", "leaf_count")
     summary = {field: doc[field] for field in fields}
     summary["command"] = "region"
-    summary["certificate_path"] = str(out_path)
+    summary["certificate_path"] = out_path
     return [summary], []
 
 
@@ -611,6 +621,8 @@ def cmd_classify(args: argparse.Namespace) -> Outcome:
 
 
 def cmd_audit(args: argparse.Namespace) -> Outcome:
+    from pathlib import Path  # only region and audit-certificate name a file
+
     path = Path(args.certificate)
     try:
         doc = json.loads(path.read_text())
@@ -635,6 +647,13 @@ def cmd_audit(args: argparse.Namespace) -> Outcome:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser: top level, then one subparser per command."""
+    return _build_parsers()[0]
+
+
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subcommand table, which maps each command
+    name to its subparser (the `choices` of the subparsers action)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", dest="output_format", choices=FORMATS, default=None,
@@ -704,19 +723,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("certificate", help="path to a certificate JSON file")
     p.set_defaults(handler=cmd_audit)
 
-    return parser
+    return parser, sub.choices
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser `main` uses, built on first use and kept for the process:
-    parsing leaves a parser unchanged, and building one costs about 1 ms."""
-    return build_parser()
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and the subcommand table `main` parses with,
+    built on first use and kept for the process: parsing leaves a parser
+    unchanged, and building them costs about 1 ms. main runs the named
+    command's subparser alone, and the top-level parser only when no command
+    comes first or the subparser leaves arguments over (_parse_command_line)."""
+    return _build_parsers()
+
+
+def _parse_command_line(argv: list[str]) -> argparse.Namespace:
+    """argv parsed as `build_parser().parse_args(argv)` parses it. The
+    top-level parser would hand a named command's subparser exactly argv[1:]
+    and add only the name, so that subparser alone parses them; anything
+    else, including arguments left over, goes to the two-level parse, which
+    prints its own usage, help or error."""
+    parser, commands = _parser()
+    subparser = commands.get(argv[0]) if argv else None
+    if subparser is not None:
+        args, rest = subparser.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse_command_line(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

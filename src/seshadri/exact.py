@@ -329,11 +329,6 @@ class QuadraticNumber(Frozen):
     def is_rational(self) -> bool:
         return self.b == 0
 
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError(f"{self} is irrational")
-        return self.a
-
     @staticmethod
     def _coerce(x: QuadraticLike) -> QuadraticNumber:
         if isinstance(x, QuadraticNumber):

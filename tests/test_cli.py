@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: formats, exit codes, config."""
 
+import argparse
 import contextlib
 import fractions
 import hashlib
@@ -720,6 +721,85 @@ def test_parser_reuse_leaks_nothing_between_calls():
     parser = cli._parser()
     assert [_call(argv) for argv in sequence] == lone
     assert cli._parser() is parser
+
+
+# Command lines main must treat exactly as the two-level parse does: each
+# command with valid arguments (region first, to write the certificate the
+# audit reads); no command first; a subparser that leaves arguments over or
+# refuses one; and argparse spellings (an abbreviation, --opt=value, a bad
+# choice).
+ROUTE_CORPUS = (
+    ("table", "--r", "12"),
+    ("enumerate", "--r", "10..11", "--format", "csv"),
+    ("verify", "--r", "10", "--approx"),
+    ("region", "--r", "10", "--t0", "6", "--depth", "12"),
+    ("classify", "--r", "10", "--mu", "7/2"),
+    ("coverage", "--r", "9..10"),
+    ("audit-certificate", "certificate-r10-t6.json"),
+    (),
+    ("--version",),
+    ("-h",),
+    ("verify", "-h"),
+    ("verify",),
+    ("verify", "--r", "x"),
+    ("verify", "--r", "10", "--bogus"),
+    ("verify", "--r", "10", "extra"),
+    ("verify", "--version"),
+    ("bogus",),
+    ("--", "verify", "--r", "10"),
+    ("verify", "--r", "10", "--", "x"),
+    ("classify", "--r", "12", "--mu", "7/2", "--app"),
+    ("verify", "--r=10"),
+    ("table", "--r", "12", "--format", "xml"),
+)
+
+
+def _two_level(argv):
+    return build_parser().parse_args(argv)
+
+
+def _parsed(parse, argv):
+    """vars() of the namespace parse(argv) returns, or the exit code it
+    raises; what it prints is dropped."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parse(list(argv)))
+        except SystemExit as exc:
+            return exc.code
+
+
+def test_main_parses_as_the_two_level_parser_does(monkeypatch):
+    """main's one-pass dispatch gives the same exit code, stdout, stderr and
+    namespace as build_parser().parse_args on every command line of the
+    corpus."""
+    one_pass = [(_call(argv), _parsed(cli._parse_command_line, argv))
+                for argv in ROUTE_CORPUS]
+    monkeypatch.setattr(cli, "_parse_command_line", _two_level)
+    two_level = [(_call(argv), _parsed(_two_level, argv)) for argv in ROUTE_CORPUS]
+    for argv, got, want in zip(ROUTE_CORPUS, one_pass, two_level):
+        assert got == want, argv
+    outcomes = [(code, type(parsed)) for (_, _, code), parsed in one_pass]
+    assert outcomes[:7] == [(EXIT_PASS, dict)] * 7
+    assert {code for code, _ in outcomes[7:]} == {0, EXIT_USAGE}
+
+
+def test_a_command_takes_one_argparse_pass(monkeypatch):
+    """A command that parses makes one parse_known_args call, its
+    subparser's; one whose subparser leaves arguments over also runs the
+    two-level parse, which reports them."""
+    calls = []
+    original = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.prog)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    assert _call(("classify", "--r", "10", "--mu", "7/2"))[2] == EXIT_PASS
+    assert calls == ["seshadri classify"]
+    calls.clear()
+    assert _call(("verify", "--r", "10", "extra"))[2] == EXIT_USAGE
+    assert calls == ["seshadri verify", "seshadri", "seshadri verify"]
 
 
 def _entry_point(*argv):

@@ -11,6 +11,7 @@ are: a rename, a deletion or a settings change in seshadri that would stop
 here instead.
 """
 
+import argparse
 import doctest
 import importlib
 import importlib.util
@@ -70,19 +71,34 @@ def test_tracer_installs_and_uninstalls():
         assert getattr(importlib.import_module(f"seshadri.{module}"), path) is original
 
 
-def test_benchmark_command_lines_resolve():
+def test_benchmark_command_lines_resolve(monkeypatch):
     """Every operation of every workload, and every trace probe (--jobs 2
-    and --cache-dir among them), parses and passes resolve_config with its
-    width variable set. No command is run."""
+    and --cache-dir among them), parses on the route main takes in one
+    argparse pass, to the namespace of the two-level parse, and passes
+    resolve_config with its width variable set. No command is run."""
     ops = _load_perfbench("ops")
     assert ops.WIDTH_ENV == seshadri.cli.WIDTH_VARIABLE
     every_op = [op for workload in ops.WORKLOADS for op in ops.universe(workload)]
     every_op += [op for probe in ops.probe_ops().values() for op in probe]
     parser = seshadri.cli.build_parser()
+    passes = 0
+    original = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        nonlocal passes
+        passes += 1
+        return original(self, *args, **kwargs)
+
     resolved = []
     for op in every_op:
         env = {} if op.exponent is None else {ops.WIDTH_ENV: str(op.exponent)}
-        args = seshadri.cli.resolve_config(parser.parse_args(list(op.argv)), env=env)
+        passes = 0
+        with monkeypatch.context() as patch:
+            patch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+            args = seshadri.cli._parse_command_line(list(op.argv))
+        assert passes == 1, op.key  # no fall-back to the two-level parse
+        assert vars(args) == vars(parser.parse_args(list(op.argv))), op.key
+        args = seshadri.cli.resolve_config(args, env=env)
         assert args.command == op.argv[0], op.key
         if op.exponent is not None:
             assert args.sqrt_width_exponent == op.exponent, op.key
@@ -124,9 +140,10 @@ def test_check_pair_calls_equal_the_rows_they_print(capsys, monkeypatch):
 
 # Modules that `import seshadri.cli` plus build_parser() must not load: the
 # dataclasses machinery (with the inspect, ast, dis and tokenize it pulls
-# in), typing, and what only region (tempfile) or --format csv (csv) uses.
+# in), typing, and what only region (tempfile), --format csv (csv) or the
+# commands that name a file (pathlib) use.
 UNNEEDED_AT_START = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing",
-                     "tempfile", "csv")
+                     "tempfile", "csv", "pathlib")
 
 
 def test_cli_start_loads_no_unneeded_module():
