@@ -605,12 +605,8 @@ def cmd_region(args: argparse.Namespace) -> Outcome:
     # Path spells the name ("./c" as "c"), which os.path.join would not
     out_path = str(Path(args.cache_dir or ".") / f"certificate-r{r}-t{args.t0}.json")
     _atomic_write(out_path, _dumps(doc) + "\n")
-    fields = ("kind", "r", "t0", "depth_limit", "sqrt_width", "mu_lo", "mu_hi",
-              "max_depth", "leaf_count")
-    summary = {field: doc[field] for field in fields}
-    summary["command"] = "region"
-    summary["certificate_path"] = out_path
-    return [summary], []
+    del doc["tree"]  # the summary is the certificate without its tree
+    return [{**doc, "command": "region", "certificate_path": out_path}], []
 
 
 def cmd_classify(args: argparse.Namespace) -> Outcome:

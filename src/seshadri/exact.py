@@ -20,14 +20,17 @@ All interval endpoint arithmetic is exact rational arithmetic.  The only
 outward rounding in the package happens in sqrt_enclosure.
 
 Every value type of the package derives from Frozen: a slotted class that
-lists its compared fields in _fields.  Its __init__ sets them through
-object.__setattr__ and then calls __post_init__, which checks them and may
-normalise them, where the class has one; assigning or deleting an attribute
-afterwards raises AttributeError.  Two instances are equal when they are of
-the same class and their field tuples are equal, the hash is the hash of
-that tuple, the repr is Name(field=value, ...), and pickle and copy rebuild
-an instance by calling the class on its field tuple.  Instances have no
-__dict__.
+lists its compared fields in _fields.  A record that checks nothing uses
+Frozen.__init__, which sets each field once: positional arguments bind in
+_fields order, then keywords, and a missing, unknown or repeated field, or
+a surplus positional argument, raises TypeError.  A checked class checks
+and normalises its arguments in its own __init__ before it sets a field;
+RationalInterval and CurveClass check in a __post_init__ that __init__
+calls.  Assigning or deleting a field afterwards raises AttributeError.
+Two instances are equal when they are of the same class and their field
+tuples are equal, the hash is the hash of that tuple, the repr is
+Name(field=value, ...), and pickle and copy rebuild an instance by calling
+the class on its field tuple.  Instances have no __dict__.
 """
 
 from __future__ import annotations
@@ -128,11 +131,26 @@ def sqrt_bracket(
 
 
 class Frozen:
-    """Base of the immutable value types: equality, hash, repr and pickling
-    over the field tuple named by _fields (see the module docstring)."""
+    """Base of the immutable value types: construction, equality, hash, repr
+    and pickling over the field tuple named by _fields (see the module
+    docstring)."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values: object, **named: object) -> None:
+        fields = self._fields
+        # every field once: the first len(values) by position, the rest by name
+        if len(values) > len(fields) or named.keys() != set(fields[len(values):]):
+            raise TypeError(
+                f"{self.__class__.__name__}() takes the fields {', '.join(fields)} "
+                f"by position or keyword, got {len(values)} positional arguments "
+                f"and the keywords {', '.join(named) or 'none'}"
+            )
+        for field, value in zip(fields, values):
+            object.__setattr__(self, field, value)
+        for field, value in named.items():
+            object.__setattr__(self, field, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -264,15 +282,8 @@ class QuadraticNumber(Frozen):
     __slots__ = _fields = ("a", "b", "rad")
 
     def __init__(self, a: Fraction, b: Fraction = _ZERO, rad: int = 0) -> None:
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "rad", rad)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        a = _as_fraction(self.a)
-        b = _as_fraction(self.b)
-        rad = self.rad
+        a = _as_fraction(a)
+        b = _as_fraction(b)
         if not isinstance(rad, int):
             raise TypeError(f"radicand must be an int, got {type(rad).__name__}")
         if rad < 0:

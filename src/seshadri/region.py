@@ -36,7 +36,7 @@ The result is a machine-checkable certificate tree; audit_certificate
 replays it from scratch.
 
 verify_large_r decides the two closed-form inequalities that take over for
-large r, where no bisection is needed.
+large r, where the t0 = 3 certificate is a single leaf.
 """
 
 from __future__ import annotations
@@ -170,7 +170,9 @@ def m_bar_zero_at_sqrt_r(r: int) -> QuadraticNumber:
     At mu = sqrt(r) the radical sqrt(mu^2 - r) vanishes and the formula
     collapses to 25/(4r - 12 sqrt(r)), an exact quadratic number.
     total_multiplicity_bound(r) is the floor of r times it: M/r <=
-    m_bar_0(sqrt(r)) is the cap 4rM - 25r <= 12M sqrt(r).
+    m_bar_0(sqrt(r)) is the cap 4rM - 25r <= 12M sqrt(r).  No command calls
+    this; it is the independent test oracle of total_multiplicity_bound
+    (test_bound_matches_m_bar_zero_floor in tests/test_search.py).
     """
     if r < 10:
         raise UnsupportedR(f"need r >= 10, got {r}")
@@ -184,28 +186,6 @@ class Certificate(Frozen):
         "r", "t0", "depth_limit", "sqrt_width", "mu_lo", "mu_hi", "max_depth",
         "leaf_count", "tree",
     )
-
-    def __init__(
-        self,
-        r: int,
-        t0: int,
-        depth_limit: int,
-        sqrt_width: Fraction,
-        mu_lo: Fraction,
-        mu_hi: Fraction,
-        max_depth: int,
-        leaf_count: int,
-        tree: dict,
-    ) -> None:
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "t0", t0)
-        object.__setattr__(self, "depth_limit", depth_limit)
-        object.__setattr__(self, "sqrt_width", sqrt_width)
-        object.__setattr__(self, "mu_lo", mu_lo)
-        object.__setattr__(self, "mu_hi", mu_hi)
-        object.__setattr__(self, "max_depth", max_depth)
-        object.__setattr__(self, "leaf_count", leaf_count)
-        object.__setattr__(self, "tree", tree)
 
     def to_json_dict(self) -> dict:
         return {
@@ -494,10 +474,14 @@ def large_r_inequalities(r: int) -> tuple[bool, bool]:
         (i)   r - 6 > 3 sqrt(r),
         (ii)  9r/(r+1) - 3 > 9/sqrt(r).
 
-    (i) forces the maximal M satisfying (**) past the enumeration bound in
-    every degree d >= 5, so no critical pair survives there; (ii) makes the
-    five small-degree pairs harmless (negative Delta).  (i) holds from
-    r = 20 on and fails at r = 19.
+    They are the c_negative rule at t0 = 3 on the whole strip as one box:
+    hi(a) = 0, hi(b) = 6 + 3 sqrt(r) - r < 0 is (i) and hi(c) =
+    3 - 9r/(r+1) + 9/sqrt(r) < 0 is (ii).  So, up to enclosure rounding,
+    verify_t_bound(r, 3) is one leaf exactly when both hold, which caps
+    search.t_range at {1, 2} for r >= 20 (pinned in tests/test_region.py).
+    (i) also puts the maximal M satisfying (**) past the enumeration bound
+    in every degree d >= 5.  (i) holds from r = 20 on and fails at r = 19;
+    the small-degree Deltas are checked one by one, not through (ii).
 
     Both are decided exactly, as signs of a + b sqrt(r): (i) is
     (r - 6) - 3 sqrt(r) > 0, and (ii), multiplied through by

@@ -70,19 +70,15 @@ class BalancedPair(Frozen):
     __slots__ = _fields = ("curve", "t")
 
     def __init__(self, curve: CurveClass, t: int) -> None:
+        if curve.d < 2:
+            raise ValueError(f"need d >= 2, got {curve.d}")
+        total = curve.total_multiplicity
+        if total < 1 or curve.runs != _balanced_runs(total, curve.r):
+            raise ValueError(f"{curve} is not a balanced class with M >= 1")
+        if not 1 <= t < curve.d:
+            raise InvalidT(f"need 1 <= t < d = {curve.d}, got t = {t}")
         object.__setattr__(self, "curve", curve)
         object.__setattr__(self, "t", t)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        c = self.curve
-        if c.d < 2:
-            raise ValueError(f"need d >= 2, got {c.d}")
-        total = c.total_multiplicity
-        if total < 1 or c.runs != _balanced_runs(total, c.r):
-            raise ValueError(f"{c} is not a balanced class with M >= 1")
-        if not 1 <= self.t < c.d:
-            raise InvalidT(f"need 1 <= t < d = {c.d}, got t = {self.t}")
 
     @property
     def d(self) -> int:
@@ -115,16 +111,13 @@ class Verdict(Frozen):
     def __init__(
         self, delta: int, mu_minus: QuadraticNumber | None, outcome: Outcome
     ) -> None:
+        if (delta >= 0) != (mu_minus is not None):
+            raise ValueError("mu_minus must be present exactly when delta >= 0")
+        if (delta < 0) != (outcome is Outcome.PASS_NEGATIVE_DELTA):
+            raise ValueError(f"{outcome} contradicts delta = {delta}")
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "mu_minus", mu_minus)
         object.__setattr__(self, "outcome", outcome)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if (self.delta >= 0) != (self.mu_minus is not None):
-            raise ValueError("mu_minus must be present exactly when delta >= 0")
-        if (self.delta < 0) != (self.outcome is Outcome.PASS_NEGATIVE_DELTA):
-            raise ValueError(f"{self.outcome} contradicts delta = {self.delta}")
 
     @property
     def passed(self) -> bool:
@@ -133,16 +126,6 @@ class Verdict(Frozen):
 
 class VerificationReport(Frozen):
     __slots__ = _fields = ("r", "mu0", "pairs")
-
-    def __init__(
-        self,
-        r: int,
-        mu0: QuadraticNumber,
-        pairs: tuple[tuple[BalancedPair, Verdict], ...],
-    ) -> None:
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "mu0", mu0)
-        object.__setattr__(self, "pairs", pairs)
 
     @property
     def all_pass(self) -> bool:
@@ -213,10 +196,14 @@ def t_range(r: int) -> frozenset[int]:
     """Multiplicities t worth searching at this r.
 
     The table is {1..5} at r = 10, {1..4} at r = 11, {1..3} at r = 12 and
-    {1, 2} from r = 13 on.  It is not derived here.  For r = 10..19 it rests
-    on the region certificates (region.verify_t_bound) at t0 = max + 1 that
-    acceptance criterion 5 in tests/test_acceptance.py closes; for r >= 20
-    it is still assumed (ROADMAP item 1).
+    {1, 2} from r = 13 on.  It is not derived here.  Each cap rests on a
+    region certificate (region.verify_t_bound) at t0 = max + 1.  For
+    r = 10..19 these are the certificates that acceptance criterion 5 in
+    tests/test_acceptance.py closes.  For r >= 20 it is the t0 = 3
+    certificate, which closes at its root by the two large-r inequalities
+    (region.large_r_inequalities) that verify decides at each such r;
+    tests/test_region.py pins that root leaf.  That a certificate at t0
+    also excludes every larger t is still assumed (ROADMAP item 1).
     """
     if r < 10:
         raise UnsupportedR(f"need r >= 10, got {r}")
@@ -402,22 +389,6 @@ class OracleReport(Frozen):
         "r", "mu0", "pairs_checked", "counterexamples", "critical",
         "matches_enumeration",
     )
-
-    def __init__(
-        self,
-        r: int,
-        mu0: QuadraticNumber,
-        pairs_checked: int,
-        counterexamples: tuple[tuple[BalancedPair, Verdict], ...],
-        critical: tuple[BalancedPair, ...],
-        matches_enumeration: bool,
-    ) -> None:
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "mu0", mu0)
-        object.__setattr__(self, "pairs_checked", pairs_checked)
-        object.__setattr__(self, "counterexamples", counterexamples)
-        object.__setattr__(self, "critical", critical)
-        object.__setattr__(self, "matches_enumeration", matches_enumeration)
 
     @property
     def all_pass(self) -> bool:

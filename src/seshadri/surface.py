@@ -163,16 +163,13 @@ class MuInterval(Frozen):
     __slots__ = _fields = ("lo", "hi")
 
     def __init__(self, lo: QuadraticNumber, hi: QuadraticNumber | None) -> None:
+        lo = QuadraticNumber._coerce(lo)
+        if hi is not None:
+            hi = QuadraticNumber._coerce(hi)
+            if compare(lo, hi) > 0:
+                raise ValueError(f"empty interval: {lo} > {hi}")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", QuadraticNumber._coerce(self.lo))
-        if self.hi is not None:
-            object.__setattr__(self, "hi", QuadraticNumber._coerce(self.hi))
-            if compare(self.lo, self.hi) > 0:
-                raise ValueError(f"empty interval: {self.lo} > {self.hi}")
 
     def contains(self, mu: QuadraticLike) -> bool:
         return compare(mu, self.lo) >= 0 and (self.hi is None or compare(mu, self.hi) <= 0)

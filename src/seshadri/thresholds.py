@@ -42,13 +42,7 @@ class ThresholdEntry(Frozen):
     __slots__ = _fields = ("r", "mu0")
 
     def __init__(self, r: int, mu0: QuadraticNumber) -> None:
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "mu0", mu0)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        mu0 = QuadraticNumber._coerce(self.mu0)
-        object.__setattr__(self, "mu0", mu0)
+        mu0 = QuadraticNumber._coerce(mu0)
         # With D = den(a)*den(b), D*mu0 = A + B*sqrt(n) for integers A, B, and
         # D^2*(mu0^2 - r) = (A^2 + B^2*n - r*D^2) + 2AB*sqrt(n): both signs
         # are one-field tests in integers, with no Fraction squaring.
@@ -58,10 +52,12 @@ class ThresholdEntry(Frozen):
         big_b = b.numerator * a.denominator
         if (
             _field_sign(big_a, big_b, n) <= 0
-            or _field_sign(big_a * big_a + big_b * big_b * n - self.r * d * d,
+            or _field_sign(big_a * big_a + big_b * big_b * n - r * d * d,
                            2 * big_a * big_b, n) < 0
         ):
-            raise ValueError(f"mu0 = {mu0} sits below sqrt({self.r})")
+            raise ValueError(f"mu0 = {mu0} sits below sqrt({r})")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "mu0", mu0)
 
 
 # mu_0(r) at the r >= 10 where it is not sqrt(r + 1).
@@ -95,12 +91,6 @@ class CatalogCurve(Frozen):
     plain-language description of the geometry."""
 
     __slots__ = _fields = ("r", "curve", "t", "source")
-
-    def __init__(self, r: int, curve: CurveClass, t: int, source: str) -> None:
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "curve", curve)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "source", source)
 
 
 # The interior witness curves, in ascending degree: the point counts r each
@@ -140,22 +130,6 @@ class CoverageReport(Frozen):
     __slots__ = _fields = (
         "r", "target_lo", "target_lo_closed", "chain", "gaps", "covered",
     )
-
-    def __init__(
-        self,
-        r: int,
-        target_lo: QuadraticNumber,
-        target_lo_closed: bool,
-        chain: tuple[tuple[CatalogCurve, MuInterval], ...],
-        gaps: tuple[tuple[QuadraticNumber, QuadraticNumber], ...],
-        covered: bool,
-    ) -> None:
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "target_lo", target_lo)
-        object.__setattr__(self, "target_lo_closed", target_lo_closed)
-        object.__setattr__(self, "chain", chain)
-        object.__setattr__(self, "gaps", gaps)
-        object.__setattr__(self, "covered", covered)
 
     def to_json_dict(self) -> dict:
         left = "[" if self.target_lo_closed else "("
@@ -252,32 +226,6 @@ class Classification(Frozen):
         "r", "mu", "verdict", "witness", "witness_locus", "mu0", "mu_below_mu0",
         "l_squared", "l_squared_is_rational_square", "conditional_on_conjecture",
     )
-
-    def __init__(
-        self,
-        r: int,
-        mu: Fraction,
-        verdict: RationalityVerdict,
-        witness: CatalogCurve | None,
-        witness_locus: MuInterval | None,
-        mu0: QuadraticNumber,
-        mu_below_mu0: bool,
-        l_squared: Fraction,
-        l_squared_is_rational_square: bool,
-        conditional_on_conjecture: bool,
-    ) -> None:
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "witness_locus", witness_locus)
-        object.__setattr__(self, "mu0", mu0)
-        object.__setattr__(self, "mu_below_mu0", mu_below_mu0)
-        object.__setattr__(self, "l_squared", l_squared)
-        object.__setattr__(
-            self, "l_squared_is_rational_square", l_squared_is_rational_square
-        )
-        object.__setattr__(self, "conditional_on_conjecture", conditional_on_conjecture)
 
     def to_json_dict(self) -> dict:
         return {

@@ -510,6 +510,20 @@ def test_large_r_inequalities():
         assert verify_large_r(r)
 
 
+def test_t0_three_certificate_closes_at_its_root_from_r_20():
+    """For r >= 20 the whole strip is one c_negative leaf at t0 = 3, whose
+    conditions are the large-r inequalities: the fact t_range's {1, 2}
+    rests on there. At r = 19, where (i) fails, the root must split."""
+    for r in [*range(20, 3020), 10**6, 10**12, 10**18 - 1, 10**18]:
+        cert = verify_t_bound(r, 3)
+        assert (cert.leaf_count, cert.max_depth, cert.tree["rule"]) == (
+            1, 0, "c_negative"), r
+        assert verify_large_r(r), r
+    cert = verify_t_bound(19, 3)
+    assert (cert.leaf_count, cert.max_depth) == (2, 1)
+    assert "rule" not in cert.tree
+
+
 def test_large_r_inequalities_match_the_squared_tests():
     """The field-sign tests decide what the squared integer tests decided,
     for r = 1..20000, 2000 seeded random r below 10^18, 10^18 - 1 and 10^18."""

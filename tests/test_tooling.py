@@ -1,6 +1,7 @@
-"""perfbench's tracer still finds every function it wraps, every command
-line the benchmark runs still parses, check_pair runs once per row it
-prints (the traced benchmark's count check), the package exports resolve,
+"""perfbench's tracer still finds every function it wraps, only the value
+types whose __post_init__ it wraps define one, every command line the
+benchmark runs still parses, check_pair runs once per row it prints (the
+traced benchmark's count check), the package exports resolve,
 the documentation names only environment variables the CLI reads, the
 README's Python example and command lines run as written, and starting the
 CLI loads none of the modules it does not need.
@@ -50,6 +51,23 @@ def test_tracer_targets_resolve():
         else:
             target = getattr(owner, path, None)
         assert callable(target), f"seshadri.{module}.{path}"
+
+
+def test_post_init_only_where_the_tracer_wraps_it():
+    """The value types that define __post_init__ are exactly the tracer's
+    __post_init__ targets, and the six records that check nothing keep no
+    __init__ of their own (Frozen's binds their fields)."""
+    tracer = _load_perfbench("tracer")
+    classes = seshadri.exact.Frozen.__subclasses__()
+    assert len(classes) == 13  # every value type derives from Frozen directly
+    defining = {(cls.__module__.rpartition(".")[2], f"{cls.__name__}.__post_init__")
+                for cls in classes if "__post_init__" in vars(cls)}
+    targets = {(module, path) for module, path in tracer.TARGETS
+               if path.endswith(".__post_init__")}
+    assert defining == targets
+    records = {"VerificationReport", "OracleReport", "Certificate", "CatalogCurve",
+               "CoverageReport", "Classification"}
+    assert {cls.__name__ for cls in classes if "__init__" not in vars(cls)} == records
 
 
 def test_tracer_installs_and_uninstalls():

@@ -3,8 +3,10 @@
 Each of the thirteen classes compares and hashes on its field tuple, prints
 as `Name(field=value, ...)`, refuses assignment and deletion with an
 AttributeError, survives pickle, copy and deepcopy, and can be built from
-keywords. The repr strings are the ones the classes printed as frozen
-dataclasses, so the printed form stays as it was.
+keywords. The six records that check nothing take Frozen's constructor,
+which refuses a missing, unknown or repeated field and a surplus positional
+argument with a TypeError. The repr strings are the ones the classes
+printed as frozen dataclasses, so the printed form stays as it was.
 """
 
 import copy
@@ -232,3 +234,23 @@ def test_keyword_construction(cls):
     fields, make, _ = CASES[cls]
     a = make()
     assert cls(**dict(zip(fields, _values(a, fields)))) == a
+
+
+RECORDS = [VerificationReport, OracleReport, Certificate, CatalogCurve,
+           CoverageReport, Classification]
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=[cls.__name__ for cls in RECORDS])
+def test_record_constructor_refuses_a_bad_binding(cls):
+    fields, make, _ = CASES[cls]
+    values = _values(make(), fields)
+    refused = {
+        "missing": ((), dict(zip(fields[1:], values[1:]))),
+        "unknown": (values, {"extra": 1}),
+        "repeated": (values[:1], dict(zip(fields, values))),
+        "surplus": (values + (None,), {}),
+    }
+    for case, (args, kwargs) in refused.items():
+        with pytest.raises(TypeError) as info:
+            cls(*args, **kwargs)
+        assert cls.__name__ in str(info.value), case
