@@ -105,8 +105,8 @@ MAX_RADICAND = 10**18
 MAX_R = 10**18
 # Most values of r one range may hold. Each r costs time and memory, and a
 # range's documents are all held until they are written: on a 2-vCPU host
-# verify --r 20..10019 takes about 0.5 s and 86 MB, and 10^5 values 5.5 s and
-# 670 MB.
+# verify --r 20..10019 takes about 0.33 s and 81 MB, and 10^5 values 3.8 s
+# and 665 MB.
 MAX_R_COUNT = 10**5
 # Largest --t0 that region takes: the certificate file name spells it, and
 # far larger values outgrow file names and the interpreter's limit on

@@ -26,7 +26,11 @@ _fields order, then keywords, and a missing, unknown or repeated field, or
 a surplus positional argument, raises TypeError.  A checked class checks
 and normalises its arguments in its own __init__ before it sets a field;
 RationalInterval and CurveClass check in a __post_init__ that __init__
-calls.  Assigning or deleting a field afterwards raises AttributeError.
+calls.  The per-pair types of verify's hot path, surface.CurveClass and
+search's BalancedPair and Verdict, set each slot through its member
+descriptor's __set__, bound once per module: verify builds several of each
+at every r, and that setter skips the name lookup object.__setattr__ makes
+on each call.  Assigning or deleting a field afterwards raises AttributeError.
 Two instances are equal when they are of the same class and their field
 tuples are equal, the hash is the hash of that tuple, the repr is
 Name(field=value, ...), and pickle and copy rebuild an instance by calling
@@ -140,16 +144,18 @@ class Frozen:
 
     def __init__(self, *values: object, **named: object) -> None:
         fields = self._fields
-        # every field once: the first len(values) by position, the rest by name
-        if len(values) > len(fields) or named.keys() != set(fields[len(values):]):
-            raise TypeError(
-                f"{self.__class__.__name__}() takes the fields {', '.join(fields)} "
-                f"by position or keyword, got {len(values)} positional arguments "
-                f"and the keywords {', '.join(named) or 'none'}"
-            )
+        # every field once: the first len(values) by position, the rest by
+        # name; the binding is checked only when not every field is positional
+        if named or len(values) != len(fields):
+            if len(values) > len(fields) or named.keys() != set(fields[len(values):]):
+                raise TypeError(
+                    f"{self.__class__.__name__}() takes the fields {', '.join(fields)} "
+                    f"by position or keyword, got {len(values)} positional arguments "
+                    f"and the keywords {', '.join(named) or 'none'}"
+                )
+            for field, value in named.items():
+                object.__setattr__(self, field, value)
         for field, value in zip(fields, values):
-            object.__setattr__(self, field, value)
-        for field, value in named.items():
             object.__setattr__(self, field, value)
 
     def _values(self) -> tuple:

@@ -72,13 +72,12 @@ class BalancedPair(Frozen):
     def __init__(self, curve: CurveClass, t: int) -> None:
         if curve.d < 2:
             raise ValueError(f"need d >= 2, got {curve.d}")
-        total = curve.total_multiplicity
-        if total < 1 or curve.runs != _balanced_runs(total, curve.r):
+        if not _is_balanced(curve.runs, curve.r):
             raise ValueError(f"{curve} is not a balanced class with M >= 1")
         if not 1 <= t < curve.d:
             raise InvalidT(f"need 1 <= t < d = {curve.d}, got t = {t}")
-        object.__setattr__(self, "curve", curve)
-        object.__setattr__(self, "t", t)
+        _BP_CURVE(self, curve)
+        _BP_T(self, t)
 
     @property
     def d(self) -> int:
@@ -115,13 +114,22 @@ class Verdict(Frozen):
             raise ValueError("mu_minus must be present exactly when delta >= 0")
         if (delta < 0) != (outcome is Outcome.PASS_NEGATIVE_DELTA):
             raise ValueError(f"{outcome} contradicts delta = {delta}")
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "mu_minus", mu_minus)
-        object.__setattr__(self, "outcome", outcome)
+        _V_DELTA(self, delta)
+        _V_MU_MINUS(self, mu_minus)
+        _V_OUTCOME(self, outcome)
 
     @property
     def passed(self) -> bool:
         return self.outcome is not Outcome.COUNTEREXAMPLE
+
+
+# Slot setters bound once, as in surface.CurveClass: verify builds a pair and
+# a verdict for each critical pair at each r.
+_BP_CURVE = BalancedPair.curve.__set__
+_BP_T = BalancedPair.t.__set__
+_V_DELTA = Verdict.delta.__set__
+_V_MU_MINUS = Verdict.mu_minus.__set__
+_V_OUTCOME = Verdict.outcome.__set__
 
 
 class VerificationReport(Frozen):
@@ -154,6 +162,24 @@ def _balanced_runs(total: int, r: int) -> tuple[tuple[int, int], ...]:
     if m == 1 or s == r:
         return ((m, s),)
     return ((m, s), (m - 1, r - s))
+
+
+def _is_balanced(runs: tuple[tuple[int, int], ...], r: int) -> bool:
+    """Whether the runs of an interior class at r are _balanced_runs(M, r)
+    for their total M >= 1: one run (m, s) with m = 1 or s = r, or two runs
+    (m, s), (m - 1, r - s).
+
+    CurveClass keeps multiplicities >= 1 descending and counts >= 1 summing
+    to at most r, so these are exactly the shapes _balanced_runs returns,
+    and a class of either shape has M = (m - 1)*r + s with 1 <= s <= r.
+    """
+    if len(runs) == 1:
+        m, s = runs[0]
+        return m == 1 or s == r
+    if len(runs) == 2:
+        (m, s), second = runs
+        return second == (m - 1, r - s)
+    return False
 
 
 def balanced_class(d: int, total: int, r: int) -> CurveClass:

@@ -56,9 +56,9 @@ class CurveClass(Frozen):
     __slots__ = _fields + ("total_multiplicity",)
 
     def __init__(self, d: int, runs: tuple[tuple[int, int], ...], r: int) -> None:
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "runs", runs)
-        object.__setattr__(self, "r", r)
+        _CC_D(self, d)
+        _CC_RUNS(self, runs)
+        _CC_R(self, r)
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -67,7 +67,7 @@ class CurveClass(Frozen):
         if self.d == 0:
             if self.runs != ((-1, 1),):
                 raise ValueError("d = 0 encodes an exceptional divisor: runs ((-1, 1),)")
-            object.__setattr__(self, "total_multiplicity", -1)
+            _CC_TOTAL(self, -1)
             return
         if self.d < 0:
             raise ValueError(f"degree must be nonnegative, got {self.d}")
@@ -84,7 +84,7 @@ class CurveClass(Frozen):
             above = m
         if placed > self.r:
             raise ValueError(f"{placed} multiplicities exceed r={self.r}")
-        object.__setattr__(self, "total_multiplicity", total)
+        _CC_TOTAL(self, total)
 
     @classmethod
     def from_multiplicities(cls, d: int, mults: Sequence[int]) -> CurveClass:
@@ -105,11 +105,23 @@ class CurveClass(Frozen):
         the exceptional divisor."""
         if self.d == 0:
             return "E1"
-        groups = [f"{m}^{e}" if e > 1 else repr(m) for m, e in self.runs]
+        runs = self.runs
+        if len(runs) == 1:
+            m, e = runs[0]
+            return f"({self.d};{m}^{e})" if e > 1 else f"({self.d};{m})"
+        groups = [f"{m}^{e}" if e > 1 else repr(m) for m, e in runs]
         return f"({self.d};{','.join(groups)})"
 
     def __str__(self) -> str:
         return self.render()
+
+
+# Slot setters bound once: verify builds several classes per r, and a
+# member descriptor's __set__ skips the name lookup of object.__setattr__.
+_CC_D = CurveClass.d.__set__
+_CC_RUNS = CurveClass.runs.__set__
+_CC_R = CurveClass.r.__set__
+_CC_TOTAL = CurveClass.total_multiplicity.__set__
 
 
 def _canonical_runs(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:

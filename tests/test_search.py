@@ -177,6 +177,35 @@ def test_balanced_pair_validation():
         BalancedPair(CurveClass(3, (), 10), 1)
 
 
+def test_balanced_pair_accepts_exactly_the_balanced_runs():
+    # every interior class of at most two runs with multiplicities up to 5 at
+    # r = 1..40; the degree does not enter, so d = 2 stands for every d >= 2
+    accepted = 0
+    for r in range(1, 41):
+        shapes = [()]
+        shapes += [((m, e),) for m in range(1, 6) for e in range(1, r + 1)]
+        shapes += [
+            ((m, e), (n, f))
+            for m in range(2, 6)
+            for n in range(1, m)
+            for e in range(1, r)
+            for f in range(1, r - e + 1)
+        ]
+        for runs in shapes:
+            curve = CurveClass(2, runs, r)
+            total = curve.total_multiplicity
+            balanced = total >= 1 and runs == search._balanced_runs(total, r)
+            try:
+                BalancedPair(curve, 1)
+            except ValueError:
+                assert not balanced, (runs, r)
+            else:
+                assert balanced, (runs, r)
+                accepted += 1
+    # one balanced class for each M = 1..5r at each r
+    assert accepted == 5 * sum(range(1, 41))
+
+
 def _critical_pair_for(d, t, r):
     """The enumerated critical pair at (d, t), or None."""
     return next((p for p in enumerate_critical_pairs(r) if (p.d, p.t) == (d, t)), None)

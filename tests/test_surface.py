@@ -51,6 +51,7 @@ def test_render():
     assert str(CUBIC_10) == "(3;1^9)"
     assert str(PENCIL_10) == "(10;4,3^9)"
     assert str(CurveClass(4, ((2, 1), (1, 11)), 12)) == "(4;2,1^11)"
+    assert str(CurveClass(4, ((2, 1),), 10)) == "(4;2)"
     assert str(CurveClass(5, (), 10)) == "(5;)"
     assert str(CurveClass.exceptional(10)) == "E1"
     # the cost does not grow with r
