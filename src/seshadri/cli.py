@@ -86,8 +86,13 @@ from .region import (
     large_r_inequalities,
     verify_t_bound,
 )
-from .search import check_pair, small_degree_pairs, verify_no_counterexample
-from .thresholds import classify, verify_coverage
+from .search import (
+    check_pair,
+    small_degree_pairs,
+    total_multiplicity_bound,
+    verify_no_counterexample,
+)
+from .thresholds import classify, threshold, verify_coverage
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -105,8 +110,8 @@ MAX_RADICAND = 10**18
 MAX_R = 10**18
 # Most values of r one range may hold. Each r costs time and memory, and a
 # range's documents are all held until they are written: on a 2-vCPU host
-# verify --r 20..10019 takes about 0.33 s and 81 MB, and 10^5 values 3.8 s
-# and 665 MB.
+# verify --r 20..10019 takes about 0.30 s and 81 MB, and 10^5 values 3.3 s
+# and 659 MB.
 MAX_R_COUNT = 10**5
 # Largest --t0 that region takes: the certificate file name spells it, and
 # far larger values outgrow file names and the interpreter's limit on
@@ -190,56 +195,91 @@ def resolve_config(
 # result documents (pure data)
 
 
-def _pair_record(pair, verdict) -> dict:
+def _pair_record(pair, text: str, verdict) -> dict:
+    """A pair row: the pair, its class text and its verdict."""
+    mu_minus = verdict.mu_minus
     return {
-        "class": pair.curve.render(),
+        "class": text,
         "t": pair.t,
         "M": pair.total_multiplicity,
         "delta": verdict.delta,
-        "mu_minus": verdict.mu_minus.render() if verdict.mu_minus is not None else None,
+        "mu_minus": None if mu_minus is None else mu_minus.render(),
         "outcome": verdict.outcome.value,
     }
 
 
 def _pairs_doc(command: str, r: int, mu0: QuadraticNumber | None) -> tuple[dict, list[str]]:
     report = verify_no_counterexample(r, mu0)
-    rows = [_pair_record(p, v) for p, v in report.pairs]
+    rows = [_pair_record(p, p.curve.render(), v) for p, v in report.pairs]
     return {"command": command, "r": r, "mu0": report.mu0.render(), "rows": rows}, []
+
+
+def _below_mu0_line(r: int, record: dict, mu0_text: str) -> str:
+    return (
+        f"FAIL r={r}: {record['class']} t={record['t']} has "
+        f"mu_minus = {record['mu_minus']} below mu0 = {mu0_text}"
+    )
 
 
 def _verify_doc(r: int, mu0: QuadraticNumber | None) -> tuple[dict, list[str]]:
     """verify at r, with a FAIL line for each check that fails where it is
     made: a pair below mu0, a small-degree pair with delta >= 0, large-r
-    inequalities that do not hold. all_pass is the absence of FAIL lines."""
-    report = verify_no_counterexample(r, mu0)
-    mu0_text = report.mu0.render()
+    inequalities that do not hold. all_pass is the absence of FAIL lines.
+
+    For r = 10..19 the pair rows are verify_no_counterexample's. From r = 20
+    on, one pass over small_degree_pairs(r) builds each of the five pairs
+    and renders its class once: a pair with M <= total_multiplicity_bound(r)
+    is a critical pair (the rule of enumerate_critical_pairs, held equal to
+    it by the tests) and gets a pair row, and every pair gets a small-degree
+    row. Each row is written from its own check_pair call, so a pair with
+    both rows is checked twice. The FAIL lines keep the order of the
+    checks: pair rows, then small-degree rows, then the large-r
+    inequalities.
+
+    large_r holds large_r_inequalities(r): degree_five_inequality is (i),
+    which rules out every degree d >= 5, and small_degree_inequality is
+    (ii), the hi(c) < 0 condition of the t0 = 3 root leaf. No small-degree
+    row is derived from (ii); the key keeps its name because the verify
+    bytes are pinned.
+    """
     pairs, lines = [], []
-    for pair, verdict in report.pairs:
-        record = _pair_record(pair, verdict)
-        pairs.append(record)
-        if not verdict.passed:
-            lines.append(
-                f"FAIL r={r}: {record['class']} t={record['t']} has "
-                f"mu_minus = {record['mu_minus']} below mu0 = {mu0_text}"
-            )
-    small_records = large_r = None
-    if r >= 20:
-        small_records = []
+    if r < 20:
+        report = verify_no_counterexample(r, mu0)
+        mu0_text = report.mu0.render()
+        for pair, verdict in report.pairs:
+            record = _pair_record(pair, pair.curve.render(), verdict)
+            pairs.append(record)
+            if not verdict.passed:
+                lines.append(_below_mu0_line(r, record, mu0_text))
+        small_records = large_r = None
+    else:
+        if mu0 is None:
+            mu0 = threshold(r).mu0
+        mu0_text = mu0.render()
+        bound = total_multiplicity_bound(r)
+        small_records, small_lines = [], []
         for pair in small_degree_pairs(r):
-            verdict = check_pair(pair, report.mu0)
-            record = {
-                "class": pair.curve.render(),
+            text = pair.curve.render()
+            if pair.total_multiplicity <= bound:
+                verdict = check_pair(pair, mu0)
+                record = _pair_record(pair, text, verdict)
+                pairs.append(record)
+                if not verdict.passed:
+                    lines.append(_below_mu0_line(r, record, mu0_text))
+            delta = check_pair(pair, mu0).delta
+            small_records.append({
+                "class": text,
                 "t": pair.t,
                 "M": pair.total_multiplicity,
-                "delta": verdict.delta,
-                "negative_delta": verdict.delta < 0,
-            }
-            small_records.append(record)
-            if verdict.delta >= 0:
-                lines.append(
-                    f"FAIL r={r}: small-degree pair {record['class']} "
-                    f"t={record['t']} has delta = {verdict.delta} >= 0"
+                "delta": delta,
+                "negative_delta": delta < 0,
+            })
+            if delta >= 0:
+                small_lines.append(
+                    f"FAIL r={r}: small-degree pair {text} "
+                    f"t={pair.t} has delta = {delta} >= 0"
                 )
+        lines += small_lines
         first, second = large_r_inequalities(r)
         large_r = {
             "degree_five_inequality": first,

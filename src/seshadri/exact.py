@@ -26,15 +26,15 @@ _fields order, then keywords, and a missing, unknown or repeated field, or
 a surplus positional argument, raises TypeError.  A checked class checks
 and normalises its arguments in its own __init__ before it sets a field;
 RationalInterval and CurveClass check in a __post_init__ that __init__
-calls.  The per-pair types of verify's hot path, surface.CurveClass and
-search's BalancedPair and Verdict, set each slot through its member
-descriptor's __set__, bound once per module: verify builds several of each
-at every r, and that setter skips the name lookup object.__setattr__ makes
-on each call.  Assigning or deleting a field afterwards raises AttributeError.
-Two instances are equal when they are of the same class and their field
-tuples are equal, the hash is the hash of that tuple, the repr is
-Name(field=value, ...), and pickle and copy rebuild an instance by calling
-the class on its field tuple.  Instances have no __dict__.
+calls.  A checked class sets each slot through its member descriptor's
+__set__, bound once per module: verify builds several curve classes,
+pairs, verdicts and quadratic numbers at every r, and that setter skips the
+name lookup object.__setattr__ makes on each call.  Assigning or deleting
+a field afterwards raises AttributeError.  Two instances are equal when
+they are of the same class and their field tuples are equal, the hash is
+the hash of that tuple, the repr is Name(field=value, ...), and pickle and
+copy rebuild an instance by calling the class on its field tuple.
+Instances have no __dict__.
 """
 
 from __future__ import annotations
@@ -189,13 +189,13 @@ class RationalInterval(Frozen):
     __slots__ = _fields = ("lo", "hi")
 
     def __init__(self, lo: Fraction, hi: Fraction) -> None:
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        _RI_LO(self, lo)
+        _RI_HI(self, hi)
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", _as_fraction(self.lo))
-        object.__setattr__(self, "hi", _as_fraction(self.hi))
+        _RI_LO(self, _as_fraction(self.lo))
+        _RI_HI(self, _as_fraction(self.hi))
         if self.lo > self.hi:
             raise ValueError(f"empty interval: lo={self.lo} > hi={self.hi}")
 
@@ -277,6 +277,11 @@ class RationalInterval(Frozen):
         return f"[{self.lo}, {self.hi}]"
 
 
+# Slot setters bound once (see the module docstring).
+_RI_LO = RationalInterval.lo.__set__
+_RI_HI = RationalInterval.hi.__set__
+
+
 class QuadraticNumber(Frozen):
     """Exact real number a + b*sqrt(rad) with a, b rational, rad an integer >= 0.
 
@@ -302,9 +307,9 @@ class QuadraticNumber(Frozen):
             b, rad = b * f, m
             if b == 0:
                 rad = 0
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "rad", rad)
+        _QN_A(self, a)
+        _QN_B(self, b)
+        _QN_RAD(self, rad)
 
     @classmethod
     def _canonical(cls, a: Fraction, b: Fraction, rad: int) -> QuadraticNumber:
@@ -312,9 +317,9 @@ class QuadraticNumber(Frozen):
         squarefree or 0, as every arithmetic result's is; skips
         squarefree_decomposition and only enforces b == 0 => rad == 0."""
         self = object.__new__(cls)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "rad", rad if b else 0)
+        _QN_A(self, a)
+        _QN_B(self, b)
+        _QN_RAD(self, rad if b else 0)
         return self
 
     @staticmethod
@@ -480,6 +485,11 @@ class QuadraticNumber(Frozen):
     def __repr__(self) -> str:
         return f"QuadraticNumber({self.render()!r})"
 
+
+# Slot setters bound once (see the module docstring).
+_QN_A = QuadraticNumber.a.__set__
+_QN_B = QuadraticNumber.b.__set__
+_QN_RAD = QuadraticNumber.rad.__set__
 
 QuadraticLike = QuadraticNumber | Fraction | int
 

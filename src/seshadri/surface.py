@@ -180,8 +180,8 @@ class MuInterval(Frozen):
             hi = QuadraticNumber._coerce(hi)
             if compare(lo, hi) > 0:
                 raise ValueError(f"empty interval: {lo} > {hi}")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        _MI_LO(self, lo)
+        _MI_HI(self, hi)
 
     def contains(self, mu: QuadraticLike) -> bool:
         return compare(mu, self.lo) >= 0 and (self.hi is None or compare(mu, self.hi) <= 0)
@@ -193,6 +193,11 @@ class MuInterval(Frozen):
 
     def __str__(self) -> str:
         return self.render()
+
+
+# Slot setters bound once, as for CurveClass.
+_MI_LO = MuInterval.lo.__set__
+_MI_HI = MuInterval.hi.__set__
 
 
 def _require_interior(c: CurveClass) -> None:

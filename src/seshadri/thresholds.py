@@ -56,8 +56,14 @@ class ThresholdEntry(Frozen):
                            2 * big_a * big_b, n) < 0
         ):
             raise ValueError(f"mu0 = {mu0} sits below sqrt({r})")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "mu0", mu0)
+        _TE_R(self, r)
+        _TE_MU0(self, mu0)
+
+
+# Slot setters bound once, as in surface.CurveClass: threshold builds an
+# entry at every r.
+_TE_R = ThresholdEntry.r.__set__
+_TE_MU0 = ThresholdEntry.mu0.__set__
 
 
 # mu_0(r) at the r >= 10 where it is not sqrt(r + 1).

@@ -530,8 +530,9 @@ def test_coverage_gap_fails_the_command(capsys, monkeypatch):
 
 
 def _nonnegative_delta(pair, mu0):
-    """A stand-in for cli's check_pair: the real verdict of a small-degree
-    pair (delta < 0 at every r >= 20) with its delta negated."""
+    """A stand-in for cli's check_pair, which checks every r >= 20 row: the
+    real verdict of a small-degree pair (delta < 0 at every r >= 20) with its
+    delta negated, passing at mu0."""
     verdict = search.check_pair(pair, mu0)
     assert verdict.delta < 0
     return search.Verdict(-verdict.delta, mu0, search.Outcome.PASS_MU_MINUS_ABOVE_THRESHOLD)
@@ -540,8 +541,8 @@ def _nonnegative_delta(pair, mu0):
 def test_verify_large_r_failures_fail_the_command(capsys, monkeypatch):
     """verify's two r >= 20 checks, made to fail: small-degree pairs with
     delta >= 0 and large-r inequalities that do not hold. No real r fails
-    either, so a stand-in serves cli's check_pair (which checks only the
-    small-degree rows) and large_r_inequalities."""
+    either, so a stand-in serves cli's check_pair (whose pair rows it passes)
+    and large_r_inequalities."""
     monkeypatch.setattr(cli, "check_pair", _nonnegative_delta)
     monkeypatch.setattr(cli, "large_r_inequalities", lambda r: (True, False))
     assert main(["verify", "--r", "188..189"]) == EXIT_FAIL
@@ -630,6 +631,100 @@ def test_builder_lines_match_the_document_oracle(monkeypatch):
         doc, lines = build_verify(r, None)
         assert len(lines) == 6 and lines == _oracle_verify_failures(doc), r
         assert doc["all_pass"] is False
+
+
+def _composed_verify_doc(r, mu0):
+    """verify at r composed from the library as the CLI once did: every
+    critical pair through verify_no_counterexample, then each of
+    small_degree_pairs(r) built and checked again at r >= 20, then
+    large_r_inequalities; FAIL lines in that order."""
+    report = search.verify_no_counterexample(r, mu0)
+    mu0_text = report.mu0.render()
+    pairs, lines = [], []
+    for pair, verdict in report.pairs:
+        record = {
+            "class": pair.curve.render(),
+            "t": pair.t,
+            "M": pair.total_multiplicity,
+            "delta": verdict.delta,
+            "mu_minus": verdict.mu_minus.render() if verdict.mu_minus is not None else None,
+            "outcome": verdict.outcome.value,
+        }
+        pairs.append(record)
+        if not verdict.passed:
+            lines.append(
+                f"FAIL r={r}: {record['class']} t={record['t']} has "
+                f"mu_minus = {record['mu_minus']} below mu0 = {mu0_text}"
+            )
+    small_records = large_r = None
+    if r >= 20:
+        small_records = []
+        for pair in search.small_degree_pairs(r):
+            verdict = search.check_pair(pair, report.mu0)
+            small_records.append({
+                "class": pair.curve.render(),
+                "t": pair.t,
+                "M": pair.total_multiplicity,
+                "delta": verdict.delta,
+                "negative_delta": verdict.delta < 0,
+            })
+            if verdict.delta >= 0:
+                lines.append(
+                    f"FAIL r={r}: small-degree pair {pair.curve.render()} "
+                    f"t={pair.t} has delta = {verdict.delta} >= 0"
+                )
+        first, second = region.large_r_inequalities(r)
+        large_r = {"degree_five_inequality": first, "small_degree_inequality": second}
+        if not (first and second):
+            lines.append(f"FAIL r={r}: large-r inequalities do not hold")
+    return {
+        "command": "verify",
+        "r": r,
+        "mu0": mu0_text,
+        "all_pass": not lines,
+        "pairs": pairs,
+        "small_degree_pairs": small_records,
+        "large_r": large_r,
+    }, lines
+
+
+@pytest.mark.parametrize("mu0_text", [None, "7/2", "sqrt(1000)", "100"])
+def test_verify_doc_matches_the_composed_oracle(mu0_text):
+    """verify's one pass over the small-degree pairs at r >= 20 writes the
+    bytes and FAIL lines of the library composition, on r = 10..3000 and at
+    10^6, 10^12, 10^18 - 1 and 10^18, at the published thresholds and at
+    three --mu0 values (each of which some r < 20 fails)."""
+    mu0 = cli._validated_mu0(mu0_text)
+    failing = 0
+    for r in [*range(10, 3001), 10**6, 10**12, 10**18 - 1, 10**18]:
+        doc, lines = cli._verify_doc(r, mu0)
+        want_doc, want_lines = _composed_verify_doc(r, mu0)
+        assert cli._dumps(doc) == cli._dumps(want_doc), (r, mu0_text)
+        assert lines == want_lines, (r, mu0_text)
+        failing += bool(lines)
+    assert (failing > 0) == (mu0 is not None)
+
+
+def test_verify_small_degree_failures_at_r_20(capsys, monkeypatch):
+    """A small-degree entry with delta >= 0 at r = 20 fails both of its
+    rows: (2;1^9) at t = 1 has delta = 81 - 20*3 = 21 and
+    mu_minus = (18 - sqrt(21))/3 below mu0 = sqrt(21), and M = 9 is within
+    the bound, so its pair row FAILs before its small-degree row."""
+    monkeypatch.setattr(search, "_SMALL_DEGREE", ((2, 9, 1),))
+    assert main(["verify", "--r", "20"]) == EXIT_FAIL
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
+    assert doc["all_pass"] is False
+    assert [row["outcome"] for row in doc["pairs"]] == ["Counterexample"]
+    assert err == (
+        "FAIL r=20: (2;1^9) t=1 has mu_minus = 6 - 1/3*sqrt(21) below mu0 = sqrt(21)\n"
+        "FAIL r=20: small-degree pair (2;1^9) t=1 has delta = 21 >= 0\n"
+    )
+    for r in range(20, 41):
+        doc, lines = cli._verify_doc(r, None)
+        want_doc, want_lines = _composed_verify_doc(r, None)
+        assert cli._dumps(doc) == cli._dumps(want_doc), r
+        assert lines == want_lines, r
 
 
 def test_parallel_matches_serial(capsys):

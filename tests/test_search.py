@@ -440,24 +440,36 @@ def test_balanced_class_render():
 def test_search_builds_one_class_per_kept_pair(monkeypatch):
     """The d-scan stays O(1) per candidate: a class (two runs) is built for
     each pair it keeps and for nothing else.  r = 10..13 reach the
-    t-criticality test with t < d - 1; r = 1000 is the large-r path."""
-    built = []
+    t-criticality test with t < d - 1; r = 1000 is the large-r path.  verify
+    at each r >= 20 builds the five small-degree classes once and renders
+    each once, its pair rows included."""
+    built, rendered = [], []
     original = CurveClass.__post_init__
+    original_render = CurveClass.render
 
     def counting(self):
-        built.append(self.d)
+        built.append(self)
         original(self)
 
+    def counting_render(self):
+        rendered.append(self)
+        return original_render(self)
+
     monkeypatch.setattr(CurveClass, "__post_init__", counting)
+    monkeypatch.setattr(CurveClass, "render", counting_render)
     for r in (10, 11, 12, 13, 1000):
         built.clear()
         pairs = enumerate_critical_pairs(r)
-        assert built == [p.d for p in pairs]
-    built.clear()
-    doc, _ = cli._verify_doc(1000, None)
-    assert doc["all_pass"]
-    assert len(built) == len(doc["pairs"]) + len(doc["small_degree_pairs"])
-
+        assert [c.d for c in built] == [p.d for p in pairs]
+    for r in range(20, 70):
+        built.clear()
+        rendered.clear()
+        doc, _ = cli._verify_doc(r, None)
+        assert doc["all_pass"]
+        assert len(built) == 5, r
+        assert [id(c) for c in rendered] == [id(c) for c in built], r
+        texts = [row["class"] for row in doc["small_degree_pairs"]]
+        assert texts == [c.render() for c in built]
 
 
 def test_maximal_total_evaluations_per_r(monkeypatch):

@@ -128,8 +128,9 @@ def test_benchmark_command_lines_resolve(monkeypatch):
 def test_check_pair_calls_equal_the_rows_they_print(capsys, monkeypatch):
     """perfbench --trace 1 reports correct: false unless check_pair runs once
     per pair row and small-degree row of verify and once per table row, so a
-    verdict reused to skip a call fails here. check_pair is wrapped at every
-    module that binds it, as the tracer wraps it."""
+    verdict reused to skip a call fails here, on either side of the r = 19/20
+    seam and with a --mu0. check_pair is wrapped at every module that binds
+    it, as the tracer wraps it."""
     calls = 0
     original = seshadri.search.check_pair
 
@@ -145,8 +146,9 @@ def test_check_pair_calls_equal_the_rows_they_print(capsys, monkeypatch):
                     monkeypatch.setattr(module, attr, counting)
     assert seshadri.cli.check_pair is counting
     rows = 0
-    for r in ("10..200", "1000..1009"):
-        assert seshadri.cli.main(["verify", "--r", r]) == 0
+    for argv in (["--r", "10..200"], ["--r", "1000..1009"], ["--r", "15..25"],
+                 ["--r", "15..25", "--mu0", "7/2"]):
+        assert seshadri.cli.main(["verify", *argv]) == 0
         for doc in json.loads(capsys.readouterr().out)["results"]:
             rows += len(doc["pairs"]) + len(doc["small_degree_pairs"] or [])
     assert seshadri.cli.main(["table", "--r", "12"]) == 0
