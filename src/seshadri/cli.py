@@ -67,6 +67,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from . import __version__
 from .errors import (
@@ -103,15 +104,18 @@ EXIT_INTERNAL = 4
 FORMATS = ("json", "markdown", "csv")
 
 MAX_RADICAND = 10**18
-# Largest r any command takes. threshold(r) reduces r + 1 to squarefree form,
-# whose cost grows with r: on a 2-vCPU host verify takes about 0.1 s at
-# r = 10^18 and ran past 20 s at r = 10^29. region spells r in the
-# certificate file name.
+# Largest r any command takes. threshold(r) reduces r + 1 to squarefree form
+# by trial division, whose cost grows with r: on a 2-vCPU host verify at r
+# near 10^18 costs about 25 ms per r (the 101 values up to 10^18 took 2.5 s,
+# nearly all of it squarefree_decomposition(r + 1)), and one r ran past 20 s
+# at 10^29. region spells r in the certificate file name.
 MAX_R = 10**18
 # Most values of r one range may hold. Each r costs time and memory, and a
 # range's documents are all held until they are written: on a 2-vCPU host
-# verify --r 20..10019 takes about 0.30 s and 81 MB, and 10^5 values 3.3 s
-# and 659 MB.
+# verify --r 20..10019 takes about 0.27 s and 77 MB, and 10^5 values 2.9 s
+# and 620 MB. Together with MAX_R the cap admits
+# verify --r (10^18 - 99999)..10^18, which at 25 ms per r runs for about
+# 42 minutes.
 MAX_R_COUNT = 10**5
 # Largest --t0 that region takes: the certificate file name spells it, and
 # far larger values outgrow file names and the interpreter's limit on
@@ -195,13 +199,13 @@ def resolve_config(
 # result documents (pure data)
 
 
-def _pair_record(pair, text: str, verdict) -> dict:
-    """A pair row: the pair, its class text and its verdict."""
+def _pair_record(text: str, t: int, total: int, verdict) -> dict:
+    """A pair row: the pair's class text, t and M, and its verdict."""
     mu_minus = verdict.mu_minus
     return {
         "class": text,
-        "t": pair.t,
-        "M": pair.total_multiplicity,
+        "t": t,
+        "M": total,
         "delta": verdict.delta,
         "mu_minus": None if mu_minus is None else mu_minus.render(),
         "outcome": verdict.outcome.value,
@@ -210,7 +214,10 @@ def _pair_record(pair, text: str, verdict) -> dict:
 
 def _pairs_doc(command: str, r: int, mu0: QuadraticNumber | None) -> tuple[dict, list[str]]:
     report = verify_no_counterexample(r, mu0)
-    rows = [_pair_record(p, p.curve.render(), v) for p, v in report.pairs]
+    rows = [
+        _pair_record(p.curve.render(), p.t, p.curve.total_multiplicity, v)
+        for p, v in report.pairs
+    ]
     return {"command": command, "r": r, "mu0": report.mu0.render(), "rows": rows}, []
 
 
@@ -247,7 +254,8 @@ def _verify_doc(r: int, mu0: QuadraticNumber | None) -> tuple[dict, list[str]]:
         report = verify_no_counterexample(r, mu0)
         mu0_text = report.mu0.render()
         for pair, verdict in report.pairs:
-            record = _pair_record(pair, pair.curve.render(), verdict)
+            curve = pair.curve
+            record = _pair_record(curve.render(), pair.t, curve.total_multiplicity, verdict)
             pairs.append(record)
             if not verdict.passed:
                 lines.append(_below_mu0_line(r, record, mu0_text))
@@ -259,25 +267,27 @@ def _verify_doc(r: int, mu0: QuadraticNumber | None) -> tuple[dict, list[str]]:
         bound = total_multiplicity_bound(r)
         small_records, small_lines = [], []
         for pair in small_degree_pairs(r):
-            text = pair.curve.render()
-            if pair.total_multiplicity <= bound:
+            curve, t = pair.curve, pair.t
+            text = curve.render()
+            total = curve.total_multiplicity
+            if total <= bound:
                 verdict = check_pair(pair, mu0)
-                record = _pair_record(pair, text, verdict)
+                record = _pair_record(text, t, total, verdict)
                 pairs.append(record)
                 if not verdict.passed:
                     lines.append(_below_mu0_line(r, record, mu0_text))
             delta = check_pair(pair, mu0).delta
             small_records.append({
                 "class": text,
-                "t": pair.t,
-                "M": pair.total_multiplicity,
+                "t": t,
+                "M": total,
                 "delta": delta,
                 "negative_delta": delta < 0,
             })
             if delta >= 0:
                 small_lines.append(
                     f"FAIL r={r}: small-degree pair {text} "
-                    f"t={pair.t} has delta = {delta} >= 0"
+                    f"t={t} has delta = {delta} >= 0"
                 )
         lines += small_lines
         first, second = large_r_inequalities(r)
@@ -321,17 +331,31 @@ _VERDICT_FIELDS = ("all_pass", "covered", "ok")
 # JSON
 
 
-def _dict_plan(keys: tuple, depth: int) -> tuple[list, list[str], str]:
-    """How to write a dict with these keys at this nesting depth: its sorted
-    keys, the text before each value (the first without its comma), and the
-    text that closes it."""
+def _dict_plan(keys: tuple, depth: int) -> tuple[itemgetter, list[str], str]:
+    """How to write a dict with these keys at this nesting depth: a getter
+    of its values in sorted key order, the text before each value (the
+    first opens the dict, the others start with a comma), and the text that
+    closes it.
+
+    itemgetter of one key returns the bare value, not a tuple; a one-key
+    dict gets that key twice, and the zip with its one prefix reads the
+    first of the two values alone."""
     newline = "\n" + "  " * depth
     inner = newline + "  "
     ordered = sorted(keys)
     # encode_basestring_ascii raises TypeError on a non-str key
     prefixes = ["," + inner + encode_basestring_ascii(key) + ": " for key in ordered]
-    prefixes[0] = prefixes[0][1:]
-    return ordered, prefixes, newline + "}"
+    prefixes[0] = "{" + prefixes[0][1:]
+    getter = itemgetter(*ordered) if len(ordered) > 1 else itemgetter(ordered[0], ordered[0])
+    return getter, prefixes, newline + "}"
+
+
+def _list_plan(depth: int) -> tuple[str, str, str]:
+    """How to write a list at this nesting depth: the text before its first
+    item, before every later item, and the text that closes it."""
+    newline = "\n" + "  " * depth
+    inner = newline + "  "
+    return "[" + inner, "," + inner, newline + "]"
 
 
 def _dumps(doc: object) -> str:
@@ -348,12 +372,18 @@ def _dumps(doc: object) -> str:
     A document repeats a few dict shapes (nesting depth and keys in
     insertion order) many times: a range's per-r documents, their pair
     records. The first dict of a shape builds its plan (_dict_plan) and every
-    later one reuses it, so keys are sorted and encoded once per shape.
-    Plans live in this call alone; nothing is kept between calls.
+    later one reuses it, so keys are sorted and encoded once per shape, and
+    the plan's itemgetter fetches each dict's values in C. Lists take their
+    opening, separating and closing texts from a plan per depth
+    (_list_plan) in the same table. Plans live in this call alone; nothing
+    is kept between calls.
     """
     parts: list[str] = []
     append = parts.append
-    plans: dict[tuple, tuple[list, list[str], str]] = {}
+    encode = encode_basestring_ascii
+    int_repr = int.__repr__
+    # dict shapes (depth, *keys) and list depths to their plans
+    plans: dict[object, tuple] = {}
     stack: list[tuple] = []
     items = iter((("", doc),))
     close = ""
@@ -362,35 +392,39 @@ def _dumps(doc: object) -> str:
             append(prefix)
             kind = type(value)
             if kind is str:
-                append(encode_basestring_ascii(value))
+                append(encode(value))
             elif kind is int:
-                append(int.__repr__(value))
+                append(int_repr(value))
             elif value is None:
                 append("null")
             elif value is True:
                 append("true")
             elif value is False:
                 append("false")
-            elif kind is dict or kind is list or kind is tuple:
+            elif kind is dict:
                 if not value:
-                    append("{}" if kind is dict else "[]")
+                    append("{}")
                     continue
-                if kind is dict:
-                    shape = (len(stack), *value)
-                    plan = plans.get(shape)
-                    if plan is None:
-                        plan = plans[shape] = _dict_plan(shape[1:], len(stack))
-                    keys, prefixes, closing = plan
-                    children = zip(prefixes, map(value.__getitem__, keys))
-                    append("{")
-                else:
-                    newline = "\n" + "  " * len(stack)
-                    inner = newline + "  "
-                    children = zip(chain((inner,), repeat("," + inner)), value)
-                    append("[")
-                    closing = newline + "]"
+                depth = len(stack)
+                shape = (depth, *value)
+                plan = plans.get(shape)
+                if plan is None:
+                    plan = plans[shape] = _dict_plan(shape[1:], depth)
+                getter, prefixes, closing = plan
                 stack.append((items, close))
-                items, close = children, closing
+                items, close = zip(prefixes, getter(value)), closing
+                break
+            elif kind is list or kind is tuple:
+                if not value:
+                    append("[]")
+                    continue
+                depth = len(stack)
+                plan = plans.get(depth)
+                if plan is None:
+                    plan = plans[depth] = _list_plan(depth)
+                opening, separator, closing = plan
+                stack.append((items, close))
+                items, close = zip(chain((opening,), repeat(separator)), value), closing
                 break
             else:
                 raise TypeError(f"cannot write {kind.__name__} as JSON")
@@ -407,7 +441,16 @@ def _dumps(doc: object) -> str:
 
 def _atomic_write(path: str, text: str) -> None:
     """Write text to path through a temporary file in its directory. A path
-    that cannot be written (under a regular file, say) is a UsageError."""
+    that cannot be written (under a regular file, say) is a UsageError.
+
+    The rename is what a rerun of region pays for. On ext4, renaming over an
+    existing file flushes the new file's data first: replacing a 175 KB
+    certificate took 50-75 ms on a 2-vCPU host, with or without an fsync,
+    against 0.04 ms under a fresh name. So region's wall time, and a
+    benchmark that rewrites one name, follow the disk. Preallocating the
+    file with posix_fallocate skips that flush (0.08 ms), but after a crash
+    it could leave a zero-filled certificate under the final name, so the
+    write stays as it is."""
     import tempfile  # only region writes a file
 
     directory, name = os.path.split(path)

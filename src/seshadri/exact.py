@@ -332,7 +332,7 @@ class QuadraticNumber(Frozen):
 
         Decided on integers: an int is read as p/1 and a Fraction as its
         numerator and denominator, so the result's coefficient is the only
-        Fraction built.
+        Fraction built, from one int when q = 1 (Fraction's quickest path).
         """
         if type(x) is int:  # a bool goes through _as_fraction
             p, q = x, 1
@@ -344,8 +344,10 @@ class QuadraticNumber(Frozen):
         # sqrt(p/q) = sqrt(p*q)/q = f*sqrt(m)/q with p*q = f^2*m, m squarefree
         f, m = squarefree_decomposition(p * q)
         if m <= 1:
-            return QuadraticNumber._canonical(Fraction(f * m, q), _ZERO, 0)
-        return QuadraticNumber._canonical(_ZERO, Fraction(f, q), m)
+            a = Fraction(f * m) if q == 1 else Fraction(f * m, q)
+            return QuadraticNumber._canonical(a, _ZERO, 0)
+        b = Fraction(f) if q == 1 else Fraction(f, q)
+        return QuadraticNumber._canonical(_ZERO, b, m)
 
     @property
     def is_rational(self) -> bool:
@@ -465,9 +467,10 @@ class QuadraticNumber(Frozen):
         denominator, with no Fraction arithmetic.
         """
         b = self.b
-        if not b:
+        num = b.numerator
+        if not num:
             return str(self.a)
-        num, den = b.numerator, b.denominator
+        den = b.denominator
         mag = num if num > 0 else -num
         if den != 1:
             root = f"{mag}/{den}*sqrt({self.rad})"

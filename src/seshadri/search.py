@@ -101,6 +101,13 @@ class Outcome(enum.Enum):
     COUNTEREXAMPLE = "Counterexample"
 
 
+# The outcomes bound once: check_pair picks one, and Verdict checks it, for
+# every row verify prints.
+_PASS_NEGATIVE_DELTA = Outcome.PASS_NEGATIVE_DELTA
+_PASS_ABOVE_THRESHOLD = Outcome.PASS_MU_MINUS_ABOVE_THRESHOLD
+_COUNTEREXAMPLE = Outcome.COUNTEREXAMPLE
+
+
 class Verdict(Frozen):
     """Outcome of checking one pair; mu_minus is present, and the outcome is
     other than PASS_NEGATIVE_DELTA, iff delta >= 0."""
@@ -112,7 +119,7 @@ class Verdict(Frozen):
     ) -> None:
         if (delta >= 0) != (mu_minus is not None):
             raise ValueError("mu_minus must be present exactly when delta >= 0")
-        if (delta < 0) != (outcome is Outcome.PASS_NEGATIVE_DELTA):
+        if (delta < 0) != (outcome is _PASS_NEGATIVE_DELTA):
             raise ValueError(f"{outcome} contradicts delta = {delta}")
         _V_DELTA(self, delta)
         _V_MU_MINUS(self, mu_minus)
@@ -120,7 +127,7 @@ class Verdict(Frozen):
 
     @property
     def passed(self) -> bool:
-        return self.outcome is not Outcome.COUNTEREXAMPLE
+        return self.outcome is not _COUNTEREXAMPLE
 
 
 # Slot setters bound once, as in surface.CurveClass: verify builds a pair and
@@ -253,18 +260,18 @@ def total_multiplicity_bound(r: int) -> int:
     """
     if r < 10:
         raise UnsupportedR(f"need r >= 10, got {r}")
-
-    def holds(m_total: int) -> bool:
-        return _field_sign(25 * r - 4 * r * m_total, 12 * m_total, r) >= 0
-
     # sqrt(r) >= q / 2^32, so this floor is at most 25r / (4r - 12 sqrt(r))
     # and less than one unit below it for every r >= 10.
     q = isqrt(r << 64)
     m_total = (25 * r << 32) // ((4 * r << 32) - 12 * q)
-    if not holds(m_total):
+    # a + b sqrt(r) at M = m_total; one step up in M adds -4r to a and 12 to b
+    a, b, step = 25 * r - 4 * r * m_total, 12 * m_total, 4 * r
+    if _field_sign(a, b, r) < 0:
         raise RuntimeError(f"multiplicity bound start {m_total} fails at r={r}")
-    while holds(m_total + 1):
+    while _field_sign(a - step, b + 12, r) >= 0:
         m_total += 1
+        a -= step
+        b += 12
     return m_total
 
 
@@ -323,11 +330,11 @@ def enumerate_critical_pairs(r: int) -> tuple[BalancedPair, ...]:
     if r < 20:
         return _scan_critical_pairs(r)
     bound = total_multiplicity_bound(r)
-    return tuple(
+    return tuple([
         BalancedPair(CurveClass(d, ((1, total),), r), t)
         for d, total, t in _SMALL_DEGREE
         if total <= bound
-    )
+    ])
 
 
 def _scan_critical_pairs(r: int) -> tuple[BalancedPair, ...]:
@@ -371,10 +378,10 @@ def check_pair(pair: BalancedPair, mu0: QuadraticLike) -> Verdict:
     """
     delta, mu_minus = lower_root(pair.curve, pair.t)
     if mu_minus is None:
-        return Verdict(delta, None, Outcome.PASS_NEGATIVE_DELTA)
+        return Verdict(delta, None, _PASS_NEGATIVE_DELTA)
     if compare(mu_minus, mu0) >= 0:
-        return Verdict(delta, mu_minus, Outcome.PASS_MU_MINUS_ABOVE_THRESHOLD)
-    return Verdict(delta, mu_minus, Outcome.COUNTEREXAMPLE)
+        return Verdict(delta, mu_minus, _PASS_ABOVE_THRESHOLD)
+    return Verdict(delta, mu_minus, _COUNTEREXAMPLE)
 
 
 def verify_no_counterexample(
@@ -402,10 +409,10 @@ def small_degree_pairs(r: int) -> tuple[BalancedPair, ...]:
     """
     if r < 14:
         raise UnsupportedR(f"need r >= 14 to host 14 simple points, got {r}")
-    return tuple(
+    return tuple([
         BalancedPair(CurveClass(d, ((1, total),), r), t)
         for d, total, t in _SMALL_DEGREE
-    )
+    ])
 
 
 class OracleReport(Frozen):

@@ -711,6 +711,9 @@ def test_verify_small_degree_failures_at_r_20(capsys, monkeypatch):
     mu_minus = (18 - sqrt(21))/3 below mu0 = sqrt(21), and M = 9 is within
     the bound, so its pair row FAILs before its small-degree row."""
     monkeypatch.setattr(search, "_SMALL_DEGREE", ((2, 9, 1),))
+    # both readers of the table follow it at call time
+    for pairs in (search.small_degree_pairs(20), search.enumerate_critical_pairs(20)):
+        assert [(p.d, p.total_multiplicity, p.t) for p in pairs] == [(2, 9, 1)]
     assert main(["verify", "--r", "20"]) == EXIT_FAIL
     out, err = capsys.readouterr()
     doc = json.loads(out)
@@ -1036,6 +1039,48 @@ def test_dumps_sorts_once_per_dict_shape(monkeypatch):
     text = cli._dumps(doc)
     assert calls == len(shapes) <= 12 and count >= 500
     assert text == json.dumps(doc, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("doc", [
+    {"a": 1},  # a one-key dict: its itemgetter returns the bare value
+    {"a": {"a": {"a": None}}},  # one key at three depths
+    [{"k": [1]}, {"k": "v"}, {"k": {}}],
+    {"a": "x", "b": [{"a": 1}]},
+    # one key set in two insertion orders, at one depth and at another
+    [{"x": 1, "y": 2}, {"y": 3, "x": 4}, [{"y": 5, "x": 6}]],
+    {"b": 1, "a": 2, "c": {"c": [{"a": 3, "c": 4, "b": 5}], "a": 6, "b": 7}},
+    # one shape at two depths
+    {"p": {"x": 1, "y": True}, "q": [{"x": 2, "y": False}], "r": [[{"x": 3, "y": 4}]]},
+    # lists nested at several depths, empty ones among them
+    [[[1, [2, [3, []]]], []], [[4]], 5, ["six", [None]]],
+    {"l": [[{"m": [[], [[7]]]}]], "n": [[8, [9]], {}]},
+])
+def test_dumps_plans_on_hand_made_shapes(doc):
+    assert cli._dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+def _documents(*argv):
+    """What main would pass to _dumps for argv: its one document, or the
+    results wrapper of a range."""
+    args = resolve_config(cli._parse_command_line(list(argv)), env={})
+    docs, _ = args.handler(args)
+    return docs[0] if len(docs) == 1 else {"command": args.command, "results": docs}
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--r", "10..200"),
+    ("coverage", "--r", "1..60"),
+    ("table", "--r", "12"),
+    ("table", "--r", "12..13", "--mu0", "7/2"),
+])
+def test_dumps_writes_real_documents_as_json_does(argv):
+    doc = _documents(*argv)
+    assert cli._dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+def test_dumps_writes_a_certificate_as_json_does():
+    doc = region.verify_t_bound(10, 6).to_json_dict()
+    assert cli._dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
 
 
 # --------------------------------------------------------------------------

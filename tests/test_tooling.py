@@ -1,7 +1,8 @@
 """perfbench's tracer still finds every function it wraps, only the value
 types whose __post_init__ it wraps define one, every command line the
 benchmark runs still parses, check_pair runs once per row it prints (the
-traced benchmark's count check), the package exports resolve,
+traced benchmark's count check), every verify-sweep and query-mix output
+matches the benchmark's recorded digest, the package exports resolve,
 the documentation names only environment variables the CLI reads, the
 README's Python example and command lines run as written, and starting the
 CLI loads none of the modules it does not need.
@@ -156,6 +157,26 @@ def test_check_pair_calls_equal_the_rows_they_print(capsys, monkeypatch):
     table_rows = sum(1 for line in table.splitlines() if line.startswith("|")) - 2
     assert table_rows == 27
     assert calls == rows + table_rows
+
+
+def test_benchmark_operations_match_their_recorded_digests(monkeypatch, tmp_path):
+    """Every verify-sweep and query-mix operation of perfbench/ops.py, run in
+    process through ops.execute as the benchmark runs it, passes ops.check
+    against perfbench/digests.json: an output byte that drifts fails here,
+    before the benchmark refuses the run. region-audit writes certificates
+    and is left to the benchmark."""
+    ops = _load_perfbench("ops")
+    digests = json.loads((ROOT / "perfbench" / "digests.json").read_text())["ops"]
+    monkeypatch.chdir(tmp_path)
+    for name in [k for k in os.environ if k.startswith("SESHADRI_")]:
+        monkeypatch.delenv(name)
+    checked = 0
+    for workload in ("verify-sweep", "query-mix"):
+        for op in ops.universe(workload):
+            assert ops.check(ops.execute(op, seshadri.cli), digests) == []
+            checked += 1
+    assert checked == len(ops.sweep_blocks()) + len(ops.universe("query-mix"))
+    assert list(tmp_path.iterdir()) == []
 
 
 # Modules that `import seshadri.cli` plus build_parser() must not load: the
