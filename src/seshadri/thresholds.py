@@ -84,8 +84,11 @@ def threshold(r: int) -> ThresholdEntry:
     """mu_0(r): 77/24, 4 - sqrt(3)/3, sqrt(13), (26 - sqrt(13))/6 for
     r = 10..13, and sqrt(r+1) from r = 14 on.
 
-    sqrt(r + 1) is built here, from r; classify and verify_coverage build it
-    once themselves, for mu_0 and the exceptional ray together.
+    sqrt(r + 1) is built here, by squarefree_decomposition(r + 1); classify
+    and verify_coverage build it once themselves, for mu_0 and the
+    exceptional ray together.  A range command over several r takes every
+    sqrt(r + 1) from one sieve over its block (exact.sqrt_block) and calls
+    _mu0 itself.
     """
     if r < 10:
         raise UnsupportedR(f"thresholds start at r = 10, got {r}")
@@ -184,16 +187,20 @@ def _catalog_loci(
     return loci
 
 
-def verify_coverage(r: int) -> CoverageReport:
+def verify_coverage(
+    r: int, sqrt_r_plus_1: QuadraticNumber | None = None
+) -> CoverageReport:
     """Sweep the catalog loci left to right and report gaps.
 
     Starting from the target's left end, each locus must begin no later than
     the point already reached; the sweep succeeds when some locus is
     unbounded above and no gap was recorded.  All loci are closed, so
-    touching endpoints chain.  sqrt(r + 1) is built once, for the target and
-    the exceptional ray.
+    touching endpoints chain.  sqrt(r + 1) serves the target and the
+    exceptional ray: the caller's sqrt_r_plus_1 (a range command's, from
+    one sieve over its block), else built here once.
     """
-    sqrt_r_plus_1 = QuadraticNumber.sqrt(r + 1)
+    if sqrt_r_plus_1 is None:
+        sqrt_r_plus_1 = QuadraticNumber.sqrt(r + 1)
     target_lo, target_closed = _coverage_target(r, sqrt_r_plus_1)
     loci = _catalog_loci(r, sqrt_r_plus_1)
     loci.sort(key=cmp_to_key(lambda p, q: compare(p[1].lo, q[1].lo)))

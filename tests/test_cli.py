@@ -245,9 +245,12 @@ def test_r_cap(command, capsys):
     assert json.loads(capsys.readouterr().out)["r"] == MAX_R
 
 
-def test_verify_doc_needs_no_enclosures(monkeypatch):
+def test_verify_doc_needs_no_enclosures(capsys, monkeypatch):
     """Thresholds and pair checks decide signs without enclosures, and build
-    at most the one radicand sqrt(r + 1) from scratch at large r."""
+    at most the one radicand sqrt(r + 1) from scratch at large r. Over a
+    range, sqrt(r + 1) comes from the range's sieve: 1,000 values of r near
+    MAX_R make no squarefree split of any r + 1, at any module that binds
+    squarefree_decomposition, and render each small-degree class once."""
     calls = {"enclosure": 0, "sqrt_enclosure": 0, "squarefree": 0, "cross_field": 0}
 
     def counting(name, fn):
@@ -277,6 +280,45 @@ def test_verify_doc_needs_no_enclosures(monkeypatch):
     assert calls["enclosure"] == 0
     assert calls["sqrt_enclosure"] == 0
     assert calls["squarefree"] <= 1
+
+    radicands, rendered = [], []
+    split = exact.squarefree_decomposition
+
+    def recording(n):
+        radicands.append(n)
+        return split(n)
+
+    for name, module in list(sys.modules.items()):
+        if name == "seshadri" or name.startswith("seshadri."):
+            for attr, value in list(vars(module).items()):
+                if value is split:
+                    monkeypatch.setattr(module, attr, recording)
+    render = surface.CurveClass.render
+
+    def counting_render(self):
+        rendered.append(render(self))
+        return rendered[-1]
+
+    monkeypatch.setattr(surface.CurveClass, "render", counting_render)
+    assert main(["verify", "--r", f"{MAX_R - 999}..{MAX_R}"]) == EXIT_PASS
+    docs = json.loads(capsys.readouterr().out)["results"]
+    assert len(docs) == 1000 and docs[-1]["mu0"] == "sqrt(1000000000000000001)"
+    assert radicands == []
+    assert rendered == [row["class"] for row in docs[0]["small_degree_pairs"]]
+    assert len(rendered) == 5
+    assert calls["enclosure"] == calls["sqrt_enclosure"] == 0
+
+
+def test_range_thresholds_pass_the_check_above_sqrt_r(capsys, monkeypatch):
+    """A range takes mu_0(r) from its plan's sqrt(r + 1) through
+    ThresholdEntry's check: a rule that put mu_0 below sqrt(r) is an
+    internal error, not a verdict."""
+    monkeypatch.setattr(cli, "_mu0", lambda r, root: exact.QuadraticNumber(3))
+    for command in ("verify", "enumerate", "table"):
+        for r_range in ("10", "10..25"):
+            assert main([command, "--r", r_range]) == EXIT_INTERNAL
+            out, err = capsys.readouterr()
+            assert (out, err) == ("", "internal error: ValueError: mu0 = 3 sits below sqrt(10)\n")
 
 
 def test_verify_doc_builds_at_most_one_fraction(monkeypatch):
@@ -520,8 +562,8 @@ def test_coverage_gap_fails_the_command(capsys, monkeypatch):
 
     build, smallest_r = cli._RANGE_COMMANDS["coverage"]
 
-    def without_lines(r, mu0):
-        doc, _ = build(r, mu0)
+    def without_lines(r, mu0, plan):
+        doc, _ = build(r, mu0, plan)
         return doc, []
 
     monkeypatch.setitem(cli._RANGE_COMMANDS, "coverage", (without_lines, smallest_r))
@@ -709,7 +751,9 @@ def test_verify_small_degree_failures_at_r_20(capsys, monkeypatch):
     """A small-degree entry with delta >= 0 at r = 20 fails both of its
     rows: (2;1^9) at t = 1 has delta = 81 - 20*3 = 21 and
     mu_minus = (18 - sqrt(21))/3 below mu0 = sqrt(21), and M = 9 is within
-    the bound, so its pair row FAILs before its small-degree row."""
+    the bound, so its pair row FAILs before its small-degree row. Over
+    verify --r 20..25 the class texts, which a range renders once, follow
+    the patched table too."""
     monkeypatch.setattr(search, "_SMALL_DEGREE", ((2, 9, 1),))
     # both readers of the table follow it at call time
     for pairs in (search.small_degree_pairs(20), search.enumerate_critical_pairs(20)):
@@ -728,6 +772,47 @@ def test_verify_small_degree_failures_at_r_20(capsys, monkeypatch):
         want_doc, want_lines = _composed_verify_doc(r, None)
         assert cli._dumps(doc) == cli._dumps(want_doc), r
         assert lines == want_lines, r
+    # a range renders the class texts once, from the table as it is when the
+    # command runs
+    assert main(["verify", "--r", "20..25"]) == EXIT_FAIL
+    out, err = capsys.readouterr()
+    composed = [_composed_verify_doc(r, None) for r in range(20, 26)]
+    assert json.loads(out)["results"] == [doc for doc, _ in composed]
+    assert err == "".join(line + "\n" for _, lines in composed for line in lines)
+    docs = json.loads(out)["results"]
+    assert [[row["class"] for row in doc["small_degree_pairs"]] for doc in docs] == [
+        ["(2;1^9)"]
+    ] * 6
+    # every r fails its small-degree row, and r = 20..23 its pair row too
+    assert err.count("small-degree pair (2;1^9)") == 6 and err.count("\n") == 10
+
+
+@pytest.mark.parametrize("r_range", ["999999999999999981..1000000000000000000", "10..200"])
+def test_range_output_matches_single_r_output(capsys, r_range):
+    """A range command prints what the same command prints one r at a time:
+    the JSON documents of the single runs in one results list, or their
+    markdown one after another, a blank line apart; the same stderr lines
+    and the same exit code. A range splits every r + 1 by one sieve, and a
+    single r by trial division, so near MAX_R this holds the sieve to its
+    oracle."""
+    lo, hi = parse_r_range(r_range)
+    for command in ("verify", "coverage", "enumerate", "table"):
+        code = main([command, "--r", r_range])
+        out, err = capsys.readouterr()
+        codes, outs, errs = [], [], []
+        for r in range(lo, hi + 1):
+            codes.append(main([command, "--r", str(r)]))
+            single = capsys.readouterr()
+            outs.append(single.out)
+            errs.append(single.err)
+        assert code == max(codes) == EXIT_PASS, command
+        assert err == "".join(errs), command
+        if command == "table":
+            assert out == "\n".join(outs), command
+            continue
+        docs = [json.loads(text) for text in outs]
+        wrapper = {"command": command, "results": docs}
+        assert out == json.dumps(wrapper, sort_keys=True, indent=2) + "\n", command
 
 
 def test_parallel_matches_serial(capsys):

@@ -23,7 +23,9 @@ from seshadri.exact import (
     _field_sign,
     compare,
     parse_quadratic,
+    sqrt_block,
     sqrt_enclosure,
+    squarefree_block,
     squarefree_decomposition,
 )
 
@@ -82,6 +84,81 @@ def test_squarefree_decomposition_random():
         # m must carry no square factor
         for p in range(2, 50):
             assert m % (p * p) != 0
+
+
+def _is_prime(n):
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def test_squarefree_block_matches_trial_division_up_to_20000():
+    """The sieve against squarefree_decomposition on every n in 1..20,000,
+    cut into blocks of several lengths at several offsets, so that blocks
+    start and end on and off the multiples of each sieving prime."""
+    want = [None] + [squarefree_decomposition(n) for n in range(1, 20001)]
+    for length in (1, 2, 7, 64, 999, 20000):
+        for start in sorted({1, 2, 1 + length // 3}):
+            for lo in range(start, 20001, length):
+                hi = min(lo + length - 1, 20000)
+                assert squarefree_block(lo, hi) == want[lo:hi + 1], (lo, hi)
+
+
+def _split_of_coprime(*parts):
+    """The split of the product of pairwise coprime parts: the product of
+    their splits, each part small enough for trial division."""
+    f = m = 1
+    for part in parts:
+        pf, pm = squarefree_decomposition(part)
+        f, m = f * pf, m * pm
+    return f, m
+
+
+def test_squarefree_block_on_planted_values_near_1e18():
+    """Values near 10^18 built from their factors, so no 18-digit number is
+    factored by trial division. p and q are primes just above the sieve's
+    top, 10^6, so that a cofactor left after sieving is p^2 (not
+    squarefree) or p*q (squarefree); f^2*m has f a prime just below 10^6
+    and m a prime above it; 10^18 = (10^9)^2 and
+    10^18 + 1 = 101 * 9901 * 999999000001, the last factor squarefree."""
+    p, q, f, m = 1000003, 1000033, 999983, 1000003
+    assert all(_is_prime(n) for n in (p, q, f, m, 101, 9901))
+    s = 10**18 // (p * p)  # 999994 = 2 * 499997, coprime to p and q
+    t = 10**18 // (p * q)  # 999964 = 2^2 * 249991
+    planted = {
+        p * p * s: _split_of_coprime(p * p, s),
+        p * q * t: _split_of_coprime(p, q, t),
+        f * f * m: (f, m),
+        10**18: (10**9, 1),
+        10**18 + 1: _split_of_coprime(101, 9901, 999999000001),
+    }
+    assert planted[10**18 + 1] == (1, 10**18 + 1)
+    assert planted[p * p * s][0] % p == 0 and planted[p * q * t][1] % (p * q) == 0
+    for n, split in planted.items():
+        assert n <= 10**18 + 1 and 10**18 - n < 10**14, n
+        assert split[0] ** 2 * split[1] == n
+        assert squarefree_block(n, n) == [split], n
+        assert squarefree_block(n - 4, n + 3)[4] == split, n
+
+
+def test_squarefree_block_ending_at_1e18_plus_1():
+    """The 20 values up to 10^18 + 1, against trial division itself."""
+    lo, hi = 10**18 - 18, 10**18 + 1
+    assert squarefree_block(lo, hi) == [squarefree_decomposition(n) for n in range(lo, hi + 1)]
+
+
+def test_squarefree_block_refuses_an_empty_or_nonpositive_block():
+    assert squarefree_block(1, 1) == [(1, 1)]
+    for lo, hi in ((0, 5), (-3, 2), (5, 4)):
+        with pytest.raises(ValueError):
+            squarefree_block(lo, hi)
+
+
+def test_sqrt_block_matches_sqrt():
+    lo, hi = 1, 400
+    assert sqrt_block(lo, hi) == [QuadraticNumber.sqrt(n) for n in range(lo, hi + 1)]
+    assert sqrt_block(12, 12) == [QuadraticNumber.sqrt(12)]
+    assert [x.render() for x in sqrt_block(10**18, 10**18 + 1)] == [
+        "1000000000", "sqrt(1000000000000000001)"
+    ]
 
 
 def test_normalization_extracts_square_factors():

@@ -441,8 +441,9 @@ def test_search_builds_one_class_per_kept_pair(monkeypatch):
     """The d-scan stays O(1) per candidate: a class (two runs) is built for
     each pair it keeps and for nothing else.  r = 10..13 reach the
     t-criticality test with t < d - 1; r = 1000 is the large-r path.  verify
-    at each r >= 20 builds the five small-degree classes once and renders
-    each once, its pair rows included."""
+    at each r >= 20 builds the five small-degree classes once, and renders
+    none of them: a range's plan renders the five once, for every r and
+    every row, its pair rows included."""
     built, rendered = [], []
     original = CurveClass.__post_init__
     original_render = CurveClass.render
@@ -461,15 +462,20 @@ def test_search_builds_one_class_per_kept_pair(monkeypatch):
         built.clear()
         pairs = enumerate_critical_pairs(r)
         assert [c.d for c in built] == [p.d for p in pairs]
+    built.clear()
+    rendered.clear()
+    plan = cli._RangePlan("verify", 20, 69, None)
+    assert len(built) == 5
+    assert [id(c) for c in rendered] == [id(c) for c in built]
     for r in range(20, 70):
         built.clear()
         rendered.clear()
-        doc, _ = cli._verify_doc(r, None)
+        doc, _ = cli._verify_doc(r, None, plan)
         assert doc["all_pass"]
         assert len(built) == 5, r
-        assert [id(c) for c in rendered] == [id(c) for c in built], r
+        assert rendered == [], r
         texts = [row["class"] for row in doc["small_degree_pairs"]]
-        assert texts == [c.render() for c in built]
+        assert texts == plan.small_degree_texts == [original_render(c) for c in built]
 
 
 def test_maximal_total_evaluations_per_r(monkeypatch):
