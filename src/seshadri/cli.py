@@ -27,13 +27,14 @@ exit code is the two-level parse's own. The handler takes one argument, the
 parsed command line that resolve_config has checked and completed, and
 returns its documents and its stderr lines (FAIL and AUDIT lines); table,
 enumerate, verify and coverage share one handler, driven by _RANGE_COMMANDS,
-whose per-r builders each return the document and its FAIL lines, written
-where the failing check is made. The handler builds one _RangePlan per call
-for what does not change with r, or is cheaper for the block than per r:
-sqrt(r + 1) for every r from one sieve, and verify's small-degree class
-texts. main alone writes the documents in the chosen format, then the
-lines, and picks the exit code: 1 when there is a line or a document whose
-verdict (all_pass, covered or ok) is false, else 0.
+whose per-r builders each take the call's one _RangePlan and return the
+document and its FAIL lines. The plan holds what does not change with r,
+or is cheaper for the block than per r: sqrt(r + 1) for every r from one
+sieve, and verify's small-degree class texts. Every mu0 printed without a
+--mu0 comes from thresholds.threshold, checked above sqrt(r). main alone
+writes the documents in the chosen format, then the lines, and picks the
+exit code: 1 when there is a line or a document whose verdict (all_pass,
+covered or ok) is false, else 0.
 Handlers raise usage errors and inconclusive bisections, which main turns
 into exit codes 2 and 3; any other exception is exit 4. A format the command
 does not offer (csv outside the range commands) is refused before the
@@ -81,7 +82,13 @@ from .errors import (
     SeshadriError,
     UnsupportedR,
 )
-from .exact import DEFAULT_SQRT_WIDTH_EXPONENT, QuadraticNumber, parse_quadratic, sqrt_block
+from .exact import (
+    DEFAULT_SQRT_WIDTH_EXPONENT,
+    QuadraticNumber,
+    approx_rendered,
+    parse_quadratic,
+    sqrt_block,
+)
 from .region import (
     DEFAULT_DEPTH_LIMIT,
     MAX_DEPTH_LIMIT,
@@ -91,12 +98,13 @@ from .region import (
     verify_t_bound,
 )
 from .search import (
+    Outcome as PairOutcome,
     check_pair,
     small_degree_pairs,
     total_multiplicity_bound,
     verify_no_counterexample,
 )
-from .thresholds import ThresholdEntry, _mu0, classify, verify_coverage
+from .thresholds import classify, threshold, verify_coverage
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -213,8 +221,8 @@ class _RangePlan:
     up to an r >= 20, the texts of the classes of small_degree_pairs,
     rendered once. A class (d;1^M) has the same text at every r, so they
     are rendered from the pairs of the first r >= 20, in the order
-    small_degree_pairs builds them at every r. The plan lives in its call
-    alone."""
+    small_degree_pairs builds them at every r. cmd_range builds the plan
+    and hands it to each per-r builder; it lives in that call alone."""
 
     __slots__ = ("lo", "roots", "small_degree_texts")
 
@@ -231,11 +239,11 @@ class _RangePlan:
         return self.roots[r - self.lo]
 
     def mu0(self, r: int, given: QuadraticNumber | None) -> QuadraticNumber:
-        """The --mu0 given, else mu_0(r) from sqrt(r + 1), through
-        ThresholdEntry's check that it sits above sqrt(r)."""
+        """The --mu0 given, else threshold(r, sqrt(r + 1)).mu0, which
+        passes ThresholdEntry's check that it sits above sqrt(r)."""
         if given is not None:
             return given
-        return ThresholdEntry(r, _mu0(r, self.root(r))).mu0
+        return threshold(r, self.root(r)).mu0
 
 
 def _pair_record(text: str, t: int, total: int, verdict) -> dict:
@@ -251,16 +259,20 @@ def _pair_record(text: str, t: int, total: int, verdict) -> dict:
     }
 
 
-def _pairs_doc(
-    command: str, r: int, mu0: QuadraticNumber | None, plan: _RangePlan | None = None
-) -> tuple[dict, list[str]]:
-    plan = plan or _RangePlan(command, r, r, mu0)
-    report = verify_no_counterexample(r, plan.mu0(r, mu0))
-    rows = [
+def _pair_rows(r: int, mu0: QuadraticNumber) -> tuple[str, list[dict]]:
+    """mu0's text and a pair row per critical pair, verify_no_counterexample's."""
+    report = verify_no_counterexample(r, mu0)
+    return report.mu0.render(), [
         _pair_record(p.curve.render(), p.t, p.curve.total_multiplicity, v)
         for p, v in report.pairs
     ]
-    return {"command": command, "r": r, "mu0": report.mu0.render(), "rows": rows}, []
+
+
+def _pairs_doc(
+    command: str, r: int, mu0: QuadraticNumber | None, plan: _RangePlan
+) -> tuple[dict, list[str]]:
+    mu0_text, rows = _pair_rows(r, plan.mu0(r, mu0))
+    return {"command": command, "r": r, "mu0": mu0_text, "rows": rows}, []
 
 
 def _below_mu0_line(r: int, record: dict, mu0_text: str) -> str:
@@ -271,15 +283,15 @@ def _below_mu0_line(r: int, record: dict, mu0_text: str) -> str:
 
 
 def _verify_doc(
-    r: int, mu0: QuadraticNumber | None, plan: _RangePlan | None = None
+    r: int, mu0: QuadraticNumber | None, plan: _RangePlan
 ) -> tuple[dict, list[str]]:
-    """verify at r, with a FAIL line for each check that fails where it is
-    made: a pair below mu0, a small-degree pair with delta >= 0, large-r
+    """verify at r, with a FAIL line for each check that fails: a pair
+    below mu0, a small-degree pair with delta >= 0, large-r
     inequalities that do not hold. all_pass is the absence of FAIL lines.
-    mu0 is the --mu0 given, else mu_0(r) from the plan's sqrt(r + 1); with
-    no plan, one is made for r alone.
+    mu0 is the --mu0 given, else threshold(r) from the plan's sqrt(r + 1).
 
-    For r = 10..19 the pair rows are verify_no_counterexample's. From r = 20
+    For r = 10..19 the pair rows come from _pair_rows, _pairs_doc's writer,
+    and a row whose outcome is a counterexample gets its FAIL line. From r = 20
     on, one pass over small_degree_pairs(r) builds each of the five pairs,
     whose class texts the plan rendered once for the whole range: a pair
     with M <= total_multiplicity_bound(r) is a critical pair (the rule of
@@ -295,20 +307,14 @@ def _verify_doc(
     row is derived from (ii); the key keeps its name because the verify
     bytes are pinned.
     """
-    plan = plan or _RangePlan("verify", r, r, mu0)
     mu0 = plan.mu0(r, mu0)
-    pairs, lines = [], []
     if r < 20:
-        report = verify_no_counterexample(r, mu0)
-        mu0_text = report.mu0.render()
-        for pair, verdict in report.pairs:
-            curve = pair.curve
-            record = _pair_record(curve.render(), pair.t, curve.total_multiplicity, verdict)
-            pairs.append(record)
-            if not verdict.passed:
-                lines.append(_below_mu0_line(r, record, mu0_text))
+        mu0_text, pairs = _pair_rows(r, mu0)
+        failed = PairOutcome.COUNTEREXAMPLE.value
+        lines = [_below_mu0_line(r, row, mu0_text) for row in pairs if row["outcome"] == failed]
         small_records = large_r = None
     else:
+        pairs, lines = [], []
         mu0_text = mu0.render()
         bound = total_multiplicity_bound(r)
         small_records, small_lines = [], []
@@ -353,11 +359,9 @@ def _verify_doc(
     }, lines
 
 
-def _coverage_doc(r: int, mu0: None, plan: _RangePlan | None = None) -> tuple[dict, list[str]]:
+def _coverage_doc(r: int, mu0: None, plan: _RangePlan) -> tuple[dict, list[str]]:
     """Coverage at r, with a FAIL line per gap; coverage takes no --mu0, so
-    mu0 is None. sqrt(r + 1) comes from the plan; with no plan, one is made
-    for r alone."""
-    plan = plan or _RangePlan("coverage", r, r, mu0)
+    mu0 is None. sqrt(r + 1) comes from the plan."""
     doc = {"command": "coverage", **verify_coverage(r, plan.root(r)).to_json_dict()}
     return doc, [f"FAIL r={r}: coverage gap ({lo}, {hi})" for lo, hi in doc["gaps"]]
 
@@ -522,9 +526,7 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _approx_string(exact: str | None) -> str | None:
-    if exact is None:
-        return None
-    return parse_quadratic(exact).approx_decimal(6)
+    return None if exact is None else approx_rendered(exact)
 
 
 def _augment_approx(doc: dict) -> dict:
@@ -534,12 +536,8 @@ def _augment_approx(doc: dict) -> dict:
         out["mu0_approx"] = _approx_string(out["mu0"])
     for field in ("rows", "pairs"):
         if isinstance(out.get(field), list):
-            rows = []
-            for row in out[field]:
-                row = dict(row)
-                row["mu_minus_approx"] = _approx_string(row.get("mu_minus"))
-                rows.append(row)
-            out[field] = rows
+            out[field] = [{**row, "mu_minus_approx": _approx_string(row.get("mu_minus"))}
+                          for row in out[field]]
     return out
 
 

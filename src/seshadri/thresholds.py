@@ -74,25 +74,18 @@ _TABLED_MU0 = {
 }
 
 
-def _mu0(r: int, sqrt_r_plus_1: QuadraticNumber) -> QuadraticNumber:
-    """mu_0(r) for r >= 10, the one statement of the rule: the table entry
-    at r = 10, 11 and 13, else sqrt(r + 1), which the caller has built."""
-    return _TABLED_MU0.get(r, sqrt_r_plus_1)
-
-
-def threshold(r: int) -> ThresholdEntry:
-    """mu_0(r): 77/24, 4 - sqrt(3)/3, sqrt(13), (26 - sqrt(13))/6 for
-    r = 10..13, and sqrt(r+1) from r = 14 on.
-
-    sqrt(r + 1) is built here, by squarefree_decomposition(r + 1); classify
-    and verify_coverage build it once themselves, for mu_0 and the
-    exceptional ray together.  A range command over several r takes every
-    sqrt(r + 1) from one sieve over its block (exact.sqrt_block) and calls
-    _mu0 itself.
+def threshold(r: int, sqrt_r_plus_1: QuadraticNumber | None = None) -> ThresholdEntry:
+    """mu_0(r), through ThresholdEntry's check that it sits above sqrt(r):
+    77/24, 4 - sqrt(3)/3 and (26 - sqrt(13))/6 at r = 10, 11 and 13, else
+    sqrt(r + 1). The one statement of the rule. sqrt(r + 1) is the caller's
+    sqrt_r_plus_1 (classify's, verify_coverage's, or a range command's, from
+    one sieve over its block), else built here by squarefree_decomposition.
     """
     if r < 10:
         raise UnsupportedR(f"thresholds start at r = 10, got {r}")
-    return ThresholdEntry(r, _mu0(r, QuadraticNumber.sqrt(r + 1)))
+    if sqrt_r_plus_1 is None:
+        sqrt_r_plus_1 = QuadraticNumber.sqrt(r + 1)
+    return ThresholdEntry(r, _TABLED_MU0.get(r, sqrt_r_plus_1))
 
 
 class CatalogCurve(Frozen):
@@ -164,7 +157,7 @@ def _coverage_target(
     [sqrt(r+1), inf) is claimed.
     """
     if r >= 10:
-        return _mu0(r, sqrt_r_plus_1), True
+        return threshold(r, sqrt_r_plus_1).mu0, True
     if r == 9:
         return QuadraticNumber.from_rational(3), False
     if r == 8:
@@ -197,7 +190,8 @@ def verify_coverage(
     unbounded above and no gap was recorded.  All loci are closed, so
     touching endpoints chain.  sqrt(r + 1) serves the target and the
     exceptional ray: the caller's sqrt_r_plus_1 (a range command's, from
-    one sieve over its block), else built here once.
+    one sieve over its block), else built here once; from r = 10 on the
+    target starts at threshold(r, sqrt_r_plus_1).mu0.
     """
     if sqrt_r_plus_1 is None:
         sqrt_r_plus_1 = QuadraticNumber.sqrt(r + 1)
@@ -280,7 +274,7 @@ def classify(r: int, mu: RationalLike) -> Classification:
     over the exceptional ray when several apply).  Below the threshold the
     verdict rides on the submaximality conjecture: epsilon(mu) would equal
     sqrt(mu^2 - r), rational exactly when mu^2 - r is a rational square.
-    sqrt(r + 1) is built once, for the threshold and the exceptional ray.
+    sqrt(r + 1) is built once, for threshold and the exceptional ray.
     """
     if r < 10:
         raise UnsupportedR(f"classification starts at r = 10, got {r}")
@@ -289,7 +283,7 @@ def classify(r: int, mu: RationalLike) -> Classification:
     if mu <= 0 or l_squared <= 0:
         raise NotAboveSqrtR(f"need mu > sqrt({r}), got {mu}")
     sqrt_r_plus_1 = QuadraticNumber.sqrt(r + 1)
-    mu0 = _mu0(r, sqrt_r_plus_1)
+    mu0 = threshold(r, sqrt_r_plus_1).mu0
     below = compare(mu, mu0) < 0
     square = _is_rational_square(l_squared)
     if below:

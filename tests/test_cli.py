@@ -245,6 +245,29 @@ def test_r_cap(command, capsys):
     assert json.loads(capsys.readouterr().out)["r"] == MAX_R
 
 
+def _plan(command, r, mu0=None):
+    """The plan cmd_range builds for one r."""
+    return cli._RangePlan(command, r, r, mu0)
+
+
+def _record_splits(monkeypatch):
+    """The list of every radicand squarefree_decomposition splits from now
+    on, at any module that binds it."""
+    radicands = []
+    split = exact.squarefree_decomposition
+
+    def recording(n):
+        radicands.append(n)
+        return split(n)
+
+    for name, module in list(sys.modules.items()):
+        if name == "seshadri" or name.startswith("seshadri."):
+            for attr, value in list(vars(module).items()):
+                if value is split:
+                    monkeypatch.setattr(module, attr, recording)
+    return radicands
+
+
 def test_verify_doc_needs_no_enclosures(capsys, monkeypatch):
     """Thresholds and pair checks decide signs without enclosures, and build
     at most the one radicand sqrt(r + 1) from scratch at large r. Over a
@@ -273,26 +296,15 @@ def test_verify_doc_needs_no_enclosures(capsys, monkeypatch):
     monkeypatch.setattr(surface, "squarefree_decomposition", exact.squarefree_decomposition)
     monkeypatch.setattr(search, "compare", counting_compare)
     for r in range(10, 20):
-        cli._verify_doc(r, None)
+        cli._verify_doc(r, None, _plan("verify", r))
     assert calls["cross_field"] > 0
     calls["squarefree"] = 0
-    cli._verify_doc(1500, None)
+    cli._verify_doc(1500, None, _plan("verify", 1500))
     assert calls["enclosure"] == 0
     assert calls["sqrt_enclosure"] == 0
     assert calls["squarefree"] <= 1
 
-    radicands, rendered = [], []
-    split = exact.squarefree_decomposition
-
-    def recording(n):
-        radicands.append(n)
-        return split(n)
-
-    for name, module in list(sys.modules.items()):
-        if name == "seshadri" or name.startswith("seshadri."):
-            for attr, value in list(vars(module).items()):
-                if value is split:
-                    monkeypatch.setattr(module, attr, recording)
+    radicands, rendered = _record_splits(monkeypatch), []
     render = surface.CurveClass.render
 
     def counting_render(self):
@@ -309,16 +321,34 @@ def test_verify_doc_needs_no_enclosures(capsys, monkeypatch):
     assert calls["enclosure"] == calls["sqrt_enclosure"] == 0
 
 
+def test_approx_splits_no_radicand_near_max_r(capsys, monkeypatch):
+    """--approx writes each rendered exact string as a decimal from the
+    parts it reads, with no second split of its radicand: 1,000 values of r
+    near MAX_R make no squarefree split, and the decimals are the ones the
+    canonicalised numbers give."""
+    radicands = _record_splits(monkeypatch)
+    assert main(["verify", "--r", f"{MAX_R - 999}..{MAX_R}", "--approx"]) == EXIT_PASS
+    docs = json.loads(capsys.readouterr().out)["results"]
+    assert radicands == []
+    assert len(docs) == 1000 and docs[-1]["mu0"] == "sqrt(1000000000000000001)"
+    for doc in (docs[0], docs[-1]):
+        assert doc["mu0_approx"] == exact.parse_quadratic(doc["mu0"]).approx_decimal(6)
+
+
 def test_range_thresholds_pass_the_check_above_sqrt_r(capsys, monkeypatch):
-    """A range takes mu_0(r) from its plan's sqrt(r + 1) through
-    ThresholdEntry's check: a rule that put mu_0 below sqrt(r) is an
+    """Every mu_0(r) a command prints comes through threshold and
+    ThresholdEntry's check, a range's from its plan's sqrt(r + 1), classify's
+    and coverage's from their own: a rule that put mu_0 below sqrt(r) is an
     internal error, not a verdict."""
-    monkeypatch.setattr(cli, "_mu0", lambda r, root: exact.QuadraticNumber(3))
-    for command in ("verify", "enumerate", "table"):
-        for r_range in ("10", "10..25"):
-            assert main([command, "--r", r_range]) == EXIT_INTERNAL
-            out, err = capsys.readouterr()
-            assert (out, err) == ("", "internal error: ValueError: mu0 = 3 sits below sqrt(10)\n")
+    monkeypatch.setitem(thresholds._TABLED_MU0, 10, exact.QuadraticNumber(3))
+    argvs = [[command, "--r", r_range]
+             for command in ("verify", "enumerate", "table")
+             for r_range in ("10", "10..25")]
+    argvs += [["classify", "--r", "10", "--mu", "7/2"], ["coverage", "--r", "10"]]
+    for argv in argvs:
+        assert main(argv) == EXIT_INTERNAL, argv
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "internal error: ValueError: mu0 = 3 sits below sqrt(10)\n")
 
 
 def test_verify_doc_builds_at_most_one_fraction(monkeypatch):
@@ -333,7 +363,7 @@ def test_verify_doc_builds_at_most_one_fraction(monkeypatch):
         return original(cls, *args, **kwargs)
 
     monkeypatch.setattr(fractions.Fraction, "__new__", staticmethod(counting))
-    doc, _ = cli._verify_doc(1500, None)
+    doc, _ = cli._verify_doc(1500, None, _plan("verify", 1500))
     assert doc["mu0"] == "sqrt(1501)"
     assert calls <= 1
 
@@ -649,20 +679,20 @@ def test_builder_lines_match_the_document_oracle(monkeypatch):
     ]
     failing = 0
     for r, mu0 in runs:
-        doc, lines = build_verify(r, mu0)
+        doc, lines = build_verify(r, mu0, _plan("verify", r, mu0))
         assert lines == _oracle_verify_failures(doc), (r, mu0)
         assert doc["all_pass"] == (not lines), (r, mu0)
         failing += bool(lines)
     assert failing > 0
     for r in range(1, 41):
-        doc, lines = build_coverage(r, None)
+        doc, lines = build_coverage(r, None, _plan("coverage", r))
         assert lines == _oracle_coverage_failures(doc) == [], r
     catalog = thresholds.catalog
     monkeypatch.setattr(
         thresholds, "catalog",
         lambda r: [cc for cc in catalog(r) if cc.curve.is_exceptional],
     )
-    doc, lines = build_coverage(10, None)
+    doc, lines = build_coverage(10, None, _plan("coverage", 10))
     assert lines == _oracle_coverage_failures(doc) == [
         "FAIL r=10: coverage gap (77/24, sqrt(11))"
     ]
@@ -670,7 +700,7 @@ def test_builder_lines_match_the_document_oracle(monkeypatch):
     monkeypatch.setattr(cli, "check_pair", _nonnegative_delta)
     monkeypatch.setattr(cli, "large_r_inequalities", lambda r: (False, True))
     for r in range(20, 41):
-        doc, lines = build_verify(r, None)
+        doc, lines = build_verify(r, None, _plan("verify", r))
         assert len(lines) == 6 and lines == _oracle_verify_failures(doc), r
         assert doc["all_pass"] is False
 
@@ -739,7 +769,7 @@ def test_verify_doc_matches_the_composed_oracle(mu0_text):
     mu0 = cli._validated_mu0(mu0_text)
     failing = 0
     for r in [*range(10, 3001), 10**6, 10**12, 10**18 - 1, 10**18]:
-        doc, lines = cli._verify_doc(r, mu0)
+        doc, lines = cli._verify_doc(r, mu0, _plan("verify", r, mu0))
         want_doc, want_lines = _composed_verify_doc(r, mu0)
         assert cli._dumps(doc) == cli._dumps(want_doc), (r, mu0_text)
         assert lines == want_lines, (r, mu0_text)
@@ -768,7 +798,7 @@ def test_verify_small_degree_failures_at_r_20(capsys, monkeypatch):
         "FAIL r=20: small-degree pair (2;1^9) t=1 has delta = 21 >= 0\n"
     )
     for r in range(20, 41):
-        doc, lines = cli._verify_doc(r, None)
+        doc, lines = cli._verify_doc(r, None, _plan("verify", r))
         want_doc, want_lines = _composed_verify_doc(r, None)
         assert cli._dumps(doc) == cli._dumps(want_doc), r
         assert lines == want_lines, r
@@ -1110,7 +1140,8 @@ def _dict_shapes(doc):
 def test_dumps_sorts_once_per_dict_shape(monkeypatch):
     """A verify range repeats a few dict shapes hundreds of times; _dumps
     sorts the keys of each shape once, not those of every dict."""
-    docs = [cli._verify_doc(r, None)[0] for r in range(20, 70)]
+    plan = cli._RangePlan("verify", 20, 69, None)
+    docs = [cli._verify_doc(r, None, plan)[0] for r in range(20, 70)]
     doc = {"command": "verify", "results": docs}
     count, shapes = _dict_shapes(doc)
     calls = 0

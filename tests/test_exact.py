@@ -21,6 +21,7 @@ from seshadri.exact import (
     QuadraticNumber,
     RationalInterval,
     _field_sign,
+    approx_rendered,
     compare,
     parse_quadratic,
     sqrt_block,
@@ -395,9 +396,12 @@ RATIONAL_PARTS = st.one_of(
 @settings(max_examples=300, deadline=None, database=None)
 @given(RATIONAL_PARTS, RATIONAL_PARTS, st.integers(min_value=0, max_value=10**6))
 def test_render_parse_round_trip_random(a, b, radicand):
-    """parse_quadratic(x.render()) == x, over negative, zero and unit parts."""
+    """parse_quadratic(x.render()) == x, over negative, zero and unit parts,
+    and approx_rendered, which reads the parts without splitting the
+    radicand, writes x's own decimal."""
     x = QuadraticNumber(a, b, radicand)
     assert parse_quadratic(x.render()) == x
+    assert approx_rendered(x.render()) == x.approx_decimal(6)
 
 
 def _render_oracle(x):
@@ -433,6 +437,7 @@ def test_render_parse_round_trip_near_1e18():
                            (5, Fraction(-2, 9), 10**18 - 1), (1, 1, 10**18)):
         x = QuadraticNumber(Fraction(a), Fraction(b), radicand)
         assert parse_quadratic(x.render()) == x
+        assert approx_rendered(x.render()) == x.approx_decimal(6)
 
 
 def test_approx_decimal_matches_value():

@@ -2,8 +2,8 @@
 types whose __post_init__ it wraps define one, every command line the
 benchmark runs still parses, check_pair runs once per row it prints (the
 traced benchmark's count check), every verify-sweep and query-mix output
-matches the benchmark's recorded digest, the package exports resolve,
-the documentation names only environment variables the CLI reads, the
+matches the benchmark's recorded digest, the CLI imports no private
+library name, the package exports resolve, the documentation names only environment variables the CLI reads, the
 README's Python example and command lines run as written, and starting the
 CLI loads none of the modules it does not need.
 
@@ -14,6 +14,7 @@ here instead.
 """
 
 import argparse
+import ast
 import doctest
 import importlib
 import importlib.util
@@ -200,6 +201,20 @@ def test_cli_start_loads_no_unneeded_module():
         timeout=60, check=True,
     )
     assert result.stdout.split() == []
+
+
+def test_cli_imports_no_private_name():
+    """The CLI reaches the library through its public names alone: cli.py
+    has no `from .<module> import _name`."""
+    tree = ast.parse((ROOT / "src" / "seshadri" / "cli.py").read_text())
+    private = [
+        f"from .{node.module} import {alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level and node.module
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 def test_package_exports_resolve():
