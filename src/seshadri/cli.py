@@ -28,13 +28,14 @@ parsed command line that resolve_config has checked and completed, and
 returns its documents and its stderr lines (FAIL and AUDIT lines); table,
 enumerate, verify and coverage share one handler, driven by _RANGE_COMMANDS,
 whose per-r builders each take the call's one _RangePlan and return the
-document and its FAIL lines. The plan holds what does not change with r,
-or is cheaper for the block than per r: sqrt(r + 1) for every r from one
-sieve, and verify's small-degree class texts. Every mu0 printed without a
---mu0 comes from thresholds.threshold, checked above sqrt(r). main alone
-writes the documents in the chosen format, then the lines, and picks the
-exit code: 1 when there is a line or a document whose verdict (all_pass,
-covered or ok) is false, else 0.
+document and its FAIL lines, written where the failing check is made. The
+plan holds the --mu0 and what does not change with r, or is cheaper for
+the block than per r: sqrt(r + 1) for every r from one sieve, and verify's
+small-degree class texts. Every mu0 printed without a --mu0 comes from
+thresholds.threshold, checked above sqrt(r). main alone writes the
+documents in the chosen format, then the lines, and picks the exit code: 1
+when there is a line or a document whose verdict (all_pass, covered or ok)
+is false, else 0.
 Handlers raise usage errors and inconclusive bisections, which main turns
 into exit codes 2 and 3; any other exception is exit 4. A format the command
 does not offer (csv outside the range commands) is refused before the
@@ -85,8 +86,8 @@ from .errors import (
 from .exact import (
     DEFAULT_SQRT_WIDTH_EXPONENT,
     QuadraticNumber,
-    approx_rendered,
     parse_quadratic,
+    read_rendered,
     sqrt_block,
 )
 from .region import (
@@ -98,7 +99,6 @@ from .region import (
     verify_t_bound,
 )
 from .search import (
-    Outcome as PairOutcome,
     check_pair,
     small_degree_pairs,
     total_multiplicity_bound,
@@ -215,18 +215,20 @@ def resolve_config(
 
 class _RangePlan:
     """What a range command over lo..hi computes once per call and reads at
-    every r: roots, sqrt(r + 1) for each r, from exact.sqrt_block (one sieve
-    over the block of r + 1 when it holds several), or None under a --mu0,
-    since sqrt(r + 1) then feeds nothing; and small_degree_texts, for verify
-    up to an r >= 20, the texts of the classes of small_degree_pairs,
-    rendered once. A class (d;1^M) has the same text at every r, so they
-    are rendered from the pairs of the first r >= 20, in the order
-    small_degree_pairs builds them at every r. cmd_range builds the plan
-    and hands it to each per-r builder; it lives in that call alone."""
+    every r: given, the --mu0 parsed once, or None; roots, sqrt(r + 1) for
+    each r, from exact.sqrt_block (one sieve over the block of r + 1 when it
+    holds several), or None under a --mu0, since sqrt(r + 1) then feeds
+    nothing; and small_degree_texts, for verify up to an r >= 20, the texts
+    of the classes of small_degree_pairs, rendered once. A class (d;1^M) has
+    the same text at every r, so they are rendered from the pairs of the
+    first r >= 20, in the order small_degree_pairs builds them at every r.
+    cmd_range builds the plan and hands it to each per-r builder; it lives
+    in that call alone."""
 
-    __slots__ = ("lo", "roots", "small_degree_texts")
+    __slots__ = ("given", "lo", "roots", "small_degree_texts")
 
     def __init__(self, command: str, lo: int, hi: int, mu0: QuadraticNumber | None) -> None:
+        self.given = mu0
         self.lo = lo
         self.roots = sqrt_block(lo + 1, hi + 1) if mu0 is None else None
         self.small_degree_texts = (
@@ -238,11 +240,11 @@ class _RangePlan:
         """sqrt(r + 1)."""
         return self.roots[r - self.lo]
 
-    def mu0(self, r: int, given: QuadraticNumber | None) -> QuadraticNumber:
+    def mu0(self, r: int) -> QuadraticNumber:
         """The --mu0 given, else threshold(r, sqrt(r + 1)).mu0, which
         passes ThresholdEntry's check that it sits above sqrt(r)."""
-        if given is not None:
-            return given
+        if self.given is not None:
+            return self.given
         return threshold(r, self.root(r)).mu0
 
 
@@ -259,22 +261,6 @@ def _pair_record(text: str, t: int, total: int, verdict) -> dict:
     }
 
 
-def _pair_rows(r: int, mu0: QuadraticNumber) -> tuple[str, list[dict]]:
-    """mu0's text and a pair row per critical pair, verify_no_counterexample's."""
-    report = verify_no_counterexample(r, mu0)
-    return report.mu0.render(), [
-        _pair_record(p.curve.render(), p.t, p.curve.total_multiplicity, v)
-        for p, v in report.pairs
-    ]
-
-
-def _pairs_doc(
-    command: str, r: int, mu0: QuadraticNumber | None, plan: _RangePlan
-) -> tuple[dict, list[str]]:
-    mu0_text, rows = _pair_rows(r, plan.mu0(r, mu0))
-    return {"command": command, "r": r, "mu0": mu0_text, "rows": rows}, []
-
-
 def _below_mu0_line(r: int, record: dict, mu0_text: str) -> str:
     return (
         f"FAIL r={r}: {record['class']} t={record['t']} has "
@@ -282,16 +268,36 @@ def _below_mu0_line(r: int, record: dict, mu0_text: str) -> str:
     )
 
 
-def _verify_doc(
-    r: int, mu0: QuadraticNumber | None, plan: _RangePlan
-) -> tuple[dict, list[str]]:
-    """verify at r, with a FAIL line for each check that fails: a pair
-    below mu0, a small-degree pair with delta >= 0, large-r
-    inequalities that do not hold. all_pass is the absence of FAIL lines.
-    mu0 is the --mu0 given, else threshold(r) from the plan's sqrt(r + 1).
+def _pair_rows(r: int, mu0: QuadraticNumber) -> tuple[str, list[dict], list[str]]:
+    """mu0's text, a pair row per critical pair of verify_no_counterexample,
+    and a FAIL line per pair that does not pass."""
+    report = verify_no_counterexample(r, mu0)
+    mu0_text = report.mu0.render()
+    rows, lines = [], []
+    for pair, verdict in report.pairs:
+        curve = pair.curve
+        record = _pair_record(curve.render(), pair.t, curve.total_multiplicity, verdict)
+        rows.append(record)
+        if not verdict.passed:
+            lines.append(_below_mu0_line(r, record, mu0_text))
+    return mu0_text, rows, lines
 
-    For r = 10..19 the pair rows come from _pair_rows, _pairs_doc's writer,
-    and a row whose outcome is a counterexample gets its FAIL line. From r = 20
+
+def _pairs_doc(command: str, r: int, plan: _RangePlan) -> tuple[dict, list[str]]:
+    """table and enumerate at r: the pair rows alone, which fail nothing."""
+    mu0_text, rows, _ = _pair_rows(r, plan.mu0(r))
+    return {"command": command, "r": r, "mu0": mu0_text, "rows": rows}, []
+
+
+def _verify_doc(r: int, plan: _RangePlan) -> tuple[dict, list[str]]:
+    """verify at r, with a FAIL line for each check that fails where it is
+    made: a pair below mu0, a small-degree pair with delta >= 0, large-r
+    inequalities that do not hold. all_pass is the absence of FAIL lines.
+    mu0 is plan.mu0(r): the --mu0 given, else threshold(r) from the plan's
+    sqrt(r + 1).
+
+    For r = 10..19 the pair rows and their FAIL lines are _pair_rows', the
+    writer _pairs_doc uses too, from verify_no_counterexample. From r = 20
     on, one pass over small_degree_pairs(r) builds each of the five pairs,
     whose class texts the plan rendered once for the whole range: a pair
     with M <= total_multiplicity_bound(r) is a critical pair (the rule of
@@ -307,11 +313,9 @@ def _verify_doc(
     row is derived from (ii); the key keeps its name because the verify
     bytes are pinned.
     """
-    mu0 = plan.mu0(r, mu0)
+    mu0 = plan.mu0(r)
     if r < 20:
-        mu0_text, pairs = _pair_rows(r, mu0)
-        failed = PairOutcome.COUNTEREXAMPLE.value
-        lines = [_below_mu0_line(r, row, mu0_text) for row in pairs if row["outcome"] == failed]
+        mu0_text, pairs, lines = _pair_rows(r, mu0)
         small_records = large_r = None
     else:
         pairs, lines = [], []
@@ -359,14 +363,14 @@ def _verify_doc(
     }, lines
 
 
-def _coverage_doc(r: int, mu0: None, plan: _RangePlan) -> tuple[dict, list[str]]:
-    """Coverage at r, with a FAIL line per gap; coverage takes no --mu0, so
-    mu0 is None. sqrt(r + 1) comes from the plan."""
+def _coverage_doc(r: int, plan: _RangePlan) -> tuple[dict, list[str]]:
+    """Coverage at r, with a FAIL line per gap. sqrt(r + 1) comes from the
+    plan; coverage takes no --mu0."""
     doc = {"command": "coverage", **verify_coverage(r, plan.root(r)).to_json_dict()}
     return doc, [f"FAIL r={r}: coverage gap ({lo}, {hi})" for lo, hi in doc["gaps"]]
 
 
-# The commands over an r range: per-r builder, called as build(r, mu0, plan)
+# The commands over an r range: per-r builder, called as build(r, plan)
 # and returning the document and its FAIL lines, and the smallest r.
 _RANGE_COMMANDS = {
     "table": (functools.partial(_pairs_doc, "table"), 10),
@@ -526,7 +530,9 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _approx_string(exact: str | None) -> str | None:
-    return None if exact is None else approx_rendered(exact)
+    if exact is None:
+        return None
+    return read_rendered(exact).approx_decimal(6)
 
 
 def _augment_approx(doc: dict) -> dict:
@@ -536,8 +542,12 @@ def _augment_approx(doc: dict) -> dict:
         out["mu0_approx"] = _approx_string(out["mu0"])
     for field in ("rows", "pairs"):
         if isinstance(out.get(field), list):
-            out[field] = [{**row, "mu_minus_approx": _approx_string(row.get("mu_minus"))}
-                          for row in out[field]]
+            rows = []
+            for row in out[field]:
+                row = dict(row)
+                row["mu_minus_approx"] = _approx_string(row.get("mu_minus"))
+                rows.append(row)
+            out[field] = rows
     return out
 
 
@@ -707,15 +717,15 @@ Outcome = tuple[list[dict], list[str]]
 
 
 def cmd_range(args: argparse.Namespace) -> Outcome:
-    """table, enumerate, verify and coverage: build(r, mu0, plan) for each r
-    in ascending order, with mu0 the --mu0 text (if the command takes one)
-    parsed once per command and plan the range's _RangePlan, built once;
-    the documents in order, and their FAIL lines."""
+    """table, enumerate, verify and coverage: build(r, plan) for each r in
+    ascending order, with plan the range's _RangePlan, built once with the
+    --mu0 (if the command takes one) parsed; the documents in order, and
+    their FAIL lines."""
     build, smallest_r = _RANGE_COMMANDS[args.command]
     _require_r(args, smallest_r)
     mu0 = _validated_mu0(getattr(args, "mu0", None))
     plan = _RangePlan(args.command, args.r_min, args.r_max, mu0)
-    built = [build(r, mu0, plan) for r in range(args.r_min, args.r_max + 1)]
+    built = [build(r, plan) for r in range(args.r_min, args.r_max + 1)]
     return [doc for doc, _ in built], [line for _, lines in built for line in lines]
 
 

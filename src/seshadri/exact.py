@@ -574,7 +574,7 @@ _QN_FULL_RE = re.compile(
     rf"^(?P<a>{_RATIONAL_RE})\s*(?P<op>[+-])\s*(?:(?P<b>\d+(?:/\d+)?)\*)?sqrt\((?P<n>\d+)\)$"
 )
 _QN_ROOT_RE = re.compile(
-    rf"^(?P<op>-?)(?:(?P<b>\d+(?:/\d+)?)\*)?sqrt\((?P<n>\d+)\)$"
+    rf"^(?P<sign>-?)(?:(?P<b>\d+(?:/\d+)?)\*)?sqrt\((?P<n>\d+)\)$"
 )
 _QN_RATIONAL_RE = re.compile(rf"^(?P<a>{_RATIONAL_RE})$")
 
@@ -586,12 +586,18 @@ def _read_quadratic(text: str) -> tuple[Fraction, Fraction, int]:
         m = _QN_RATIONAL_RE.match(s)
         if m:
             return Fraction(m.group("a")), _ZERO, 0
-        m = _QN_ROOT_RE.match(s) or _QN_FULL_RE.match(s)
+        m = _QN_ROOT_RE.match(s)
         if m:
-            parts = m.groupdict()  # the root form has no "a"
-            b = Fraction(parts["b"] or 1)
-            a = Fraction(parts.get("a") or 0)
-            return a, -b if parts["op"] == "-" else b, int(parts["n"])
+            b = Fraction(m.group("b")) if m.group("b") else Fraction(1)
+            if m.group("sign") == "-":
+                b = -b
+            return _ZERO, b, int(m.group("n"))
+        m = _QN_FULL_RE.match(s)
+        if m:
+            b = Fraction(m.group("b")) if m.group("b") else Fraction(1)
+            if m.group("op") == "-":
+                b = -b
+            return Fraction(m.group("a")), b, int(m.group("n"))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in quadratic number {text!r}") from None
     raise ValueError(f"cannot parse quadratic number from {text!r}")
@@ -605,10 +611,10 @@ def parse_quadratic(text: str) -> QuadraticNumber:
     return QuadraticNumber(*_read_quadratic(text))
 
 
-def approx_rendered(text: str, digits: int = 6) -> str:
-    """approx_decimal of the text QuadraticNumber.render wrote, which is
+def read_rendered(text: str) -> QuadraticNumber:
+    """parse_quadratic for text QuadraticNumber.render wrote, which is
     canonical already: its radicand is not split again (25 ms near 10^18)."""
-    return QuadraticNumber._canonical(*_read_quadratic(text)).approx_decimal(digits)
+    return QuadraticNumber._canonical(*_read_quadratic(text))
 
 
 def _field_sign(a: int, b: int, n: int) -> int:

@@ -296,10 +296,10 @@ def test_verify_doc_needs_no_enclosures(capsys, monkeypatch):
     monkeypatch.setattr(surface, "squarefree_decomposition", exact.squarefree_decomposition)
     monkeypatch.setattr(search, "compare", counting_compare)
     for r in range(10, 20):
-        cli._verify_doc(r, None, _plan("verify", r))
+        cli._verify_doc(r, _plan("verify", r))
     assert calls["cross_field"] > 0
     calls["squarefree"] = 0
-    cli._verify_doc(1500, None, _plan("verify", 1500))
+    cli._verify_doc(1500, _plan("verify", 1500))
     assert calls["enclosure"] == 0
     assert calls["sqrt_enclosure"] == 0
     assert calls["squarefree"] <= 1
@@ -363,7 +363,7 @@ def test_verify_doc_builds_at_most_one_fraction(monkeypatch):
         return original(cls, *args, **kwargs)
 
     monkeypatch.setattr(fractions.Fraction, "__new__", staticmethod(counting))
-    doc, _ = cli._verify_doc(1500, None, _plan("verify", 1500))
+    doc, _ = cli._verify_doc(1500, _plan("verify", 1500))
     assert doc["mu0"] == "sqrt(1501)"
     assert calls <= 1
 
@@ -592,8 +592,8 @@ def test_coverage_gap_fails_the_command(capsys, monkeypatch):
 
     build, smallest_r = cli._RANGE_COMMANDS["coverage"]
 
-    def without_lines(r, mu0, plan):
-        doc, _ = build(r, mu0, plan)
+    def without_lines(r, plan):
+        doc, _ = build(r, plan)
         return doc, []
 
     monkeypatch.setitem(cli._RANGE_COMMANDS, "coverage", (without_lines, smallest_r))
@@ -679,20 +679,20 @@ def test_builder_lines_match_the_document_oracle(monkeypatch):
     ]
     failing = 0
     for r, mu0 in runs:
-        doc, lines = build_verify(r, mu0, _plan("verify", r, mu0))
+        doc, lines = build_verify(r, _plan("verify", r, mu0))
         assert lines == _oracle_verify_failures(doc), (r, mu0)
         assert doc["all_pass"] == (not lines), (r, mu0)
         failing += bool(lines)
     assert failing > 0
     for r in range(1, 41):
-        doc, lines = build_coverage(r, None, _plan("coverage", r))
+        doc, lines = build_coverage(r, _plan("coverage", r))
         assert lines == _oracle_coverage_failures(doc) == [], r
     catalog = thresholds.catalog
     monkeypatch.setattr(
         thresholds, "catalog",
         lambda r: [cc for cc in catalog(r) if cc.curve.is_exceptional],
     )
-    doc, lines = build_coverage(10, None, _plan("coverage", 10))
+    doc, lines = build_coverage(10, _plan("coverage", 10))
     assert lines == _oracle_coverage_failures(doc) == [
         "FAIL r=10: coverage gap (77/24, sqrt(11))"
     ]
@@ -700,7 +700,7 @@ def test_builder_lines_match_the_document_oracle(monkeypatch):
     monkeypatch.setattr(cli, "check_pair", _nonnegative_delta)
     monkeypatch.setattr(cli, "large_r_inequalities", lambda r: (False, True))
     for r in range(20, 41):
-        doc, lines = build_verify(r, None, _plan("verify", r))
+        doc, lines = build_verify(r, _plan("verify", r))
         assert len(lines) == 6 and lines == _oracle_verify_failures(doc), r
         assert doc["all_pass"] is False
 
@@ -769,7 +769,7 @@ def test_verify_doc_matches_the_composed_oracle(mu0_text):
     mu0 = cli._validated_mu0(mu0_text)
     failing = 0
     for r in [*range(10, 3001), 10**6, 10**12, 10**18 - 1, 10**18]:
-        doc, lines = cli._verify_doc(r, mu0, _plan("verify", r, mu0))
+        doc, lines = cli._verify_doc(r, _plan("verify", r, mu0))
         want_doc, want_lines = _composed_verify_doc(r, mu0)
         assert cli._dumps(doc) == cli._dumps(want_doc), (r, mu0_text)
         assert lines == want_lines, (r, mu0_text)
@@ -798,7 +798,7 @@ def test_verify_small_degree_failures_at_r_20(capsys, monkeypatch):
         "FAIL r=20: small-degree pair (2;1^9) t=1 has delta = 21 >= 0\n"
     )
     for r in range(20, 41):
-        doc, lines = cli._verify_doc(r, None, _plan("verify", r))
+        doc, lines = cli._verify_doc(r, _plan("verify", r))
         want_doc, want_lines = _composed_verify_doc(r, None)
         assert cli._dumps(doc) == cli._dumps(want_doc), r
         assert lines == want_lines, r
@@ -1141,7 +1141,7 @@ def test_dumps_sorts_once_per_dict_shape(monkeypatch):
     """A verify range repeats a few dict shapes hundreds of times; _dumps
     sorts the keys of each shape once, not those of every dict."""
     plan = cli._RangePlan("verify", 20, 69, None)
-    docs = [cli._verify_doc(r, None, plan)[0] for r in range(20, 70)]
+    docs = [cli._verify_doc(r, plan)[0] for r in range(20, 70)]
     doc = {"command": "verify", "results": docs}
     count, shapes = _dict_shapes(doc)
     calls = 0

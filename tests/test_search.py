@@ -470,7 +470,7 @@ def test_search_builds_one_class_per_kept_pair(monkeypatch):
     for r in range(20, 70):
         built.clear()
         rendered.clear()
-        doc, _ = cli._verify_doc(r, None, plan)
+        doc, _ = cli._verify_doc(r, plan)
         assert doc["all_pass"]
         assert len(built) == 5, r
         assert rendered == [], r
