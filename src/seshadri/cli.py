@@ -56,7 +56,9 @@ Every JSON document (stdout and certificates) is written by `_dumps`, whose
 output matches `json.dumps(doc, sort_keys=True, indent=2)` byte for byte.
 It sorts and encodes the keys of each dict shape (nesting depth and keys)
 once per call, in a write plan that it reuses for every later dict of that
-shape and drops when it returns.
+shape and drops when it returns. verify's documents from r = 20 on have one
+form per row set: written as JSON, each is a template that `_dumps` wrote
+once per range and row set, filled with that r's values.
 """
 
 from __future__ import annotations
@@ -126,9 +128,9 @@ MAX_RADICAND = 10**18
 MAX_R = 10**18
 # Most values of r one range may hold. Each r costs time and memory, and a
 # range's documents are all held until they are written: on a 2-vCPU host
-# verify --r 20..10019 takes about 0.26 s and 74 MB, and 10^5 values 2.7 s
-# and 590 MB. The costliest range the two caps admit,
-# verify --r (10^18 - 99999)..10^18, takes about 2.6 s and 620 MB; before
+# verify --r 20..10019 takes about 0.18 s and 54 MB, and 10^5 values 1.5 s
+# and 390 MB. The costliest range the two caps admit,
+# verify --r (10^18 - 99999)..10^18, takes about 1.6 s and 425 MB; before
 # the sieve it ran for 44 minutes.
 MAX_R_COUNT = 10**5
 # Largest --t0 that region takes: the certificate file name spells it, and
@@ -222,12 +224,28 @@ class _RangePlan:
     of the classes of small_degree_pairs, rendered once. A class (d;1^M) has
     the same text at every r, so they are rendered from the pairs of the
     first r >= 20, in the order small_degree_pairs builds them at every r.
-    cmd_range builds the plan and hands it to each per-r builder; it lives
-    in that call alone."""
 
-    __slots__ = ("given", "lo", "roots", "small_degree_texts")
+    json_depth is the nesting depth at which main writes each document as
+    JSON (0 for a single r, 2 inside a range's results list), or None when
+    the documents are written in another way (markdown, csv, --approx) or
+    the caller names no format. With a depth, verify's r >= 20 documents
+    come from templates, one per row set of the range (which of the five
+    pairs are critical pairs): _large_r_layout filled with marker values and
+    written by _dumps, the first time the row set comes up, then each r's
+    values written into it. Without one, each of them is the dict of
+    _large_r_layout. cmd_range builds the plan and hands it to each per-r
+    builder; it lives in that call alone."""
 
-    def __init__(self, command: str, lo: int, hi: int, mu0: QuadraticNumber | None) -> None:
+    __slots__ = ("given", "lo", "roots", "small_degree_texts", "json_depth", "templates")
+
+    def __init__(
+        self,
+        command: str,
+        lo: int,
+        hi: int,
+        mu0: QuadraticNumber | None,
+        json_depth: int | None = None,
+    ) -> None:
         self.given = mu0
         self.lo = lo
         self.roots = sqrt_block(lo + 1, hi + 1) if mu0 is None else None
@@ -235,6 +253,9 @@ class _RangePlan:
             [pair.curve.render() for pair in small_degree_pairs(max(lo, 20))]
             if command == "verify" and hi >= 20 else None
         )
+        self.json_depth = json_depth
+        # row set (_large_r_checks' shape) -> (template, order of its values)
+        self.templates = {}
 
     def root(self, r: int) -> QuadraticNumber:
         """sqrt(r + 1)."""
@@ -247,25 +268,35 @@ class _RangePlan:
             return self.given
         return threshold(r, self.root(r)).mu0
 
+    def large_r_doc(self, shape: tuple, values: list) -> dict | _Filled:
+        """verify's document at an r >= 20 from the shape and values of
+        _large_r_checks: the dict of _large_r_layout, or, with a json_depth,
+        the row set's template filled with the values' JSON texts."""
+        if self.json_depth is None:
+            return _large_r_layout(shape, values)
+        template = self.templates.get(shape)
+        if template is None:
+            template = self.templates[shape] = _json_template(
+                functools.partial(_large_r_layout, shape), len(values), self.json_depth
+            )
+        return _Filled(_fill_template(template, values), self.json_depth)
 
-def _pair_record(text: str, t: int, total: int, verdict) -> dict:
-    """A pair row: the pair's class text, t and M, and its verdict."""
-    mu_minus = verdict.mu_minus
+
+def _pair_record(text: str, t: int, total: int, delta: int, mu_minus, outcome: str) -> dict:
+    """A pair row: the pair's class text, t and M, and its verdict's delta,
+    mu_minus text (None when delta < 0) and outcome."""
     return {
         "class": text,
         "t": t,
         "M": total,
-        "delta": verdict.delta,
-        "mu_minus": None if mu_minus is None else mu_minus.render(),
-        "outcome": verdict.outcome.value,
+        "delta": delta,
+        "mu_minus": mu_minus,
+        "outcome": outcome,
     }
 
 
-def _below_mu0_line(r: int, record: dict, mu0_text: str) -> str:
-    return (
-        f"FAIL r={r}: {record['class']} t={record['t']} has "
-        f"mu_minus = {record['mu_minus']} below mu0 = {mu0_text}"
-    )
+def _below_mu0_line(r: int, text: str, t: int, mu_minus: str, mu0_text: str) -> str:
+    return f"FAIL r={r}: {text} t={t} has mu_minus = {mu_minus} below mu0 = {mu0_text}"
 
 
 def _pair_rows(r: int, mu0: QuadraticNumber) -> tuple[str, list[dict], list[str]]:
@@ -275,11 +306,14 @@ def _pair_rows(r: int, mu0: QuadraticNumber) -> tuple[str, list[dict], list[str]
     mu0_text = report.mu0.render()
     rows, lines = [], []
     for pair, verdict in report.pairs:
-        curve = pair.curve
-        record = _pair_record(curve.render(), pair.t, curve.total_multiplicity, verdict)
-        rows.append(record)
+        text, t, mu_minus = pair.curve.render(), pair.t, verdict.mu_minus
+        mu_minus = None if mu_minus is None else mu_minus.render()
+        rows.append(_pair_record(
+            text, t, pair.curve.total_multiplicity, verdict.delta, mu_minus,
+            verdict.outcome.value,
+        ))
         if not verdict.passed:
-            lines.append(_below_mu0_line(r, record, mu0_text))
+            lines.append(_below_mu0_line(r, text, t, mu_minus, mu0_text))
     return mu0_text, rows, lines
 
 
@@ -289,7 +323,7 @@ def _pairs_doc(command: str, r: int, plan: _RangePlan) -> tuple[dict, list[str]]
     return {"command": command, "r": r, "mu0": mu0_text, "rows": rows}, []
 
 
-def _verify_doc(r: int, plan: _RangePlan) -> tuple[dict, list[str]]:
+def _verify_doc(r: int, plan: _RangePlan) -> tuple[dict | _Filled, list[str]]:
     """verify at r, with a FAIL line for each check that fails where it is
     made: a pair below mu0, a small-degree pair with delta >= 0, large-r
     inequalities that do not hold. all_pass is the absence of FAIL lines.
@@ -298,69 +332,102 @@ def _verify_doc(r: int, plan: _RangePlan) -> tuple[dict, list[str]]:
 
     For r = 10..19 the pair rows and their FAIL lines are _pair_rows', the
     writer _pairs_doc uses too, from verify_no_counterexample. From r = 20
-    on, one pass over small_degree_pairs(r) builds each of the five pairs,
-    whose class texts the plan rendered once for the whole range: a pair
-    with M <= total_multiplicity_bound(r) is a critical pair (the rule of
+    on, _large_r_checks makes the checks and plan.large_r_doc writes their
+    values: as the dict of _large_r_layout, or, when the plan writes JSON,
+    as that dict's text from the range's template for the row set.
+    """
+    if r < 20:
+        mu0_text, pairs, lines = _pair_rows(r, plan.mu0(r))
+        return {
+            "command": "verify",
+            "r": r,
+            "mu0": mu0_text,
+            "all_pass": not lines,
+            "pairs": pairs,
+            "small_degree_pairs": None,
+            "large_r": None,
+        }, lines
+    shape, values, lines = _large_r_checks(r, plan)
+    return plan.large_r_doc(shape, values), lines
+
+
+def _large_r_checks(r: int, plan: _RangePlan) -> tuple[tuple, list, list[str]]:
+    """verify's checks at an r >= 20: the document's shape and values, in
+    the order _large_r_layout reads them, and the FAIL lines.
+
+    One pass over small_degree_pairs(r) builds each of the five pairs, whose
+    class texts the plan rendered once for the whole range: a pair with
+    M <= total_multiplicity_bound(r) is a critical pair (the rule of
     enumerate_critical_pairs, held equal to it by the tests) and gets a pair
     row, and every pair gets a small-degree row. Each row is written from
     its own check_pair call, so a pair with both rows is checked twice. The
-    FAIL lines keep the order of the checks: pair rows, then small-degree
-    rows, then the large-r inequalities.
+    shape holds (class text, t, M, critical) per pair, and so names the row
+    set. The FAIL lines keep the order of the checks: pair rows, then
+    small-degree rows, then the large-r inequalities.
 
-    large_r holds large_r_inequalities(r): degree_five_inequality is (i),
-    which rules out every degree d >= 5, and small_degree_inequality is
-    (ii), the hi(c) < 0 condition of the t0 = 3 root leaf. No small-degree
-    row is derived from (ii); the key keeps its name because the verify
-    bytes are pinned.
+    large_r_inequalities(r) gives degree_five_inequality, (i), which rules
+    out every degree d >= 5, and small_degree_inequality, (ii), the
+    hi(c) < 0 condition of the t0 = 3 root leaf. No small-degree row is
+    derived from (ii); the key keeps its name because the verify bytes are
+    pinned.
     """
     mu0 = plan.mu0(r)
-    if r < 20:
-        mu0_text, pairs, lines = _pair_rows(r, mu0)
-        small_records = large_r = None
-    else:
-        pairs, lines = [], []
-        mu0_text = mu0.render()
-        bound = total_multiplicity_bound(r)
-        small_records, small_lines = [], []
-        for pair, text in zip(small_degree_pairs(r), plan.small_degree_texts):
-            curve, t = pair.curve, pair.t
-            total = curve.total_multiplicity
-            if total <= bound:
-                verdict = check_pair(pair, mu0)
-                record = _pair_record(text, t, total, verdict)
-                pairs.append(record)
-                if not verdict.passed:
-                    lines.append(_below_mu0_line(r, record, mu0_text))
-            delta = check_pair(pair, mu0).delta
-            small_records.append({
-                "class": text,
-                "t": t,
-                "M": total,
-                "delta": delta,
-                "negative_delta": delta < 0,
-            })
-            if delta >= 0:
-                small_lines.append(
-                    f"FAIL r={r}: small-degree pair {text} "
-                    f"t={t} has delta = {delta} >= 0"
-                )
-        lines += small_lines
-        first, second = large_r_inequalities(r)
-        large_r = {
-            "degree_five_inequality": first,
-            "small_degree_inequality": second,
-        }
-        if not (first and second):
-            lines.append(f"FAIL r={r}: large-r inequalities do not hold")
+    mu0_text = mu0.render()
+    bound = total_multiplicity_bound(r)
+    shape, values, lines, small_lines = [], [r, mu0_text], [], []
+    for pair, text in zip(small_degree_pairs(r), plan.small_degree_texts):
+        t = pair.t
+        total = pair.curve.total_multiplicity
+        critical = total <= bound
+        if critical:
+            verdict = check_pair(pair, mu0)
+            mu_minus = verdict.mu_minus
+            mu_minus = None if mu_minus is None else mu_minus.render()
+            values += (verdict.delta, mu_minus, verdict.outcome.value)
+            if not verdict.passed:
+                lines.append(_below_mu0_line(r, text, t, mu_minus, mu0_text))
+        delta = check_pair(pair, mu0).delta
+        values += (delta, delta < 0)
+        shape.append((text, t, total, critical))
+        if delta >= 0:
+            small_lines.append(
+                f"FAIL r={r}: small-degree pair {text} t={t} has delta = {delta} >= 0"
+            )
+    lines += small_lines
+    first, second = large_r_inequalities(r)
+    if not (first and second):
+        lines.append(f"FAIL r={r}: large-r inequalities do not hold")
+    values += (first, second, not lines)
+    return tuple(shape), values, lines
+
+
+def _large_r_layout(shape: tuple, values) -> dict:
+    """verify's document at an r >= 20: the values of _large_r_checks, in
+    its order, placed in the rows its shape names. It computes nothing, so
+    marker values give the document's template (_json_template)."""
+    take = iter(values).__next__
+    r, mu0_text = take(), take()
+    pairs, small_records = [], []
+    for text, t, total, critical in shape:
+        if critical:
+            pairs.append(_pair_record(text, t, total, take(), take(), take()))
+        small_records.append({
+            "class": text,
+            "t": t,
+            "M": total,
+            "delta": take(),
+            "negative_delta": take(),
+        })
+    large_r = {"degree_five_inequality": take(), "small_degree_inequality": take()}
     return {
         "command": "verify",
         "r": r,
         "mu0": mu0_text,
-        "all_pass": not lines,
+        "all_pass": take(),
         "pairs": pairs,
         "small_degree_pairs": small_records,
         "large_r": large_r,
-    }, lines
+    }
 
 
 def _coverage_doc(r: int, plan: _RangePlan) -> tuple[dict, list[str]]:
@@ -413,8 +480,65 @@ def _list_plan(depth: int) -> tuple[str, str, str]:
     return "[" + inner, "," + inner, newline + "]"
 
 
-def _dumps(doc: object) -> str:
-    """`json.dumps(doc, sort_keys=True, indent=2)`, byte for byte.
+class _Filled:
+    """A document's JSON text as _dumps writes it at one nesting depth,
+    which _dumps writes verbatim in the document's place."""
+
+    __slots__ = ("text", "depth")
+
+    def __init__(self, text: str, depth: int) -> None:
+        self.text = text
+        self.depth = depth
+
+
+# The texts _dumps writes for True, False and None.
+_JSON_CONSTANTS = {True: "true", False: "false", None: "null"}
+
+
+# The text _dumps writes for _json_template's marker value "\x00<index>\x00".
+_MARKER_RE = re.compile(r'"\\u0000(\d+)\\u0000"')
+
+
+def _json_template(layout, count: int, depth: int) -> tuple[str, tuple[int, ...]]:
+    """A template of the documents layout(values) writes, for values of
+    count scalars (str, int, bool or None): layout filled with marker values
+    and written by _dumps at this nesting depth, each marker's text replaced
+    by a %s slot (and every other % doubled); and the index of the value
+    that fills each slot, in the order of the slots. _fill_template then
+    gives _dumps(layout(values), depth), so key order and indentation are
+    still _dumps'. layout must place each value once, as it is, in a slot
+    of its own."""
+    text = _dumps(layout([f"\x00{i}\x00" for i in range(count)]), depth)
+    order = []
+
+    def slot(match: re.Match) -> str:
+        order.append(int(match[1]))
+        return "%s"
+
+    template = _MARKER_RE.sub(slot, text.replace("%", "%%"))
+    if sorted(order) != list(range(count)):
+        raise RuntimeError(f"the layout placed its {count} values in slots {order}")
+    return template, tuple(order)
+
+
+def _fill_template(template: tuple[str, tuple[int, ...]], values: list) -> str:
+    """A template of _json_template filled with values, each written as
+    _dumps writes it: a str through encode_basestring_ascii, an int as
+    itself (its %s is int.__repr__), True, False and None as constants."""
+    text, order = template
+    constants = _JSON_CONSTANTS
+    return text % tuple([
+        encode_basestring_ascii(value) if type(value) is str
+        else value if type(value) is int
+        else constants[value]
+        for value in [values[i] for i in order]
+    ])
+
+
+def _dumps(doc: object, depth: int = 0) -> str:
+    """`json.dumps(doc, sort_keys=True, indent=2)`, byte for byte; with a
+    depth, the text of doc as that call writes it at this nesting depth of
+    a larger document.
 
     `indent` sends `json` to its pure-Python encoder, which this walk
     outpaces. Strings go through the C routine `encode_basestring_ascii`
@@ -422,7 +546,8 @@ def _dumps(doc: object) -> str:
     keys, lists, tuples, str, int, bool and None, and raises TypeError on
     anything else. Containers are entered with an explicit stack, so nesting
     depth is not bounded by the recursion limit; each frame is the iterator
-    of a container's (prefix, child) pairs and the text that closes it.
+    of a container's (prefix, child) pairs and the text that closes it, and
+    the stack starts with one empty frame per level of depth.
 
     A document repeats a few dict shapes (nesting depth and keys in
     insertion order) many times: a range's per-r documents, their pair
@@ -432,6 +557,10 @@ def _dumps(doc: object) -> str:
     opening, separating and closing texts from a plan per depth
     (_list_plan) in the same table. Plans live in this call alone; nothing
     is kept between calls.
+
+    A _Filled document, already written at its depth, is written as its
+    text, and one at another depth raises ValueError. Its branch comes after
+    every other type's, so they pay nothing for it.
     """
     parts: list[str] = []
     append = parts.append
@@ -439,7 +568,7 @@ def _dumps(doc: object) -> str:
     int_repr = int.__repr__
     # dict shapes (depth, *keys) and list depths to their plans
     plans: dict[object, tuple] = {}
-    stack: list[tuple] = []
+    stack: list[tuple] = [((), "")] * depth
     items = iter((("", doc),))
     close = ""
     while True:
@@ -460,11 +589,11 @@ def _dumps(doc: object) -> str:
                 if not value:
                     append("{}")
                     continue
-                depth = len(stack)
-                shape = (depth, *value)
+                level = len(stack)
+                shape = (level, *value)
                 plan = plans.get(shape)
                 if plan is None:
-                    plan = plans[shape] = _dict_plan(shape[1:], depth)
+                    plan = plans[shape] = _dict_plan(shape[1:], level)
                 getter, prefixes, closing = plan
                 stack.append((items, close))
                 items, close = zip(prefixes, getter(value)), closing
@@ -473,19 +602,25 @@ def _dumps(doc: object) -> str:
                 if not value:
                     append("[]")
                     continue
-                depth = len(stack)
-                plan = plans.get(depth)
+                level = len(stack)
+                plan = plans.get(level)
                 if plan is None:
-                    plan = plans[depth] = _list_plan(depth)
+                    plan = plans[level] = _list_plan(level)
                 opening, separator, closing = plan
                 stack.append((items, close))
                 items, close = zip(chain((opening,), repeat(separator)), value), closing
                 break
+            elif kind is _Filled:
+                if value.depth != len(stack):
+                    raise ValueError(
+                        f"a document written at depth {value.depth} sits at depth {len(stack)}"
+                    )
+                append(value.text)
             else:
                 raise TypeError(f"cannot write {kind.__name__} as JSON")
         else:
             append(close)
-            if not stack:
+            if len(stack) == depth:
                 return "".join(parts)
             items, close = stack.pop()
 
@@ -535,20 +670,15 @@ def _approx_string(exact: str | None) -> str | None:
     return read_rendered(exact).approx_decimal(6)
 
 
-def _augment_approx(doc: dict) -> dict:
-    """Copy of the document with *_approx fields next to exact strings."""
-    out = dict(doc)
-    if isinstance(out.get("mu0"), str):
-        out["mu0_approx"] = _approx_string(out["mu0"])
+def _augment_approx(doc: dict) -> None:
+    """Add *_approx fields next to the document's exact strings, in place:
+    each document is its handler's own and is written once."""
+    if isinstance(doc.get("mu0"), str):
+        doc["mu0_approx"] = _approx_string(doc["mu0"])
     for field in ("rows", "pairs"):
-        if isinstance(out.get(field), list):
-            rows = []
-            for row in out[field]:
-                row = dict(row)
+        if isinstance(doc.get(field), list):
+            for row in doc[field]:
                 row["mu_minus_approx"] = _approx_string(row.get("mu_minus"))
-                rows.append(row)
-            out[field] = rows
-    return out
 
 
 def _cell(value) -> str:
@@ -632,11 +762,18 @@ def _render_markdown(doc: dict, command: str, approx: bool) -> str:
     return "\n".join(lines)
 
 
-def _emit_docs(args: argparse.Namespace, docs: list[dict]) -> None:
+def _output_format(args: argparse.Namespace) -> str:
+    """The format main writes in: --format, else markdown for table and
+    json elsewhere."""
+    return args.output_format or ("markdown" if args.command == "table" else "json")
+
+
+def _emit_docs(args: argparse.Namespace, docs: list[dict | _Filled]) -> None:
     command = args.command
-    fmt = args.output_format or ("markdown" if command == "table" else "json")
+    fmt = _output_format(args)
     if args.approx:
-        docs = [_augment_approx(doc) for doc in docs]
+        for doc in docs:
+            _augment_approx(doc)
     if fmt == "json":
         print(_dumps(docs[0] if len(docs) == 1 else {"command": command, "results": docs}))
     elif fmt == "csv":
@@ -713,18 +850,24 @@ def _parse_mu(text: str) -> Fraction:
 
 # What every handler returns: its documents and its stderr lines. main writes
 # both and picks the exit code.
-Outcome = tuple[list[dict], list[str]]
+Outcome = tuple[list[dict | _Filled], list[str]]
 
 
 def cmd_range(args: argparse.Namespace) -> Outcome:
     """table, enumerate, verify and coverage: build(r, plan) for each r in
     ascending order, with plan the range's _RangePlan, built once with the
-    --mu0 (if the command takes one) parsed; the documents in order, and
-    their FAIL lines."""
+    --mu0 (if the command takes one) parsed and, for JSON output without
+    --approx, the depth main writes the documents at; the documents in
+    order, and their FAIL lines."""
     build, smallest_r = _RANGE_COMMANDS[args.command]
     _require_r(args, smallest_r)
     mu0 = _validated_mu0(getattr(args, "mu0", None))
-    plan = _RangePlan(args.command, args.r_min, args.r_max, mu0)
+    # JSON without --approx: main writes one document at depth 0, or a
+    # range's in the results list of its wrapper, at depth 2
+    json_depth = None
+    if _output_format(args) == "json" and not args.approx:
+        json_depth = 0 if args.r_min == args.r_max else 2
+    plan = _RangePlan(args.command, args.r_min, args.r_max, mu0, json_depth)
     built = [build(r, plan) for r in range(args.r_min, args.r_max + 1)]
     return [doc for doc, _ in built], [line for _, lines in built for line in lines]
 
@@ -913,7 +1056,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTERNAL
     for line in lines:
         print(line, file=sys.stderr)
-    failed = lines or any(doc.get(field) is False for doc in docs for field in _VERDICT_FIELDS)
+    # a _Filled verify document fails exactly when it has FAIL lines
+    failed = lines or any(
+        type(doc) is dict and doc.get(field) is False
+        for doc in docs
+        for field in _VERDICT_FIELDS
+    )
     return EXIT_FAIL if failed else EXIT_PASS
 
 

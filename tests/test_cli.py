@@ -817,6 +817,90 @@ def test_verify_small_degree_failures_at_r_20(capsys, monkeypatch):
     assert err.count("small-degree pair (2;1^9)") == 6 and err.count("\n") == 10
 
 
+def _dict_route_output(r_spec, mu0_text):
+    """stdout, stderr and exit code of verify --r r_spec [--mu0 mu0_text]
+    written from the dict documents of a plan built without a format, by
+    json.dumps."""
+    lo, hi = parse_r_range(r_spec)
+    plan = cli._RangePlan("verify", lo, hi, cli._validated_mu0(mu0_text))
+    built = [cli._verify_doc(r, plan) for r in range(lo, hi + 1)]
+    docs = [doc for doc, _ in built]
+    lines = [line for _, doc_lines in built for line in doc_lines]
+    doc = docs[0] if len(docs) == 1 else {"command": "verify", "results": docs}
+    out = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return out, "".join(line + "\n" for line in lines), EXIT_FAIL if lines else EXIT_PASS
+
+
+VERIFY_R_SPECS = (
+    "20..3000", "10..25", "19..20", "20", "30", "189", "3000",
+    str(10**6), str(10**12), str(10**18 - 1), str(10**18), f"{10**18 - 1}..{10**18}",
+)
+
+
+@pytest.mark.parametrize("mu0_text", [None, "7/2", "sqrt(1000)", "100"])
+def test_verify_templates_write_the_dict_route_bytes(mu0_text):
+    """verify's r >= 20 JSON documents, written from a template per row
+    set, are the bytes json.dumps writes for the dict documents: a single r
+    (depth 0), ranges crossing 19/20 (depth 2, dicts and filled documents
+    in one list), r = 20..3000 and r near 10^6, 10^12 and 10^18, with the
+    same stderr lines and exit code."""
+    mu0_args = () if mu0_text is None else ("--mu0", mu0_text)
+    failing = set()
+    for r_spec in VERIFY_R_SPECS:
+        got = _call(("verify", "--r", r_spec, *mu0_args))
+        assert got == _dict_route_output(r_spec, mu0_text), (r_spec, mu0_text)
+        if got[2] == EXIT_FAIL:
+            failing.add(parse_r_range(r_spec)[0] >= 20)
+    # every --mu0 here fails some r < 20, and none an r >= 20, where every
+    # small-degree pair has delta < 0 and passes whatever mu0 is
+    assert failing == ({False} if mu0_text else set())
+
+
+def test_verify_template_writes_a_failing_small_degree_pair(monkeypatch):
+    """With (2;1^9) at t = 1 as the whole small-degree table, r = 20 has
+    delta = 21 >= 0: the template's slots take a mu_minus text, a
+    Counterexample outcome, negative_delta and all_pass false, and the
+    command prints the FAIL lines and exits 1, alone and in ranges."""
+    monkeypatch.setattr(search, "_SMALL_DEGREE", ((2, 9, 1),))
+    for r_spec in ("20", "19..25", "20..40"):
+        out, err, code = got = _call(("verify", "--r", r_spec))
+        assert got == _dict_route_output(r_spec, None), r_spec
+        assert code == EXIT_FAIL and err.startswith("FAIL r=20: (2;1^9) t=1 has mu_minus")
+        doc = json.loads(out)
+        docs = [doc] if r_spec == "20" else doc["results"]
+        doc = next(doc for doc in docs if doc["r"] == 20)
+        assert doc["all_pass"] is False
+        assert doc["pairs"][0]["mu_minus"] == "6 - 1/3*sqrt(21)"
+        assert doc["pairs"][0]["outcome"] == "Counterexample"
+        assert doc["small_degree_pairs"][0]["negative_delta"] is False
+
+
+def test_verify_range_writes_one_template_per_row_set(monkeypatch):
+    """verify --r 20..10019 calls _dumps once per row set (which of the five
+    small-degree pairs are critical pairs), for its template, and once for
+    the output: the other documents are filled templates."""
+    lo, hi = 20, 10019
+    row_sets = {
+        tuple(pair.total_multiplicity <= search.total_multiplicity_bound(r)
+              for pair in search.small_degree_pairs(r))
+        for r in range(lo, hi + 1)
+    }
+    assert len(row_sets) == 5  # the set shrinks at r = 30, 34, 97 and 189
+    calls = 0
+    dumps = cli._dumps
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return dumps(*args)
+
+    monkeypatch.setattr(cli, "_dumps", counting)
+    out, err, code = _call(("verify", "--r", f"{lo}..{hi}"))
+    assert (code, err) == (EXIT_PASS, "")
+    assert len(json.loads(out)["results"]) == hi - lo + 1
+    assert calls == len(row_sets) + 1
+
+
 @pytest.mark.parametrize("r_range", ["999999999999999981..1000000000000000000", "10..200"])
 def test_range_output_matches_single_r_output(capsys, r_range):
     """A range command prints what the same command prints one r at a time:
@@ -1175,10 +1259,12 @@ def test_dumps_plans_on_hand_made_shapes(doc):
     assert cli._dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
 
 
-def _documents(*argv):
-    """What main would pass to _dumps for argv: its one document, or the
-    results wrapper of a range."""
+def _documents(*argv, output_format=None):
+    """What main would pass to _dumps for argv, with --format output_format
+    when one is given: its one document, or the results wrapper of a
+    range."""
     args = resolve_config(cli._parse_command_line(list(argv)), env={})
+    args.output_format = output_format or args.output_format
     docs, _ = args.handler(args)
     return docs[0] if len(docs) == 1 else {"command": args.command, "results": docs}
 
@@ -1190,8 +1276,11 @@ def _documents(*argv):
     ("table", "--r", "12..13", "--mu0", "7/2"),
 ])
 def test_dumps_writes_real_documents_as_json_does(argv):
-    doc = _documents(*argv)
-    assert cli._dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
+    """_dumps writes what main passes it as json.dumps writes the same
+    documents as dicts, the form markdown and csv take: for verify at
+    r >= 20, what main passes is the text of the range's templates."""
+    want = json.dumps(_documents(*argv, output_format="markdown"), sort_keys=True, indent=2)
+    assert cli._dumps(_documents(*argv)) == want
 
 
 def test_dumps_writes_a_certificate_as_json_does():

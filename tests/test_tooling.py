@@ -203,6 +203,19 @@ def test_cli_start_loads_no_unneeded_module():
     assert result.stdout.split() == []
 
 
+def test_modules_parse_as_the_oldest_declared_python():
+    """pyproject declares requires-python >= 3.10: every module of the
+    package parses with the grammar of 3.10."""
+    declared = re.search(
+        r'^requires-python = ">=3\.(\d+)"$', (ROOT / "pyproject.toml").read_text(), re.M
+    )
+    assert declared is not None and declared[1] == "10"
+    paths = sorted((ROOT / "src" / "seshadri").glob("*.py"))
+    assert len(paths) >= 9
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
 def test_cli_imports_no_private_name():
     """The CLI reaches the library through its public names alone: cli.py
     has no `from .<module> import _name`."""
