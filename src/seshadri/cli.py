@@ -53,12 +53,11 @@ Reports always carry exact values as canonical strings ("77/24",
 "4 - 1/3*sqrt(3)"); --approx appends 6-digit decimal columns next to them.
 JSON output is serialized with sorted keys so reruns are byte-identical.
 Every JSON document (stdout and certificates) is written by `_dumps`, whose
-output matches `json.dumps(doc, sort_keys=True, indent=2)` byte for byte.
-It sorts and encodes the keys of each dict shape (nesting depth and keys)
-once per call, in a write plan that it reuses for every later dict of that
-shape and drops when it returns. verify's documents from r = 20 on have one
-form per row set: written as JSON, each is a template that `_dumps` wrote
-once per range and row set, filled with that r's values.
+output matches `json.dumps(doc, sort_keys=True, indent=2)` byte for byte:
+one walk over the document, each dict sorting its own keys. verify's
+documents from r = 20 on have one form per row set: written as JSON, each
+is a template that `_dumps` wrote once per range and row set, filled with
+that r's values.
 """
 
 from __future__ import annotations
@@ -74,7 +73,6 @@ from collections.abc import Mapping
 from fractions import Fraction
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 
 from . import __version__
 from .errors import (
@@ -453,33 +451,6 @@ _VERDICT_FIELDS = ("all_pass", "covered", "ok")
 # JSON
 
 
-def _dict_plan(keys: tuple, depth: int) -> tuple[itemgetter, list[str], str]:
-    """How to write a dict with these keys at this nesting depth: a getter
-    of its values in sorted key order, the text before each value (the
-    first opens the dict, the others start with a comma), and the text that
-    closes it.
-
-    itemgetter of one key returns the bare value, not a tuple; a one-key
-    dict gets that key twice, and the zip with its one prefix reads the
-    first of the two values alone."""
-    newline = "\n" + "  " * depth
-    inner = newline + "  "
-    ordered = sorted(keys)
-    # encode_basestring_ascii raises TypeError on a non-str key
-    prefixes = ["," + inner + encode_basestring_ascii(key) + ": " for key in ordered]
-    prefixes[0] = "{" + prefixes[0][1:]
-    getter = itemgetter(*ordered) if len(ordered) > 1 else itemgetter(ordered[0], ordered[0])
-    return getter, prefixes, newline + "}"
-
-
-def _list_plan(depth: int) -> tuple[str, str, str]:
-    """How to write a list at this nesting depth: the text before its first
-    item, before every later item, and the text that closes it."""
-    newline = "\n" + "  " * depth
-    inner = newline + "  "
-    return "[" + inner, "," + inner, newline + "]"
-
-
 class _Filled:
     """A document's JSON text as _dumps writes it at one nesting depth,
     which _dumps writes verbatim in the document's place."""
@@ -502,13 +473,16 @@ _MARKER_RE = re.compile(r'"\\u0000(\d+)\\u0000"')
 def _json_template(layout, count: int, depth: int) -> tuple[str, tuple[int, ...]]:
     """A template of the documents layout(values) writes, for values of
     count scalars (str, int, bool or None): layout filled with marker values
-    and written by _dumps at this nesting depth, each marker's text replaced
-    by a %s slot (and every other % doubled); and the index of the value
-    that fills each slot, in the order of the slots. _fill_template then
-    gives _dumps(layout(values), depth), so key order and indentation are
-    still _dumps'. layout must place each value once, as it is, in a slot
-    of its own."""
-    text = _dumps(layout([f"\x00{i}\x00" for i in range(count)]), depth)
+    and written by _dumps, indented to this nesting depth, each marker's
+    text replaced by a %s slot (and every other % doubled); and the index of
+    the value that fills each slot, in the order of the slots.
+    _fill_template then gives the text of layout(values) as _dumps writes it
+    at that depth of a larger document, so key order and indentation are
+    still _dumps'. Depth k only adds 2k spaces after each newline, and
+    _dumps writes no raw newline inside a string. layout must place each
+    value once, as it is, in a slot of its own."""
+    text = _dumps(layout([f"\x00{i}\x00" for i in range(count)]))
+    text = text.replace("\n", "\n" + "  " * depth)
     order = []
 
     def slot(match: re.Match) -> str:
@@ -535,10 +509,8 @@ def _fill_template(template: tuple[str, tuple[int, ...]], values: list) -> str:
     ])
 
 
-def _dumps(doc: object, depth: int = 0) -> str:
-    """`json.dumps(doc, sort_keys=True, indent=2)`, byte for byte; with a
-    depth, the text of doc as that call writes it at this nesting depth of
-    a larger document.
+def _dumps(doc: object) -> str:
+    """`json.dumps(doc, sort_keys=True, indent=2)`, byte for byte.
 
     `indent` sends `json` to its pure-Python encoder, which this walk
     outpaces. Strings go through the C routine `encode_basestring_ascii`
@@ -546,17 +518,7 @@ def _dumps(doc: object, depth: int = 0) -> str:
     keys, lists, tuples, str, int, bool and None, and raises TypeError on
     anything else. Containers are entered with an explicit stack, so nesting
     depth is not bounded by the recursion limit; each frame is the iterator
-    of a container's (prefix, child) pairs and the text that closes it, and
-    the stack starts with one empty frame per level of depth.
-
-    A document repeats a few dict shapes (nesting depth and keys in
-    insertion order) many times: a range's per-r documents, their pair
-    records. The first dict of a shape builds its plan (_dict_plan) and every
-    later one reuses it, so keys are sorted and encoded once per shape, and
-    the plan's itemgetter fetches each dict's values in C. Lists take their
-    opening, separating and closing texts from a plan per depth
-    (_list_plan) in the same table. Plans live in this call alone; nothing
-    is kept between calls.
+    of a container's (prefix, child) pairs and the text that closes it.
 
     A _Filled document, already written at its depth, is written as its
     text, and one at another depth raises ValueError. Its branch comes after
@@ -564,11 +526,7 @@ def _dumps(doc: object, depth: int = 0) -> str:
     """
     parts: list[str] = []
     append = parts.append
-    encode = encode_basestring_ascii
-    int_repr = int.__repr__
-    # dict shapes (depth, *keys) and list depths to their plans
-    plans: dict[object, tuple] = {}
-    stack: list[tuple] = [((), "")] * depth
+    stack: list[tuple] = []
     items = iter((("", doc),))
     close = ""
     while True:
@@ -576,39 +534,37 @@ def _dumps(doc: object, depth: int = 0) -> str:
             append(prefix)
             kind = type(value)
             if kind is str:
-                append(encode(value))
+                append(encode_basestring_ascii(value))
             elif kind is int:
-                append(int_repr(value))
+                append(int.__repr__(value))
             elif value is None:
                 append("null")
             elif value is True:
                 append("true")
             elif value is False:
                 append("false")
-            elif kind is dict:
+            elif kind is dict or kind is list or kind is tuple:
                 if not value:
-                    append("{}")
+                    append("{}" if kind is dict else "[]")
                     continue
-                level = len(stack)
-                shape = (level, *value)
-                plan = plans.get(shape)
-                if plan is None:
-                    plan = plans[shape] = _dict_plan(shape[1:], level)
-                getter, prefixes, closing = plan
+                newline = "\n" + "  " * len(stack)
+                inner = newline + "  "
+                if kind is dict:
+                    keys = sorted(value)
+                    # encode_basestring_ascii raises TypeError on a non-str key
+                    prefixes = [
+                        "," + inner + encode_basestring_ascii(key) + ": " for key in keys
+                    ]
+                    prefixes[0] = prefixes[0][1:]
+                    children = zip(prefixes, map(value.__getitem__, keys))
+                    append("{")
+                    closing = newline + "}"
+                else:
+                    children = zip(chain((inner,), repeat("," + inner)), value)
+                    append("[")
+                    closing = newline + "]"
                 stack.append((items, close))
-                items, close = zip(prefixes, getter(value)), closing
-                break
-            elif kind is list or kind is tuple:
-                if not value:
-                    append("[]")
-                    continue
-                level = len(stack)
-                plan = plans.get(level)
-                if plan is None:
-                    plan = plans[level] = _list_plan(level)
-                opening, separator, closing = plan
-                stack.append((items, close))
-                items, close = zip(chain((opening,), repeat(separator)), value), closing
+                items, close = children, closing
                 break
             elif kind is _Filled:
                 if value.depth != len(stack):
@@ -620,7 +576,7 @@ def _dumps(doc: object, depth: int = 0) -> str:
                 raise TypeError(f"cannot write {kind.__name__} as JSON")
         else:
             append(close)
-            if len(stack) == depth:
+            if not stack:
                 return "".join(parts)
             items, close = stack.pop()
 

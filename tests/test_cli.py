@@ -1125,6 +1125,99 @@ def test_entry_point_runs_the_cli():
     assert err.startswith("error: cannot write ") and err.count("\n") == 1
 
 
+# --------------------------------------------------------------------------
+# random command lines
+
+
+def _option(flag, values):
+    return st.tuples(st.just(flag), values)
+
+
+def _values(valid, malformed):
+    """Texts of the integers valid, or one of the texts malformed."""
+    return valid.map(str) | st.sampled_from(malformed)
+
+
+R_VALUES = (
+    st.integers(min_value=10, max_value=60).map(str)
+    | st.builds(lambda lo, count: f"{lo}..{lo + count - 1}",
+                st.integers(min_value=1, max_value=45), st.integers(min_value=1, max_value=30))
+    | st.integers(min_value=-1, max_value=3).map(lambda k: str(MAX_R - k))
+    | st.sampled_from(["-1", "0", "1", "9", "", "ten", "10..", "..10", "12..10", "1e3",
+                       "10...12", "10..12..14", " 11 ", "1_0", "0x10", "\uff11\uff10",
+                       "1" + "0" * 40])
+)
+MU_VALUES = st.sampled_from([
+    "7/2", "16/5", "77/24", "10/3", "1", "0", "-7/2", "sqrt(13)", "sqrt(11)", "sqrt(50)",
+    "4 - 1/3*sqrt(3)", "(26 - sqrt(13))/6", "9" * 40 + "/7", "3.5", "1e2",
+]) | st.sampled_from([
+    "1/0", "", "abc", "sqrt(-1)", "2**10", "sqrt(10**19)", "7/2/3", "sqrt(r)", "1" * 3000,
+])
+# The flags every command takes; paths are relative to the scratch directory
+# the test runs in, which it fills first.
+COMMON_OPTIONS = st.lists(
+    _option("--format", st.sampled_from([*cli.FORMATS, "yaml"]))
+    | st.just(("--approx",))
+    | _option("--jobs", _values(st.integers(min_value=1, max_value=3), ["0", "-1", "x"]))
+    | _option("--cache-dir", st.sampled_from([".", "a-directory", "missing/sub", "malformed.json"]))
+    | _option("--depth", _values(st.integers(min_value=1, max_value=12), ["0", "-1", "x"]))
+    | st.sampled_from([("-h",), ("--version",)]),
+    max_size=2,
+)
+AUDIT_PATHS = st.sampled_from(["certificate.json", "missing.json", "a-directory",
+                               "malformed.json", "not-an-object.json"])
+MU0 = _option("--mu0", MU_VALUES) | st.just(())
+T0 = _option("--t0", _values(st.integers(min_value=2, max_value=6), ["1", "-1", "x"]))
+# A command (or none) and the arguments it is given, with or without --mu0;
+# the last two leave out one that the command needs.
+COMMAND_SHAPES = [
+    ("table", [_option("--r", R_VALUES), MU0]),
+    ("enumerate", [_option("--r", R_VALUES), MU0]),
+    ("verify", [_option("--r", R_VALUES), MU0]),
+    ("region", [_option("--r", R_VALUES), T0]),
+    ("classify", [_option("--r", R_VALUES), _option("--mu", MU_VALUES)]),
+    ("coverage", [_option("--r", R_VALUES)]),
+    ("audit-certificate", [st.tuples(AUDIT_PATHS)]),
+    ("no-such-command", []),
+    (None, []),
+    ("verify", [MU0]),
+    ("classify", [_option("--mu", MU_VALUES)]),
+]
+# A command line of one shape, with up to two common flags after it.
+COMMAND_LINES = st.sampled_from(COMMAND_SHAPES).flatmap(
+    lambda shape: st.builds(
+        lambda arguments, options: [
+            token for part in ((shape[0],) if shape[0] else (), *arguments, *options)
+            for token in part
+        ],
+        st.tuples(*shape[1]),
+        COMMON_OPTIONS,
+    )
+)
+
+
+def test_random_command_lines_exit_cleanly():
+    """Any command line over a bounded vocabulary (every command and an
+    unknown one; r values small, near MAX_R and malformed; mu values well
+    formed and not; every format and an unknown one; audit paths to a
+    certificate, missing, a directory or malformed) exits 0..3, with no
+    traceback and no internal error on stderr."""
+    os.mkdir("a-directory")
+    Path("malformed.json").write_text('{"kind": ')
+    Path("not-an-object.json").write_text("[1, 2]")
+    assert _call(["region", "--r", "12", "--t0", "4"])[2] == EXIT_PASS
+    os.rename("certificate-r12-t4.json", "certificate.json")
+
+    @settings(max_examples=800, deadline=None, database=None, derandomize=True)
+    @given(COMMAND_LINES)
+    def exits_cleanly(argv):
+        _, err, code = _call(argv)
+        assert code in (EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_INCONCLUSIVE), (argv, err)
+        assert "Traceback" not in err and "internal error" not in err, (argv, err)
+
+    exits_cleanly()
+
+
 JSON_SCALARS = (
     st.text()
     | st.sampled_from(["", '"', "\\", "\x00\x1f\x7f", "\u00e9\u2028", "\U0001f600", "/"])
@@ -1190,8 +1283,7 @@ def test_dumps_serialises_trees_past_the_recursion_limit():
 
 
 # Dicts whose keys come from a small alphabet, so one key set recurs at
-# several depths and in several insertion orders, and _dumps reuses its
-# write plans.
+# several depths and in several insertion orders.
 SHAPED_TREES = st.recursive(
     JSON_SCALARS,
     lambda children: st.lists(children, max_size=4)
@@ -1206,43 +1298,8 @@ def test_dumps_reuses_plans_across_depths_and_orders(doc):
     assert cli._dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
 
 
-def _dict_shapes(doc):
-    """The number of non-empty dicts in doc and the set of their shapes,
-    (nesting depth, *keys in insertion order)."""
-    count, shapes, stack = 0, set(), [(doc, 0)]
-    while stack:
-        value, depth = stack.pop()
-        if isinstance(value, dict) and value:
-            count += 1
-            shapes.add((depth, *value))
-            stack.extend((child, depth + 1) for child in value.values())
-        elif isinstance(value, (list, tuple)):
-            stack.extend((child, depth + 1) for child in value)
-    return count, shapes
-
-
-def test_dumps_sorts_once_per_dict_shape(monkeypatch):
-    """A verify range repeats a few dict shapes hundreds of times; _dumps
-    sorts the keys of each shape once, not those of every dict."""
-    plan = cli._RangePlan("verify", 20, 69, None)
-    docs = [cli._verify_doc(r, plan)[0] for r in range(20, 70)]
-    doc = {"command": "verify", "results": docs}
-    count, shapes = _dict_shapes(doc)
-    calls = 0
-
-    def counting_sorted(iterable):
-        nonlocal calls
-        calls += 1
-        return sorted(iterable)
-
-    monkeypatch.setattr(cli, "sorted", counting_sorted, raising=False)
-    text = cli._dumps(doc)
-    assert calls == len(shapes) <= 12 and count >= 500
-    assert text == json.dumps(doc, sort_keys=True, indent=2)
-
-
 @pytest.mark.parametrize("doc", [
-    {"a": 1},  # a one-key dict: its itemgetter returns the bare value
+    {"a": 1},  # a one-key dict
     {"a": {"a": {"a": None}}},  # one key at three depths
     [{"k": [1]}, {"k": "v"}, {"k": {}}],
     {"a": "x", "b": [{"a": 1}]},

@@ -3,9 +3,10 @@ types whose __post_init__ it wraps define one, every command line the
 benchmark runs still parses, check_pair runs once per row it prints (the
 traced benchmark's count check), every verify-sweep and query-mix output
 matches the benchmark's recorded digest, the CLI imports no private
-library name, the package exports resolve, the documentation names only environment variables the CLI reads, the
-README's Python example and command lines run as written, and starting the
-CLI loads none of the modules it does not need.
+library name, every module uses each name it imports, the package exports
+resolve, the documentation names only environment variables the CLI reads,
+the README's Python example and command lines run as written, and starting
+the CLI loads none of the modules it does not need.
 
 perfbench/tracer.py and perfbench/ops.py are loaded by path and left as they
 are: a rename, a deletion or a settings change in seshadri that would stop
@@ -228,6 +229,28 @@ def test_cli_imports_no_private_name():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_modules_use_every_name_they_import():
+    """Every name a module of the package imports at module level is
+    referenced in that module, so no import outlives the code that used it.
+    __init__.py imports to re-export, and is left out."""
+    paths = sorted((ROOT / "src" / "seshadri").glob("*.py"))
+    unused = []
+    for path in paths:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = [
+            (alias.asname or alias.name).partition(".")[0]
+            for node in tree.body
+            if isinstance(node, ast.Import)
+            or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for alias in node.names
+        ]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in imported if name not in used]
+    assert len(paths) >= 9 and unused == []
 
 
 def test_package_exports_resolve():
