@@ -55,9 +55,9 @@ JSON output is serialized with sorted keys so reruns are byte-identical.
 Every JSON document (stdout and certificates) is written by `_dumps`, whose
 output matches `json.dumps(doc, sort_keys=True, indent=2)` byte for byte:
 one walk over the document, each dict sorting its own keys. verify's
-documents from r = 20 on have one form per row set: written as JSON, each
-is a template that `_dumps` wrote once per range and row set, filled with
-that r's values.
+documents from r = 20 on are fixed by what their checks decided, apart from
+a few ints and texts: written as JSON, each is a template that `_dumps`
+wrote once per range and decision, filled with that r's ints and texts.
 """
 
 from __future__ import annotations
@@ -73,6 +73,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from . import __version__
 from .errors import (
@@ -99,6 +100,7 @@ from .region import (
     verify_t_bound,
 )
 from .search import (
+    Outcome as PairOutcome,
     check_pair,
     small_degree_pairs,
     total_multiplicity_bound,
@@ -126,9 +128,9 @@ MAX_RADICAND = 10**18
 MAX_R = 10**18
 # Most values of r one range may hold. Each r costs time and memory, and a
 # range's documents are all held until they are written: on a 2-vCPU host
-# verify --r 20..10019 takes about 0.18 s and 54 MB, and 10^5 values 1.5 s
+# verify --r 20..10019 takes about 0.15 s and 54 MB, and 10^5 values 1.2 s
 # and 390 MB. The costliest range the two caps admit,
-# verify --r (10^18 - 99999)..10^18, takes about 1.6 s and 425 MB; before
+# verify --r (10^18 - 99999)..10^18, takes about 1.4 s and 440 MB; before
 # the sieve it ran for 44 minutes.
 MAX_R_COUNT = 10**5
 # Largest --t0 that region takes: the certificate file name spells it, and
@@ -218,23 +220,23 @@ class _RangePlan:
     every r: given, the --mu0 parsed once, or None; roots, sqrt(r + 1) for
     each r, from exact.sqrt_block (one sieve over the block of r + 1 when it
     holds several), or None under a --mu0, since sqrt(r + 1) then feeds
-    nothing; and small_degree_texts, for verify up to an r >= 20, the texts
-    of the classes of small_degree_pairs, rendered once. A class (d;1^M) has
-    the same text at every r, so they are rendered from the pairs of the
-    first r >= 20, in the order small_degree_pairs builds them at every r.
+    nothing; and small_degree_rows, for verify up to an r >= 20, the class
+    text, t and M of each of small_degree_pairs, in its order. They are the
+    same at every r, so they are read once, from the first r >= 20.
 
     json_depth is the nesting depth at which main writes each document as
     JSON (0 for a single r, 2 inside a range's results list), or None when
     the documents are written in another way (markdown, csv, --approx) or
     the caller names no format. With a depth, verify's r >= 20 documents
-    come from templates, one per row set of the range (which of the five
-    pairs are critical pairs): _large_r_layout filled with marker values and
-    written by _dumps, the first time the row set comes up, then each r's
-    values written into it. Without one, each of them is the dict of
-    _large_r_layout. cmd_range builds the plan and hands it to each per-r
-    builder; it lives in that call alone."""
+    come from templates, one per key of _large_r_checks, the constants the
+    checks decided: _json_template writes the first r's document of a key,
+    and every r then fills in its ints and texts. A range has at most six
+    row sets of pair rows, times the sign changes of five deltas linear in
+    r. Without a depth, each document is the dict of _large_r_layout.
+    cmd_range builds the plan and hands it to each per-r builder; it lives
+    in that call alone."""
 
-    __slots__ = ("given", "lo", "roots", "small_degree_texts", "json_depth", "templates")
+    __slots__ = ("given", "lo", "roots", "small_degree_rows", "json_depth", "templates")
 
     def __init__(
         self,
@@ -247,37 +249,36 @@ class _RangePlan:
         self.given = mu0
         self.lo = lo
         self.roots = sqrt_block(lo + 1, hi + 1) if mu0 is None else None
-        self.small_degree_texts = (
-            [pair.curve.render() for pair in small_degree_pairs(max(lo, 20))]
-            if command == "verify" and hi >= 20 else None
-        )
+        self.small_degree_rows = [
+            (pair.curve.render(), pair.t, pair.curve.total_multiplicity)
+            for pair in small_degree_pairs(max(lo, 20))
+        ] if command == "verify" and hi >= 20 else None
         self.json_depth = json_depth
-        # row set (_large_r_checks' shape) -> (template, order of its values)
+        # key of _large_r_checks -> _json_template's template
         self.templates = {}
-
-    def root(self, r: int) -> QuadraticNumber:
-        """sqrt(r + 1)."""
-        return self.roots[r - self.lo]
 
     def mu0(self, r: int) -> QuadraticNumber:
         """The --mu0 given, else threshold(r, sqrt(r + 1)).mu0, which
         passes ThresholdEntry's check that it sits above sqrt(r)."""
         if self.given is not None:
             return self.given
-        return threshold(r, self.root(r)).mu0
+        return threshold(r, self.roots[r - self.lo]).mu0
 
-    def large_r_doc(self, shape: tuple, values: list) -> dict | _Filled:
-        """verify's document at an r >= 20 from the shape and values of
+    def large_r_doc(self, key: tuple, values: list) -> dict | _Filled:
+        """verify's document at an r >= 20 from the key and values of
         _large_r_checks: the dict of _large_r_layout, or, with a json_depth,
-        the row set's template filled with the values' JSON texts."""
+        the key's template filled by one %: the texts as the bytes of their
+        encode_basestring_ascii (in place in values), the ints as they are."""
         if self.json_depth is None:
-            return _large_r_layout(shape, values)
-        template = self.templates.get(shape)
+            return _large_r_layout(self.small_degree_rows, key, values)
+        template = self.templates.get(key)
         if template is None:
-            template = self.templates[shape] = _json_template(
-                functools.partial(_large_r_layout, shape), len(values), self.json_depth
-            )
-        return _Filled(_fill_template(template, values), self.json_depth)
+            layout = functools.partial(_large_r_layout, self.small_degree_rows, key)
+            template = self.templates[key] = _json_template(layout, values, self.json_depth)
+        text, texts, order = template
+        for i in texts:
+            values[i] = encode_basestring_ascii(values[i]).encode()
+        return _Filled((text % order(values)).decode(), self.json_depth)
 
 
 def _pair_record(text: str, t: int, total: int, delta: int, mu_minus, outcome: str) -> dict:
@@ -330,9 +331,10 @@ def _verify_doc(r: int, plan: _RangePlan) -> tuple[dict | _Filled, list[str]]:
 
     For r = 10..19 the pair rows and their FAIL lines are _pair_rows', the
     writer _pairs_doc uses too, from verify_no_counterexample. From r = 20
-    on, _large_r_checks makes the checks and plan.large_r_doc writes their
-    values: as the dict of _large_r_layout, or, when the plan writes JSON,
-    as that dict's text from the range's template for the row set.
+    on, _large_r_checks makes the checks and plan.large_r_doc writes what
+    they decided (the key) and the ints and texts they gave (the values): as
+    the dict of _large_r_layout, or, when the plan writes JSON, as the
+    key's template filled with the values.
     """
     if r < 20:
         mu0_text, pairs, lines = _pair_rows(r, plan.mu0(r))
@@ -345,48 +347,51 @@ def _verify_doc(r: int, plan: _RangePlan) -> tuple[dict | _Filled, list[str]]:
             "small_degree_pairs": None,
             "large_r": None,
         }, lines
-    shape, values, lines = _large_r_checks(r, plan)
-    return plan.large_r_doc(shape, values), lines
+    key, values, lines = _large_r_checks(r, plan)
+    return plan.large_r_doc(key, values), lines
 
 
 def _large_r_checks(r: int, plan: _RangePlan) -> tuple[tuple, list, list[str]]:
-    """verify's checks at an r >= 20: the document's shape and values, in
-    the order _large_r_layout reads them, and the FAIL lines.
+    """verify's checks at an r >= 20: the document's key and values, in the
+    order _large_r_layout reads them, and the FAIL lines.
 
     One pass over small_degree_pairs(r) builds each of the five pairs, whose
-    class texts the plan rendered once for the whole range: a pair with
+    class text, t and M the plan holds for the whole range: a pair with
     M <= total_multiplicity_bound(r) is a critical pair (the rule of
     enumerate_critical_pairs, held equal to it by the tests) and gets a pair
     row, and every pair gets a small-degree row. Each row is written from
     its own check_pair call, so a pair with both rows is checked twice. The
-    shape holds (class text, t, M, critical) per pair, and so names the row
-    set. The FAIL lines keep the order of the checks: pair rows, then
-    small-degree rows, then the large-r inequalities.
+    FAIL lines keep the order of the checks: pair rows, then small-degree
+    rows, then the large-r inequalities. The key is a flat tuple of what
+    the checks decided: per pair, its pair row's outcome (None without one)
+    and whether its delta is negative; then (i), (ii) and all_pass. The
+    values are r, mu0's text, and each row's delta and mu_minus text (which
+    a pair row has unless its outcome is PassNegativeDelta).
 
     large_r_inequalities(r) gives degree_five_inequality, (i), which rules
     out every degree d >= 5, and small_degree_inequality, (ii), the
     hi(c) < 0 condition of the t0 = 3 root leaf. No small-degree row is
-    derived from (ii); the key keeps its name because the verify bytes are
-    pinned.
+    derived from (ii); the document keeps its name because the verify bytes
+    are pinned.
     """
     mu0 = plan.mu0(r)
     mu0_text = mu0.render()
     bound = total_multiplicity_bound(r)
-    shape, values, lines, small_lines = [], [r, mu0_text], [], []
-    for pair, text in zip(small_degree_pairs(r), plan.small_degree_texts):
-        t = pair.t
-        total = pair.curve.total_multiplicity
-        critical = total <= bound
-        if critical:
+    key, values, lines, small_lines = [], [r, mu0_text], [], []
+    for pair, (text, t, total) in zip(small_degree_pairs(r), plan.small_degree_rows):
+        outcome = None
+        if total <= bound:
             verdict = check_pair(pair, mu0)
-            mu_minus = verdict.mu_minus
-            mu_minus = None if mu_minus is None else mu_minus.render()
-            values += (verdict.delta, mu_minus, verdict.outcome.value)
+            outcome, mu_minus = verdict.outcome, verdict.mu_minus
+            values.append(verdict.delta)
+            if mu_minus is not None:
+                mu_minus = mu_minus.render()
+                values.append(mu_minus)
             if not verdict.passed:
                 lines.append(_below_mu0_line(r, text, t, mu_minus, mu0_text))
         delta = check_pair(pair, mu0).delta
-        values += (delta, delta < 0)
-        shape.append((text, t, total, critical))
+        values.append(delta)
+        key += (outcome, delta < 0)
         if delta >= 0:
             small_lines.append(
                 f"FAIL r={r}: small-degree pair {text} t={t} has delta = {delta} >= 0"
@@ -395,33 +400,38 @@ def _large_r_checks(r: int, plan: _RangePlan) -> tuple[tuple, list, list[str]]:
     first, second = large_r_inequalities(r)
     if not (first and second):
         lines.append(f"FAIL r={r}: large-r inequalities do not hold")
-    values += (first, second, not lines)
-    return tuple(shape), values, lines
+    key += (first, second, not lines)
+    return tuple(key), values, lines
 
 
-def _large_r_layout(shape: tuple, values) -> dict:
-    """verify's document at an r >= 20: the values of _large_r_checks, in
-    its order, placed in the rows its shape names. It computes nothing, so
-    marker values give the document's template (_json_template)."""
+def _large_r_layout(rows: list, key: tuple, values) -> dict:
+    """verify's document at an r >= 20: the plan's rows (class text, t, M),
+    the key and the values of _large_r_checks, read in its order. It
+    computes nothing and never looks into a value, so marker values give
+    the key's template (_json_template)."""
     take = iter(values).__next__
+    decided = iter(key).__next__
     r, mu0_text = take(), take()
     pairs, small_records = [], []
-    for text, t, total, critical in shape:
-        if critical:
-            pairs.append(_pair_record(text, t, total, take(), take(), take()))
+    for text, t, total in rows:
+        outcome = decided()
+        if outcome is not None:
+            delta = take()
+            mu_minus = None if outcome is PairOutcome.PASS_NEGATIVE_DELTA else take()
+            pairs.append(_pair_record(text, t, total, delta, mu_minus, outcome.value))
         small_records.append({
             "class": text,
             "t": t,
             "M": total,
             "delta": take(),
-            "negative_delta": take(),
+            "negative_delta": decided(),
         })
-    large_r = {"degree_five_inequality": take(), "small_degree_inequality": take()}
+    large_r = {"degree_five_inequality": decided(), "small_degree_inequality": decided()}
     return {
         "command": "verify",
         "r": r,
         "mu0": mu0_text,
-        "all_pass": take(),
+        "all_pass": decided(),
         "pairs": pairs,
         "small_degree_pairs": small_records,
         "large_r": large_r,
@@ -431,7 +441,7 @@ def _large_r_layout(shape: tuple, values) -> dict:
 def _coverage_doc(r: int, plan: _RangePlan) -> tuple[dict, list[str]]:
     """Coverage at r, with a FAIL line per gap. sqrt(r + 1) comes from the
     plan; coverage takes no --mu0."""
-    doc = {"command": "coverage", **verify_coverage(r, plan.root(r)).to_json_dict()}
+    doc = {"command": "coverage", **verify_coverage(r, plan.roots[r - plan.lo]).to_json_dict()}
     return doc, [f"FAIL r={r}: coverage gap ({lo}, {hi})" for lo, hi in doc["gaps"]]
 
 
@@ -462,51 +472,39 @@ class _Filled:
         self.depth = depth
 
 
-# The texts _dumps writes for True, False and None.
-_JSON_CONSTANTS = {True: "true", False: "false", None: "null"}
-
-
 # The text _dumps writes for _json_template's marker value "\x00<index>\x00".
 _MARKER_RE = re.compile(r'"\\u0000(\d+)\\u0000"')
 
 
-def _json_template(layout, count: int, depth: int) -> tuple[str, tuple[int, ...]]:
-    """A template of the documents layout(values) writes, for values of
-    count scalars (str, int, bool or None): layout filled with marker values
-    and written by _dumps, indented to this nesting depth, each marker's
-    text replaced by a %s slot (and every other % doubled); and the index of
-    the value that fills each slot, in the order of the slots.
-    _fill_template then gives the text of layout(values) as _dumps writes it
-    at that depth of a larger document, so key order and indentation are
-    still _dumps'. Depth k only adds 2k spaces after each newline, and
-    _dumps writes no raw newline inside a string. layout must place each
+def _json_template(layout, values: list, depth: int) -> tuple[bytes, tuple, itemgetter]:
+    """The template of what layout writes for values of the same types as
+    these (each an int or a str): layout filled with marker values and
+    written by _dumps, indented to this nesting depth, with each marker's
+    text made a slot, %s for a text and %d for an int (every other %
+    doubled), as ASCII bytes; the indices of the texts; and an itemgetter of
+    the values in slot order. The template % the values so ordered, each
+    text given as the bytes of its encode_basestring_ascii, is the text of
+    layout(values) as _dumps writes it at that depth of a larger document:
+    depth k only adds 2k spaces after each newline, and _dumps writes no raw
+    newline inside a string. bytes % finds each slot with memchr, where str
+    % reads every character: on a 2-vCPU host a 1.2 KB document fills in
+    0.3 against 0.7 microseconds, decoding included. layout must place each
     value once, as it is, in a slot of its own."""
+    count = len(values)
+    texts = tuple(i for i, value in enumerate(values) if type(value) is str)
     text = _dumps(layout([f"\x00{i}\x00" for i in range(count)]))
     text = text.replace("\n", "\n" + "  " * depth)
     order = []
 
     def slot(match: re.Match) -> str:
-        order.append(int(match[1]))
-        return "%s"
+        i = int(match[1])
+        order.append(i)
+        return "%s" if i in texts else "%d"
 
     template = _MARKER_RE.sub(slot, text.replace("%", "%%"))
     if sorted(order) != list(range(count)):
         raise RuntimeError(f"the layout placed its {count} values in slots {order}")
-    return template, tuple(order)
-
-
-def _fill_template(template: tuple[str, tuple[int, ...]], values: list) -> str:
-    """A template of _json_template filled with values, each written as
-    _dumps writes it: a str through encode_basestring_ascii, an int as
-    itself (its %s is int.__repr__), True, False and None as constants."""
-    text, order = template
-    constants = _JSON_CONSTANTS
-    return text % tuple([
-        encode_basestring_ascii(value) if type(value) is str
-        else value if type(value) is int
-        else constants[value]
-        for value in [values[i] for i in order]
-    ])
+    return template.encode(), texts, itemgetter(*order)
 
 
 def _dumps(doc: object) -> str:

@@ -876,9 +876,11 @@ def test_verify_template_writes_a_failing_small_degree_pair(monkeypatch):
 
 
 def test_verify_range_writes_one_template_per_row_set(monkeypatch):
-    """verify --r 20..10019 calls _dumps once per row set (which of the five
-    small-degree pairs are critical pairs), for its template, and once for
-    the output: the other documents are filled templates."""
+    """verify --r 20..10019 calls _dumps once per template and once for the
+    output: the other documents are filled templates. A template serves one
+    key, what the checks decided; every delta here is negative, so the key
+    is the row set (which of the five small-degree pairs are critical
+    pairs)."""
     lo, hi = 20, 10019
     row_sets = {
         tuple(pair.total_multiplicity <= search.total_multiplicity_bound(r)
@@ -899,6 +901,45 @@ def test_verify_range_writes_one_template_per_row_set(monkeypatch):
     assert (code, err) == (EXIT_PASS, "")
     assert len(json.loads(out)["results"]) == hi - lo + 1
     assert calls == len(row_sets) + 1
+
+
+def test_verify_builds_one_template_per_key(monkeypatch):
+    """With (2;1^9) and (3;1^14) at t = 1 as the small-degree table, the
+    deltas 81 - 3r and 196 - 8r turn negative at r = 28 and r = 25, and
+    (3;1^14) stops being a critical pair at r = 30, so the documents of
+    verify --r 20..40 differ in their outcomes, negative_delta and all_pass
+    as well as in their row sets. The command writes the dict route's
+    bytes, FAIL lines and exit code, and builds one template per key: per
+    pair, its pair row's outcome or its absence and whether its delta is
+    negative, counted here from the library."""
+    monkeypatch.setattr(search, "_SMALL_DEGREE", ((2, 9, 1), (3, 14, 1)))
+    lo, hi = 20, 40
+    keys, row_sets = set(), set()
+    for r in range(lo, hi + 1):
+        mu0 = thresholds.threshold(r).mu0
+        bound = search.total_multiplicity_bound(r)
+        critical = [pair.total_multiplicity <= bound for pair in search.small_degree_pairs(r)]
+        verdicts = [search.check_pair(pair, mu0) for pair in search.small_degree_pairs(r)]
+        keys.add(tuple(
+            (verdict.outcome if kept else None, verdict.delta < 0)
+            for kept, verdict in zip(critical, verdicts)
+        ))
+        row_sets.add(tuple(critical))
+    assert len(row_sets) == 2 and len(keys) > len(row_sets)
+    assert {outcome for key in keys for outcome, _ in key} == {*search.Outcome, None}
+    templates = 0
+    json_template = cli._json_template
+
+    def counting(*args):
+        nonlocal templates
+        templates += 1
+        return json_template(*args)
+
+    monkeypatch.setattr(cli, "_json_template", counting)
+    got = _call(("verify", "--r", f"{lo}..{hi}"))
+    assert got == _dict_route_output(f"{lo}..{hi}", None)
+    assert got[2] == EXIT_FAIL
+    assert templates == len(keys)
 
 
 @pytest.mark.parametrize("r_range", ["999999999999999981..1000000000000000000", "10..200"])

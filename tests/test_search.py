@@ -474,8 +474,9 @@ def test_search_builds_one_class_per_kept_pair(monkeypatch):
         assert doc["all_pass"]
         assert len(built) == 5, r
         assert rendered == [], r
-        texts = [row["class"] for row in doc["small_degree_pairs"]]
-        assert texts == plan.small_degree_texts == [original_render(c) for c in built]
+        rows = [(row["class"], row["t"], row["M"]) for row in doc["small_degree_pairs"]]
+        assert rows == plan.small_degree_rows
+        assert [text for text, _, _ in rows] == [original_render(c) for c in built]
 
 
 def test_maximal_total_evaluations_per_r(monkeypatch):

@@ -1,21 +1,24 @@
 """perfbench's tracer still finds every function it wraps, only the value
 types whose __post_init__ it wraps define one, every command line the
 benchmark runs still parses, check_pair runs once per row it prints (the
-traced benchmark's count check), every verify-sweep and query-mix output
-matches the benchmark's recorded digest, the CLI imports no private
-library name, every module uses each name it imports, the package exports
-resolve, the documentation names only environment variables the CLI reads,
-the README's Python example and command lines run as written, and starting
-the CLI loads none of the modules it does not need.
+traced benchmark's count check), verify makes every large-r check at every
+r, a traced verify-sweep and query-mix round meets the benchmark's
+coverage check, every verify-sweep and query-mix output matches the
+benchmark's recorded digest, the CLI imports no private library name,
+every module uses each name it imports, the package exports resolve, the
+documentation names only environment variables the CLI reads, the README's
+Python example and command lines run as written, and starting the CLI
+loads none of the modules it does not need.
 
-perfbench/tracer.py and perfbench/ops.py are loaded by path and left as they
-are: a rename, a deletion or a settings change in seshadri that would stop
+perfbench/tracer.py, perfbench/ops.py and perfbench/run.py are loaded by
+path and left as they are: a rename, a deletion or a settings change in seshadri that would stop
 `perfbench/run.py` (with BindingMissed, a KeyError or a usage error) fails
 here instead.
 """
 
 import argparse
 import ast
+import collections
 import doctest
 import importlib
 import importlib.util
@@ -159,6 +162,104 @@ def test_check_pair_calls_equal_the_rows_they_print(capsys, monkeypatch):
     table_rows = sum(1 for line in table.splitlines() if line.startswith("|")) - 2
     assert table_rows == 27
     assert calls == rows + table_rows
+
+
+def _count_calls(monkeypatch, functions):
+    """A Counter of the calls to each of functions, by name, from now on:
+    each is wrapped at every seshadri module that binds it, as the tracer
+    wraps it."""
+    calls = collections.Counter()
+
+    def counted(original):
+        def counting(*args, **kwargs):
+            calls[original.__name__] += 1
+            return original(*args, **kwargs)
+
+        return counting
+
+    for original in functions:
+        wrapper = counted(original)
+        for name, module in list(sys.modules.items()):
+            if name == "seshadri" or name.startswith("seshadri."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, wrapper)
+    return calls
+
+
+def test_verify_makes_every_large_r_check_at_every_r(capsys, monkeypatch):
+    """verify over r = 20..1019 calls total_multiplicity_bound,
+    large_r_inequalities and small_degree_pairs once per r, plus the
+    plan's one small_degree_pairs call for the class texts, and threshold
+    once per r without a --mu0 and never with one: no check is made once
+    for a range, or its result carried from one r to the next."""
+    calls = _count_calls(monkeypatch, (
+        seshadri.search.total_multiplicity_bound,
+        seshadri.search.small_degree_pairs,
+        seshadri.region.large_r_inequalities,
+        seshadri.thresholds.threshold,
+    ))
+    lo, hi = 20, 1019
+    count = hi - lo + 1
+    for mu0_args, thresholds in (((), count), (("--mu0", "sqrt(1000)"), 0)):
+        calls.clear()
+        assert seshadri.cli.main(["verify", "--r", f"{lo}..{hi}", *mu0_args]) == 0
+        assert len(json.loads(capsys.readouterr().out)["results"]) == count
+        assert calls == collections.Counter({
+            "total_multiplicity_bound": count,
+            "small_degree_pairs": count + 1,
+            "large_r_inequalities": count,
+            "threshold": thresholds,
+        }), mu0_args
+
+
+def test_traced_benchmark_rounds_meet_the_coverage_check(monkeypatch, tmp_path):
+    """One verify-sweep and one query-mix round at seed 1, run under
+    perfbench's own Tracer as run.py runs a traced round (an untraced pass
+    first, then the tracer installed around the round): install raises no
+    BindingMissed, every output passes its check, and the traced counts
+    meet run._coverage_problems, so check_pair runs once per printed row,
+    and classify, verify_coverage and cli.main once per operation of their
+    kind. verify-sweep calls threshold once per r. A traced function called
+    out of the tracer's reach fails here, not only in a --trace 1 run."""
+    tracer = _load_perfbench("tracer")
+    ops = _load_perfbench("ops")
+    # run.py imports its siblings by their plain names
+    monkeypatch.setitem(sys.modules, "tracer", tracer)
+    monkeypatch.setitem(sys.modules, "ops", ops)
+    run = _load_perfbench("run")
+    digests = json.loads((ROOT / "perfbench" / "digests.json").read_text())["ops"]
+    monkeypatch.chdir(tmp_path)
+    for name in [k for k in os.environ if k.startswith("SESHADRI_")]:
+        monkeypatch.delenv(name)
+    runner = run.Runner(seshadri.cli, digests)
+    for workload in ("verify-sweep", "query-mix"):
+        round_ops = ops.make_round(workload, 1)
+        runner.run_round(round_ops)
+        traced = tracer.Tracer()
+        traced.install()  # raises BindingMissed if a binding stays unwrapped
+        try:
+            outcomes = []
+            for i, op in enumerate(round_ops):
+                traced.op_id = i
+                outcomes.append(runner.run(op))
+        finally:
+            traced.uninstall()
+        assert runner.problems == [] and None not in outcomes, workload
+        facts = collections.Counter()
+        for outcome in outcomes:
+            facts.update(ops.facts(outcome))
+        metrics = traced.layer_metrics()
+        assert run._coverage_problems(metrics, facts, round_ops) == [], workload
+        kinds = [op.kind for op in round_ops]
+        assert metrics["search.check_pair.calls"] == facts["check_pair_rows"] > 0
+        assert metrics["cli.main.calls"] == len(round_ops)
+        assert metrics["thresholds.classify.calls"] == kinds.count("classify")
+        assert metrics["thresholds.verify_coverage.calls"] == kinds.count("coverage")
+        if workload == "verify-sweep":
+            documents = sum(hi - lo + 1 for lo, hi in ops.sweep_blocks())
+            assert metrics["thresholds.threshold.calls"] == documents
+    assert runner.failed == 0 and list(tmp_path.iterdir()) == []
 
 
 def test_benchmark_operations_match_their_recorded_digests(monkeypatch, tmp_path):
