@@ -16,12 +16,12 @@ limit before closing every piece), 4 internal error (any other exception,
 such as a broken premise the search checks: one stderr line
 `internal error: <Type>: <message>`, no traceback).
 
-Every command takes one route. main parses the command line in one argparse
-pass: when the first argument names a command, that command's subparser
-alone parses the rest, and main adds the name to its namespace. The
-two-level parse of build_parser (the top-level parser, which hands the rest
-to the subparser) runs only when no command comes first (no arguments, -h,
---version, an unknown command, --) or the subparser leaves arguments over.
+Every command line takes one of two routes. A well-formed one (a command,
+then its exact flags, each but --approx with one value that does not start
+with "-", every required one given) is read straight from the option table
+_COMMANDS, from which build_parser also makes its parsers. Any other goes
+to the two-level parse of build_parser: the top-level parser, which hands
+the rest to the subparser.
 Both give the same namespace, and every usage line, help text, error and
 exit code is the two-level parse's own. The handler takes one argument, the
 parsed command line that resolve_config has checked and completed, and
@@ -42,7 +42,7 @@ does not offer (csv outside the range commands) is refused before the
 handler runs.
 
 Settings are flags (--format, --cache-dir, --depth, --jobs, --approx), with
-their defaults in the parser. The one exception is the width 2^-e of the
+their defaults in the option table. The one exception is the width 2^-e of the
 sqrt enclosures region starts from, read from SESHADRI_SQRT_WIDTH_EXPONENT
 (e in 1..256). No config file and no other variable is read. Every r is
 computed in this process, in ascending order: --jobs is accepted and has no
@@ -856,6 +856,8 @@ def cmd_classify(args: argparse.Namespace) -> Outcome:
 def cmd_audit(args: argparse.Namespace) -> Outcome:
     from pathlib import Path  # only region and audit-certificate name a file
 
+    if not args.certificate:  # Path("") would read the working directory
+        raise UsageError("cannot read certificate '': the path is empty")
     path = Path(args.certificate)
     try:
         doc = json.loads(path.read_text())
@@ -879,110 +881,138 @@ def cmd_audit(args: argparse.Namespace) -> Outcome:
 # argument parsing
 
 
+# Every command's options, declared once: each is a flag (or a positional's
+# name) and the keyword arguments of its add_argument call. build_parser
+# makes the parsers from them, and _parse_command_line reads a well-formed
+# command line straight from them. Every command takes _COMMON_OPTIONS, then
+# its own; _COMMANDS maps each name to its help, handler and own options.
+_COMMON_OPTIONS = (
+    ("--format", dict(dest="output_format", choices=FORMATS, default=None,
+                      help="output format (defaults: markdown for table, json elsewhere)")),
+    ("--cache-dir", dict(dest="cache_dir", default=None, help="directory region writes "
+                         "its certificate to (the other commands ignore it)")),
+    ("--depth", dict(dest="bisection_depth", type=int, default=DEFAULT_DEPTH_LIMIT,
+                     help=f"bisection depth limit (default {DEFAULT_DEPTH_LIMIT})")),
+    ("--jobs", dict(dest="parallelism", type=int, default=1,
+                    help="accepted and has no effect: every r is computed in this process")),
+    ("--approx", dict(dest="approx", action="store_true", default=False,
+                      help="append 6-digit decimal approximations to exact values")),
+)
+_COMMANDS = {
+    "table": ("critical pairs at r, Table-style", cmd_range, (
+        ("--r", dict(required=True, help="point count, e.g. 12 or 10..13")),
+        ("--mu0", dict(default=None, help="threshold override, e.g. 7/2 or sqrt(13)")),
+    )),
+    "enumerate": ("critical pairs over a range of r", cmd_range, (
+        ("--r", dict(required=True, help="point count range, e.g. 10..13")),
+        ("--mu0", dict(default=None, help="threshold override")),
+    )),
+    "verify": ("check critical pairs against the threshold", cmd_range, (
+        ("--r", dict(required=True, help="point count range, e.g. 10..19")),
+        ("--mu0", dict(default=None, help="threshold override")),
+    )),
+    "region": ("certify the multiplicity cut-off t0 by bisection; writes "
+               "certificate-r<r>-t<t0>.json to --cache-dir when set, else to the "
+               "working directory", cmd_region, (
+        ("--r", dict(required=True, help="point count (single value)")),
+        ("--t0", dict(type=int, required=True, help="multiplicity to exclude")),
+    )),
+    "classify": ("rationality status of epsilon(mu) at rational mu", cmd_classify, (
+        ("--r", dict(required=True, help="point count (single value)")),
+        ("--mu", dict(required=True, help="rational mu, e.g. 7/2")),
+    )),
+    "coverage": ("chain the witness catalog over the target ray", cmd_range, (
+        ("--r", dict(required=True, help="point count range, e.g. 8..13")),
+    )),
+    "audit-certificate": ("replay a region certificate from scratch", cmd_audit, (
+        ("certificate", dict(help="path to a certificate JSON file")),
+    )),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The command line's parser: top level, then one subparser per command."""
-    return _build_parsers()[0]
-
-
-def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and its subcommand table, which maps each command
-    name to its subparser (the `choices` of the subparsers action)."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", dest="output_format", choices=FORMATS, default=None,
-        help="output format (defaults: markdown for table, json elsewhere)",
-    )
-    common.add_argument("--cache-dir", dest="cache_dir", default=None,
-                        help="directory region writes its certificate to "
-                        "(the other commands ignore it)")
-    common.add_argument("--depth", dest="bisection_depth", type=int,
-                        default=DEFAULT_DEPTH_LIMIT,
-                        help=f"bisection depth limit (default {DEFAULT_DEPTH_LIMIT})")
-    common.add_argument("--jobs", dest="parallelism", type=int, default=1,
-                        help="accepted and has no effect: every r is computed "
-                        "in this process")
-    common.add_argument("--approx", dest="approx", action="store_true",
-                        help="append 6-digit decimal approximations to exact values")
-
     parser = argparse.ArgumentParser(
         prog="seshadri",
         description="Exact certification of Seshadri-function rationality "
         "on blow-ups of the plane at r very general points.",
     )
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {__version__}"
-    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    # copied into each subparser: 35 add_argument calls took 0.5 ms more (2 vCPUs)
+    common = argparse.ArgumentParser(add_help=False)
+    for flag, kwargs in _COMMON_OPTIONS:
+        common.add_argument(flag, **kwargs)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("table", parents=[common],
-                       help="critical pairs at r, Table-style")
-    p.add_argument("--r", required=True, help="point count, e.g. 12 or 10..13")
-    p.add_argument("--mu0", default=None, help="threshold override, e.g. 7/2 or sqrt(13)")
-    p.set_defaults(handler=cmd_range)
-
-    p = sub.add_parser("enumerate", parents=[common],
-                       help="critical pairs over a range of r")
-    p.add_argument("--r", required=True, help="point count range, e.g. 10..13")
-    p.add_argument("--mu0", default=None, help="threshold override")
-    p.set_defaults(handler=cmd_range)
-
-    p = sub.add_parser("verify", parents=[common],
-                       help="check critical pairs against the threshold")
-    p.add_argument("--r", required=True, help="point count range, e.g. 10..19")
-    p.add_argument("--mu0", default=None, help="threshold override")
-    p.set_defaults(handler=cmd_range)
-
-    p = sub.add_parser("region", parents=[common],
-                       help="certify the multiplicity cut-off t0 by bisection; "
-                       "writes certificate-r<r>-t<t0>.json to --cache-dir "
-                       "when set, else to the working directory")
-    p.add_argument("--r", required=True, help="point count (single value)")
-    p.add_argument("--t0", type=int, required=True, help="multiplicity to exclude")
-    p.set_defaults(handler=cmd_region)
-
-    p = sub.add_parser("classify", parents=[common],
-                       help="rationality status of epsilon(mu) at rational mu")
-    p.add_argument("--r", required=True, help="point count (single value)")
-    p.add_argument("--mu", required=True, help="rational mu, e.g. 7/2")
-    p.set_defaults(handler=cmd_classify)
-
-    p = sub.add_parser("coverage", parents=[common],
-                       help="chain the witness catalog over the target ray")
-    p.add_argument("--r", required=True, help="point count range, e.g. 8..13")
-    p.set_defaults(handler=cmd_range)
-
-    p = sub.add_parser("audit-certificate", parents=[common],
-                       help="replay a region certificate from scratch")
-    p.add_argument("certificate", help="path to a certificate JSON file")
-    p.set_defaults(handler=cmd_audit)
-
-    return parser, sub.choices
+    for name, (help_text, handler, options) in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(handler=handler)
+    return parser
 
 
 @functools.cache
-def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and the subcommand table `main` parses with,
-    built on first use and kept for the process: parsing leaves a parser
-    unchanged, and building them costs about 1 ms. main runs the named
-    command's subparser alone, and the top-level parser only when no command
-    comes first or the subparser leaves arguments over (_parse_command_line)."""
-    return _build_parsers()
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every command line _parse_command_line does not read,
+    built on first use and kept: parsing leaves it unchanged."""
+    return build_parser()
+
+
+@functools.cache
+def _command_options(name: str) -> tuple[dict, dict, set]:
+    """What _parse_command_line reads of command name: its namespace when no
+    option is given (name, handler, defaults), each flag's dest and keywords
+    (the positional's under None), and the dests that must be given."""
+    _, handler, options = _COMMANDS[name]
+    by_flag = {
+        flag if flag.startswith("-") else None: (kwargs.get("dest", flag.lstrip("-")), kwargs)
+        for flag, kwargs in (*_COMMON_OPTIONS, *options)
+    }
+    required = {dest for flag, (dest, kwargs) in by_flag.items()
+                if flag is None or kwargs.get("required")}
+    defaults = {dest: kwargs.get("default") for dest, kwargs in by_flag.values()
+                if dest not in required}
+    return {"command": name, "handler": handler, **defaults}, by_flag, required
 
 
 def _parse_command_line(argv: list[str]) -> argparse.Namespace:
-    """argv parsed as `build_parser().parse_args(argv)` parses it. The
-    top-level parser would hand a named command's subparser exactly argv[1:]
-    and add only the name, so that subparser alone parses them; anything
-    else, including arguments left over, goes to the two-level parse, which
-    prints its own usage, help or error."""
-    parser, commands = _parser()
-    subparser = commands.get(argv[0]) if argv else None
-    if subparser is not None:
-        args, rest = subparser.parse_known_args(argv[1:])
-        if not rest:
-            args.command = argv[0]
-            return args
-    return parser.parse_args(argv)
+    """argv parsed as `build_parser().parse_args(argv)` parses it. A
+    well-formed command line (a command, then its exact flags, each but
+    --approx with a value that does not start with "-" and that its type and
+    choices accept, at most one positional, every required option; the last
+    repeat wins) is read from _COMMANDS. Anything else goes to the two-level
+    parse, which prints its own usage, help or error."""
+    if argv and argv[0] in _COMMANDS:
+        defaults, by_flag, required = _command_options(argv[0])
+        values = dict(defaults)
+        tokens = iter(argv[1:])
+        for token in tokens:
+            option = by_flag.get(token)
+            if option is None:  # a positional: audit-certificate's path, given once
+                option = by_flag.get(None)
+                if option is None or option[0] in values or token.startswith("-"):
+                    break
+                values[option[0]] = token
+                continue
+            dest, kwargs = option
+            if kwargs.get("action") == "store_true":
+                values[dest] = True
+                continue
+            value = next(tokens, "-")  # a missing value falls back too
+            if value.startswith("-"):
+                break
+            try:
+                value = kwargs.get("type", str)(value)
+            except ValueError:
+                break
+            choices = kwargs.get("choices")
+            if choices is not None and value not in choices:
+                break
+            values[dest] = value
+        else:
+            if required <= values.keys():
+                return argparse.Namespace(**values)
+    return _parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

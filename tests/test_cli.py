@@ -468,6 +468,15 @@ def test_audit_of_unreadable_certificate_is_a_usage_error(capsys, tmp_path):
         assert err.startswith("error: certificate ") and err.count("\n") == 1
 
 
+def test_audit_of_an_empty_path_is_a_usage_error(capsys):
+    """An empty certificate path is refused by name, not read as the
+    working directory (Path("") is ".")."""
+    assert main(["audit-certificate", ""]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot read certificate '': the path is empty\n"
+
+
 def test_region_defaults_come_from_the_library(capsys):
     cfg = resolve_config(_namespace("region", "--r", "10", "--t0", "6"), env={})
     assert cfg.bisection_depth == region.DEFAULT_DEPTH_LIMIT
@@ -1064,8 +1073,11 @@ def test_parser_reuse_leaks_nothing_between_calls():
 # Command lines main must treat exactly as the two-level parse does: each
 # command with valid arguments (region first, to write the certificate the
 # audit reads); no command first; a subparser that leaves arguments over or
-# refuses one; and argparse spellings (an abbreviation, --opt=value, a bad
-# choice).
+# refuses one; argparse spellings (an abbreviation, --opt=value, a bad
+# choice); and the edges of the direct route: an option or --approx given
+# twice, an empty value, values that start with "-" (argparse takes -3 as a
+# negative number and refuses -7/2), --mu as table's abbreviation of --mu0,
+# --approx=1, two audit paths or "-" as one, and -- in the middle.
 ROUTE_CORPUS = (
     ("table", "--r", "12"),
     ("enumerate", "--r", "10..11", "--format", "csv"),
@@ -1089,6 +1101,17 @@ ROUTE_CORPUS = (
     ("classify", "--r", "12", "--mu", "7/2", "--app"),
     ("verify", "--r=10"),
     ("table", "--r", "12", "--format", "xml"),
+    ("verify", "--r", "12", "--r", "10", "--format", "csv", "--format", "json"),
+    ("verify", "--r", "10", "--approx", "--approx"),
+    ("verify", "--r", ""),
+    ("table", "--r", "12", "--mu0", "-3"),
+    ("classify", "--r", "10", "--mu", "-7/2"),
+    ("table", "--r", "12", "--mu", "7/2"),
+    ("classify", "--r", "10", "--mu", "7/2", "--approx=1"),
+    ("audit-certificate", "certificate-r10-t6.json", "certificate-r10-t6.json"),
+    ("audit-certificate", "-"),
+    ("audit-certificate", ""),
+    ("classify", "--r", "10", "--", "--mu", "7/2"),
 )
 
 
@@ -1122,9 +1145,9 @@ def test_main_parses_as_the_two_level_parser_does(monkeypatch):
 
 
 def test_a_command_takes_one_argparse_pass(monkeypatch):
-    """A command that parses makes one parse_known_args call, its
-    subparser's; one whose subparser leaves arguments over also runs the
-    two-level parse, which reports them."""
+    """A well-formed command line makes no parse_known_args call: it is read
+    from the option table. Any other runs the two-level parse alone, which
+    reports what is wrong."""
     calls = []
     original = argparse.ArgumentParser.parse_known_args
 
@@ -1134,10 +1157,33 @@ def test_a_command_takes_one_argparse_pass(monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
     assert _call(("classify", "--r", "10", "--mu", "7/2"))[2] == EXIT_PASS
-    assert calls == ["seshadri classify"]
-    calls.clear()
+    assert calls == []
     assert _call(("verify", "--r", "10", "extra"))[2] == EXIT_USAGE
-    assert calls == ["seshadri verify", "seshadri", "seshadri verify"]
+    assert calls == ["seshadri", "seshadri verify"]
+
+
+# sha256 of the stdout of main([*command, "-h"]) at 80 columns: the help text,
+# usage lines and defaults of the parsers before they were made from the
+# option table.
+HELP_DIGESTS = {
+    (): "539ba704d0871fedbc96de80d7e6ce8a86f0a31cdee0fb76c6ff7089d27cae79",
+    ("table",): "a8353f6b40ff6d91eb2fceed37739d85bfcbeb6c5ec038c76be319a4a81d6ee2",
+    ("enumerate",): "978abddab9a378bb3f397bec7257eb989e27ceb60c2a2c050a3ac9337e5cfa79",
+    ("verify",): "41681741a33847e8ee7ff0ca99c5255381ac76b90e038641213cc126c8d4b526",
+    ("region",): "e8c3a542a20ceca72c171ed7e45b4281788fa264d029f57a7a80fcb04649b8b7",
+    ("classify",): "935f618e0172aa58cf70694c9d47c5f840e78a5adda86c360fab7571fb66da27",
+    ("coverage",): "508d2f3de04106a61e7bfe539696cd27eb88dd25c883e5f95ebaff687658bfce",
+    ("audit-certificate",): "9c3776b22fb7f94be881441fc7b3ab3a3f2bdc9f1273fb6839e3e58c7f16b692",
+}
+
+
+def test_help_text_is_unchanged(monkeypatch):
+    """Every command's help, and the top level's, prints the recorded bytes."""
+    monkeypatch.setenv("COLUMNS", "80")
+    for command, digest in HELP_DIGESTS.items():
+        out, err, code = _call((*command, "-h"))
+        assert (code, err) == (0, ""), command
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command
 
 
 def _entry_point(*argv):
@@ -1190,27 +1236,31 @@ R_VALUES = (
 )
 MU_VALUES = st.sampled_from([
     "7/2", "16/5", "77/24", "10/3", "1", "0", "-7/2", "sqrt(13)", "sqrt(11)", "sqrt(50)",
-    "4 - 1/3*sqrt(3)", "(26 - sqrt(13))/6", "9" * 40 + "/7", "3.5", "1e2",
+    "4 - 1/3*sqrt(3)", "(26 - sqrt(13))/6", "9" * 40 + "/7", "3.5", "1e2", "-3",
 ]) | st.sampled_from([
     "1/0", "", "abc", "sqrt(-1)", "2**10", "sqrt(10**19)", "7/2/3", "sqrt(r)", "1" * 3000,
 ])
-# The flags every command takes; paths are relative to the scratch directory
-# the test runs in, which it fills first.
+# The flags every command takes, a repeated --r, and misspellings; paths are
+# relative to the scratch directory the test runs in, which it fills first.
 COMMON_OPTIONS = st.lists(
     _option("--format", st.sampled_from([*cli.FORMATS, "yaml"]))
     | st.just(("--approx",))
     | _option("--jobs", _values(st.integers(min_value=1, max_value=3), ["0", "-1", "x"]))
-    | _option("--cache-dir", st.sampled_from([".", "a-directory", "missing/sub", "malformed.json"]))
+    | _option("--cache-dir", st.sampled_from([".", "a-directory", "missing/sub", "malformed.json",
+                                              ""]))
     | _option("--depth", _values(st.integers(min_value=1, max_value=12), ["0", "-1", "x"]))
-    | st.sampled_from([("-h",), ("--version",)]),
+    | _option("--r", R_VALUES)
+    | st.sampled_from([("-h",), ("--version",), ("--approx", "--approx"), ("--approx=1",),
+                       ("--",)]),
     max_size=2,
 )
 AUDIT_PATHS = st.sampled_from(["certificate.json", "missing.json", "a-directory",
-                               "malformed.json", "not-an-object.json"])
+                               "malformed.json", "not-an-object.json", "-", ""])
 MU0 = _option("--mu0", MU_VALUES) | st.just(())
 T0 = _option("--t0", _values(st.integers(min_value=2, max_value=6), ["1", "-1", "x"]))
 # A command (or none) and the arguments it is given, with or without --mu0;
-# the last two leave out one that the command needs.
+# audit-certificate with two paths, table with --mu (argparse's abbreviation
+# of --mu0), and two that leave out an option the command needs.
 COMMAND_SHAPES = [
     ("table", [_option("--r", R_VALUES), MU0]),
     ("enumerate", [_option("--r", R_VALUES), MU0]),
@@ -1219,6 +1269,8 @@ COMMAND_SHAPES = [
     ("classify", [_option("--r", R_VALUES), _option("--mu", MU_VALUES)]),
     ("coverage", [_option("--r", R_VALUES)]),
     ("audit-certificate", [st.tuples(AUDIT_PATHS)]),
+    ("audit-certificate", [st.tuples(AUDIT_PATHS), st.tuples(AUDIT_PATHS)]),
+    ("table", [_option("--r", R_VALUES), _option("--mu", MU_VALUES)]),
     ("no-such-command", []),
     (None, []),
     ("verify", [MU0]),
@@ -1257,6 +1309,14 @@ def test_random_command_lines_exit_cleanly():
         assert "Traceback" not in err and "internal error" not in err, (argv, err)
 
     exits_cleanly()
+
+
+@settings(max_examples=800, deadline=None, database=None, derandomize=True)
+@given(COMMAND_LINES)
+def test_direct_route_parses_as_the_two_level_parser_does(argv):
+    """On every command line of COMMAND_LINES, _parse_command_line gives the
+    namespace, or the exit code, of build_parser().parse_args."""
+    assert _parsed(cli._parse_command_line, argv) == _parsed(_two_level, argv), argv
 
 
 JSON_SCALARS = (

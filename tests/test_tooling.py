@@ -96,14 +96,22 @@ def test_tracer_installs_and_uninstalls():
 
 
 def test_benchmark_command_lines_resolve(monkeypatch):
-    """Every operation of every workload, and every trace probe (--jobs 2
-    and --cache-dir among them), parses on the route main takes in one
-    argparse pass, to the namespace of the two-level parse, and passes
-    resolve_config with its width variable set. No command is run."""
+    """Every operation of every workload, every trace probe (--jobs 2 and
+    --cache-dir among them), and the audit-certificate <path> that follows
+    each region operation parse on main's direct route with no argparse
+    pass, to the namespace of the two-level parse, and pass resolve_config
+    with the operation's width variable set. No command is run."""
     ops = _load_perfbench("ops")
     assert ops.WIDTH_ENV == seshadri.cli.WIDTH_VARIABLE
     every_op = [op for workload in ops.WORKLOADS for op in ops.universe(workload)]
     every_op += [op for probe in ops.probe_ops().values() for op in probe]
+    # (command line, width exponent or None), as ops.execute runs them
+    lines = []
+    for op in every_op:
+        lines.append((op.argv, op.exponent))
+        if op.kind == "region":
+            certificate = f"certificate-r{op.argv[2]}-t{op.argv[4]}.json"
+            lines.append((("audit-certificate", certificate), op.exponent))
     parser = seshadri.cli.build_parser()
     passes = 0
     original = argparse.ArgumentParser.parse_known_args
@@ -114,21 +122,24 @@ def test_benchmark_command_lines_resolve(monkeypatch):
         return original(self, *args, **kwargs)
 
     resolved = []
-    for op in every_op:
-        env = {} if op.exponent is None else {ops.WIDTH_ENV: str(op.exponent)}
+    for argv, exponent in lines:
+        env = {} if exponent is None else {ops.WIDTH_ENV: str(exponent)}
         passes = 0
         with monkeypatch.context() as patch:
             patch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
-            args = seshadri.cli._parse_command_line(list(op.argv))
-        assert passes == 1, op.key  # no fall-back to the two-level parse
-        assert vars(args) == vars(parser.parse_args(list(op.argv))), op.key
+            args = seshadri.cli._parse_command_line(list(argv))
+        assert passes == 0, argv  # no fall-back to the two-level parse
+        assert vars(args) == vars(parser.parse_args(list(argv))), argv
         args = seshadri.cli.resolve_config(args, env=env)
-        assert args.command == op.argv[0], op.key
-        if op.exponent is not None:
-            assert args.sqrt_width_exponent == op.exponent, op.key
+        assert args.command == argv[0], argv
+        if exponent is not None:
+            assert args.sqrt_width_exponent == exponent, argv
         resolved.append(args)
     assert any(args.parallelism == 2 for args in resolved)
     assert any(args.cache_dir == ops.PROBE_CACHE for args in resolved)
+    assert any(args.command == "region" and args.sqrt_width_exponent == 256
+               for args in resolved)
+    assert any(args.command == "audit-certificate" for args in resolved)
 
 
 def test_check_pair_calls_equal_the_rows_they_print(capsys, monkeypatch):
