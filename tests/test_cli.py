@@ -885,8 +885,9 @@ def test_verify_template_writes_a_failing_small_degree_pair(monkeypatch):
 
 
 def test_verify_range_writes_one_template_per_row_set(monkeypatch):
-    """verify --r 20..10019 calls _dumps once per template and once for the
-    output: the other documents are filled templates. A template serves one
+    """verify --r 20..10019 calls _dumps once per template: the documents
+    are filled templates, and the range's wrapper is written by hand. A
+    template serves one
     key, what the checks decided; every delta here is negative, so the key
     is the row set (which of the five small-degree pairs are critical
     pairs)."""
@@ -909,7 +910,7 @@ def test_verify_range_writes_one_template_per_row_set(monkeypatch):
     out, err, code = _call(("verify", "--r", f"{lo}..{hi}"))
     assert (code, err) == (EXIT_PASS, "")
     assert len(json.loads(out)["results"]) == hi - lo + 1
-    assert calls == len(row_sets) + 1
+    assert calls == len(row_sets)
 
 
 def test_verify_builds_one_template_per_key(monkeypatch):
@@ -949,6 +950,97 @@ def test_verify_builds_one_template_per_key(monkeypatch):
     assert got == _dict_route_output(f"{lo}..{hi}", None)
     assert got[2] == EXIT_FAIL
     assert templates == len(keys)
+
+
+class _CountingStdout(io.StringIO):
+    """A stdout that counts its writes."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+FENCED_RUNS = (
+    ("verify", "--r", "17..22"),  # dicts below r = 20, template texts from it
+    ("coverage", "--r", "1..5"),
+    ("table", "--r", "12..14"),  # markdown
+    ("verify", "--r", "10..12", "--format", "csv"),
+    ("coverage", "--r", "8..10", "--format", "csv"),
+    ("verify", "--r", "18..21", "--approx"),
+)
+
+
+@pytest.mark.parametrize("argv", FENCED_RUNS)
+def test_range_documents_are_written_as_they_are_built(argv, monkeypatch):
+    """Each document of a range is written before the next is built, and
+    nothing before the first: at each call of the range's builder, stdout
+    has had more writes than at the call before, and holds the start of the
+    output of the same run unfenced."""
+    want = _call(argv)
+    build, smallest_r = cli._RANGE_COMMANDS[argv[0]]
+    out, seen = _CountingStdout(), []
+
+    def fenced(r, plan):
+        seen.append((out.writes, out.getvalue()))
+        return build(r, plan)
+
+    monkeypatch.setitem(cli._RANGE_COMMANDS, argv[0], (fenced, smallest_r))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    assert (out.getvalue(), err.getvalue(), code) == want
+    lo, hi = parse_r_range(argv[2])
+    counts = [writes for writes, _ in seen]
+    assert len(counts) == hi - lo + 1 and counts[0] == 0
+    assert all(a < b for a, b in zip(counts, [*counts[1:], out.writes])), counts
+    assert all(want[0].startswith(text) for _, text in seen)
+
+
+def test_a_late_error_leaves_the_documents_written_before_it(monkeypatch):
+    """A range whose builder raises at r = 12 is exit 4 with one stderr
+    line, and stdout keeps the documents written before the error: the
+    output of verify --r 10..11 without the close of its wrapper."""
+    whole = _call(("verify", "--r", "10..11"))[0]
+    build, smallest_r = cli._RANGE_COMMANDS["verify"]
+
+    def broken(r, plan):
+        if r == 12:
+            raise RuntimeError(f"no document at r={r}")
+        return build(r, plan)
+
+    monkeypatch.setitem(cli._RANGE_COMMANDS, "verify", (broken, smallest_r))
+    out, err, code = _call(("verify", "--r", "10..13"))
+    assert (err, code) == ("internal error: RuntimeError: no document at r=12\n", EXIT_INTERNAL)
+    closing = "\n  ]\n}\n"
+    assert whole.endswith(closing) and out == whole[: -len(closing)]
+
+
+class _GoneStdout(io.StringIO):
+    """A stdout whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_a_range_stops_at_the_first_failed_write(monkeypatch):
+    """When stdout cannot be written, a range builds no document past the
+    one it failed to write, and the command is exit 2 with one line."""
+    build, smallest_r = cli._RANGE_COMMANDS["verify"]
+    built = []
+
+    def counting(r, plan):
+        built.append(r)
+        return build(r, plan)
+
+    monkeypatch.setitem(cli._RANGE_COMMANDS, "verify", (counting, smallest_r))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(_GoneStdout()), contextlib.redirect_stderr(err):
+        code = main(["verify", "--r", "10..3000"])
+    assert (built, err.getvalue(), code) == (
+        [10], "error: cannot write stdout: Broken pipe\n", EXIT_USAGE
+    )
 
 
 @pytest.mark.parametrize("r_range", ["999999999999999981..1000000000000000000", "10..200"])
@@ -1212,6 +1304,47 @@ def test_entry_point_runs_the_cli():
     assert err.startswith("error: cannot write ") and err.count("\n") == 1
 
 
+def test_closed_stdout_is_a_usage_error():
+    """A command whose stdout has no reader (the read end of its pipe
+    closed) is exit 2 with one error line, as a certificate that cannot be
+    written is, whether stdout is buffered or not, and leaves no message at
+    interpreter exit."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parent.parent)
+    for argv in (("classify", "--r", "10", "--mu", "7/2"), ("verify", "--r", "20..3000")):
+        for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                done = subprocess.run(
+                    [sys.executable, "-m", "seshadri", *argv], stdout=write_end,
+                    stderr=subprocess.PIPE, text=True, env={**env, **unbuffered},
+                    timeout=60, check=False,
+                )
+            finally:
+                os.close(write_end)
+            assert (done.returncode, done.stderr) == (
+                EXIT_USAGE, "error: cannot write stdout: Broken pipe\n"
+            ), (argv, unbuffered)
+
+
+ABBREVIATED_RUNS = (
+    ("table", "--r", "12", "--mu", "7/2"),
+    ("verify", "--r", "10", "--app"),
+    ("verify", "--r", "10", "--dep", "3"),
+    ("verify", "--r", "10", "--cache", "cache"),
+)
+
+
+@pytest.mark.parametrize("argv", ABBREVIATED_RUNS)
+def test_abbreviated_flags_are_usage_errors(argv):
+    """A flag is read only as written: a prefix of another flag (--mu of
+    --mu0, --app, --dep, --cache) is a usage error, not that flag."""
+    out, err, code = _call(argv)
+    assert (out, code) == ("", EXIT_USAGE)
+    assert err.endswith(f"error: unrecognized arguments: {' '.join(argv[3:])}\n")
+
+
 # --------------------------------------------------------------------------
 # random command lines
 
@@ -1259,8 +1392,8 @@ AUDIT_PATHS = st.sampled_from(["certificate.json", "missing.json", "a-directory"
 MU0 = _option("--mu0", MU_VALUES) | st.just(())
 T0 = _option("--t0", _values(st.integers(min_value=2, max_value=6), ["1", "-1", "x"]))
 # A command (or none) and the arguments it is given, with or without --mu0;
-# audit-certificate with two paths, table with --mu (argparse's abbreviation
-# of --mu0), and two that leave out an option the command needs.
+# audit-certificate with two paths, table with --mu (a prefix of --mu0, which
+# the parsers refuse), and two that leave out an option the command needs.
 COMMAND_SHAPES = [
     ("table", [_option("--r", R_VALUES), MU0]),
     ("enumerate", [_option("--r", R_VALUES), MU0]),
@@ -1417,13 +1550,11 @@ def test_dumps_plans_on_hand_made_shapes(doc):
     assert cli._dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
 
 
-def _documents(*argv, output_format=None):
-    """What main would pass to _dumps for argv, with --format output_format
-    when one is given: its one document, or the results wrapper of a
-    range."""
-    args = resolve_config(cli._parse_command_line(list(argv)), env={})
-    args.output_format = output_format or args.output_format
-    docs, _ = args.handler(args)
+def _dict_documents(*argv):
+    """The documents of argv as dicts, the form markdown and csv take: its
+    one document, or a range's inside its results wrapper."""
+    args = resolve_config(cli._parse_command_line([*argv, "--format", "markdown"]), env={})
+    docs = [doc for doc, _ in args.handler(args)]
     return docs[0] if len(docs) == 1 else {"command": args.command, "results": docs}
 
 
@@ -1434,11 +1565,12 @@ def _documents(*argv, output_format=None):
     ("table", "--r", "12..13", "--mu0", "7/2"),
 ])
 def test_dumps_writes_real_documents_as_json_does(argv):
-    """_dumps writes what main passes it as json.dumps writes the same
-    documents as dicts, the form markdown and csv take: for verify at
-    r >= 20, what main passes is the text of the range's templates."""
-    want = json.dumps(_documents(*argv, output_format="markdown"), sort_keys=True, indent=2)
-    assert cli._dumps(_documents(*argv)) == want
+    """main's JSON stdout is what json.dumps writes for the same documents
+    as dicts, with a range's wrapper around them: for verify at r >= 20,
+    main writes the texts of the range's templates, and the wrapper by
+    hand."""
+    want = json.dumps(_dict_documents(*argv), sort_keys=True, indent=2) + "\n"
+    assert _call((*argv, "--format", "json")) == (want, "", EXIT_PASS)
 
 
 def test_dumps_writes_a_certificate_as_json_does():
