@@ -29,18 +29,19 @@ returns its documents, each with its stderr lines (FAIL and AUDIT lines);
 table, enumerate, verify and coverage share one handler, driven by
 _RANGE_COMMANDS, whose per-r builders each take the call's one _RangePlan
 and return the document and its FAIL lines, written where the failing check
-is made. The plan holds the --mu0 and what does not change with r, or is
-cheaper for the block than per r: sqrt(r + 1) for every r from one sieve,
-and verify's small-degree class texts. Every mu0 printed without a --mu0
-comes from thresholds.threshold, checked above sqrt(r). _write_documents
-writes each document as soon as it is built, so a range holds one at a
-time, and main writes the lines and picks the exit code: 1 when there is a
-line or a document whose verdict (all_pass, covered or ok) is false, else 0.
-Handlers raise usage errors and inconclusive bisections, which main turns
-into exit codes 2 and 3; a stdout whose reader has gone is exit 2 too. Any
-other exception is exit 4, after what a range wrote before it. A format the
-command does not offer (csv outside the range commands) is refused before
-the handler runs.
+is made. The plan holds the --mu0, sqrt(r + 1) for every r from one sieve
+over the block, and verify's JSON templates. Every mu0 printed without a
+--mu0 comes from thresholds.threshold, checked above sqrt(r).
+_write_documents writes each document as soon as it is built, so a range
+holds one at a time, and hands main the lines of each document written;
+main picks the exit code: 1 when there is a line or a document whose
+verdict (all_pass, covered or ok) is false, else 0. Handlers raise usage
+errors and inconclusive bisections, which main turns into exit codes 2 and
+3; a stdout whose reader has gone is exit 2 too, help and version included.
+Any other exception is exit 4, after what a range wrote before it. Every
+exit writes the lines of the documents written, then main's own one-line
+message. A format the command does not offer (csv outside the range
+commands) is refused before the handler runs.
 
 Settings are flags (--format, --cache-dir, --depth, --jobs, --approx), with
 their defaults in the option table. The one exception is the width 2^-e of the
@@ -217,12 +218,10 @@ def resolve_config(
 
 class _RangePlan:
     """What a range command over lo..hi computes once per call and reads at
-    every r: given, the --mu0 parsed once, or None; roots, sqrt(r + 1) for
-    each r, from exact.sqrt_block (one sieve over the block of r + 1 when it
-    holds several), or None under a --mu0, since sqrt(r + 1) then feeds
-    nothing; and small_degree_rows, for verify up to an r >= 20, the class
-    text, t and M of each of small_degree_pairs, in its order. They are the
-    same at every r, so they are read once, from the first r >= 20.
+    every r: given, the --mu0 parsed once, or None; and roots, sqrt(r + 1)
+    for each r, from exact.sqrt_block (one sieve over the block of r + 1
+    when it holds several), or None under a --mu0, since sqrt(r + 1) then
+    feeds nothing.
 
     json_depth is the nesting depth at which each document is written as
     JSON (_json_depth), or None when the documents are written in another
@@ -230,29 +229,20 @@ class _RangePlan:
     depth, verify's r >= 20 documents come from templates, one per key of
     _large_r_checks, the constants the checks decided: _json_template writes
     the first r's document of a key, and every r then fills in its ints and
-    texts. A range has at most six
-    row sets of pair rows, times the sign changes of five deltas linear in
-    r. Without a depth, each document is the dict of _large_r_layout.
-    cmd_range builds the plan and hands it to each per-r builder; it lives
-    as long as the call's documents are being written."""
+    texts. A range has at most six row sets of pair rows, times the sign
+    changes of five deltas linear in r. Without a depth, each document is
+    the dict of _large_r_layout. cmd_range builds the plan and hands it to
+    each per-r builder; it lives as long as the call's documents are being
+    written."""
 
-    __slots__ = ("given", "lo", "roots", "small_degree_rows", "json_depth", "templates")
+    __slots__ = ("given", "lo", "roots", "json_depth", "templates")
 
     def __init__(
-        self,
-        command: str,
-        lo: int,
-        hi: int,
-        mu0: QuadraticNumber | None,
-        json_depth: int | None = None,
+        self, lo: int, hi: int, mu0: QuadraticNumber | None, json_depth: int | None = None
     ) -> None:
         self.given = mu0
         self.lo = lo
         self.roots = sqrt_block(lo + 1, hi + 1) if mu0 is None else None
-        self.small_degree_rows = [
-            (pair.curve.render(), pair.t, pair.curve.total_multiplicity)
-            for pair in small_degree_pairs(max(lo, 20))
-        ] if command == "verify" and hi >= 20 else None
         self.json_depth = json_depth
         # key of _large_r_checks -> _json_template's template
         self.templates = {}
@@ -264,17 +254,18 @@ class _RangePlan:
             return self.given
         return threshold(r, self.roots[r - self.lo]).mu0
 
-    def large_r_doc(self, key: tuple, values: list) -> dict | str:
-        """verify's document at an r >= 20 from the key and values of
+    def large_r_doc(self, pairs: tuple, key: tuple, values: list) -> dict | str:
+        """verify's document at an r >= 20 from the pairs, key and values of
         _large_r_checks: the dict of _large_r_layout, or, with a json_depth,
         its text, the key's template filled by one %: the texts as the bytes
-        of their encode_basestring_ascii (in place in values), ints as is."""
+        of their encode_basestring_ascii (in place in values), ints as is.
+        A template is written from the pairs of the first r of its key."""
         if self.json_depth is None:
-            return _large_r_layout(self.small_degree_rows, key, values)
+            return _large_r_layout(pairs, key, values)
         template = self.templates.get(key)
         if template is None:
-            layout = functools.partial(_large_r_layout, self.small_degree_rows, key)
-            template = self.templates[key] = _json_template(layout, values, self.json_depth)
+            template = _json_template(pairs, key, values, self.json_depth)
+            self.templates[key] = template
         text, texts, order = template
         for i in texts:
             values[i] = encode_basestring_ascii(values[i]).encode()
@@ -331,10 +322,10 @@ def _verify_doc(r: int, plan: _RangePlan) -> tuple[dict | str, list[str]]:
 
     For r = 10..19 the pair rows and their FAIL lines are _pair_rows', the
     writer _pairs_doc uses too, from verify_no_counterexample. From r = 20
-    on, _large_r_checks makes the checks and plan.large_r_doc writes what
-    they decided (the key) and the ints and texts they gave (the values): as
-    the dict of _large_r_layout, or, when the plan writes JSON, as the
-    key's template filled with the values.
+    on, _large_r_checks makes the checks and plan.large_r_doc writes the
+    pairs checked, what the checks decided (the key) and the ints and texts
+    they gave (the values): as the dict of _large_r_layout, or, when the
+    plan writes JSON, as the key's template filled with the values.
     """
     if r < 20:
         mu0_text, pairs, lines = _pair_rows(r, plan.mu0(r))
@@ -347,26 +338,27 @@ def _verify_doc(r: int, plan: _RangePlan) -> tuple[dict | str, list[str]]:
             "small_degree_pairs": None,
             "large_r": None,
         }, lines
-    key, values, lines = _large_r_checks(r, plan)
-    return plan.large_r_doc(key, values), lines
+    pairs, key, values, lines = _large_r_checks(r, plan)
+    return plan.large_r_doc(pairs, key, values), lines
 
 
-def _large_r_checks(r: int, plan: _RangePlan) -> tuple[tuple, list, list[str]]:
-    """verify's checks at an r >= 20: the document's key and values, in the
-    order _large_r_layout reads them, and the FAIL lines.
+def _large_r_checks(r: int, plan: _RangePlan) -> tuple[tuple, tuple, list, list[str]]:
+    """verify's checks at an r >= 20: the five pairs of small_degree_pairs(r),
+    the document's key and values, in the order _large_r_layout reads them,
+    and the FAIL lines.
 
-    One pass over small_degree_pairs(r) builds each of the five pairs, whose
-    class text, t and M the plan holds for the whole range: a pair with
-    M <= total_multiplicity_bound(r) is a critical pair (the rule of
-    enumerate_critical_pairs, held equal to it by the tests) and gets a pair
-    row, and every pair gets a small-degree row. Each row is written from
-    its own check_pair call, so a pair with both rows is checked twice. The
-    FAIL lines keep the order of the checks: pair rows, then small-degree
-    rows, then the large-r inequalities. The key is a flat tuple of what
-    the checks decided: per pair, its pair row's outcome (None without one)
-    and whether its delta is negative; then (i), (ii) and all_pass. The
-    values are r, mu0's text, and each row's delta and mu_minus text (which
-    a pair row has unless its outcome is PassNegativeDelta).
+    A pair with M <= total_multiplicity_bound(r) is a critical pair (the
+    rule of enumerate_critical_pairs, held equal to it by the tests) and
+    gets a pair row, and every pair gets a small-degree row. Each row is
+    written from its own check_pair call, so a pair with both rows is
+    checked twice. A FAIL line renders the class of the pair that failed.
+    The FAIL lines keep the order of the checks: pair rows, then
+    small-degree rows, then the large-r inequalities. The key is a flat
+    tuple of what the checks decided: per pair, its pair row's outcome
+    (None without one) and whether its delta is negative; then (i), (ii)
+    and all_pass. The values are r, mu0's text, and each row's delta and
+    mu_minus text (which a pair row has unless its outcome is
+    PassNegativeDelta).
 
     large_r_inequalities(r) gives degree_five_inequality, (i), which rules
     out every degree d >= 5, and small_degree_inequality, (ii), the
@@ -377,10 +369,11 @@ def _large_r_checks(r: int, plan: _RangePlan) -> tuple[tuple, list, list[str]]:
     mu0 = plan.mu0(r)
     mu0_text = mu0.render()
     bound = total_multiplicity_bound(r)
+    pairs = small_degree_pairs(r)
     key, values, lines, small_lines = [], [r, mu0_text], [], []
-    for pair, (text, t, total) in zip(small_degree_pairs(r), plan.small_degree_rows):
+    for pair in pairs:
         outcome = None
-        if total <= bound:
+        if pair.curve.total_multiplicity <= bound:
             verdict = check_pair(pair, mu0)
             outcome, mu_minus = verdict.outcome, verdict.mu_minus
             values.append(verdict.delta)
@@ -388,37 +381,38 @@ def _large_r_checks(r: int, plan: _RangePlan) -> tuple[tuple, list, list[str]]:
                 mu_minus = mu_minus.render()
                 values.append(mu_minus)
             if not verdict.passed:
-                lines.append(_below_mu0_line(r, text, t, mu_minus, mu0_text))
+                text = pair.curve.render()
+                lines.append(_below_mu0_line(r, text, pair.t, mu_minus, mu0_text))
         delta = check_pair(pair, mu0).delta
         values.append(delta)
         key += (outcome, delta < 0)
         if delta >= 0:
-            small_lines.append(
-                f"FAIL r={r}: small-degree pair {text} t={t} has delta = {delta} >= 0"
-            )
+            small_lines.append(f"FAIL r={r}: small-degree pair {pair.curve.render()} "
+                               f"t={pair.t} has delta = {delta} >= 0")
     lines += small_lines
     first, second = large_r_inequalities(r)
     if not (first and second):
         lines.append(f"FAIL r={r}: large-r inequalities do not hold")
     key += (first, second, not lines)
-    return tuple(key), values, lines
+    return pairs, tuple(key), values, lines
 
 
-def _large_r_layout(rows: list, key: tuple, values) -> dict:
-    """verify's document at an r >= 20: the plan's rows (class text, t, M),
-    the key and the values of _large_r_checks, read in its order. It
-    computes nothing and never looks into a value, so marker values give
-    the key's template (_json_template)."""
+def _large_r_layout(pairs: tuple, key: tuple, values) -> dict:
+    """verify's document at an r >= 20: each row's class text, t and M from
+    the pairs, and the key and values of _large_r_checks, read in its order.
+    It computes nothing else and never looks into a value, so marker values
+    give the key's template (_json_template)."""
     take = iter(values).__next__
     decided = iter(key).__next__
     r, mu0_text = take(), take()
-    pairs, small_records = [], []
-    for text, t, total in rows:
+    pair_records, small_records = [], []
+    for pair in pairs:
+        text, t, total = pair.curve.render(), pair.t, pair.curve.total_multiplicity
         outcome = decided()
         if outcome is not None:
             delta = take()
             mu_minus = None if outcome is PairOutcome.PASS_NEGATIVE_DELTA else take()
-            pairs.append(_pair_record(text, t, total, delta, mu_minus, outcome.value))
+            pair_records.append(_pair_record(text, t, total, delta, mu_minus, outcome.value))
         small_records.append({
             "class": text,
             "t": t,
@@ -432,7 +426,7 @@ def _large_r_layout(rows: list, key: tuple, values) -> dict:
         "r": r,
         "mu0": mu0_text,
         "all_pass": decided(),
-        "pairs": pairs,
+        "pairs": pair_records,
         "small_degree_pairs": small_records,
         "large_r": large_r,
     }
@@ -474,21 +468,25 @@ def _json_text(doc: object, depth: int) -> str:
     return text.replace("\n", "\n" + "  " * depth) if depth else text
 
 
-def _json_template(layout, values: list, depth: int) -> tuple[bytes, tuple, itemgetter]:
-    """The template of what layout writes for values of the same types as
-    these (each an int or a str): the _json_text of layout filled with
-    marker values, at this nesting depth, with each marker's text made a
-    slot, %s for a text and %d for an int (every other % doubled), as ASCII
-    bytes; the indices of the texts; and an itemgetter of the values in slot
-    order. The template % the values so ordered, each text given as the
-    bytes of its encode_basestring_ascii, is the _json_text of
-    layout(values) at that depth. bytes % finds each slot with memchr, where
-    str % reads every character: on a 2-vCPU host a 1.2 KB document fills in
-    0.3 against 0.7 microseconds, decoding included. layout must place each
-    value once, as it is, in a slot of its own."""
+def _json_template(
+    pairs: tuple, key: tuple, values: list, depth: int
+) -> tuple[bytes, tuple, itemgetter]:
+    """The template of the _large_r_layout of these pairs and this key, for
+    values of the same types as these (each an int or a str): its _json_text
+    at this nesting depth, filled with marker values, with each marker's
+    text made a slot, %s for a text and %d for an int (every other %
+    doubled), as ASCII bytes; the indices of the texts; and an itemgetter of
+    the values in slot order. The template % the values so ordered, each
+    text given as the bytes of its encode_basestring_ascii, is the
+    _json_text of _large_r_layout(pairs, key, values) at that depth. bytes %
+    finds each slot with memchr, where str % reads every character: on a
+    2-vCPU host a 1.2 KB document fills in 0.3 against 0.7 microseconds,
+    decoding included. The layout places each value once, as it is, in a
+    slot of its own."""
     count = len(values)
     texts = tuple(i for i, value in enumerate(values) if type(value) is str)
-    text = _json_text(layout([f"\x00{i}\x00" for i in range(count)]), depth)
+    markers = [f"\x00{i}\x00" for i in range(count)]
+    text = _json_text(_large_r_layout(pairs, key, markers), depth)
     order = []
 
     def slot(match: re.Match) -> str:
@@ -711,12 +709,13 @@ def _json_depth(args: argparse.Namespace) -> int:
     return 0 if args.r_min == args.r_max else 2
 
 
-def _write_documents(args: argparse.Namespace, outcome: Outcome) -> tuple[list[str], bool]:
+def _write_documents(args: argparse.Namespace, outcome: Outcome, lines: list[str]) -> bool:
     """Write each document of outcome to stdout in the chosen format as it
-    arrives, nothing before the first; return the stderr lines and whether
-    the command failed (a verify text fails exactly when it has lines). A
-    range's JSON documents go in its wrapper's results list, its markdown
-    documents a blank line apart, and its CSV rows under one header."""
+    arrives, nothing before the first, and append its stderr lines to
+    lines once it is written; return whether the command failed (a verify
+    text fails exactly when it has lines). A range's JSON documents go in
+    its wrapper's results list, its markdown documents a blank line apart,
+    and its CSV rows under one header."""
     command, approx = args.command, args.approx
     fmt, depth = _output_format(args), _json_depth(args)
     start, between, end = "", "\n\n", "\n"
@@ -727,9 +726,8 @@ def _write_documents(args: argparse.Namespace, outcome: Outcome) -> tuple[list[s
         start = '{\n  "command": ' + encode_basestring_ascii(command) + ',\n  "results": [\n    '
         between, end = ",\n    ", "\n  ]\n}\n"
     write = sys.stdout.write
-    lines, failed, separator = [], False, start
+    failed, separator = False, start
     for doc, doc_lines in outcome:
-        lines += doc_lines
         if type(doc) is dict:
             failed = failed or any(doc.get(field) is False for field in _VERDICT_FIELDS)
             if approx:
@@ -742,10 +740,11 @@ def _write_documents(args: argparse.Namespace, outcome: Outcome) -> tuple[list[s
             else:
                 doc = _render_markdown(doc, command, approx)
         write(separator + doc)  # one write per document: stdout may be unbuffered
+        lines += doc_lines
         separator = between
     write(end)
     sys.stdout.flush()  # a reader that has gone shows here, not at exit
-    return lines, failed or bool(lines)
+    return failed or bool(lines)
 
 
 # --------------------------------------------------------------------------
@@ -821,7 +820,7 @@ def cmd_range(args: argparse.Namespace) -> Outcome:
     json_depth = None
     if _output_format(args) == "json" and not args.approx:
         json_depth = _json_depth(args)
-    plan = _RangePlan(args.command, args.r_min, args.r_max, mu0, json_depth)
+    plan = _RangePlan(args.r_min, args.r_max, mu0, json_depth)
     return map(build, range(args.r_min, args.r_max + 1), repeat(plan))
 
 
@@ -1016,36 +1015,42 @@ def _parse_command_line(argv: list[str]) -> argparse.Namespace:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command line and return its exit code. Every return writes
+    the stderr lines of the documents written, then main's own one-line
+    message, if any: stderr comes after stdout and is never interleaved
+    with it."""
+    lines: list[str] = []
+    message = None
     try:
-        args = _parse_command_line(sys.argv[1:] if argv is None else argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        args = resolve_config(args)
-        if args.output_format == "csv" and args.command not in _RANGE_COMMANDS:
-            # refused before the handler runs, so region writes no certificate
-            raise UsageError(f"csv output is not available for {args.command}")
-        lines, failed = _write_documents(args, args.handler(args))
+        try:
+            args = _parse_command_line(sys.argv[1:] if argv is None else argv)
+        except SystemExit as exc:  # help, version or a usage error, printed
+            sys.stdout.flush()  # a reader that has gone shows here, not at exit
+            code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        else:
+            args = resolve_config(args)
+            if args.output_format == "csv" and args.command not in _RANGE_COMMANDS:
+                # refused before the handler runs, so region writes no certificate
+                raise UsageError(f"csv output is not available for {args.command}")
+            code = EXIT_FAIL if _write_documents(args, args.handler(args), lines) else EXIT_PASS
     except (UsageError, UnsupportedR, InvalidT, InvalidT0, NotAboveSqrtR) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code, message = EXIT_USAGE, f"error: {exc}"
     except BrokenPipeError as exc:
         if sys.stdout is sys.__stdout__:  # drain its buffer into the null device,
             # not into a flush at exit that fails again
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
-        return EXIT_USAGE
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+        code, message = EXIT_USAGE, f"error: cannot write stdout: {exc.strerror or exc}"
     except DepthLimitExceeded as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
+        code, message = EXIT_INCONCLUSIVE, f"inconclusive: {exc}"
     except Exception as exc:
         # a defect, not a verdict: exit 1 is reserved for failed verification
-        message = " ".join(str(exc).splitlines())
-        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
-        return EXIT_INTERNAL
-    for line in lines:
+        text = " ".join(str(exc).splitlines())
+        code, message = EXIT_INTERNAL, f"internal error: {type(exc).__name__}: {text}"
+    for line in lines if message is None else [*lines, message]:
         print(line, file=sys.stderr)
-    return EXIT_FAIL if failed else EXIT_PASS
+    return code
 
 
 if __name__ == "__main__":

@@ -245,9 +245,9 @@ def test_r_cap(command, capsys):
     assert json.loads(capsys.readouterr().out)["r"] == MAX_R
 
 
-def _plan(command, r, mu0=None):
-    """The plan cmd_range builds for one r."""
-    return cli._RangePlan(command, r, r, mu0)
+def _plan(r, mu0=None):
+    """The plan cmd_range builds for one r, without a format."""
+    return cli._RangePlan(r, r, mu0)
 
 
 def _record_splits(monkeypatch):
@@ -296,10 +296,10 @@ def test_verify_doc_needs_no_enclosures(capsys, monkeypatch):
     monkeypatch.setattr(surface, "squarefree_decomposition", exact.squarefree_decomposition)
     monkeypatch.setattr(search, "compare", counting_compare)
     for r in range(10, 20):
-        cli._verify_doc(r, _plan("verify", r))
+        cli._verify_doc(r, _plan(r))
     assert calls["cross_field"] > 0
     calls["squarefree"] = 0
-    cli._verify_doc(1500, _plan("verify", 1500))
+    cli._verify_doc(1500, _plan(1500))
     assert calls["enclosure"] == 0
     assert calls["sqrt_enclosure"] == 0
     assert calls["squarefree"] <= 1
@@ -363,7 +363,7 @@ def test_verify_doc_builds_at_most_one_fraction(monkeypatch):
         return original(cls, *args, **kwargs)
 
     monkeypatch.setattr(fractions.Fraction, "__new__", staticmethod(counting))
-    doc, _ = cli._verify_doc(1500, _plan("verify", 1500))
+    doc, _ = cli._verify_doc(1500, _plan(1500))
     assert doc["mu0"] == "sqrt(1501)"
     assert calls <= 1
 
@@ -688,20 +688,20 @@ def test_builder_lines_match_the_document_oracle(monkeypatch):
     ]
     failing = 0
     for r, mu0 in runs:
-        doc, lines = build_verify(r, _plan("verify", r, mu0))
+        doc, lines = build_verify(r, _plan(r, mu0))
         assert lines == _oracle_verify_failures(doc), (r, mu0)
         assert doc["all_pass"] == (not lines), (r, mu0)
         failing += bool(lines)
     assert failing > 0
     for r in range(1, 41):
-        doc, lines = build_coverage(r, _plan("coverage", r))
+        doc, lines = build_coverage(r, _plan(r))
         assert lines == _oracle_coverage_failures(doc) == [], r
     catalog = thresholds.catalog
     monkeypatch.setattr(
         thresholds, "catalog",
         lambda r: [cc for cc in catalog(r) if cc.curve.is_exceptional],
     )
-    doc, lines = build_coverage(10, _plan("coverage", 10))
+    doc, lines = build_coverage(10, _plan(10))
     assert lines == _oracle_coverage_failures(doc) == [
         "FAIL r=10: coverage gap (77/24, sqrt(11))"
     ]
@@ -709,7 +709,7 @@ def test_builder_lines_match_the_document_oracle(monkeypatch):
     monkeypatch.setattr(cli, "check_pair", _nonnegative_delta)
     monkeypatch.setattr(cli, "large_r_inequalities", lambda r: (False, True))
     for r in range(20, 41):
-        doc, lines = build_verify(r, _plan("verify", r))
+        doc, lines = build_verify(r, _plan(r))
         assert len(lines) == 6 and lines == _oracle_verify_failures(doc), r
         assert doc["all_pass"] is False
 
@@ -778,7 +778,7 @@ def test_verify_doc_matches_the_composed_oracle(mu0_text):
     mu0 = cli._validated_mu0(mu0_text)
     failing = 0
     for r in [*range(10, 3001), 10**6, 10**12, 10**18 - 1, 10**18]:
-        doc, lines = cli._verify_doc(r, _plan("verify", r, mu0))
+        doc, lines = cli._verify_doc(r, _plan(r, mu0))
         want_doc, want_lines = _composed_verify_doc(r, mu0)
         assert cli._dumps(doc) == cli._dumps(want_doc), (r, mu0_text)
         assert lines == want_lines, (r, mu0_text)
@@ -791,8 +791,8 @@ def test_verify_small_degree_failures_at_r_20(capsys, monkeypatch):
     rows: (2;1^9) at t = 1 has delta = 81 - 20*3 = 21 and
     mu_minus = (18 - sqrt(21))/3 below mu0 = sqrt(21), and M = 9 is within
     the bound, so its pair row FAILs before its small-degree row. Over
-    verify --r 20..25 the class texts, which a range renders once, follow
-    the patched table too."""
+    verify --r 20..25 the class texts, which a range's JSON templates
+    render, follow the patched table too."""
     monkeypatch.setattr(search, "_SMALL_DEGREE", ((2, 9, 1),))
     # both readers of the table follow it at call time
     for pairs in (search.small_degree_pairs(20), search.enumerate_critical_pairs(20)):
@@ -807,12 +807,12 @@ def test_verify_small_degree_failures_at_r_20(capsys, monkeypatch):
         "FAIL r=20: small-degree pair (2;1^9) t=1 has delta = 21 >= 0\n"
     )
     for r in range(20, 41):
-        doc, lines = cli._verify_doc(r, _plan("verify", r))
+        doc, lines = cli._verify_doc(r, _plan(r))
         want_doc, want_lines = _composed_verify_doc(r, None)
         assert cli._dumps(doc) == cli._dumps(want_doc), r
         assert lines == want_lines, r
-    # a range renders the class texts once, from the table as it is when the
-    # command runs
+    # a range's templates render the class texts from the table as it is
+    # when the command runs
     assert main(["verify", "--r", "20..25"]) == EXIT_FAIL
     out, err = capsys.readouterr()
     composed = [_composed_verify_doc(r, None) for r in range(20, 26)]
@@ -831,7 +831,7 @@ def _dict_route_output(r_spec, mu0_text):
     written from the dict documents of a plan built without a format, by
     json.dumps."""
     lo, hi = parse_r_range(r_spec)
-    plan = cli._RangePlan("verify", lo, hi, cli._validated_mu0(mu0_text))
+    plan = cli._RangePlan(lo, hi, cli._validated_mu0(mu0_text))
     built = [cli._verify_doc(r, plan) for r in range(lo, hi + 1)]
     docs = [doc for doc, _ in built]
     lines = [line for _, doc_lines in built for line in doc_lines]
@@ -1015,6 +1015,25 @@ def test_a_late_error_leaves_the_documents_written_before_it(monkeypatch):
     assert (err, code) == ("internal error: RuntimeError: no document at r=12\n", EXIT_INTERNAL)
     closing = "\n  ]\n}\n"
     assert whole.endswith(closing) and out == whole[: -len(closing)]
+
+
+def test_a_late_error_keeps_the_fail_lines_written_before_it(monkeypatch):
+    """A range whose large-r inequalities fail at r = 20..24 and raise at
+    r = 25 is exit 4, and stderr holds the FAIL lines of the five documents
+    written, then the internal-error line."""
+
+    def inequalities(r):
+        if r == 25:
+            raise RuntimeError(f"no inequalities at r={r}")
+        return True, False
+
+    monkeypatch.setattr(cli, "large_r_inequalities", inequalities)
+    out, err, code = _call(("verify", "--r", "20..30"))
+    assert code == EXIT_INTERNAL
+    assert err == "".join(
+        f"FAIL r={r}: large-r inequalities do not hold\n" for r in range(20, 25)
+    ) + "internal error: RuntimeError: no inequalities at r=25\n"
+    assert [doc["r"] for doc in json.loads(out + "\n  ]\n}\n")["results"]] == [*range(20, 25)]
 
 
 class _GoneStdout(io.StringIO):
@@ -1308,24 +1327,30 @@ def test_closed_stdout_is_a_usage_error():
     """A command whose stdout has no reader (the read end of its pipe
     closed) is exit 2 with one error line, as a certificate that cannot be
     written is, whether stdout is buffered or not, and leaves no message at
-    interpreter exit."""
+    interpreter exit. So is help or version text on a buffered stdout
+    (unbuffered, argparse drops the failed write and exits 0)."""
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parent.parent)
-    for argv in (("classify", "--r", "10", "--mu", "7/2"), ("verify", "--r", "20..3000")):
-        for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
-            read_end, write_end = os.pipe()
-            os.close(read_end)
-            try:
-                done = subprocess.run(
-                    [sys.executable, "-m", "seshadri", *argv], stdout=write_end,
-                    stderr=subprocess.PIPE, text=True, env={**env, **unbuffered},
-                    timeout=60, check=False,
-                )
-            finally:
-                os.close(write_end)
-            assert (done.returncode, done.stderr) == (
-                EXIT_USAGE, "error: cannot write stdout: Broken pipe\n"
-            ), (argv, unbuffered)
+    runs = [
+        (argv, unbuffered)
+        for argv in (("classify", "--r", "10", "--mu", "7/2"), ("verify", "--r", "20..3000"))
+        for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"})
+    ]
+    runs += [(argv, {}) for argv in (("--version",), ("-h",), ("verify", "-h"))]
+    for argv, unbuffered in runs:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "seshadri", *argv], stdout=write_end,
+                stderr=subprocess.PIPE, text=True, env={**env, **unbuffered},
+                timeout=60, check=False,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (
+            EXIT_USAGE, "error: cannot write stdout: Broken pipe\n"
+        ), (argv, unbuffered)
 
 
 ABBREVIATED_RUNS = (

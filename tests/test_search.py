@@ -1,5 +1,6 @@
 """Critical-pair enumeration and the finite verification sweep."""
 
+import json
 import random
 from fractions import Fraction
 from math import comb
@@ -441,9 +442,10 @@ def test_search_builds_one_class_per_kept_pair(monkeypatch):
     """The d-scan stays O(1) per candidate: a class (two runs) is built for
     each pair it keeps and for nothing else.  r = 10..13 reach the
     t-criticality test with t < d - 1; r = 1000 is the large-r path.  verify
-    at each r >= 20 builds the five small-degree classes once, and renders
-    none of them: a range's plan renders the five once, for every r and
-    every row, its pair rows included."""
+    at each r >= 20 builds the five small-degree classes once.  Written as
+    JSON over 20..69, it renders the five once per template key, at the
+    first r of each (20, 30 and 34, where the row set shrinks), and none at
+    any other r: every row reads its class text from the template."""
     built, rendered = [], []
     original = CurveClass.__post_init__
     original_render = CurveClass.render
@@ -462,21 +464,21 @@ def test_search_builds_one_class_per_kept_pair(monkeypatch):
         built.clear()
         pairs = enumerate_critical_pairs(r)
         assert [c.d for c in built] == [p.d for p in pairs]
-    built.clear()
-    rendered.clear()
-    plan = cli._RangePlan("verify", 20, 69, None)
-    assert len(built) == 5
-    assert [id(c) for c in rendered] == [id(c) for c in built]
+    plan = cli._RangePlan(20, 69, None, json_depth=2)
     for r in range(20, 70):
         built.clear()
         rendered.clear()
-        doc, _ = cli._verify_doc(r, plan)
+        text, _ = cli._verify_doc(r, plan)
+        doc = json.loads(text)
         assert doc["all_pass"]
         assert len(built) == 5, r
-        assert rendered == [], r
-        rows = [(row["class"], row["t"], row["M"]) for row in doc["small_degree_pairs"]]
-        assert rows == plan.small_degree_rows
-        assert [text for text, _, _ in rows] == [original_render(c) for c in built]
+        if r in (20, 30, 34):
+            assert [id(c) for c in rendered] == [id(c) for c in built], r
+        else:
+            assert rendered == [], r
+        rows = [(row["class"], row["M"]) for row in doc["small_degree_pairs"]]
+        assert rows == [(original_render(c), c.total_multiplicity) for c in built]
+    assert len(plan.templates) == 3
 
 
 def test_maximal_total_evaluations_per_r(monkeypatch):

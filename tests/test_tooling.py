@@ -200,10 +200,9 @@ def _count_calls(monkeypatch, functions):
 
 def test_verify_makes_every_large_r_check_at_every_r(capsys, monkeypatch):
     """verify over r = 20..1019 calls total_multiplicity_bound,
-    large_r_inequalities and small_degree_pairs once per r, plus the
-    plan's one small_degree_pairs call for the class texts, and threshold
-    once per r without a --mu0 and never with one: no check is made once
-    for a range, or its result carried from one r to the next."""
+    large_r_inequalities and small_degree_pairs exactly once per r, and
+    threshold once per r without a --mu0 and never with one: no check is
+    made once for a range, or its result carried from one r to the next."""
     calls = _count_calls(monkeypatch, (
         seshadri.search.total_multiplicity_bound,
         seshadri.search.small_degree_pairs,
@@ -218,7 +217,7 @@ def test_verify_makes_every_large_r_check_at_every_r(capsys, monkeypatch):
         assert len(json.loads(capsys.readouterr().out)["results"]) == count
         assert calls == collections.Counter({
             "total_multiplicity_bound": count,
-            "small_degree_pairs": count + 1,
+            "small_degree_pairs": count,
             "large_r_inequalities": count,
             "threshold": thresholds,
         }), mu0_args
