@@ -29,11 +29,12 @@ returns its documents, each with its stderr lines (FAIL and AUDIT lines);
 table, enumerate, verify and coverage share one handler, driven by
 _RANGE_COMMANDS, whose per-r builders each take the call's one _RangePlan
 and return the document and its FAIL lines, written where the failing check
-is made. The plan holds the --mu0, sqrt(r + 1) for every r from one sieve
-over the block, and verify's JSON templates. Every mu0 printed without a
---mu0 comes from thresholds.threshold, checked above sqrt(r).
-_write_documents writes each document as soon as it is built, so a range
-holds one at a time, and hands main the lines of each document written;
+is made. The plan holds the --mu0 and sqrt(r + 1) for every r, from one
+sieve over the block. Every mu0 printed without a --mu0 comes from
+thresholds.threshold, checked above sqrt(r). No handler reads the output
+format: _write_documents alone reads --format and --approx. It writes each
+document as soon as it is built, so a range holds one at a time, and hands
+main the lines of each document written;
 main picks the exit code: 1 when there is a line or a document whose
 verdict (all_pass, covered or ok) is false, else 0. Handlers raise usage
 errors and inconclusive bisections, which main turns into exit codes 2 and
@@ -44,12 +45,14 @@ message. A format the command does not offer (csv outside the range
 commands) is refused before the handler runs.
 
 Settings are flags (--format, --cache-dir, --depth, --jobs, --approx), with
-their defaults in the option table. The one exception is the width 2^-e of the
-sqrt enclosures region starts from, read from SESHADRI_SQRT_WIDTH_EXPONENT
-(e in 1..256). No config file and no other variable is read. Every r is
-computed in this process, in ascending order: --jobs is accepted and has no
-effect, and --cache-dir only names the directory region writes its
-certificate to; the other commands accept it and ignore it.
+their defaults in the option table. The one exception is the width 2^-e of
+the sqrt enclosures region starts from, which region alone reads from
+SESHADRI_SQRT_WIDTH_EXPONENT (e in 1..256): every other command prints the
+same bytes whatever the variable holds. No config file and no other
+variable is read. Every r is computed in this process, in ascending order:
+--jobs is accepted and has no effect, and --cache-dir only names the
+directory region writes its certificate to; the other commands accept it
+and ignore it.
 
 Reports always carry exact values as canonical strings ("77/24",
 "4 - 1/3*sqrt(3)"); --approx appends 6-digit decimal columns next to them.
@@ -59,7 +62,7 @@ output matches `json.dumps(doc, sort_keys=True, indent=2)` byte for byte:
 one walk over the document, each dict sorting its own keys. verify's
 documents from r = 20 on are fixed by what their checks decided, apart from
 a few ints and texts: written as JSON, each is a template that `_dumps`
-wrote once per range and decision, filled with that r's ints and texts.
+wrote once per command and decision, filled with that r's ints and texts.
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ import json
 import os
 import re
 import sys
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
@@ -177,37 +180,19 @@ def parse_r_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-# The one setting that has no flag: the width of the sqrt enclosures the
-# bisection starts from, as an exponent e for a width of 2^-e.
-WIDTH_VARIABLE = "SESHADRI_SQRT_WIDTH_EXPONENT"
-
-
-def resolve_config(
-    args: argparse.Namespace, env: Mapping[str, str] | None = None
-) -> argparse.Namespace:
+def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
     """Check a parsed command line and complete it in place: the flags,
-    range-checked; sqrt_width_exponent, from WIDTH_VARIABLE in env (default
-    os.environ); r_min and r_max, from --r (0 without one); and cache_dir,
-    None when empty. Returns args."""
-    env = os.environ if env is None else env
+    range-checked; r_min and r_max, from --r (0 without one); and
+    cache_dir, None when empty. It reads no environment. Returns args."""
     if not 1 <= args.bisection_depth <= MAX_DEPTH_LIMIT:
         raise UsageError(
             f"--depth must be in 1..{MAX_DEPTH_LIMIT}, got {args.bisection_depth}"
         )
     if args.parallelism < 1:
         raise UsageError(f"--jobs must be >= 1, got {args.parallelism}")
-    width = env.get(WIDTH_VARIABLE, str(DEFAULT_SQRT_WIDTH_EXPONENT))
-    try:
-        sqrt_width_exponent = int(width)
-    except ValueError:
-        sqrt_width_exponent = 0  # refused below
-    if not 1 <= sqrt_width_exponent <= 256:
-        raise UsageError(f"{WIDTH_VARIABLE} must be an integer in 1..256, got {width!r}")
-
     args.r_min = args.r_max = 0
     if getattr(args, "r", None) is not None:
         args.r_min, args.r_max = parse_r_range(args.r)
-    args.sqrt_width_exponent = sqrt_width_exponent
     args.cache_dir = args.cache_dir or None
     return args
 
@@ -221,31 +206,15 @@ class _RangePlan:
     every r: given, the --mu0 parsed once, or None; and roots, sqrt(r + 1)
     for each r, from exact.sqrt_block (one sieve over the block of r + 1
     when it holds several), or None under a --mu0, since sqrt(r + 1) then
-    feeds nothing.
+    feeds nothing. cmd_range builds the plan and hands it to each per-r
+    builder; it knows nothing of how the documents are written."""
 
-    json_depth is the nesting depth at which each document is written as
-    JSON (_json_depth), or None when the documents are written in another
-    way (markdown, csv, --approx) or the caller names no format. With a
-    depth, verify's r >= 20 documents come from templates, one per key of
-    _large_r_checks, the constants the checks decided: _json_template writes
-    the first r's document of a key, and every r then fills in its ints and
-    texts. A range has at most six row sets of pair rows, times the sign
-    changes of five deltas linear in r. Without a depth, each document is
-    the dict of _large_r_layout. cmd_range builds the plan and hands it to
-    each per-r builder; it lives as long as the call's documents are being
-    written."""
+    __slots__ = ("given", "lo", "roots")
 
-    __slots__ = ("given", "lo", "roots", "json_depth", "templates")
-
-    def __init__(
-        self, lo: int, hi: int, mu0: QuadraticNumber | None, json_depth: int | None = None
-    ) -> None:
+    def __init__(self, lo: int, hi: int, mu0: QuadraticNumber | None) -> None:
         self.given = mu0
         self.lo = lo
         self.roots = sqrt_block(lo + 1, hi + 1) if mu0 is None else None
-        self.json_depth = json_depth
-        # key of _large_r_checks -> _json_template's template
-        self.templates = {}
 
     def mu0(self, r: int) -> QuadraticNumber:
         """The --mu0 given, else threshold(r, sqrt(r + 1)).mu0, which
@@ -253,23 +222,6 @@ class _RangePlan:
         if self.given is not None:
             return self.given
         return threshold(r, self.roots[r - self.lo]).mu0
-
-    def large_r_doc(self, pairs: tuple, key: tuple, values: list) -> dict | str:
-        """verify's document at an r >= 20 from the pairs, key and values of
-        _large_r_checks: the dict of _large_r_layout, or, with a json_depth,
-        its text, the key's template filled by one %: the texts as the bytes
-        of their encode_basestring_ascii (in place in values), ints as is.
-        A template is written from the pairs of the first r of its key."""
-        if self.json_depth is None:
-            return _large_r_layout(pairs, key, values)
-        template = self.templates.get(key)
-        if template is None:
-            template = _json_template(pairs, key, values, self.json_depth)
-            self.templates[key] = template
-        text, texts, order = template
-        for i in texts:
-            values[i] = encode_basestring_ascii(values[i]).encode()
-        return (text % order(values)).decode()
 
 
 def _pair_record(text: str, t: int, total: int, delta: int, mu_minus, outcome: str) -> dict:
@@ -313,19 +265,19 @@ def _pairs_doc(command: str, r: int, plan: _RangePlan) -> tuple[dict, list[str]]
     return {"command": command, "r": r, "mu0": mu0_text, "rows": rows}, []
 
 
-def _verify_doc(r: int, plan: _RangePlan) -> tuple[dict | str, list[str]]:
+def _verify_doc(r: int, plan: _RangePlan) -> tuple[dict | tuple, list[str]]:
     """verify at r, with a FAIL line for each check that fails where it is
     made: a pair below mu0, a small-degree pair with delta >= 0, large-r
     inequalities that do not hold. all_pass is the absence of FAIL lines.
     mu0 is plan.mu0(r): the --mu0 given, else threshold(r) from the plan's
     sqrt(r + 1).
 
-    For r = 10..19 the pair rows and their FAIL lines are _pair_rows', the
-    writer _pairs_doc uses too, from verify_no_counterexample. From r = 20
-    on, _large_r_checks makes the checks and plan.large_r_doc writes the
-    pairs checked, what the checks decided (the key) and the ints and texts
-    they gave (the values): as the dict of _large_r_layout, or, when the
-    plan writes JSON, as the key's template filled with the values.
+    For r = 10..19 the document is a dict, with the pair rows and FAIL
+    lines of _pair_rows, the writer _pairs_doc uses too, from
+    verify_no_counterexample. From r = 20 on it is the checks of
+    _large_r_checks, (pairs, key, values): the pairs checked, what the
+    checks decided and the ints and texts they gave. _write_documents lays
+    them out (_large_r_layout), or fills the key's JSON template with them.
     """
     if r < 20:
         mu0_text, pairs, lines = _pair_rows(r, plan.mu0(r))
@@ -338,14 +290,13 @@ def _verify_doc(r: int, plan: _RangePlan) -> tuple[dict | str, list[str]]:
             "small_degree_pairs": None,
             "large_r": None,
         }, lines
-    pairs, key, values, lines = _large_r_checks(r, plan)
-    return plan.large_r_doc(pairs, key, values), lines
+    return _large_r_checks(r, plan)
 
 
-def _large_r_checks(r: int, plan: _RangePlan) -> tuple[tuple, tuple, list, list[str]]:
-    """verify's checks at an r >= 20: the five pairs of small_degree_pairs(r),
-    the document's key and values, in the order _large_r_layout reads them,
-    and the FAIL lines.
+def _large_r_checks(r: int, plan: _RangePlan) -> tuple[tuple[tuple, tuple, list], list[str]]:
+    """verify's checks at an r >= 20, (pairs, key, values): the five pairs of
+    small_degree_pairs(r), the document's key and values, in the order
+    _large_r_layout reads them; and the FAIL lines.
 
     A pair with M <= total_multiplicity_bound(r) is a critical pair (the
     rule of enumerate_critical_pairs, held equal to it by the tests) and
@@ -394,7 +345,7 @@ def _large_r_checks(r: int, plan: _RangePlan) -> tuple[tuple, tuple, list, list[
     if not (first and second):
         lines.append(f"FAIL r={r}: large-r inequalities do not hold")
     key += (first, second, not lines)
-    return pairs, tuple(key), values, lines
+    return (pairs, tuple(key), values), lines
 
 
 def _large_r_layout(pairs: tuple, key: tuple, values) -> dict:
@@ -449,8 +400,9 @@ _RANGE_COMMANDS = {
 }
 # A document whose field of one of these names is false fails its command.
 _VERDICT_FIELDS = ("all_pass", "covered", "ok")
-# What every handler returns: each document (a dict, or a JSON text) and its stderr lines.
-Outcome = Iterable[tuple[dict | str, list[str]]]
+# What every handler returns: each document (a dict, or verify's checks at an
+# r >= 20) and its stderr lines.
+Outcome = Iterable[tuple[dict | tuple, list[str]]]
 
 
 # --------------------------------------------------------------------------
@@ -697,27 +649,26 @@ def _render_markdown(doc: dict, command: str, approx: bool) -> str:
     return "\n".join(lines)
 
 
-def _output_format(args: argparse.Namespace) -> str:
-    """The format of stdout: --format, else markdown for table and
-    json elsewhere."""
-    return args.output_format or ("markdown" if args.command == "table" else "json")
-
-
-def _json_depth(args: argparse.Namespace) -> int:
-    """Each JSON document's nesting depth: 0 alone, for a single r (or none),
-    and 2 in the results list of a range's wrapper."""
-    return 0 if args.r_min == args.r_max else 2
-
-
 def _write_documents(args: argparse.Namespace, outcome: Outcome, lines: list[str]) -> bool:
-    """Write each document of outcome to stdout in the chosen format as it
-    arrives, nothing before the first, and append its stderr lines to
-    lines once it is written; return whether the command failed (a verify
-    text fails exactly when it has lines). A range's JSON documents go in
-    its wrapper's results list, its markdown documents a blank line apart,
-    and its CSV rows under one header."""
+    """Write each document of outcome to stdout as it arrives, nothing
+    before the first, and append its stderr lines to lines once it is
+    written; return whether the command failed. The one reader of --format
+    (default markdown for table, json elsewhere) and --approx. A JSON
+    document stands alone for a single r (or none) and sits at depth 2 in
+    a range's wrapper's results list; a range's markdown documents go a
+    blank line apart, and its CSV rows under one header.
+
+    verify's checks at an r >= 20, (pairs, key, values), fail exactly when
+    they have lines. As JSON without --approx they fill their key's
+    template, which _json_template writes from the first r of the key and
+    keeps for the call: the values go in by one bytes %, each text as the
+    bytes of its encode_basestring_ascii (in place in values). A range has
+    at most six row sets of pair rows, times the sign changes of five
+    deltas linear in r. Otherwise _large_r_layout lays them out as a dict."""
     command, approx = args.command, args.approx
-    fmt, depth = _output_format(args), _json_depth(args)
+    fmt = args.output_format or ("markdown" if command == "table" else "json")
+    depth = 0 if args.r_min == args.r_max else 2
+    templates = {} if fmt == "json" and not approx else None  # key -> template
     start, between, end = "", "\n\n", "\n"
     if fmt == "csv":
         columns = _table_columns(command, approx, True)
@@ -728,6 +679,18 @@ def _write_documents(args: argparse.Namespace, outcome: Outcome, lines: list[str
     write = sys.stdout.write
     failed, separator = False, start
     for doc, doc_lines in outcome:
+        if type(doc) is tuple:  # verify's checks at an r >= 20
+            pairs, key, values = doc
+            if templates is None:
+                doc = _large_r_layout(pairs, key, values)
+            else:
+                template = templates.get(key)
+                if template is None:
+                    template = templates[key] = _json_template(pairs, key, values, depth)
+                text, texts, order = template
+                for i in texts:
+                    values[i] = encode_basestring_ascii(values[i]).encode()
+                doc = (text % order(values)).decode()
         if type(doc) is dict:
             failed = failed or any(doc.get(field) is False for field in _VERDICT_FIELDS)
             if approx:
@@ -812,28 +775,43 @@ def cmd_range(args: argparse.Namespace) -> Outcome:
     """table, enumerate, verify and coverage: build(r, plan) for each r in
     ascending order, each called as the writer asks for the next document,
     with plan the range's _RangePlan, built once with the --mu0 (if the
-    command takes one) parsed and, for JSON output without --approx, the
-    depth the documents are written at."""
+    command takes one) parsed. The documents are the same whatever the
+    output format: _write_documents alone formats them."""
     build, smallest_r = _RANGE_COMMANDS[args.command]
     _require_r(args, smallest_r)
-    mu0 = _validated_mu0(getattr(args, "mu0", None))
-    json_depth = None
-    if _output_format(args) == "json" and not args.approx:
-        json_depth = _json_depth(args)
-    plan = _RangePlan(args.r_min, args.r_max, mu0, json_depth)
+    plan = _RangePlan(args.r_min, args.r_max, _validated_mu0(getattr(args, "mu0", None)))
     return map(build, range(args.r_min, args.r_max + 1), repeat(plan))
+
+
+# The one setting that has no flag, read by region alone: the width of the
+# sqrt enclosures the bisection starts from, as an exponent e for a width of
+# 2^-e.
+WIDTH_VARIABLE = "SESHADRI_SQRT_WIDTH_EXPONENT"
+
+
+def _sqrt_width() -> Fraction:
+    """2^-e, e from WIDTH_VARIABLE (default DEFAULT_SQRT_WIDTH_EXPONENT). An
+    e that is not an integer in 1..256 is a UsageError."""
+    text = os.environ.get(WIDTH_VARIABLE, str(DEFAULT_SQRT_WIDTH_EXPONENT))
+    try:
+        exponent = int(text)
+    except ValueError:
+        exponent = 0  # refused below
+    if not 1 <= exponent <= 256:
+        raise UsageError(f"{WIDTH_VARIABLE} must be an integer in 1..256, got {text!r}")
+    return Fraction(1, 2**exponent)
 
 
 def cmd_region(args: argparse.Namespace) -> Outcome:
     from pathlib import Path  # only region and audit-certificate name a file
 
+    width = _sqrt_width()
     r = _require_single_r(args)
     _require_r(args, 10)
     if args.t0 is None:
         raise UsageError("region needs --t0")
     if args.t0 > MAX_T0:
         raise UsageError(f"region --t0 must be at most {MAX_T0}")
-    width = Fraction(1, 2**args.sqrt_width_exponent)
     doc = verify_t_bound(
         r, args.t0, depth_limit=args.bisection_depth, sqrt_width=width
     ).to_json_dict()

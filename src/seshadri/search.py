@@ -311,12 +311,6 @@ def _is_t_critical(d: int, t: int, lhs: int) -> bool:
     return lhs <= max(comb(t + 2, 2) - 2, 0)
 
 
-# (d, M, t) of the five balanced pairs with d <= 4 that are critical for
-# every r >= 14, in (t, d) order: the maximal M of (**) when M <= r, namely
-# C(d+2,2) - 1 at t = 1 and C(d+2,2) - 2 at t = 2.
-_SMALL_DEGREE = ((2, 5, 1), (3, 9, 1), (4, 14, 1), (3, 8, 2), (4, 13, 2))
-
-
 def enumerate_critical_pairs(r: int) -> tuple[BalancedPair, ...]:
     """All critical pairs with M <= total_multiplicity_bound(r), sorted (t, d).
 
@@ -364,6 +358,14 @@ def _scan_critical_pairs(r: int) -> tuple[BalancedPair, ...]:
             previous = m_total
             d += 1
     return tuple(pairs)
+
+
+# (d, M, t) of the five balanced pairs with d <= 4 that are critical for
+# every r >= 14, in (t, d) order: the d-scan's critical pairs at r = 20, the
+# first r past the scan. Their M is the maximal M of (**) when M <= r, namely
+# C(d+2,2) - 1 at t = 1 and C(d+2,2) - 2 at t = 2, whatever r is; the tests
+# pin the table.
+_SMALL_DEGREE = tuple((p.d, p.total_multiplicity, p.t) for p in _scan_critical_pairs(20))
 
 
 def check_pair(pair: BalancedPair, mu0: QuadraticLike) -> Verdict:

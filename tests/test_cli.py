@@ -38,7 +38,7 @@ from seshadri.cli import (
 @pytest.fixture(autouse=True)
 def isolated(tmp_path, monkeypatch):
     """Run every test in a scratch directory, where region writes its
-    certificates, without the one variable the CLI reads."""
+    certificates, without the one variable region reads."""
     monkeypatch.delenv(cli.WIDTH_VARIABLE, raising=False)
     monkeypatch.chdir(tmp_path)
     return tmp_path
@@ -75,28 +75,52 @@ def _namespace(*argv):
     return build_parser().parse_args(list(argv))
 
 
-def test_resolve_config_precedence():
-    """A flag overrides its default, which the parser holds."""
-    cfg = resolve_config(_namespace("verify", "--r", "10"), env={})
+def test_resolve_config_precedence(monkeypatch):
+    """A flag overrides its default, which the parser holds. The width
+    variable is not read: resolve_config completes a command line that
+    names no width, whatever the variable holds."""
+    monkeypatch.setenv(cli.WIDTH_VARIABLE, "junk")
+    cfg = resolve_config(_namespace("verify", "--r", "10"))
     assert (cfg.output_format, cfg.cache_dir, cfg.bisection_depth, cfg.parallelism,
             cfg.approx) == (None, None, region.DEFAULT_DEPTH_LIMIT, 1, False)
     flagged = _namespace("verify", "--r", "10", "--depth", "11", "--jobs", "3",
                          "--approx", "--format", "csv", "--cache-dir", "c")
-    cfg = resolve_config(flagged, env={cli.WIDTH_VARIABLE: "20"})
+    cfg = resolve_config(flagged)
     assert (cfg.output_format, cfg.cache_dir, cfg.bisection_depth, cfg.parallelism,
-            cfg.approx, cfg.sqrt_width_exponent) == ("csv", "c", 11, 3, True, 20)
+            cfg.approx) == ("csv", "c", 11, 3, True)
+    assert not hasattr(cfg, "sqrt_width_exponent")
 
 
-def test_resolve_config_validation():
-    ns = _namespace("verify", "--r", "10")
+def test_resolve_config_validation(monkeypatch):
     for argv in (("--depth", "0"), ("--depth", str(region.MAX_DEPTH_LIMIT + 1)),
                  ("--jobs", "0")):
         with pytest.raises(UsageError):
-            resolve_config(_namespace("verify", "--r", "10", *argv), env={})
+            resolve_config(_namespace("verify", "--r", "10", *argv))
+    # region's width, read by region alone
     for width in ("0", "500", "junk"):
+        monkeypatch.setenv(cli.WIDTH_VARIABLE, width)
         with pytest.raises(UsageError, match=cli.WIDTH_VARIABLE):
-            resolve_config(ns, env={cli.WIDTH_VARIABLE: width})
-    assert resolve_config(ns, env={cli.WIDTH_VARIABLE: " 256 "}).sqrt_width_exponent == 256
+            cli._sqrt_width()
+    monkeypatch.setenv(cli.WIDTH_VARIABLE, " 256 ")
+    assert cli._sqrt_width() == Fraction(1, 2**256)
+
+
+def test_region_alone_reads_the_width(monkeypatch):
+    """region --r 13 --t0 3 writes the width the variable names into its
+    certificate, and a malformed value fails it with exit 2 and one error
+    line; verify prints the same bytes and exits 0 under any value."""
+    argv = ("region", "--r", "13", "--t0", "3")
+    for exponent, width in ((16, "1/65536"), (256, str(Fraction(1, 2**256)))):
+        monkeypatch.setenv(cli.WIDTH_VARIABLE, str(exponent))
+        assert _call(argv)[2] == EXIT_PASS
+        certificate = json.loads(Path("certificate-r13-t3.json").read_text())
+        assert certificate["sqrt_width"] == width, exponent
+    monkeypatch.delenv(cli.WIDTH_VARIABLE)
+    plain = _call(("verify", "--r", "10"))
+    monkeypatch.setenv(cli.WIDTH_VARIABLE, "junk")
+    message = f"error: {cli.WIDTH_VARIABLE} must be an integer in 1..256, got 'junk'\n"
+    assert _call(argv) == ("", message, EXIT_USAGE)
+    assert plain[2] == EXIT_PASS and _call(("verify", "--r", "10")) == plain
 
 
 def test_ambient_configuration_is_ignored(monkeypatch, tmp_path):
@@ -246,8 +270,15 @@ def test_r_cap(command, capsys):
 
 
 def _plan(r, mu0=None):
-    """The plan cmd_range builds for one r, without a format."""
+    """The plan cmd_range builds for one r."""
     return cli._RangePlan(r, r, mu0)
+
+
+def _laid_out(doc):
+    """A range handler's document as a dict: verify's checks at an r >= 20,
+    (pairs, key, values), laid out by _large_r_layout, and any other
+    document as it is."""
+    return cli._large_r_layout(*doc) if type(doc) is tuple else doc
 
 
 def _record_splits(monkeypatch):
@@ -364,7 +395,7 @@ def test_verify_doc_builds_at_most_one_fraction(monkeypatch):
 
     monkeypatch.setattr(fractions.Fraction, "__new__", staticmethod(counting))
     doc, _ = cli._verify_doc(1500, _plan(1500))
-    assert doc["mu0"] == "sqrt(1501)"
+    assert _laid_out(doc)["mu0"] == "sqrt(1501)"
     assert calls <= 1
 
 
@@ -478,9 +509,9 @@ def test_audit_of_an_empty_path_is_a_usage_error(capsys):
 
 
 def test_region_defaults_come_from_the_library(capsys):
-    cfg = resolve_config(_namespace("region", "--r", "10", "--t0", "6"), env={})
+    cfg = resolve_config(_namespace("region", "--r", "10", "--t0", "6"))
     assert cfg.bisection_depth == region.DEFAULT_DEPTH_LIMIT
-    assert Fraction(1, 2**cfg.sqrt_width_exponent) == exact.DEFAULT_SQRT_WIDTH
+    assert cli._sqrt_width() == exact.DEFAULT_SQRT_WIDTH
     assert main(["region", "--help"]) == EXIT_PASS
     assert f"(default {region.DEFAULT_DEPTH_LIMIT})" in capsys.readouterr().out
 
@@ -689,6 +720,7 @@ def test_builder_lines_match_the_document_oracle(monkeypatch):
     failing = 0
     for r, mu0 in runs:
         doc, lines = build_verify(r, _plan(r, mu0))
+        doc = _laid_out(doc)
         assert lines == _oracle_verify_failures(doc), (r, mu0)
         assert doc["all_pass"] == (not lines), (r, mu0)
         failing += bool(lines)
@@ -710,6 +742,7 @@ def test_builder_lines_match_the_document_oracle(monkeypatch):
     monkeypatch.setattr(cli, "large_r_inequalities", lambda r: (False, True))
     for r in range(20, 41):
         doc, lines = build_verify(r, _plan(r))
+        doc = _laid_out(doc)
         assert len(lines) == 6 and lines == _oracle_verify_failures(doc), r
         assert doc["all_pass"] is False
 
@@ -780,7 +813,7 @@ def test_verify_doc_matches_the_composed_oracle(mu0_text):
     for r in [*range(10, 3001), 10**6, 10**12, 10**18 - 1, 10**18]:
         doc, lines = cli._verify_doc(r, _plan(r, mu0))
         want_doc, want_lines = _composed_verify_doc(r, mu0)
-        assert cli._dumps(doc) == cli._dumps(want_doc), (r, mu0_text)
+        assert cli._dumps(_laid_out(doc)) == cli._dumps(want_doc), (r, mu0_text)
         assert lines == want_lines, (r, mu0_text)
         failing += bool(lines)
     assert (failing > 0) == (mu0 is not None)
@@ -809,7 +842,7 @@ def test_verify_small_degree_failures_at_r_20(capsys, monkeypatch):
     for r in range(20, 41):
         doc, lines = cli._verify_doc(r, _plan(r))
         want_doc, want_lines = _composed_verify_doc(r, None)
-        assert cli._dumps(doc) == cli._dumps(want_doc), r
+        assert cli._dumps(_laid_out(doc)) == cli._dumps(want_doc), r
         assert lines == want_lines, r
     # a range's templates render the class texts from the table as it is
     # when the command runs
@@ -828,12 +861,11 @@ def test_verify_small_degree_failures_at_r_20(capsys, monkeypatch):
 
 def _dict_route_output(r_spec, mu0_text):
     """stdout, stderr and exit code of verify --r r_spec [--mu0 mu0_text]
-    written from the dict documents of a plan built without a format, by
-    json.dumps."""
+    written from the range's documents, laid out as dicts, by json.dumps."""
     lo, hi = parse_r_range(r_spec)
     plan = cli._RangePlan(lo, hi, cli._validated_mu0(mu0_text))
     built = [cli._verify_doc(r, plan) for r in range(lo, hi + 1)]
-    docs = [doc for doc, _ in built]
+    docs = [_laid_out(doc) for doc, _ in built]
     lines = [line for _, doc_lines in built for line in doc_lines]
     doc = docs[0] if len(docs) == 1 else {"command": "verify", "results": docs}
     out = json.dumps(doc, sort_keys=True, indent=2) + "\n"
@@ -1542,7 +1574,8 @@ def test_dumps_serialises_trees_past_the_recursion_limit():
 
 
 # Dicts whose keys come from a small alphabet, so one key set recurs at
-# several depths and in several insertion orders.
+# several depths and in several insertion orders, and each dict sorts its
+# own keys wherever it sits.
 SHAPED_TREES = st.recursive(
     JSON_SCALARS,
     lambda children: st.lists(children, max_size=4)
@@ -1553,7 +1586,7 @@ SHAPED_TREES = st.recursive(
 
 @settings(max_examples=300, deadline=None, database=None)
 @given(SHAPED_TREES)
-def test_dumps_reuses_plans_across_depths_and_orders(doc):
+def test_dumps_sorts_recurring_key_sets_at_any_depth(doc):
     assert cli._dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
 
 
@@ -1572,14 +1605,22 @@ def test_dumps_reuses_plans_across_depths_and_orders(doc):
     {"l": [[{"m": [[], [[7]]]}]], "n": [[8, [9]], {}]},
 ])
 def test_dumps_plans_on_hand_made_shapes(doc):
+    """_dumps matches json.dumps on hand-made nestings: one key set at several
+    depths and in several insertion orders, and lists nested at several
+    depths."""
     assert cli._dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
 
 
+def _handler_documents(*argv):
+    """The documents argv's handler returns, each laid out as a dict."""
+    args = resolve_config(cli._parse_command_line(list(argv)))
+    return args, [_laid_out(doc) for doc, _ in args.handler(args)]
+
+
 def _dict_documents(*argv):
-    """The documents of argv as dicts, the form markdown and csv take: its
-    one document, or a range's inside its results wrapper."""
-    args = resolve_config(cli._parse_command_line([*argv, "--format", "markdown"]), env={})
-    docs = [doc for doc, _ in args.handler(args)]
+    """The documents of argv as dicts: its one document, or a range's
+    inside its results wrapper."""
+    args, docs = _handler_documents(*argv)
     return docs[0] if len(docs) == 1 else {"command": args.command, "results": docs}
 
 
@@ -1596,6 +1637,22 @@ def test_dumps_writes_real_documents_as_json_does(argv):
     hand."""
     want = json.dumps(_dict_documents(*argv), sort_keys=True, indent=2) + "\n"
     assert _call((*argv, "--format", "json")) == (want, "", EXIT_PASS)
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--r", "15..40"),
+    ("table", "--r", "19..22"),
+    ("enumerate", "--r", "19..22"),
+    ("coverage", "--r", "8..30"),
+], ids=lambda argv: argv[0])
+def test_range_documents_do_not_depend_on_the_output_settings(argv):
+    """A range handler's documents, laid out as dicts, are the same for
+    every --format, with and without --approx: only the writer reads them."""
+    _, want = _handler_documents(*argv)
+    for fmt in cli.FORMATS:
+        for approx in ((), ("--approx",)):
+            _, docs = _handler_documents(*argv, "--format", fmt, *approx)
+            assert docs == want, (fmt, approx)
 
 
 def test_dumps_writes_a_certificate_as_json_does():

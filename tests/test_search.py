@@ -341,6 +341,19 @@ def test_verify_with_explicit_mu0():
     assert all(v.outcome is Outcome.COUNTEREXAMPLE for _, v in bad.counterexamples)
 
 
+# (d, M, t) of (2;1^5), (3;1^9), (4;1^14) at t = 1 and (3;1^8), (4;1^13) at
+# t = 2, written out by hand: the oracle of the derived small-degree table.
+SMALL_DEGREE_ORACLE = ((2, 5, 1), (3, 9, 1), (4, 14, 1), (3, 8, 2), (4, 13, 2))
+
+
+def test_small_degree_table_is_derived():
+    """The table search derives from the d-scan at r = 20 is the
+    hand-written one."""
+    assert search._SMALL_DEGREE == SMALL_DEGREE_ORACLE
+    derived = tuple((p.d, p.total_multiplicity, p.t) for p in search._scan_critical_pairs(20))
+    assert derived == SMALL_DEGREE_ORACLE
+
+
 def test_small_degree_pairs():
     pairs = small_degree_pairs(20)
     shapes = [(str(p.curve), p.total_multiplicity, p.t) for p in pairs]
@@ -438,7 +451,7 @@ def test_balanced_class_render():
         assert balanced_class(d, total, r).render() == text
 
 
-def test_search_builds_one_class_per_kept_pair(monkeypatch):
+def test_search_builds_one_class_per_kept_pair(capsys, monkeypatch):
     """The d-scan stays O(1) per candidate: a class (two runs) is built for
     each pair it keeps and for nothing else.  r = 10..13 reach the
     t-criticality test with t < d - 1; r = 1000 is the large-r path.  verify
@@ -464,21 +477,40 @@ def test_search_builds_one_class_per_kept_pair(monkeypatch):
         built.clear()
         pairs = enumerate_critical_pairs(r)
         assert [c.d for c in built] == [p.d for p in pairs]
-    plan = cli._RangePlan(20, 69, None, json_depth=2)
-    for r in range(20, 70):
-        built.clear()
-        rendered.clear()
-        text, _ = cli._verify_doc(r, plan)
-        doc = json.loads(text)
+    command = cli.resolve_config(cli._parse_command_line(["verify", "--r", "20..69"]))
+    plan = cli._RangePlan(20, 69, None)
+    classes = []
+
+    def documents():
+        for r in range(20, 70):
+            built.clear()
+            rendered.clear()
+            yield cli._verify_doc(r, plan)
+            # the writer has written r's document before it asks for the next
+            assert len(built) == 5, r
+            if r in (20, 30, 34):
+                assert [id(c) for c in rendered] == [id(c) for c in built], r
+            else:
+                assert rendered == [], r
+            classes.append(list(built))
+
+    templates = 0
+    json_template = cli._json_template
+
+    def counting_template(*args):
+        nonlocal templates
+        templates += 1
+        return json_template(*args)
+
+    monkeypatch.setattr(cli, "_json_template", counting_template)
+    assert not cli._write_documents(command, documents(), [])
+    docs = json.loads(capsys.readouterr().out)["results"]
+    assert len(docs) == len(classes) == 50
+    for doc, kept in zip(docs, classes):
         assert doc["all_pass"]
-        assert len(built) == 5, r
-        if r in (20, 30, 34):
-            assert [id(c) for c in rendered] == [id(c) for c in built], r
-        else:
-            assert rendered == [], r
         rows = [(row["class"], row["M"]) for row in doc["small_degree_pairs"]]
-        assert rows == [(original_render(c), c.total_multiplicity) for c in built]
-    assert len(plan.templates) == 3
+        assert rows == [(original_render(c), c.total_multiplicity) for c in kept]
+    assert templates == 3
 
 
 def test_maximal_total_evaluations_per_r(monkeypatch):

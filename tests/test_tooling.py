@@ -28,6 +28,7 @@ import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import seshadri
@@ -99,8 +100,9 @@ def test_benchmark_command_lines_resolve(monkeypatch):
     """Every operation of every workload, every trace probe (--jobs 2 and
     --cache-dir among them), and the audit-certificate <path> that follows
     each region operation parse on main's direct route with no argparse
-    pass, to the namespace of the two-level parse, and pass resolve_config
-    with the operation's width variable set. No command is run."""
+    pass, to the namespace of the two-level parse, and pass resolve_config;
+    with the operation's width variable set, region reads that width. No
+    command is run."""
     ops = _load_perfbench("ops")
     assert ops.WIDTH_ENV == seshadri.cli.WIDTH_VARIABLE
     every_op = [op for workload in ops.WORKLOADS for op in ops.universe(workload)]
@@ -121,24 +123,25 @@ def test_benchmark_command_lines_resolve(monkeypatch):
         passes += 1
         return original(self, *args, **kwargs)
 
-    resolved = []
+    resolved, widths = [], set()  # region's widths
     for argv, exponent in lines:
-        env = {} if exponent is None else {ops.WIDTH_ENV: str(exponent)}
         passes = 0
         with monkeypatch.context() as patch:
             patch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
             args = seshadri.cli._parse_command_line(list(argv))
         assert passes == 0, argv  # no fall-back to the two-level parse
         assert vars(args) == vars(parser.parse_args(list(argv))), argv
-        args = seshadri.cli.resolve_config(args, env=env)
+        args = seshadri.cli.resolve_config(args)
         assert args.command == argv[0], argv
-        if exponent is not None:
-            assert args.sqrt_width_exponent == exponent, argv
+        if args.command == "region":
+            with monkeypatch.context() as patch:
+                patch.setenv(ops.WIDTH_ENV, str(exponent))
+                assert seshadri.cli._sqrt_width() == Fraction(1, 2**exponent), argv
+            widths.add(exponent)
         resolved.append(args)
     assert any(args.parallelism == 2 for args in resolved)
     assert any(args.cache_dir == ops.PROBE_CACHE for args in resolved)
-    assert any(args.command == "region" and args.sqrt_width_exponent == 256
-               for args in resolved)
+    assert 256 in widths
     assert any(args.command == "audit-certificate" for args in resolved)
 
 
