@@ -41,18 +41,19 @@ errors and inconclusive bisections, which main turns into exit codes 2 and
 3; a stdout whose reader has gone is exit 2 too, help and version included.
 Any other exception is exit 4, after what a range wrote before it. Every
 exit writes the lines of the documents written, then main's own one-line
-message. A format the command does not offer (csv outside the range
-commands) is refused before the handler runs.
+message.
 
-Settings are flags (--format, --cache-dir, --depth, --jobs, --approx), with
-their defaults in the option table. The one exception is the width 2^-e of
-the sqrt enclosures region starts from, which region alone reads from
-SESHADRI_SQRT_WIDTH_EXPONENT (e in 1..256): every other command prints the
-same bytes whatever the variable holds. No config file and no other
-variable is read. Every r is computed in this process, in ascending order:
---jobs is accepted and has no effect, and --cache-dir only names the
-directory region writes its certificate to; the other commands accept it
-and ignore it.
+Settings are flags, and each command takes only the flags it reads: its
+row of the option table lists them with their defaults, and the parser
+refuses any other (csv outside the range commands included) before the
+handler runs. Each flag is checked where it is read: --depth by region,
+--jobs by the range commands. The one setting that is not a flag is the
+width 2^-e of the sqrt enclosures region starts from, which region alone
+reads from SESHADRI_SQRT_WIDTH_EXPONENT (e in 1..256): every other command
+prints the same bytes whatever the variable holds. No config file and no
+other variable is read. Every r is computed in this process, in ascending
+order: the range commands accept --jobs and --cache-dir, and neither has
+an effect. On region, --cache-dir names the directory of the certificate.
 
 Reports always carry exact values as canonical strings ("77/24",
 "4 - 1/3*sqrt(3)"); --approx appends 6-digit decimal columns next to them.
@@ -181,19 +182,12 @@ def parse_r_range(text: str) -> tuple[int, int]:
 
 
 def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Check a parsed command line and complete it in place: the flags,
-    range-checked; r_min and r_max, from --r (0 without one); and
-    cache_dir, None when empty. It reads no environment. Returns args."""
-    if not 1 <= args.bisection_depth <= MAX_DEPTH_LIMIT:
-        raise UsageError(
-            f"--depth must be in 1..{MAX_DEPTH_LIMIT}, got {args.bisection_depth}"
-        )
-    if args.parallelism < 1:
-        raise UsageError(f"--jobs must be >= 1, got {args.parallelism}")
+    """Complete a parsed command line in place with r_min and r_max, from
+    --r (0 without one). It reads no environment, and no other flag: each
+    handler checks the flags it reads. Returns args."""
     args.r_min = args.r_max = 0
     if getattr(args, "r", None) is not None:
         args.r_min, args.r_max = parse_r_range(args.r)
-    args.cache_dir = args.cache_dir or None
     return args
 
 
@@ -665,7 +659,7 @@ def _write_documents(args: argparse.Namespace, outcome: Outcome, lines: list[str
     bytes of its encode_basestring_ascii (in place in values). A range has
     at most six row sets of pair rows, times the sign changes of five
     deltas linear in r. Otherwise _large_r_layout lays them out as a dict."""
-    command, approx = args.command, args.approx
+    command, approx = args.command, getattr(args, "approx", False)
     fmt = args.output_format or ("markdown" if command == "table" else "json")
     depth = 0 if args.r_min == args.r_max else 2
     templates = {} if fmt == "json" and not approx else None  # key -> template
@@ -720,8 +714,10 @@ def _require_r(args: argparse.Namespace, minimum: int) -> None:
 
 
 def _require_single_r(args: argparse.Namespace) -> int:
+    """The one r of region and classify, which must be at least 10."""
     if args.r_min != args.r_max:
         raise UsageError(f"{args.command} takes a single r, got {args.r_min}..{args.r_max}")
+    _require_r(args, 10)
     return args.r_min
 
 
@@ -777,6 +773,8 @@ def cmd_range(args: argparse.Namespace) -> Outcome:
     with plan the range's _RangePlan, built once with the --mu0 (if the
     command takes one) parsed. The documents are the same whatever the
     output format: _write_documents alone formats them."""
+    if args.parallelism < 1:
+        raise UsageError(f"--jobs must be >= 1, got {args.parallelism}")
     build, smallest_r = _RANGE_COMMANDS[args.command]
     _require_r(args, smallest_r)
     plan = _RangePlan(args.r_min, args.r_max, _validated_mu0(getattr(args, "mu0", None)))
@@ -805,16 +803,13 @@ def _sqrt_width() -> Fraction:
 def cmd_region(args: argparse.Namespace) -> Outcome:
     from pathlib import Path  # only region and audit-certificate name a file
 
-    width = _sqrt_width()
+    width, depth = _sqrt_width(), args.bisection_depth
+    if not 1 <= depth <= MAX_DEPTH_LIMIT:
+        raise UsageError(f"--depth must be in 1..{MAX_DEPTH_LIMIT}, got {depth}")
     r = _require_single_r(args)
-    _require_r(args, 10)
-    if args.t0 is None:
-        raise UsageError("region needs --t0")
     if args.t0 > MAX_T0:
         raise UsageError(f"region --t0 must be at most {MAX_T0}")
-    doc = verify_t_bound(
-        r, args.t0, depth_limit=args.bisection_depth, sqrt_width=width
-    ).to_json_dict()
+    doc = verify_t_bound(r, args.t0, depth_limit=depth, sqrt_width=width).to_json_dict()
     # Path spells the name ("./c" as "c"), which os.path.join would not
     out_path = str(Path(args.cache_dir or ".") / f"certificate-r{r}-t{args.t0}.json")
     _atomic_write(out_path, _dumps(doc) + "\n")
@@ -824,7 +819,6 @@ def cmd_region(args: argparse.Namespace) -> Outcome:
 
 def cmd_classify(args: argparse.Namespace) -> Outcome:
     r = _require_single_r(args)
-    _require_r(args, 10)
     result = classify(r, _parse_mu(args.mu))
     return [({"command": "classify", **result.to_json_dict()}, [])]
 
@@ -860,47 +854,58 @@ def cmd_audit(args: argparse.Namespace) -> Outcome:
 # Every command's options, declared once: each is a flag (or a positional's
 # name) and the keyword arguments of its add_argument call. build_parser
 # makes the parsers from them, and _parse_command_line reads a well-formed
-# command line straight from them. Every command takes _COMMON_OPTIONS, then
-# its own; _COMMANDS maps each name to its help, handler and own options.
-_COMMON_OPTIONS = (
-    ("--format", dict(dest="output_format", choices=FORMATS, default=None,
+# command line straight from them. _COMMANDS maps each command to its help,
+# its handler and its one row of options, the flags it reads and no other:
+# those it shares with the other range commands (_RANGE_OPTIONS, or none),
+# then its own.
+_RANGE_OPTIONS = (
+    ("--format", dict(dest="output_format", choices=FORMATS,
                       help="output format (defaults: markdown for table, json elsewhere)")),
-    ("--cache-dir", dict(dest="cache_dir", default=None, help="directory region writes "
-                         "its certificate to (the other commands ignore it)")),
-    ("--depth", dict(dest="bisection_depth", type=int, default=DEFAULT_DEPTH_LIMIT,
-                     help=f"bisection depth limit (default {DEFAULT_DEPTH_LIMIT})")),
+    ("--cache-dir", dict(dest="cache_dir", help="accepted and has no effect: nothing is cached")),
     ("--jobs", dict(dest="parallelism", type=int, default=1,
                     help="accepted and has no effect: every r is computed in this process")),
-    ("--approx", dict(dest="approx", action="store_true", default=False,
-                      help="append 6-digit decimal approximations to exact values")),
 )
+_FORMAT = ("--format", dict(dest="output_format", choices=FORMATS[:2],
+                            help="output format (default json)"))
+_APPROX = ("--approx", dict(dest="approx", action="store_true", default=False,
+                            help="append 6-digit decimal approximations to exact values"))
 _COMMANDS = {
-    "table": ("critical pairs at r, Table-style", cmd_range, (
+    "table": ("critical pairs at r, Table-style", cmd_range, _RANGE_OPTIONS, (
+        _APPROX,
         ("--r", dict(required=True, help="point count, e.g. 12 or 10..13")),
-        ("--mu0", dict(default=None, help="threshold override, e.g. 7/2 or sqrt(13)")),
+        ("--mu0", dict(help="threshold override, e.g. 7/2 or sqrt(13)")),
     )),
-    "enumerate": ("critical pairs over a range of r", cmd_range, (
+    "enumerate": ("critical pairs over a range of r", cmd_range, _RANGE_OPTIONS, (
+        _APPROX,
         ("--r", dict(required=True, help="point count range, e.g. 10..13")),
-        ("--mu0", dict(default=None, help="threshold override")),
+        ("--mu0", dict(help="threshold override")),
     )),
-    "verify": ("check critical pairs against the threshold", cmd_range, (
+    "verify": ("check critical pairs against the threshold", cmd_range, _RANGE_OPTIONS, (
+        _APPROX,
         ("--r", dict(required=True, help="point count range, e.g. 10..19")),
-        ("--mu0", dict(default=None, help="threshold override")),
+        ("--mu0", dict(help="threshold override")),
     )),
     "region": ("certify the multiplicity cut-off t0 by bisection; writes "
                "certificate-r<r>-t<t0>.json to --cache-dir when set, else to the "
-               "working directory", cmd_region, (
+               "working directory", cmd_region, (), (
+        _FORMAT,
+        ("--cache-dir", dict(dest="cache_dir", help="directory the certificate is written "
+                             "to (default: the working directory)")),
+        ("--depth", dict(dest="bisection_depth", type=int, default=DEFAULT_DEPTH_LIMIT,
+                         help=f"bisection depth limit (default {DEFAULT_DEPTH_LIMIT})")),
         ("--r", dict(required=True, help="point count (single value)")),
         ("--t0", dict(type=int, required=True, help="multiplicity to exclude")),
     )),
-    "classify": ("rationality status of epsilon(mu) at rational mu", cmd_classify, (
+    "classify": ("rationality status of epsilon(mu) at rational mu", cmd_classify, (), (
+        _FORMAT, _APPROX,
         ("--r", dict(required=True, help="point count (single value)")),
         ("--mu", dict(required=True, help="rational mu, e.g. 7/2")),
     )),
-    "coverage": ("chain the witness catalog over the target ray", cmd_range, (
+    "coverage": ("chain the witness catalog over the target ray", cmd_range, _RANGE_OPTIONS, (
         ("--r", dict(required=True, help="point count range, e.g. 8..13")),
     )),
-    "audit-certificate": ("replay a region certificate from scratch", cmd_audit, (
+    "audit-certificate": ("replay a region certificate from scratch", cmd_audit, (), (
+        _FORMAT,
         ("certificate", dict(help="path to a certificate JSON file")),
     )),
 }
@@ -915,13 +920,15 @@ def build_parser() -> argparse.ArgumentParser:
         "on blow-ups of the plane at r very general points.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    # copied into each subparser: 35 add_argument calls took 0.5 ms more (2 vCPUs)
-    common = argparse.ArgumentParser(add_help=False)
-    for flag, kwargs in _COMMON_OPTIONS:
-        common.add_argument(flag, **kwargs)
+    # copied into each range command's subparser: adding the options to each
+    # in place took 0.91 against 0.86 ms per build_parser (2 vCPUs)
+    ranged = argparse.ArgumentParser(add_help=False)
+    for flag, kwargs in _RANGE_OPTIONS:
+        ranged.add_argument(flag, **kwargs)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, handler, options) in _COMMANDS.items():
-        p = sub.add_parser(name, parents=[common], help=help_text, allow_abbrev=False)
+    for name, (help_text, handler, shared, options) in _COMMANDS.items():
+        parents = [ranged] if shared else []
+        p = sub.add_parser(name, parents=parents, help=help_text, allow_abbrev=False)
         for flag, kwargs in options:
             p.add_argument(flag, **kwargs)
         p.set_defaults(handler=handler)
@@ -940,10 +947,10 @@ def _command_options(name: str) -> tuple[dict, dict, set]:
     """What _parse_command_line reads of command name: its namespace when no
     option is given (name, handler, defaults), each flag's dest and keywords
     (the positional's under None), and the dests that must be given."""
-    _, handler, options = _COMMANDS[name]
+    _, handler, shared, options = _COMMANDS[name]
     by_flag = {
         flag if flag.startswith("-") else None: (kwargs.get("dest", flag.lstrip("-")), kwargs)
-        for flag, kwargs in (*_COMMON_OPTIONS, *options)
+        for flag, kwargs in (*shared, *options)
     }
     required = {dest for flag, (dest, kwargs) in by_flag.items()
                 if flag is None or kwargs.get("required")}
@@ -1007,9 +1014,6 @@ def main(argv: list[str] | None = None) -> int:
             code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
         else:
             args = resolve_config(args)
-            if args.output_format == "csv" and args.command not in _RANGE_COMMANDS:
-                # refused before the handler runs, so region writes no certificate
-                raise UsageError(f"csv output is not available for {args.command}")
             code = EXIT_FAIL if _write_documents(args, args.handler(args), lines) else EXIT_PASS
     except (UsageError, UnsupportedR, InvalidT, InvalidT0, NotAboveSqrtR) as exc:
         code, message = EXIT_USAGE, f"error: {exc}"

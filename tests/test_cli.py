@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -76,26 +77,39 @@ def _namespace(*argv):
 
 
 def test_resolve_config_precedence(monkeypatch):
-    """A flag overrides its default, which the parser holds. The width
-    variable is not read: resolve_config completes a command line that
-    names no width, whatever the variable holds."""
+    """A flag overrides its default, which the parser holds, and a command's
+    namespace holds only the flags it takes. The width variable is not
+    read: resolve_config completes a command line that names no width,
+    whatever the variable holds."""
     monkeypatch.setenv(cli.WIDTH_VARIABLE, "junk")
     cfg = resolve_config(_namespace("verify", "--r", "10"))
-    assert (cfg.output_format, cfg.cache_dir, cfg.bisection_depth, cfg.parallelism,
-            cfg.approx) == (None, None, region.DEFAULT_DEPTH_LIMIT, 1, False)
-    flagged = _namespace("verify", "--r", "10", "--depth", "11", "--jobs", "3",
+    assert (cfg.output_format, cfg.cache_dir, cfg.parallelism,
+            cfg.approx) == (None, None, 1, False)
+    flagged = _namespace("verify", "--r", "10", "--jobs", "3",
                          "--approx", "--format", "csv", "--cache-dir", "c")
     cfg = resolve_config(flagged)
-    assert (cfg.output_format, cfg.cache_dir, cfg.bisection_depth, cfg.parallelism,
-            cfg.approx) == ("csv", "c", 11, 3, True)
+    assert (cfg.output_format, cfg.cache_dir, cfg.parallelism,
+            cfg.approx) == ("csv", "c", 3, True)
     assert not hasattr(cfg, "sqrt_width_exponent")
+    assert not hasattr(cfg, "bisection_depth")
+    cfg = resolve_config(_namespace("region", "--r", "10", "--t0", "6", "--depth", "11"))
+    assert (cfg.bisection_depth, cfg.cache_dir) == (11, None)
+    assert not hasattr(cfg, "approx") and not hasattr(cfg, "parallelism")
 
 
-def test_resolve_config_validation(monkeypatch):
-    for argv in (("--depth", "0"), ("--depth", str(region.MAX_DEPTH_LIMIT + 1)),
-                 ("--jobs", "0")):
-        with pytest.raises(UsageError):
-            resolve_config(_namespace("verify", "--r", "10", *argv))
+def test_resolve_config_validation(monkeypatch, isolated):
+    """--depth and --jobs are checked by the handler that reads them, before
+    it computes or writes anything: resolve_config passes them through."""
+    for argv, message in (
+        (("region", "--r", "13", "--t0", "3", "--depth", "0"),
+         f"--depth must be in 1..{region.MAX_DEPTH_LIMIT}, got 0"),
+        (("region", "--r", "13", "--t0", "3", "--depth", str(region.MAX_DEPTH_LIMIT + 1)),
+         f"--depth must be in 1..{region.MAX_DEPTH_LIMIT}, got {region.MAX_DEPTH_LIMIT + 1}"),
+        (("verify", "--r", "10", "--jobs", "0"), "--jobs must be >= 1, got 0"),
+    ):
+        resolve_config(_namespace(*argv))
+        assert _call(argv) == ("", f"error: {message}\n", EXIT_USAGE), argv
+    assert list(isolated.iterdir()) == []
     # region's width, read by region alone
     for width in ("0", "500", "junk"):
         monkeypatch.setenv(cli.WIDTH_VARIABLE, width)
@@ -456,6 +470,35 @@ def test_region_writes_certificate_and_audit_accepts(capsys, tmp_path):
     capsys.readouterr()
 
 
+# Edits of the region --r 13 --t0 3 certificate, each with the one problem
+# the audit finds: four header values out of range, refused before the
+# tree is walked (r = 9 with the root lower end moved to 3, so that it
+# stays in (0, sqrt(9)]), and a node whose lower end is not its parent's
+# split.
+AUDIT_REFUSALS = {
+    "r": (lambda doc: doc.update(r=9, mu_lo="3"), "r = 9 out of range"),
+    "t0": (lambda doc: doc.update(t0=1), "t0 = 1 out of range"),
+    "sqrt_width": (lambda doc: doc.update(sqrt_width="0"), "sqrt_width = 0 not positive"),
+    "mu_hi": (lambda doc: doc.update(mu_hi="37/10"),
+              "root upper end 37/10 does not sit at or above sqrt(14)"),
+    "node": (lambda doc: doc["tree"]["children"][1].update(mu_lo=doc["mu_lo"]),
+             "node claims [3871431203/1073741824, 8035148055/2147483648], "
+             "expected [15778010461/4294967296, 8035148055/2147483648]"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(AUDIT_REFUSALS))
+def test_audit_refuses_an_edited_certificate(field):
+    edit, problem = AUDIT_REFUSALS[field]
+    assert _call(("region", "--r", "13", "--t0", "3"))[2] == EXIT_PASS
+    doc = json.loads(Path("certificate-r13-t3.json").read_text())
+    edit(doc)
+    Path("edited.json").write_text(json.dumps(doc))
+    out, err, code = _call(("audit-certificate", "edited.json"))
+    assert (err, code) == (f"AUDIT: {problem}\n", EXIT_FAIL)
+    assert json.loads(out)["problems"] == [problem]
+
+
 def test_internal_error_is_one_line_and_exit_4(capsys, monkeypatch):
     """An exception no handler expects (here a broken premise of the search)
     is exit 4 with one stderr line, not a traceback under exit 1."""
@@ -612,6 +655,74 @@ def test_range_flags_start_nothing_and_write_nothing(monkeypatch, isolated):
     flagged = ("verify", "--r", "10..13", "--jobs", "2", "--cache-dir", "D")
     assert _call(flagged) == plain
     assert list(isolated.iterdir()) == []
+
+
+# A command line of each command with its required arguments alone;
+# audit-certificate reads the certificate region writes.
+FLAG_BASES = {
+    "table": ("table", "--r", "12"),
+    "enumerate": ("enumerate", "--r", "10..11"),
+    "verify": ("verify", "--r", "10..11"),
+    "coverage": ("coverage", "--r", "8..13"),
+    "region": ("region", "--r", "13", "--t0", "3"),
+    "classify": ("classify", "--r", "10", "--mu", "7/2"),
+    "audit-certificate": ("audit-certificate", "certificate-r13-t3.json"),
+}
+# A value other than its default for each optional flag that takes one and
+# has no choices; a flag with choices is given each of them.
+FLAG_VALUES = {"--mu0": "7/2", "--depth": "2", "--cache-dir": "elsewhere", "--jobs": "2"}
+# The flags the range commands take and do not read.
+NO_EFFECT_FLAGS = {"--jobs", "--cache-dir"}
+
+
+def test_every_optional_flag_changes_something(isolated, monkeypatch):
+    """Each optional flag a command's parser takes changes what the command
+    line does: its stdout, stderr, exit code or the files it leaves (region's
+    certificate). Each choice of a flag gives its own outcome, one of them
+    the outcome without the flag. The exceptions, --jobs and --cache-dir on
+    the range commands, change nothing."""
+    assert _call(FLAG_BASES["region"])[2] == EXIT_PASS
+    certificate = Path("certificate-r13-t3.json").read_bytes()
+
+    def outcome(argv):
+        """argv's stdout, stderr and exit code, and every file of the fresh
+        directory it runs in, which held the certificate alone."""
+        directory = Path(tempfile.mkdtemp(dir=isolated))
+        (directory / "certificate-r13-t3.json").write_bytes(certificate)
+        monkeypatch.chdir(directory)
+        call = _call(argv)
+        files = {str(path.relative_to(directory)): path.read_bytes()
+                 for path in directory.rglob("*") if path.is_file()}
+        return call, files
+
+    parser = build_parser()
+    (commands,) = [action.choices for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    assert commands.keys() == FLAG_BASES.keys()
+    checked = 0
+    for name, base in FLAG_BASES.items():
+        plain = outcome(base)
+        assert plain[0][2] == EXIT_PASS, base
+        for action in commands[name]._actions:
+            if not action.option_strings or action.required or action.dest == "help":
+                continue
+            (flag,) = action.option_strings
+            if action.choices:
+                given = [(flag, choice) for choice in action.choices]
+            elif action.nargs == 0:
+                given = [(flag,)]
+            else:
+                given = [(flag, FLAG_VALUES[flag])]
+            outcomes = [outcome((*base, *option)) for option in given]
+            if name in cli._RANGE_COMMANDS and flag in NO_EFFECT_FLAGS:
+                assert outcomes == [plain], (name, flag)
+            elif action.choices:
+                distinct = {repr(each) for each in outcomes}
+                assert len(distinct) == len(outcomes) and plain in outcomes, (name, flag)
+            else:
+                assert outcomes[0] != plain, (name, flag)
+            checked += 1
+    assert checked == 24  # the option table's 33 slots, less 8 required flags and a path
 
 
 def test_coverage_gap_fails_the_command(capsys, monkeypatch):
@@ -1156,14 +1267,14 @@ def test_csv_output(capsys):
 
 def test_unavailable_format_is_refused_before_the_handler_runs(isolated):
     """region writes no certificate and audit-certificate reads nothing when
-    csv is asked for: the format is checked before either runs."""
+    csv is asked for: the parser refuses the format before either runs."""
+    refusal = "error: argument --format: invalid choice: 'csv' (choose from 'json', 'markdown')\n"
     out, err, code = _call(["region", "--r", "13", "--t0", "3", "--format", "csv"])
-    assert (out, err, code) == ("", "error: csv output is not available for region\n", EXIT_USAGE)
+    assert (out, code) == ("", EXIT_USAGE) and err.endswith(refusal)
     assert list(isolated.iterdir()) == []
     out, err, code = _call(["audit-certificate", "missing.json", "--format", "csv"])
-    assert (out, err, code) == (
-        "", "error: csv output is not available for audit-certificate\n", EXIT_USAGE
-    )
+    assert (out, code) == ("", EXIT_USAGE) and err.endswith(refusal)
+
 
 def test_coverage_command(capsys):
     assert main(["coverage", "--r", "8..13"]) == EXIT_PASS
@@ -1306,17 +1417,18 @@ def test_a_command_takes_one_argparse_pass(monkeypatch):
 
 
 # sha256 of the stdout of main([*command, "-h"]) at 80 columns: the help text,
-# usage lines and defaults of the parsers before they were made from the
-# option table.
+# usage lines and defaults of the parsers. The top level's dates from before
+# the parsers were made from the option table; each command's was recorded
+# when it came to take only the flags it reads.
 HELP_DIGESTS = {
     (): "539ba704d0871fedbc96de80d7e6ce8a86f0a31cdee0fb76c6ff7089d27cae79",
-    ("table",): "a8353f6b40ff6d91eb2fceed37739d85bfcbeb6c5ec038c76be319a4a81d6ee2",
-    ("enumerate",): "978abddab9a378bb3f397bec7257eb989e27ceb60c2a2c050a3ac9337e5cfa79",
-    ("verify",): "41681741a33847e8ee7ff0ca99c5255381ac76b90e038641213cc126c8d4b526",
-    ("region",): "e8c3a542a20ceca72c171ed7e45b4281788fa264d029f57a7a80fcb04649b8b7",
-    ("classify",): "935f618e0172aa58cf70694c9d47c5f840e78a5adda86c360fab7571fb66da27",
-    ("coverage",): "508d2f3de04106a61e7bfe539696cd27eb88dd25c883e5f95ebaff687658bfce",
-    ("audit-certificate",): "9c3776b22fb7f94be881441fc7b3ab3a3f2bdc9f1273fb6839e3e58c7f16b692",
+    ("table",): "95b779f3180f79f7a78550aa8bc5724127e9fe3069cd8f4cad5e0a565b80e7a6",
+    ("enumerate",): "c5c175195275ed9cd694032192cf8b31b1f93a42a8e77912227f2cebd110d68c",
+    ("verify",): "94dc37aceeaf0cdb0bc2df34d755c9c6853b66d63926a97ba5bc5bb42f004c29",
+    ("region",): "cfac35e48ba96c0739fff52ad66954cd12623a58301fbffaf8505ca2c656ee59",
+    ("classify",): "78d070480388f17ca5d7396e01c33e34c47d4a53068b5b193ca4072df046288c",
+    ("coverage",): "512a7e8b9bc08a4cc450679ce3b65fe26338c5b5cc85e7ec6335c03b0a34a058",
+    ("audit-certificate",): "09fb7fd6bbbb70dd5046a6d561de4653b2381be99df22ed289cd57c34a55a3dd",
 }
 
 
@@ -1430,8 +1542,9 @@ MU_VALUES = st.sampled_from([
 ]) | st.sampled_from([
     "1/0", "", "abc", "sqrt(-1)", "2**10", "sqrt(10**19)", "7/2/3", "sqrt(r)", "1" * 3000,
 ])
-# The flags every command takes, a repeated --r, and misspellings; paths are
-# relative to the scratch directory the test runs in, which it fills first.
+# The optional flags of every command, each drawn for any command, a repeated
+# --r, and misspellings; paths are relative to the scratch directory the test
+# runs in, which it fills first.
 COMMON_OPTIONS = st.lists(
     _option("--format", st.sampled_from([*cli.FORMATS, "yaml"]))
     | st.just(("--approx",))
@@ -1647,10 +1760,11 @@ def test_dumps_writes_real_documents_as_json_does(argv):
 ], ids=lambda argv: argv[0])
 def test_range_documents_do_not_depend_on_the_output_settings(argv):
     """A range handler's documents, laid out as dicts, are the same for
-    every --format, with and without --approx: only the writer reads them."""
+    every --format, with and without --approx where the command takes it:
+    only the writer reads them."""
     _, want = _handler_documents(*argv)
     for fmt in cli.FORMATS:
-        for approx in ((), ("--approx",)):
+        for approx in ((), ("--approx",)) if argv[0] != "coverage" else ((),):
             _, docs = _handler_documents(*argv, "--format", fmt, *approx)
             assert docs == want, (fmt, approx)
 

@@ -328,8 +328,11 @@ def test_interval_arithmetic_soundness_random():
         assert (x + y).contains(px + py)
         assert (x - y).contains(px - py)
         assert (x * y).contains(px * py)
+        assert (py - x).contains(py - px)  # a rational on the left: __rsub__
         if not (y.lo <= 0 <= y.hi):
             assert (x / y).contains(px / py)
+        if not (x.lo <= 0 <= x.hi):
+            assert (py / x).contains(py / px)  # __rtruediv__
 
 
 def test_interval_division_by_zero_interval():
@@ -509,7 +512,9 @@ def test_compare_matches_enclosure_oracle_across_fields():
     for _ in range(400):
         x = _random_quadratic(rng, rads)
         y = _random_quadratic(rng, rads)
-        assert compare(x, y) == _oracle_compare(x, y), (x, y)
+        want = _oracle_compare(x, y)
+        assert compare(x, y) == want, (x, y)
+        assert (x <= y, x >= y) == (want <= 0, want >= 0), (x, y)
 
 
 def _sqrt_convergents(n, count):

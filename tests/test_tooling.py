@@ -7,7 +7,8 @@ coverage check, every verify-sweep and query-mix output matches the
 benchmark's recorded digest, the CLI imports no private library name,
 every module uses each name it imports, the package exports resolve, the
 documentation names only environment variables the CLI reads, the README's
-Python example and command lines run as written, and starting the CLI
+flag list is the option table, the README's Python example and command
+lines run as written, and starting the CLI
 loads none of the modules it does not need.
 
 perfbench/tracer.py, perfbench/ops.py and perfbench/run.py are loaded by
@@ -139,8 +140,8 @@ def test_benchmark_command_lines_resolve(monkeypatch):
                 assert seshadri.cli._sqrt_width() == Fraction(1, 2**exponent), argv
             widths.add(exponent)
         resolved.append(args)
-    assert any(args.parallelism == 2 for args in resolved)
-    assert any(args.cache_dir == ops.PROBE_CACHE for args in resolved)
+    assert any(vars(args).get("parallelism") == 2 for args in resolved)
+    assert any(vars(args).get("cache_dir") == ops.PROBE_CACHE for args in resolved)
     assert 256 in widths
     assert any(args.command == "audit-certificate" for args in resolved)
 
@@ -409,6 +410,28 @@ def test_documented_variables_are_the_ones_read(capsys, monkeypatch, tmp_path):
     read = {name for name in environ.read if name.startswith("SESHADRI_")}
     assert read == {seshadri.cli.WIDTH_VARIABLE}
     assert documented and documented <= read
+
+
+def test_readme_flag_list_is_the_option_table():
+    """The README's list of each command's flags, with the choices of
+    --format, is the option table _COMMANDS: the same commands, and for each
+    the same flags (its positional by name) and choices."""
+    block = re.search(r"^Settings are flags, and each command takes only the flags it "
+                      r"reads:\n\n((?:- .*\n)+)", (ROOT / "README.md").read_text(), re.M)
+    assert block is not None
+    listed = {}
+    for line in block[1].splitlines():
+        names, _, flags = line[2:].partition(": ")
+        row = {flag: tuple(choices.split(",")) if choices else None
+               for flag, choices in re.findall(r"`([\w-]+)(?: \{([\w,]+)\})?`", flags)}
+        for name in re.findall(r"`([\w-]+)`", names):
+            listed[name] = row
+    table = {
+        name: {flag: kwargs.get("choices") for flag, kwargs in (*shared, *options)}
+        for name, (_, _, shared, options) in seshadri.cli._COMMANDS.items()
+    }
+    assert listed == table
+    assert sum(map(len, table.values())) == 33
 
 
 def test_readme_python_example_runs():
