@@ -28,9 +28,16 @@ are exactly the bounds that generic rational interval arithmetic yields
 * vertex_negative: hi(a) < 0, hi(c) < 0 and the vertex value c - b*b/(4a)
   has negative upper bound, so the downward parabola is negative everywhere.
 
-Every sign is decided on an integer numerator over a positive denominator,
-hi(c) first; the bounds of a piece that closes are reduced once, and are
-written into the tree as its witnesses.
+Every endpoint of the bisection gets one record, computed once: mu as an
+integer pair, mu^2 clamped as a lower and as an upper end, and the matching
+ends of the square-root bracket.  A piece reads its box from the records of
+its two ends, so a split computes only the record of its midpoint.  Every
+sign is decided on an unreduced integer numerator over a positive
+denominator, hi(c) first, so a piece that does not close reduces nothing.
+A piece that closes reduces each bound of a, b and c once, by one gcd per
+end; a vertex leaf computes its vertex bounds from the reduced a, b and c
+and reduces those once.  The reduced bounds are written into the tree as
+the leaf's witnesses.
 
 The result is a machine-checkable certificate tree; audit_certificate
 replays it from scratch.
@@ -43,6 +50,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 from .errors import DepthLimitExceeded, InvalidT0, UnsupportedR
 from .exact import (
@@ -59,7 +67,8 @@ from .exact import (
 DEFAULT_DEPTH_LIMIT = 40
 # Deepest bisection allowed.  Past about 3000 levels the witness numerals
 # outgrow the interpreter's 4300-digit limit on int-to-string conversion;
-# an open piece at r = 10 takes about 2.5 s to reach 2000 levels.
+# an open piece at r = 10 (t0 = 2 never closes there) reaches 2000 levels
+# in about 0.14 s (CPython 3.11, 2 vCPUs).
 MAX_DEPTH_LIMIT = 2000
 
 CERTIFICATE_KIND = "q_negativity_certificate"
@@ -72,11 +81,47 @@ _RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[1-9][0-9]*)?")
 
 
 IntFraction = tuple[int, int]  # (numerator, denominator > 0), not reduced
+Bound = tuple[IntFraction, IntFraction]  # (lo, hi) of one coefficient
+# One end of a piece as that piece sees it: mu = n/d in lowest terms, the
+# bound of mu^2 clamped to [r, r+1], and the matching end of the bracket of
+# sqrt(mu^2 - r).  The bracket end is None where every piece with this end
+# misses the strip.
+End = tuple[int, int, IntFraction, IntFraction | None]
+
+
+def _lower_end(r: int, mu: Fraction, sqrt_width: Fraction) -> End:
+    """mu as the lower end of a piece: lo(mu^2) = max(mu^2, r), and the low
+    end of the bracket of sqrt(lo(mu^2) - r), None when lo(mu^2) > r + 1."""
+    n, d = mu.numerator, mu.denominator
+    nn, dd = n * n, d * d
+    if nn <= r * dd:
+        return n, d, (r, 1), (0, 1)  # sqrt_bracket's own pair for sqrt(0)
+    if nn > (r + 1) * dd:
+        return n, d, (nn, dd), None
+    return n, d, (nn, dd), sqrt_bracket(nn - r * dd, dd, sqrt_width)[0]
+
+
+def _upper_end(r: int, mu: Fraction, sqrt_width: Fraction) -> End:
+    """mu as the upper end of a piece: hi(mu^2) = min(mu^2, r + 1), and the
+    high end of the bracket of sqrt(hi(mu^2) - r), None when hi(mu^2) < r."""
+    n, d = mu.numerator, mu.denominator
+    nn, dd = n * n, d * d
+    if nn >= (r + 1) * dd:
+        return n, d, (r + 1, 1), (1, 1)  # sqrt_bracket's own pair for sqrt(1)
+    if nn < r * dd:
+        return n, d, (nn, dd), None
+    return n, d, (nn, dd), sqrt_bracket(nn - r * dd, dd, sqrt_width)[1]
+
+
+def _endpoint(r: int, mu: Fraction, sqrt_width: Fraction) -> tuple[Fraction, End, End]:
+    """The record of a bisection endpoint: mu, and mu as a lower and as an
+    upper end.  Computed once, it serves every piece that ends at mu."""
+    return mu, _lower_end(r, mu, sqrt_width), _upper_end(r, mu, sqrt_width)
 
 
 def q_coefficients(
     r: int, t: int, mu_lo: Fraction, mu_hi: Fraction, sqrt_width: Fraction
-) -> tuple[tuple[IntFraction, IntFraction], ...] | None:
+) -> tuple[Bound, Bound, Bound] | None:
     """Bounds (lo, hi) of each of a, b, c over the piece [mu_lo, mu_hi] of
     the strip, or None when the piece misses the strip.  Needs mu_lo > 0
     and t > 0.
@@ -104,18 +149,29 @@ def q_coefficients(
     compute exact rationals, so they yield the same numbers and, once
     reduced, the same strings.
 
+    Every lo(...) of the box comes from mu_lo and every hi(...) from mu_hi,
+    so the box is read from two ends (_lower_end of mu_lo, _upper_end of
+    mu_hi).  The bisection keeps one record per endpoint (_endpoint) and
+    reads each piece's box from the records of its two ends; this function
+    builds the two ends it needs and takes the same route.
+
     Each bound is an integer pair (numerator, positive denominator), not in
     lowest terms: the leaf rule decides signs from numerators and reduces
     only the witnesses of the pieces it closes.
     """
-    ln, ld = mu_lo.numerator, mu_lo.denominator
-    hn, hd = mu_hi.numerator, mu_hi.denominator
-    sq_lo = (ln * ln, ld * ld) if ln * ln > r * ld * ld else (r, 1)
-    sq_hi = (hn * hn, hd * hd) if hn * hn < (r + 1) * hd * hd else (r + 1, 1)
+    return _bounds(
+        r, t, _lower_end(r, mu_lo, sqrt_width), _upper_end(r, mu_hi, sqrt_width)
+    )
+
+
+def _bounds(r: int, t: int, lo: End, hi: End) -> tuple[Bound, Bound, Bound] | None:
+    """q_coefficients on the piece from the lower end lo to the upper end hi."""
+    ln, ld, sq_lo, s_lo = lo
+    hn, hd, sq_hi, s_hi = hi
+    # in the strip both bracket ends exist: s_lo is None only when
+    # lo(mu^2) > r + 1 >= hi(mu^2), and s_hi only when hi(mu^2) < r <= lo(mu^2)
     if sq_lo[0] * sq_hi[1] > sq_hi[0] * sq_lo[1]:
         return None
-    s_lo = sqrt_bracket(sq_lo[0] - r * sq_lo[1], sq_lo[1], sqrt_width)[0]
-    s_hi = sqrt_bracket(sq_hi[0] - r * sq_hi[1], sq_hi[1], sqrt_width)[1]
     return (
         (_a_at(r, sq_hi), _a_at(r, sq_lo)),
         (_b_at(r, t, sq_hi, s_lo, (hn, hd)), _b_at(r, t, sq_lo, s_hi, (ln, ld))),
@@ -132,6 +188,11 @@ def _b_at(
     r: int, t: int, mu_sq: IntFraction, s: IntFraction, mu: IntFraction
 ) -> IntFraction:
     (qn, qd), (sn, sd), (mn, md) = mu_sq, s, mu
+    # mu_sq and mu come from the same end; qd > 1 means mu_sq = mn^2/md^2
+    # unclamped, so mn divides the numerator and the denominator and is
+    # cancelled, which shrinks the gcd of a closing piece's witness
+    if qd != 1:
+        return 2 * r * t * sn * qd + r * (3 * md - mn) * sd * mn, sd * qn
     return 2 * r * t * sn * qd * mn + r * (3 * md - mn) * sd * qn, sd * qn * mn
 
 
@@ -202,11 +263,21 @@ class Certificate(Frozen):
         }
 
 
-def _witnesses(**bounds: tuple[IntFraction, IntFraction]) -> dict[str, list[str]]:
-    return {
-        name: [str(Fraction(*lo)), str(Fraction(*hi))]
-        for name, (lo, hi) in bounds.items()
-    }
+def _lowest(bound: Bound) -> Bound:
+    """A bound (lo, hi) in lowest terms, one gcd per end."""
+    (ln, ld), (hn, hd) = bound
+    g, h = gcd(ln, ld), gcd(hn, hd)
+    return (ln // g, ld // g), (hn // h, hd // h)
+
+
+def _text(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for n/d in lowest terms with d > 0."""
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+def _witnesses(**bounds: Bound) -> dict[str, list[str]]:
+    """The witness strings of bounds already in lowest terms."""
+    return {name: [_text(*lo), _text(*hi)] for name, (lo, hi) in bounds.items()}
 
 
 def _minus_quarter_quotient(
@@ -218,46 +289,66 @@ def _minus_quarter_quotient(
     return cn * den + p * ad * cd, cd * den
 
 
+def _vertex_hi(a: Bound, b: Bound, c: Bound) -> IntFraction:
+    """hi(c - (b*b)/(4a)) in interval arithmetic, for hi(a) < 0 and
+    hi(b) > 0.  hi(b*b) is the square of the end of b larger in size, and
+    dividing by the negative 4a pairs it with hi(a)."""
+    b_lo, b_hi = b
+    big = b_lo if b_lo[0] * b_hi[1] + b_hi[0] * b_lo[1] < 0 else b_hi
+    return _minus_quarter_quotient(c[1], big[0] ** 2, big[1] ** 2, a[1])
+
+
+def _vertex_lo(a: Bound, b: Bound, c: Bound) -> IntFraction:
+    """lo(c - (b*b)/(4a)), as _vertex_hi.  lo(b*b) is lo(b)^2 when b >= 0,
+    else lo(b)*hi(b) < 0; dividing by 4a pairs it with lo(a) when it is
+    >= 0, else with hi(a)."""
+    b_lo, b_hi = b
+    if b_lo[0] >= 0:
+        return _minus_quarter_quotient(c[0], b_lo[0] ** 2, b_lo[1] ** 2, a[0])
+    return _minus_quarter_quotient(c[0], b_lo[0] * b_hi[0], b_lo[1] * b_hi[1], a[1])
+
+
 def _leaf_rule(
     r: int, t0: int, lo: Fraction, hi: Fraction, sqrt_width: Fraction
 ) -> dict | None:
     """Try to close [lo, hi] with one sign rule; None if inconclusive.
 
-    Every test is a sign test on an integer numerator over a positive
-    denominator; witness strings are built only for a piece that closes.
+    Builds the two ends the piece needs and takes the bisection's route
+    (_close); the audit replays each leaf through here.
     """
-    bounds = q_coefficients(r, t0, lo, hi, sqrt_width)
+    return _close(r, t0, _lower_end(r, lo, sqrt_width), _upper_end(r, hi, sqrt_width))
+
+
+def _close(r: int, t0: int, lo: End, hi: End) -> dict | None:
+    """The leaf rule on the piece from the lower end lo to the upper end hi.
+
+    Every test is a sign test on an integer numerator over a positive
+    denominator, made on the unreduced bounds, so a piece that does not
+    close reduces nothing.  A piece that closes reduces each of its a, b
+    and c bounds once; a vertex leaf then computes its vertex bounds from
+    the reduced a, b and c, which are smaller, and reduces those once.
+    """
+    bounds = _bounds(r, t0, lo, hi)
     if bounds is None:
+        # mu = n/d is in lowest terms, and so is n^2/d^2
+        (ln, ld), (hn, hd) = lo[:2], hi[:2]
         return {
             "rule": "outside_strip",
-            "witnesses": {"mu_sq": [str(lo * lo), str(hi * hi)]},
+            "witnesses": {"mu_sq": [_text(ln * ln, ld * ld), _text(hn * hn, hd * hd)]},
         }
     a, b, c = bounds
-    (a_lo, a_hi), (b_lo, b_hi), (c_lo, c_hi) = bounds
-    if c_hi[0] >= 0:
+    if c[1][0] >= 0:
         return None
-    if a_hi[0] <= 0 and b_hi[0] <= 0:
+    if a[1][0] <= 0 and b[1][0] <= 0:
+        a, b, c = map(_lowest, bounds)
         return {"rule": "c_negative", "witnesses": _witnesses(a=a, b=b, c=c)}
-    if a_hi[0] >= 0:
+    if a[1][0] >= 0 or _vertex_hi(a, b, c)[0] >= 0:
         return None
-    # vertex = c - (b*b)/(4a) in interval arithmetic.  Here a < 0 and
-    # hi(b) > 0, so hi(b*b) is the square of the end of b larger in size and
-    # lo(b*b) is lo(b)^2 when b >= 0, else lo(b)*hi(b) < 0; dividing by the
-    # negative 4a pairs hi(b*b) with hi(a), and lo(b*b) with lo(a) when it is
-    # >= 0, else with hi(a).
-    big = b_lo if b_lo[0] * b_hi[1] + b_hi[0] * b_lo[1] < 0 else b_hi
-    vertex_hi = _minus_quarter_quotient(c_hi, big[0] ** 2, big[1] ** 2, a_hi)
-    if vertex_hi[0] >= 0:
-        return None
-    if b_lo[0] >= 0:
-        vertex_lo = _minus_quarter_quotient(c_lo, b_lo[0] ** 2, b_lo[1] ** 2, a_lo)
-    else:
-        vertex_lo = _minus_quarter_quotient(
-            c_lo, b_lo[0] * b_hi[0], b_lo[1] * b_hi[1], a_hi
-        )
+    a, b, c = map(_lowest, bounds)
+    vertex = _lowest((_vertex_lo(a, b, c), _vertex_hi(a, b, c)))
     return {
         "rule": "vertex_negative",
-        "witnesses": _witnesses(a=a, b=b, c=c, vertex=(vertex_lo, vertex_hi)),
+        "witnesses": _witnesses(a=a, b=b, c=c, vertex=vertex),
     }
 
 
@@ -289,11 +380,15 @@ def verify_t_bound(
 
     tree: dict = {"mu_lo": str(root_lo), "mu_hi": str(root_hi)}
     max_depth = leaf_count = 0
-    # explicit stack, left piece on top: the pieces are visited in pre-order
-    stack = [(tree, root_lo, root_hi, 0)]
+    # explicit stack, left piece on top: the pieces are visited in pre-order.
+    # Each carries the records of its two ends, so a split computes only the
+    # record and the text of its midpoint.
+    stack = [
+        (tree, _endpoint(r, root_lo, sqrt_width), _endpoint(r, root_hi, sqrt_width), 0)
+    ]
     while stack:
         node, lo, hi, depth = stack.pop()
-        leaf = _leaf_rule(r, t0, lo, hi, sqrt_width)
+        leaf = _close(r, t0, lo[1], hi[2])  # lo as a lower end, hi as an upper
         if leaf is not None:
             node.update(leaf)
             max_depth = max(max_depth, depth)
@@ -301,11 +396,13 @@ def verify_t_bound(
             continue
         if depth >= depth_limit:
             raise DepthLimitExceeded(
-                f"piece [{lo}, {hi}] still open at depth {depth} (r={r}, t0={t0})"
+                f"piece [{node['mu_lo']}, {node['mu_hi']}] still open at depth "
+                f"{depth} (r={r}, t0={t0})"
             )
-        mid = (lo + hi) / 2
-        left = {"mu_lo": str(lo), "mu_hi": str(mid)}
-        right = {"mu_lo": str(mid), "mu_hi": str(hi)}
+        mid = _endpoint(r, (lo[0] + hi[0]) / 2, sqrt_width)
+        text = str(mid[0])
+        left = {"mu_lo": node["mu_lo"], "mu_hi": text}
+        right = {"mu_lo": text, "mu_hi": node["mu_hi"]}
         node["children"] = [left, right]
         stack.append((right, mid, hi, depth + 1))
         stack.append((left, lo, mid, depth + 1))
@@ -405,21 +502,26 @@ def audit_certificate(doc: object) -> tuple[bool, list[str]]:
 
     leaves = 0
     deepest = 0
-    # explicit stack, left child on top: nodes are checked in pre-order
-    stack: list[tuple[object, Fraction, Fraction, int]] = [(doc["tree"], mu_lo, mu_hi, 0)]
+    # explicit stack, left child on top: nodes are checked in pre-order.
+    # Each entry carries the endpoint texts its parent fixed, canonical since
+    # they were parsed; a node that repeats them needs no parse of its own.
+    stack: list[tuple[object, Fraction, Fraction, str, str, int]] = [
+        (doc["tree"], mu_lo, mu_hi, doc["mu_lo"], doc["mu_hi"], 0)
+    ]
     while stack:
-        node, lo, hi, depth = stack.pop()
+        node, lo, hi, lo_text, hi_text, depth = stack.pop()
         if not isinstance(node, dict):
             fail(f"non-record node at [{lo}, {hi}]")
             continue
-        node_lo = _parse_rational(node.get("mu_lo"))
-        node_hi = _parse_rational(node.get("mu_hi"))
-        if node_lo is None or node_hi is None:
-            fail(f"node at [{lo}, {hi}] lacks rational endpoints")
-            continue
-        if node_lo != lo or node_hi != hi:
-            fail(f"node claims [{node_lo}, {node_hi}], expected [{lo}, {hi}]")
-            continue
+        if node.get("mu_lo") != lo_text or node.get("mu_hi") != hi_text:
+            node_lo = _parse_rational(node.get("mu_lo"))
+            node_hi = _parse_rational(node.get("mu_hi"))
+            if node_lo is None or node_hi is None:
+                fail(f"node at [{lo}, {hi}] lacks rational endpoints")
+                continue
+            if node_lo != lo or node_hi != hi:
+                fail(f"node claims [{node_lo}, {node_hi}], expected [{lo}, {hi}]")
+                continue
         if "children" in node:
             if depth >= depth_limit:
                 fail(
@@ -432,15 +534,16 @@ def audit_certificate(doc: object) -> tuple[bool, list[str]]:
                 fail(f"node at [{lo}, {hi}] must have exactly two children")
                 continue
             left = kids[0]
-            split = _parse_rational(left.get("mu_hi")) if isinstance(left, dict) else None
+            split_text = left.get("mu_hi") if isinstance(left, dict) else None
+            split = _parse_rational(split_text)
             if split is None:
                 fail(f"left child of [{lo}, {hi}] lacks an upper endpoint")
                 continue
             if not lo < split < hi:
                 fail(f"split {split} outside ({lo}, {hi})")
                 continue
-            stack.append((kids[1], split, hi, depth + 1))
-            stack.append((left, lo, split, depth + 1))
+            stack.append((kids[1], split, hi, split_text, hi_text, depth + 1))
+            stack.append((left, lo, split, lo_text, split_text, depth + 1))
             continue
         leaves += 1
         deepest = max(deepest, depth)

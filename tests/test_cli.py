@@ -1561,10 +1561,8 @@ AUDIT_PATHS = st.sampled_from(["certificate.json", "missing.json", "a-directory"
                                "malformed.json", "not-an-object.json", "-", ""])
 MU0 = _option("--mu0", MU_VALUES) | st.just(())
 T0 = _option("--t0", _values(st.integers(min_value=2, max_value=6), ["1", "-1", "x"]))
-# A command (or none) and the arguments it is given, with or without --mu0;
-# audit-certificate with two paths, table with --mu (a prefix of --mu0, which
-# the parsers refuse), and two that leave out an option the command needs.
-COMMAND_SHAPES = [
+# A command and the arguments it is given, with or without --mu0.
+WELL_FORMED_SHAPES = [
     ("table", [_option("--r", R_VALUES), MU0]),
     ("enumerate", [_option("--r", R_VALUES), MU0]),
     ("verify", [_option("--r", R_VALUES), MU0]),
@@ -1572,6 +1570,11 @@ COMMAND_SHAPES = [
     ("classify", [_option("--r", R_VALUES), _option("--mu", MU_VALUES)]),
     ("coverage", [_option("--r", R_VALUES)]),
     ("audit-certificate", [st.tuples(AUDIT_PATHS)]),
+]
+# audit-certificate with two paths, table with --mu (a prefix of --mu0, which
+# the parsers refuse), an unknown command and none, and two that leave out an
+# option the command needs.
+MALFORMED_SHAPES = [
     ("audit-certificate", [st.tuples(AUDIT_PATHS), st.tuples(AUDIT_PATHS)]),
     ("table", [_option("--r", R_VALUES), _option("--mu", MU_VALUES)]),
     ("no-such-command", []),
@@ -1579,16 +1582,86 @@ COMMAND_SHAPES = [
     ("verify", [MU0]),
     ("classify", [_option("--mu", MU_VALUES)]),
 ]
-# A command line of one shape, with up to two common flags after it.
-COMMAND_LINES = st.sampled_from(COMMAND_SHAPES).flatmap(
-    lambda shape: st.builds(
-        lambda arguments, options: [
-            token for part in ((shape[0],) if shape[0] else (), *arguments, *options)
-            for token in part
-        ],
-        st.tuples(*shape[1]),
-        COMMON_OPTIONS,
+COMMAND_SHAPES = WELL_FORMED_SHAPES + MALFORMED_SHAPES
+
+
+def _mostly(common, rare):
+    """A draw from common, or about one time in eight from rare."""
+    return st.integers(min_value=1, max_value=8).flatmap(
+        lambda k: rare if k == 1 else common
     )
+
+
+def _command_lines(shapes, options_of):
+    """Command lines of a shape drawn from shapes, with the flags that
+    options_of(command) draws after it."""
+    return shapes.flatmap(
+        lambda shape: st.builds(
+            lambda arguments, options: [
+                token for part in ((shape[0],) if shape[0] else (), *arguments, *options)
+                for token in part
+            ],
+            st.tuples(*shape[1]),
+            options_of(shape[0]),
+        )
+    )
+
+
+# A command line of one shape, with up to two common flags after it.
+COMMAND_LINES = _command_lines(
+    st.sampled_from(COMMAND_SHAPES), lambda command: COMMON_OPTIONS
+)
+
+# The values of each optional flag of cli._COMMANDS that takes a value and
+# has no choices; --format draws from its command's choices and "yaml".
+RANDOM_FLAG_VALUES = {
+    "--jobs": _values(st.integers(min_value=1, max_value=3), ["0", "-1", "x"]),
+    "--cache-dir": st.sampled_from([".", "a-directory", "missing/sub", "malformed.json", ""]),
+    "--depth": _values(st.integers(min_value=1, max_value=12), ["0", "-1", "x"]),
+    "--r": R_VALUES,
+    "--mu0": MU_VALUES,
+    "--mu": MU_VALUES,
+    "--t0": _values(st.integers(min_value=2, max_value=6), ["1", "-1", "x"]),
+}
+
+
+def _row_option(flag, kwargs):
+    """The flag and a value for it, as its add_argument keywords take one."""
+    if kwargs.get("action") == "store_true":
+        return st.just((flag,))
+    if "choices" in kwargs:
+        return _option(flag, st.sampled_from([*kwargs["choices"], "yaml"]))
+    return _option(flag, RANDOM_FLAG_VALUES[flag])
+
+
+# command: {flag: strategy of that flag and its value} for its _COMMANDS row
+ROW_OPTIONS = {
+    command: {flag: _row_option(flag, kwargs)
+              for flag, kwargs in (*shared, *options) if flag.startswith("-")}
+    for command, (_, _, shared, options) in cli._COMMANDS.items()
+}
+SPECIAL_TOKENS = st.sampled_from([("-h",), ("--version",), ("--approx=1",), ("--",)])
+
+
+def _row_flags(command):
+    """Up to two flags, each from command's row or, about one time in
+    eight, from another command's row or a special token.  A command that is
+    not in _COMMANDS draws from every row."""
+    row = ROW_OPTIONS.get(command, {})
+    foreign = st.one_of(
+        *(option for name, options in ROW_OPTIONS.items() if name != command
+          for flag, option in options.items() if flag not in row),
+        SPECIAL_TOKENS,
+    )
+    return st.lists(_mostly(st.one_of(*row.values()), foreign) if row else foreign,
+                    max_size=2)
+
+
+# A command line of a well-formed shape, or about one time in eight a
+# malformed one, with up to two flags from its command's row after it.
+ROW_COMMAND_LINES = _command_lines(
+    _mostly(st.sampled_from(WELL_FORMED_SHAPES), st.sampled_from(MALFORMED_SHAPES)),
+    _row_flags,
 )
 
 
@@ -1605,7 +1678,7 @@ def test_random_command_lines_exit_cleanly():
     os.rename("certificate-r12-t4.json", "certificate.json")
 
     @settings(max_examples=800, deadline=None, database=None, derandomize=True)
-    @given(COMMAND_LINES)
+    @given(ROW_COMMAND_LINES)
     def exits_cleanly(argv):
         _, err, code = _call(argv)
         assert code in (EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_INCONCLUSIVE), (argv, err)

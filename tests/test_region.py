@@ -172,6 +172,64 @@ def test_leaf_rule_needs_no_generic_interval_arithmetic(monkeypatch):
     assert len(built) == 2 * cert.leaf_count
 
 
+REGION_JOBS = ((10, 6), (11, 5), (12, 4), *((r, 3) for r in range(13, 20)))
+
+
+def test_bisection_bounds_from_carried_records_match_q_coefficients(monkeypatch):
+    """On every node of the ten criterion-5 trees, at widths 2^-16 and
+    2^-256, the bounds the bisection builds from the endpoint records it
+    carries equal q_coefficients on the node's endpoints, in value."""
+    pieces = []
+    close = region._close
+    monkeypatch.setattr(
+        region, "_close",
+        lambda r, t0, lo, hi: pieces.append((lo, hi)) or close(r, t0, lo, hi),
+    )
+
+    def values(bounds):
+        return bounds and [Fraction(*end) for bound in bounds for end in bound]
+
+    for exponent in (16, 256):
+        width = Fraction(1, 2**exponent)
+        for r, t0 in REGION_JOBS:
+            pieces.clear()
+            cert = verify_t_bound(r, t0, sqrt_width=width)
+            ends = [(Fraction(*lo[:2]), Fraction(*hi[:2])) for lo, hi in pieces]
+            tree = cert.to_json_dict()["tree"]
+            nodes, stack = [], [tree]
+            while stack:
+                node = stack.pop()
+                nodes.append((Fraction(node["mu_lo"]), Fraction(node["mu_hi"])))
+                stack.extend(reversed(node.get("children", ())))
+            assert ends == nodes and len(nodes) == 2 * cert.leaf_count - 1
+            for (lo, hi), (mu_lo, mu_hi) in zip(pieces, ends):
+                assert values(region._bounds(r, t0, lo, hi)) == values(
+                    q_coefficients(r, t0, mu_lo, mu_hi, width)
+                ), (r, t0, exponent, mu_lo, mu_hi)
+
+
+def test_each_endpoint_is_bracketed_once_and_parsed_once(monkeypatch):
+    """The bisection brackets the square root at each endpoint's two ends
+    once, not at each piece's; the audit parses the header's three rationals
+    and each split, and no endpoint its parent already fixed."""
+    brackets, parses = [], []
+    bracket, parse = region.sqrt_bracket, region._parse_rational
+    monkeypatch.setattr(
+        region, "sqrt_bracket", lambda *args: brackets.append(1) or bracket(*args)
+    )
+    monkeypatch.setattr(
+        region, "_parse_rational", lambda text: parses.append(1) or parse(text)
+    )
+    cert = verify_t_bound(10, 6)
+    assert cert.leaf_count > 2
+    assert len(brackets) <= 2 * (cert.leaf_count + 1)
+    for r, t0 in REGION_JOBS:
+        doc = verify_t_bound(r, t0).to_json_dict()
+        parses.clear()
+        assert audit_certificate(doc) == (True, [])
+        assert len(parses) == 3 + doc["leaf_count"] - 1, (r, t0)
+
+
 def test_q_exact_validation():
     with pytest.raises(ValueError):
         q_exact(1, 2, 10, Fraction(-1, 3))
@@ -385,6 +443,58 @@ def test_audit_accepts_only_canonical_rationals():
     bad = copy.deepcopy(doc)
     bad["leaf_count"] = float(doc["leaf_count"])
     assert _rejects(bad, "leaf_count")
+
+
+def _node_at(doc, path):
+    node = doc["tree"]
+    for index in path:
+        node = node["children"][index]
+    return node
+
+
+def test_audit_refuses_respelled_endpoints_with_the_messages_it_gave():
+    """An endpoint that spells the value its parent fixed in another form
+    (unreduced, zero-padded, signed, padded or decimal), or that names
+    another value, is refused with the message a parse of it gives: the
+    audit's shortcut for a node that repeats its parent's texts changes no
+    refusal."""
+    base = verify_t_bound(11, 5).to_json_dict()
+    # a right child that splits: no field of it is a split its parent parses
+    inner = (1,)
+    while "children" not in _node_at(base, inner):
+        inner = inner[:-1] + (0, 1)
+    leaf = ()
+    while "children" in _node_at(base, leaf):
+        leaf += (1,)
+    assert len(leaf) > 1
+
+    def lacks(path):
+        node = _node_at(base, path)
+        return f"node at [{node['mu_lo']}, {node['mu_hi']}] lacks rational endpoints"
+
+    parent = _node_at(base, inner)
+    split, hi = _node_at(base, inner + (1,))["mu_lo"], parent["mu_hi"]
+    cases = [(path, key, lacks(path)) for path in ((), inner, leaf)
+             for key in ("mu_lo", "mu_hi")]
+    cases += [
+        (inner + (0,), "mu_hi",
+         f"left child of [{parent['mu_lo']}, {hi}] lacks an upper endpoint"),
+        (inner + (1,), "mu_lo", lacks(inner + (1,))),
+    ]
+    for path, key, message in cases:
+        spellings = _respellings(_node_at(base, path)[key])
+        assert len(spellings) >= 4, spellings
+        for text in spellings:
+            doc = copy.deepcopy(base)
+            _node_at(doc, path)[key] = text
+            assert audit_certificate(doc) == (False, [message]), (path, key, text)
+
+    # the right child names its parent's lower end: a canonical other value
+    doc = copy.deepcopy(base)
+    _node_at(doc, inner + (1,))["mu_lo"] = parent["mu_lo"]
+    assert audit_certificate(doc) == (
+        False, [f"node claims [{parent['mu_lo']}, {hi}], expected [{split}, {hi}]"]
+    )
 
 
 def test_audit_survives_oversized_numbers():
