@@ -114,6 +114,10 @@ from .search import (
 )
 from .thresholds import classify, threshold, verify_coverage
 
+# The one outcome that fails a pair row, bound once: _large_r_checks tests
+# each pair row's outcome against it at every r >= 20.
+_COUNTEREXAMPLE = PairOutcome.COUNTEREXAMPLE
+
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
@@ -316,21 +320,23 @@ def _large_r_checks(r: int, plan: _RangePlan) -> tuple[tuple[tuple, tuple, list]
     bound = total_multiplicity_bound(r)
     pairs = small_degree_pairs(r)
     key, values, lines, small_lines = [], [r, mu0_text], [], []
+    decide, give = key.append, values.append
     for pair in pairs:
         outcome = None
         if pair.curve.total_multiplicity <= bound:
             verdict = check_pair(pair, mu0)
             outcome, mu_minus = verdict.outcome, verdict.mu_minus
-            values.append(verdict.delta)
+            give(verdict.delta)
             if mu_minus is not None:
                 mu_minus = mu_minus.render()
-                values.append(mu_minus)
-            if not verdict.passed:
+                give(mu_minus)
+            if outcome is _COUNTEREXAMPLE:
                 text = pair.curve.render()
                 lines.append(_below_mu0_line(r, text, pair.t, mu_minus, mu0_text))
         delta = check_pair(pair, mu0).delta
-        values.append(delta)
-        key += (outcome, delta < 0)
+        give(delta)
+        decide(outcome)
+        decide(delta < 0)
         if delta >= 0:
             small_lines.append(f"FAIL r={r}: small-degree pair {pair.curve.render()} "
                                f"t={pair.t} has delta = {delta} >= 0")

@@ -30,12 +30,15 @@ RationalInterval and CurveClass check in a __post_init__ that __init__
 calls.  A checked class sets each slot through its member descriptor's
 __set__, bound once per module: verify builds several curve classes,
 pairs, verdicts and quadratic numbers at every r, and that setter skips the
-name lookup object.__setattr__ makes on each call.  Assigning or deleting
-a field afterwards raises AttributeError.  Two instances are equal when
-they are of the same class and their field tuples are equal, the hash is
-the hash of that tuple, the repr is Name(field=value, ...), and pickle and
-copy rebuild an instance by calling the class on its field tuple.
-Instances have no __dict__.
+name lookup object.__setattr__ makes on each call.  A checked value moved
+to another r is re-seated, not rebuilt (search._reseated): the setters
+copy its other fields, and the rule is that a re-seat re-runs every check
+that reads r, with the constructor's messages.  Assigning or deleting a
+field afterwards raises AttributeError.  Two instances are equal when they
+are of the same class and their field tuples are equal, the hash is the
+hash of that tuple, the repr is Name(field=value, ...), and pickle and copy
+rebuild an instance by calling the class on its field tuple.  Instances
+have no __dict__.
 """
 
 from __future__ import annotations

@@ -40,7 +40,8 @@ and reduces those once.  The reduced bounds are written into the tree as
 the leaf's witnesses.
 
 The result is a machine-checkable certificate tree; audit_certificate
-replays it from scratch.
+replays it from scratch, carrying endpoint records down its walk as the
+bisection does.
 
 verify_large_r decides the two closed-form inequalities that take over for
 large r, where the t0 = 3 certificate is a single leaf.
@@ -115,7 +116,19 @@ def _upper_end(r: int, mu: Fraction, sqrt_width: Fraction) -> End:
 
 def _endpoint(r: int, mu: Fraction, sqrt_width: Fraction) -> tuple[Fraction, End, End]:
     """The record of a bisection endpoint: mu, and mu as a lower and as an
-    upper end.  Computed once, it serves every piece that ends at mu."""
+    upper end.  Computed once, it serves every piece that ends at mu.
+
+    Strictly inside the strip both ends bracket the same sqrt(mu^2 - r), so
+    it is bracketed once and each end takes its side.  On the strip's edges
+    and outside it one end at most needs a bracket (_lower_end,
+    _upper_end).
+    """
+    n, d = mu.numerator, mu.denominator
+    nn, dd = n * n, d * d
+    if r * dd < nn < (r + 1) * dd:
+        mu_sq = nn, dd
+        s_lo, s_hi = sqrt_bracket(nn - r * dd, dd, sqrt_width)
+        return mu, (n, d, mu_sq, s_lo), (n, d, mu_sq, s_hi)
     return mu, _lower_end(r, mu, sqrt_width), _upper_end(r, mu, sqrt_width)
 
 
@@ -313,8 +326,9 @@ def _leaf_rule(
 ) -> dict | None:
     """Try to close [lo, hi] with one sign rule; None if inconclusive.
 
-    Builds the two ends the piece needs and takes the bisection's route
-    (_close); the audit replays each leaf through here.
+    Builds the two ends the piece needs and takes the route of the
+    bisection and the audit (_close), which read them from endpoint
+    records instead.
     """
     return _close(r, t0, _lower_end(r, lo, sqrt_width), _upper_end(r, hi, sqrt_width))
 
@@ -503,13 +517,17 @@ def audit_certificate(doc: object) -> tuple[bool, list[str]]:
     leaves = 0
     deepest = 0
     # explicit stack, left child on top: nodes are checked in pre-order.
-    # Each entry carries the endpoint texts its parent fixed, canonical since
-    # they were parsed; a node that repeats them needs no parse of its own.
-    stack: list[tuple[object, Fraction, Fraction, str, str, int]] = [
-        (doc["tree"], mu_lo, mu_hi, doc["mu_lo"], doc["mu_hi"], 0)
-    ]
+    # Each entry carries the records of its two ends (_endpoint), so a split
+    # computes only the record of its midpoint, and the endpoint texts its
+    # parent fixed, canonical since they were parsed; a node that repeats
+    # them needs no parse of its own.
+    stack: list[tuple[object, tuple, tuple, str, str, int]] = [(
+        doc["tree"], _endpoint(r, mu_lo, sqrt_width), _endpoint(r, mu_hi, sqrt_width),
+        doc["mu_lo"], doc["mu_hi"], 0,
+    )]
     while stack:
-        node, lo, hi, lo_text, hi_text, depth = stack.pop()
+        node, lo_end, hi_end, lo_text, hi_text, depth = stack.pop()
+        lo, hi = lo_end[0], hi_end[0]
         if not isinstance(node, dict):
             fail(f"non-record node at [{lo}, {hi}]")
             continue
@@ -542,13 +560,14 @@ def audit_certificate(doc: object) -> tuple[bool, list[str]]:
             if not lo < split < hi:
                 fail(f"split {split} outside ({lo}, {hi})")
                 continue
-            stack.append((kids[1], split, hi, split_text, hi_text, depth + 1))
-            stack.append((left, lo, split, lo_text, split_text, depth + 1))
+            mid = _endpoint(r, split, sqrt_width)
+            stack.append((kids[1], mid, hi_end, split_text, hi_text, depth + 1))
+            stack.append((left, lo_end, mid, lo_text, split_text, depth + 1))
             continue
         leaves += 1
         deepest = max(deepest, depth)
         try:
-            recomputed = _leaf_rule(r, t0, lo, hi, sqrt_width)
+            recomputed = _close(r, t0, lo_end[1], hi_end[2])
         except ValueError as exc:  # a witness past the digit limit
             fail(f"leaf [{lo}, {hi}] cannot be recomputed: {exc}")
             continue

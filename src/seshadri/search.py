@@ -40,11 +40,14 @@ From r = 20 on no scan runs: the critical pairs are the small-degree pairs
 (_SMALL_DEGREE) whose M is at most B, one bound and at most five classes
 per r.  t_range is {1, 2} there, and the d = 2..4 pairs are fixed because
 for M <= r every multiplicity is 0 or 1, so the left side of (**) is
-C(d+2,2) - M, which does not depend on r.  For d >= 5 the maximal M already
-exceeds B by large_r_inequalities (i), r - 6 > 3 sqrt(r), which holds from
-r = 20 on, and that M rises in d, so no higher degree survives.  The tests
-hold this route equal to the d-scan (_scan_critical_pairs) on r = 20..3000
-and at 10^6, 10^12 and 10^18.
+C(d+2,2) - M, which does not depend on r.  The five are built once, by the
+d-scan at r = 20 through the checked constructors, and each r re-seats
+them (_reseated): a re-seat copies what does not depend on r and re-runs
+every check that reads r.  For d >= 5 the maximal M already exceeds B by
+large_r_inequalities (i), r - 6 > 3 sqrt(r), which holds from r = 20 on,
+and that M rises in d, so no higher degree survives.  The tests hold this
+route equal to the d-scan (_scan_critical_pairs) on r = 20..3000 and at
+10^6, 10^12 and 10^18.
 
 Each critical pair is then checked against a threshold mu_0: with
 Delta = M^2 - r(d^2 - t^2), the pair is harmless when Delta < 0 (the class
@@ -55,11 +58,12 @@ is never submaximal on the strip) or when mu_- = (dM - t*sqrt(Delta))/(d^2
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable
 from math import comb, isqrt
 
 from .errors import ExceptionalClassUnsupported, InvalidT, UnsupportedR
 from .exact import Frozen, QuadraticLike, QuadraticNumber, _field_sign, compare
-from .surface import CurveClass, lower_root
+from .surface import _CC_D, _CC_R, _CC_RUNS, _CC_TOTAL, CurveClass, lower_root
 from . import thresholds as _thresholds
 
 
@@ -319,16 +323,13 @@ def enumerate_critical_pairs(r: int) -> tuple[BalancedPair, ...]:
     bound, with no scan: no degree d >= 5 survives, since there the maximal
     M exceeds the bound by large_r_inequalities (i) and M rises in d; and
     for d <= 4 and M <= r the left side of (**) is C(d+2,2) - M, whatever r
-    is.  Each class (d; 1^M) is balanced because M <= 14 <= r.
+    is.  Each class (d; 1^M) is balanced because M <= 14 <= r.  The kept
+    pairs are re-seated at r (_reseated).
     """
     if r < 20:
         return _scan_critical_pairs(r)
     bound = total_multiplicity_bound(r)
-    return tuple([
-        BalancedPair(CurveClass(d, ((1, total),), r), t)
-        for d, total, t in _SMALL_DEGREE
-        if total <= bound
-    ])
+    return _reseated([p for p in _SMALL_DEGREE if p.curve.total_multiplicity <= bound], r)
 
 
 def _scan_critical_pairs(r: int) -> tuple[BalancedPair, ...]:
@@ -360,12 +361,56 @@ def _scan_critical_pairs(r: int) -> tuple[BalancedPair, ...]:
     return tuple(pairs)
 
 
-# (d, M, t) of the five balanced pairs with d <= 4 that are critical for
-# every r >= 14, in (t, d) order: the d-scan's critical pairs at r = 20, the
-# first r past the scan. Their M is the maximal M of (**) when M <= r, namely
-# C(d+2,2) - 1 at t = 1 and C(d+2,2) - 2 at t = 2, whatever r is; the tests
-# pin the table.
-_SMALL_DEGREE = tuple((p.d, p.total_multiplicity, p.t) for p in _scan_critical_pairs(20))
+# The five balanced pairs (d; 1^M) with d <= 4 that are critical for every
+# r >= 14, in (t, d) order: the d-scan's critical pairs at r = 20, the first
+# r past the scan, built there through the checked constructors. Their M is
+# the maximal M of (**) when M <= r, namely C(d+2,2) - 1 at t = 1 and
+# C(d+2,2) - 2 at t = 2, whatever r is; the tests pin the table. Each r
+# re-seats them (_reseated).
+_SMALL_DEGREE = _scan_critical_pairs(20)
+
+# An instance with no slot set, for _reseated to fill through the setters.
+_new = object.__new__
+
+
+def _reseated(pairs: Iterable[BalancedPair], r: int) -> tuple[BalancedPair, ...]:
+    """The pairs at r points.  Each new pair copies an old one's d, runs, M
+    and t, sets r, and re-runs every check that reads r, with the
+    constructors' messages: r >= 1 and at most r points placed
+    (CurveClass), balance at r (BalancedPair).  No other check reads r, and
+    each held when the pair was built, so none runs again.
+
+    A balanced class of two runs (m, s), (m - 1, r' - s) places every one of
+    its r' points, so it is placed and balanced at r exactly when r = r'.
+    One run (m, s) places s points and is balanced when m = 1 or s = r.
+    """
+    if r < 1:
+        raise ValueError(f"need r >= 1, got {r}")
+    out = []
+    append = out.append
+    for pair in pairs:
+        curve = pair.curve
+        runs = curve.runs
+        if len(runs) == 1:
+            m, placed = runs[0]
+            balanced = m == 1 or placed == r
+        else:
+            placed = curve.r
+            balanced = placed == r
+        if placed > r:
+            raise ValueError(f"{placed} multiplicities exceed r={r}")
+        if not balanced:
+            raise ValueError(f"{curve} is not a balanced class with M >= 1")
+        c = _new(CurveClass)
+        _CC_D(c, curve.d)
+        _CC_RUNS(c, runs)
+        _CC_R(c, r)
+        _CC_TOTAL(c, curve.total_multiplicity)
+        p = _new(BalancedPair)
+        _BP_CURVE(p, c)
+        _BP_T(p, pair.t)
+        append(p)
+    return tuple(out)
 
 
 def check_pair(pair: BalancedPair, mu0: QuadraticLike) -> Verdict:
@@ -404,17 +449,15 @@ def verify_no_counterexample(
 def small_degree_pairs(r: int) -> tuple[BalancedPair, ...]:
     """The five balanced pairs with d <= 4 that are critical for every large r.
 
-    They are read from _SMALL_DEGREE.  For r >= 20 the critical pairs are
-    exactly those of them with M <= total_multiplicity_bound(r) (see
-    enumerate_critical_pairs), and each has Delta = M^2 - r(d^2 - t^2) < 0
-    there, which is what the large-r verification consumes.
+    They are the pairs of _SMALL_DEGREE re-seated at r (_reseated).  For
+    r >= 20 the critical pairs are exactly those of them with
+    M <= total_multiplicity_bound(r) (see enumerate_critical_pairs), and
+    each has Delta = M^2 - r(d^2 - t^2) < 0 there, which is what the
+    large-r verification consumes.
     """
     if r < 14:
         raise UnsupportedR(f"need r >= 14 to host 14 simple points, got {r}")
-    return tuple([
-        BalancedPair(CurveClass(d, ((1, total),), r), t)
-        for d, total, t in _SMALL_DEGREE
-    ])
+    return _reseated(_SMALL_DEGREE, r)
 
 
 class OracleReport(Frozen):

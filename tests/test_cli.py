@@ -930,6 +930,15 @@ def test_verify_doc_matches_the_composed_oracle(mu0_text):
     assert (failing > 0) == (mu0 is not None)
 
 
+def _small_degree_table(*entries):
+    """A stand-in for search._SMALL_DEGREE: the pair (d; 1^M) at t for each
+    (d, M, t), built at r = 20 as the real table is."""
+    return tuple(
+        search.BalancedPair(surface.CurveClass(d, ((1, total),), 20), t)
+        for d, total, t in entries
+    )
+
+
 def test_verify_small_degree_failures_at_r_20(capsys, monkeypatch):
     """A small-degree entry with delta >= 0 at r = 20 fails both of its
     rows: (2;1^9) at t = 1 has delta = 81 - 20*3 = 21 and
@@ -937,7 +946,7 @@ def test_verify_small_degree_failures_at_r_20(capsys, monkeypatch):
     the bound, so its pair row FAILs before its small-degree row. Over
     verify --r 20..25 the class texts, which a range's JSON templates
     render, follow the patched table too."""
-    monkeypatch.setattr(search, "_SMALL_DEGREE", ((2, 9, 1),))
+    monkeypatch.setattr(search, "_SMALL_DEGREE", _small_degree_table((2, 9, 1)))
     # both readers of the table follow it at call time
     for pairs in (search.small_degree_pairs(20), search.enumerate_critical_pairs(20)):
         assert [(p.d, p.total_multiplicity, p.t) for p in pairs] == [(2, 9, 1)]
@@ -1013,7 +1022,7 @@ def test_verify_template_writes_a_failing_small_degree_pair(monkeypatch):
     delta = 21 >= 0: the template's slots take a mu_minus text, a
     Counterexample outcome, negative_delta and all_pass false, and the
     command prints the FAIL lines and exits 1, alone and in ranges."""
-    monkeypatch.setattr(search, "_SMALL_DEGREE", ((2, 9, 1),))
+    monkeypatch.setattr(search, "_SMALL_DEGREE", _small_degree_table((2, 9, 1)))
     for r_spec in ("20", "19..25", "20..40"):
         out, err, code = got = _call(("verify", "--r", r_spec))
         assert got == _dict_route_output(r_spec, None), r_spec
@@ -1065,7 +1074,7 @@ def test_verify_builds_one_template_per_key(monkeypatch):
     bytes, FAIL lines and exit code, and builds one template per key: per
     pair, its pair row's outcome or its absence and whether its delta is
     negative, counted here from the library."""
-    monkeypatch.setattr(search, "_SMALL_DEGREE", ((2, 9, 1), (3, 14, 1)))
+    monkeypatch.setattr(search, "_SMALL_DEGREE", _small_degree_table((2, 9, 1), (3, 14, 1)))
     lo, hi = 20, 40
     keys, row_sets = set(), set()
     for r in range(lo, hi + 1):

@@ -209,9 +209,10 @@ def test_bisection_bounds_from_carried_records_match_q_coefficients(monkeypatch)
 
 
 def test_each_endpoint_is_bracketed_once_and_parsed_once(monkeypatch):
-    """The bisection brackets the square root at each endpoint's two ends
-    once, not at each piece's; the audit parses the header's three rationals
-    and each split, and no endpoint its parent already fixed."""
+    """The bisection and the audit bracket the square root at most once per
+    endpoint, not at each piece's ends: a tree of L leaves has L + 1
+    endpoints.  The audit parses the header's three rationals and each
+    split, and no endpoint its parent already fixed."""
     brackets, parses = [], []
     bracket, parse = region.sqrt_bracket, region._parse_rational
     monkeypatch.setattr(
@@ -222,12 +223,14 @@ def test_each_endpoint_is_bracketed_once_and_parsed_once(monkeypatch):
     )
     cert = verify_t_bound(10, 6)
     assert cert.leaf_count > 2
-    assert len(brackets) <= 2 * (cert.leaf_count + 1)
+    assert len(brackets) <= cert.leaf_count + 1
     for r, t0 in REGION_JOBS:
         doc = verify_t_bound(r, t0).to_json_dict()
         parses.clear()
+        brackets.clear()
         assert audit_certificate(doc) == (True, [])
         assert len(parses) == 3 + doc["leaf_count"] - 1, (r, t0)
+        assert len(brackets) <= doc["leaf_count"] + 1, (r, t0)
 
 
 def test_q_exact_validation():

@@ -348,8 +348,10 @@ SMALL_DEGREE_ORACLE = ((2, 5, 1), (3, 9, 1), (4, 14, 1), (3, 8, 2), (4, 13, 2))
 
 def test_small_degree_table_is_derived():
     """The table search derives from the d-scan at r = 20 is the
-    hand-written one."""
-    assert search._SMALL_DEGREE == SMALL_DEGREE_ORACLE
+    hand-written one: the pairs (d; 1^M) at t, built at r = 20."""
+    assert search._SMALL_DEGREE == tuple(
+        BalancedPair(CurveClass(d, ((1, total),), 20), t) for d, total, t in SMALL_DEGREE_ORACLE
+    )
     derived = tuple((p.d, p.total_multiplicity, p.t) for p in search._scan_critical_pairs(20))
     assert derived == SMALL_DEGREE_ORACLE
 
@@ -365,6 +367,58 @@ def test_small_degree_pairs():
     assert deltas == [25 - 3 * r, 81 - 8 * r, 196 - 15 * r, 64 - 5 * r, 169 - 12 * r]
     with pytest.raises(UnsupportedR):
         small_degree_pairs(13)
+
+
+def _constructed(d, total, t, r):
+    return BalancedPair(CurveClass(d, ((1, total),), r), t)
+
+
+def _same_pairs(got, want):
+    """Equal pairs with equal M: M is derived, so equality does not read it."""
+    assert got == want
+    assert [p.total_multiplicity for p in got] == [p.total_multiplicity for p in want]
+
+
+def test_reseated_pairs_equal_the_constructed_ones():
+    """Both readers of the small-degree table re-seat its pairs at r, and
+    what they return is the pair the checked constructors build at r."""
+    for r in [*range(14, 3001), 10**6, 10**12, 10**18]:
+        want = tuple(_constructed(*entry, r) for entry in SMALL_DEGREE_ORACLE)
+        _same_pairs(small_degree_pairs(r), want)
+        if r >= 20:
+            bound = total_multiplicity_bound(r)
+            kept = tuple(p for p in want if p.total_multiplicity <= bound)
+            _same_pairs(enumerate_critical_pairs(r), kept)
+    for r in (13, 10, 1, 0):
+        with pytest.raises(UnsupportedR):
+            small_degree_pairs(r)
+
+
+def _refusal(build):
+    with pytest.raises(ValueError) as caught:
+        build()
+    return str(caught.value)
+
+
+@pytest.mark.parametrize("d, total, t, r, at", [
+    (5, 25, 1, 20, 21),  # (5;2^5,1^15): two runs, unbalanced at 21
+    (5, 25, 1, 20, 19),  # and 20 points placed at 19
+    (7, 40, 1, 20, 21),  # (7;2^20): one run of 2s, unbalanced at 21
+    (5, 20, 1, 20, 19),  # (5;1^20): M > r
+    (5, 20, 1, 20, 0),  # r < 1
+])
+def test_reseating_refuses_what_the_constructors_refuse(monkeypatch, d, total, t, r, at):
+    """A table entry re-seated at an r where its class is not placed or not
+    balanced raises the ValueError the constructors raise there, with the
+    same message, through small_degree_pairs as through _reseated."""
+    entry = BalancedPair(balanced_class(d, total, r), t)
+    want = _refusal(lambda: BalancedPair(CurveClass(d, entry.curve.runs, at), t))
+    assert _refusal(lambda: search._reseated([entry], at)) == want
+    if at >= 14:
+        monkeypatch.setattr(search, "_SMALL_DEGREE", (entry,))
+        assert _refusal(lambda: small_degree_pairs(at)) == want
+    # at its own r the entry re-seats to itself
+    _same_pairs(search._reseated([entry], r), (entry,))
 
 
 def _small_degree_critical_pairs(r):
@@ -454,24 +508,33 @@ def test_balanced_class_render():
 def test_search_builds_one_class_per_kept_pair(capsys, monkeypatch):
     """The d-scan stays O(1) per candidate: a class (two runs) is built for
     each pair it keeps and for nothing else.  r = 10..13 reach the
-    t-criticality test with t < d - 1; r = 1000 is the large-r path.  verify
-    at each r >= 20 builds the five small-degree classes once.  Written as
-    JSON over 20..69, it renders the five once per template key, at the
-    first r of each (20, 30 and 34, where the row set shrinks), and none at
-    any other r: every row reads its class text from the template."""
+    t-criticality test with t < d - 1; r = 1000 is the large-r path, where
+    the kept pairs are re-seated (search._reseated) and no class goes
+    through the constructor.  verify at each r >= 20 builds the five
+    small-degree classes once, by the re-seat.  Written as JSON over
+    20..69, it renders the five once per template key, at the first r of
+    each (20, 30 and 34, where the row set shrinks), and none at any other
+    r: every row reads its class text from the template."""
     built, rendered = [], []
     original = CurveClass.__post_init__
     original_render = CurveClass.render
+    original_reseated = search._reseated
 
     def counting(self):
         built.append(self)
         original(self)
+
+    def counting_reseated(pairs, r):
+        reseated = original_reseated(pairs, r)
+        built.extend(pair.curve for pair in reseated)
+        return reseated
 
     def counting_render(self):
         rendered.append(self)
         return original_render(self)
 
     monkeypatch.setattr(CurveClass, "__post_init__", counting)
+    monkeypatch.setattr(search, "_reseated", counting_reseated)
     monkeypatch.setattr(CurveClass, "render", counting_render)
     for r in (10, 11, 12, 13, 1000):
         built.clear()
