@@ -31,13 +31,22 @@ are exactly the bounds that generic rational interval arithmetic yields
 Every endpoint of the bisection gets one record, computed once: mu as an
 integer pair, mu^2 clamped as a lower and as an upper end, and the matching
 ends of the square-root bracket.  A piece reads its box from the records of
-its two ends, so a split computes only the record of its midpoint.  Every
-sign is decided on an unreduced integer numerator over a positive
+its two ends, so a split computes only the record of its midpoint.
+
+Every sign is decided on an unreduced integer numerator over a positive
 denominator, hi(c) first, so a piece that does not close reduces nothing.
 A piece that closes reduces each bound of a, b and c once, by one gcd per
 end; a vertex leaf computes its vertex bounds from the reduced a, b and c
 and reduces those once.  The reduced bounds are written into the tree as
-the leaf's witnesses.
+the leaf's witnesses.  Two factors known in advance are cancelled where the
+bounds are built, so that the products, sign tests and gcds after them run
+on smaller integers: the bracket's denominator (2^e at a width 2^-e) from
+b and c wherever it divides mu's denominator, or in b its square, which it
+does at nearly every end of a dyadic bisection; and a's denominator from
+the vertex bound wherever it divides the square of b's.  Dividing a
+numerator and its positive denominator by one positive integer keeps the
+sign, and lowest terms are unique, so no rule and no witness text depends
+on either cancellation.
 
 The result is a machine-checkable certificate tree; audit_certificate
 replays it from scratch, carrying endpoint records down its walk as the
@@ -205,6 +214,11 @@ def _b_at(
     # unclamped, so mn divides the numerator and the denominator and is
     # cancelled, which shrinks the gcd of a closing piece's witness
     if qd != 1:
+        # the bracket's denominator (2^e at a width 2^-e) divides qd = md^2
+        # at nearly every dyadic end, and is cancelled as well
+        k, rest = divmod(qd, sd)
+        if not rest:
+            return 2 * r * t * sn * k + r * (3 * md - mn) * mn, qn
         return 2 * r * t * sn * qd + r * (3 * md - mn) * sd * mn, sd * qn
     return 2 * r * t * sn * qd * mn + r * (3 * md - mn) * sd * qn, sd * qn * mn
 
@@ -213,6 +227,12 @@ def _c_at(
     r: int, t: int, mu_sq: IntFraction, s: IntFraction, mu: IntFraction
 ) -> IntFraction:
     (qn, qd), (sn, sd), (mn, md) = mu_sq, s, mu
+    # s is the only term over sd; where sd divides md it is cancelled from
+    # the numerator and the denominator alike
+    k, rest = divmod(md, sd)
+    if not rest:
+        den = qn * mn
+        return -r * t * t * qd * mn + 3 * t * sn * k * qn + (6 - t) * den, den
     den = qn * sd * mn
     return -r * t * t * qd * sd * mn + 3 * t * sn * md * qn + (6 - t) * den, den
 
@@ -298,6 +318,12 @@ def _minus_quarter_quotient(
 ) -> IntFraction:
     """c - (p/q)/(4a) for q > 0 and a < 0."""
     (cn, cd), (an, ad) = c, a
+    # (p/q)/(4a) = p*ad/(4*q*an), and q is the square of b's denominator,
+    # which shares mu^2's numerator with a's: where ad divides q it cancels
+    k, rest = divmod(q, ad)
+    if not rest:
+        den = -4 * k * an
+        return cn * den + p * cd, cd * den
     den = -4 * q * an
     return cn * den + p * ad * cd, cd * den
 
@@ -319,18 +345,6 @@ def _vertex_lo(a: Bound, b: Bound, c: Bound) -> IntFraction:
     if b_lo[0] >= 0:
         return _minus_quarter_quotient(c[0], b_lo[0] ** 2, b_lo[1] ** 2, a[0])
     return _minus_quarter_quotient(c[0], b_lo[0] * b_hi[0], b_lo[1] * b_hi[1], a[1])
-
-
-def _leaf_rule(
-    r: int, t0: int, lo: Fraction, hi: Fraction, sqrt_width: Fraction
-) -> dict | None:
-    """Try to close [lo, hi] with one sign rule; None if inconclusive.
-
-    Builds the two ends the piece needs and takes the route of the
-    bisection and the audit (_close), which read them from endpoint
-    records instead.
-    """
-    return _close(r, t0, _lower_end(r, lo, sqrt_width), _upper_end(r, hi, sqrt_width))
 
 
 def _close(r: int, t0: int, lo: End, hi: End) -> dict | None:

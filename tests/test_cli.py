@@ -35,6 +35,7 @@ from seshadri.cli import (
     parse_r_range,
     resolve_config,
 )
+from seshadri.errors import DepthLimitExceeded
 
 @pytest.fixture(autouse=True)
 def isolated(tmp_path, monkeypatch):
@@ -638,6 +639,40 @@ def test_certificate_matches_golden_digest(capsys, monkeypatch, tmp_path, job):
     capsys.readouterr()
     data = (tmp_path / f"certificate-r{r}-t{t0}.json").read_bytes()
     assert hashlib.sha256(data).hexdigest() == GOLDEN_CERTIFICATE_SHA256[job]
+
+
+# sha256 over the certificate texts, or DepthLimitExceeded messages, of every
+# (r, t0, width) below, recorded before region cancelled the bracket's and
+# a's denominators from the bounds it builds.
+BROAD_CERTIFICATE_SHA256 = (
+    "c59acc4208add9e608232fcfbbe623c049be228e4cb94d056008c151d003acdc"
+)
+
+
+def test_certificates_over_a_broad_grid_match_their_recorded_digest():
+    """525 certificates at the five CLI widths, 30 of them inconclusive,
+    and nine at widths whose bracket denominator is not a power of two."""
+    jobs = [
+        (r, t0, Fraction(1, 2**exponent))
+        for r in range(10, 31)
+        for t0 in (3, 4, 5, 6, 8)
+        for exponent in (16, 32, 64, 128, 256)
+    ] + [
+        (r, t0, Fraction(width))
+        for width in ("1/3", "2/7", "1/1000")
+        for r, t0 in ((10, 6), (12, 4), (13, 3))
+    ]
+    digest, inconclusive = hashlib.sha256(), 0
+    for r, t0, width in jobs:
+        try:
+            cert = region.verify_t_bound(r, t0, sqrt_width=width)
+            text = cli._dumps(cert.to_json_dict())
+        except DepthLimitExceeded as exc:
+            text = str(exc)
+            inconclusive += 1
+        digest.update(text.encode("utf-8") + b"\n")
+    assert (len(jobs), inconclusive) == (534, 37)
+    assert digest.hexdigest() == BROAD_CERTIFICATE_SHA256
 
 
 def test_range_flags_start_nothing_and_write_nothing(monkeypatch, isolated):

@@ -24,7 +24,9 @@ from seshadri.region import (
     CERTIFICATE_KIND,
     MAX_DEPTH_LIMIT,
     MAX_NUMBER_LENGTH,
-    _leaf_rule,
+    _close,
+    _lower_end,
+    _upper_end,
     audit_certificate,
     large_r_inequalities,
     m_bar_zero_at_sqrt_r,
@@ -105,18 +107,40 @@ def _dyadic_pieces(r, sqrt_width, rng, count):
         yield root_lo + index * step, root_lo + (index + 1) * step
 
 
-def test_endpoint_formulas_match_generic_interval_arithmetic():
+def test_endpoint_formulas_match_generic_interval_arithmetic(monkeypatch):
     """q_coefficients and the leaf rule give the same rationals, rules and
-    witnesses as generic interval arithmetic, on every branch."""
+    witnesses as generic interval arithmetic, on every branch, and on both
+    routes of each bound formula: with the bracket's denominator, or a's in
+    the vertex bound, cancelled, and without (widths 1/3 and 1/1000)."""
     rng = random.Random(5)
     seen = Counter()
-    for exponent in (16, 256):
-        width = Fraction(1, 2**exponent)
+    b_at, c_at, quotient = region._b_at, region._c_at, region._minus_quarter_quotient
+
+    def counted_b(r, t, mu_sq, s, mu):
+        route = "clamped" if mu_sq[1] == 1 else mu_sq[1] % s[1] == 0
+        seen[f"_b_at cancels: {route}"] += 1
+        return b_at(r, t, mu_sq, s, mu)
+
+    def counted_c(r, t, mu_sq, s, mu):
+        seen[f"_c_at cancels: {mu[1] % s[1] == 0}"] += 1
+        return c_at(r, t, mu_sq, s, mu)
+
+    def counted_quotient(c, p, q, a):
+        seen[f"_minus_quarter_quotient cancels: {q % a[1] == 0}"] += 1
+        return quotient(c, p, q, a)
+
+    monkeypatch.setattr(region, "_b_at", counted_b)
+    monkeypatch.setattr(region, "_c_at", counted_c)
+    monkeypatch.setattr(region, "_minus_quarter_quotient", counted_quotient)
+    for width in (
+        Fraction(1, 2**16), Fraction(1, 2**256), Fraction(1, 3), Fraction(1, 1000)
+    ):
         for r in range(10, 20):
             for t in range(2, 7):
                 for lo, hi in _dyadic_pieces(r, width, rng, 24):
                     expected = _reference_leaf_rule(r, t, lo, hi, width)
-                    assert _leaf_rule(r, t, lo, hi, width) == expected, (r, t, lo, hi)
+                    ends = _lower_end(r, lo, width), _upper_end(r, hi, width)
+                    assert _close(r, t, *ends) == expected, (r, t, lo, hi)
                     seen[expected["rule"] if expected else "open"] += 1
                     bounds = q_coefficients(r, t, lo, hi, width)
                     if expected and expected["rule"] == "outside_strip":
@@ -145,6 +169,10 @@ def test_endpoint_formulas_match_generic_interval_arithmetic():
         "hi(a) >= 0", "lo(s) = 0", "crosses r+1", "hi(c) >= 0",
         "vertex tested", "vertex tested, b straddles 0",
         "vertex tested, |lo(b)| > hi(b)",
+        "_b_at cancels: True", "_b_at cancels: False", "_b_at cancels: clamped",
+        "_c_at cancels: True", "_c_at cancels: False",
+        "_minus_quarter_quotient cancels: True",
+        "_minus_quarter_quotient cancels: False",
     )
     assert all(seen[name] > 0 for name in branches), seen
 
@@ -231,6 +259,42 @@ def test_each_endpoint_is_bracketed_once_and_parsed_once(monkeypatch):
         assert audit_certificate(doc) == (True, [])
         assert len(parses) == 3 + doc["leaf_count"] - 1, (r, t0)
         assert len(brackets) <= doc["leaf_count"] + 1, (r, t0)
+
+
+def test_leaf_witnesses_reduce_with_one_small_gcd_per_end(monkeypatch):
+    """Over the ten criterion-5 proofs at width 2^-256, the gcds that
+    reduce the witnesses divide out at most half the 353,532 bits they did
+    before the bracket's and a's denominators were cancelled where the
+    bounds are built, still one gcd per end of each witness bound."""
+    bits = []
+    gcd = region.gcd
+
+    def counting(m, n):
+        g = gcd(m, n)
+        bits.append(g.bit_length())
+        return g
+
+    monkeypatch.setattr(region, "gcd", counting)
+    ends = 0
+    for r, t0 in REGION_JOBS:
+        tree = verify_t_bound(r, t0, sqrt_width=Fraction(1, 2**256)).tree
+        stack = [tree]
+        while stack:
+            node = stack.pop()
+            stack.extend(node.get("children", ()))
+            if node.get("rule") in ("c_negative", "vertex_negative"):
+                ends += 2 * len(node["witnesses"])
+    assert len(bits) == ends == 1162
+    assert sum(bits) <= 353_532 // 2, sum(bits)
+
+
+@pytest.mark.parametrize(("r", "leaves"), ((16, 6), (19, 4)))
+def test_round_trip_at_a_width_that_is_not_a_power_of_two(r, leaves):
+    """At width 1/3 the bracket's denominator 3 need not divide mu's, so
+    the bounds keep it; the certificate still closes and audits clean."""
+    cert = verify_t_bound(r, 3, sqrt_width=Fraction(1, 3))
+    assert cert.leaf_count == leaves
+    assert audit_certificate(cert.to_json_dict()) == (True, [])
 
 
 def test_q_exact_validation():
