@@ -60,10 +60,12 @@ Reports always carry exact values as canonical strings ("77/24",
 JSON output is serialized with sorted keys so reruns are byte-identical.
 Every JSON document (stdout and certificates) is written by `_dumps`, whose
 output matches `json.dumps(doc, sort_keys=True, indent=2)` byte for byte:
-one walk over the document, each dict sorting its own keys. verify's
-documents from r = 20 on are fixed by what their checks decided, apart from
-a few ints and texts: written as JSON, each is a template that `_dumps`
-wrote once per command and decision, filled with that r's ints and texts.
+one walk over the document, each dict sorting its own keys; a certificate's
+tree is written as `_dumps` would write it, in one pass
+(`_certificate_pieces`). verify's documents from r = 20 on are fixed by
+what their checks decided, apart from a few ints and texts: written as
+JSON, each is a template that `_dumps` wrote once per command and decision,
+filled with that r's ints and texts.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ import json
 import os
 import re
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
@@ -517,9 +519,51 @@ def _dumps(doc: object) -> str:
 # certificate file
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write text to path through a temporary file in its directory. A path
-    that cannot be written (under a regular file, say) is a UsageError.
+def _certificate_pieces(doc: dict) -> Iterator[str]:
+    """_dumps(doc) + "\n" in pieces, for a certificate whose tree
+    verify_t_bound built: the header from _dumps, then a piece per node in
+    one pre-order pass over an explicit stack (so depth is not bounded by
+    the recursion limit). The tree has two node shapes, a split (children,
+    mu_hi, mu_lo) and a leaf (mu_hi, mu_lo, rule, witnesses of two texts),
+    and only texts that JSON writes unescaped (canonical rationals, rule
+    and witness names), so each node is laid out as _dumps lays it out."""
+    header = _dumps({key: value for key, value in doc.items() if key != "tree"})
+    # "tree" sorts last: the header's closing "\n}" goes after the tree
+    yield header[:-2] + ',\n  "tree": '
+    pads = ["\n"]  # pads[k]: a newline and k levels of indent
+    stack: list = [(doc["tree"], 1, "")]
+    while stack:
+        entry = stack.pop()
+        if type(entry) is str:
+            yield entry
+            continue
+        node, level, before = entry
+        while len(pads) < level + 4:
+            pads.append(pads[-1] + "  ")
+        p0, p1, p2, p3 = pads[level:level + 4]
+        ends = f'{p1}"mu_hi": "{node["mu_hi"]}",{p1}"mu_lo": "{node["mu_lo"]}"'
+        if "children" in node:
+            left, right = node["children"]
+            yield f'{before}{{{p1}"children": ['
+            stack.append(f"{p1}],{ends}{p0}}}")
+            stack.append((right, level + 2, "," + p2))
+            stack.append((left, level + 2, p2))
+        else:
+            witnesses = ",".join(
+                f'{p2}"{name}": [{p3}"{lo}",{p3}"{hi}"{p2}]'
+                for name, (lo, hi) in sorted(node["witnesses"].items())
+            )
+            yield (
+                f'{before}{{{ends},{p1}"rule": "{node["rule"]}",'
+                f'{p1}"witnesses": {{{witnesses}{p1}}}{p0}}}'
+            )
+    yield "\n}\n"
+
+
+def _atomic_write(path: str, pieces: Iterable[str]) -> None:
+    """Write the pieces of a text to path, as they come, through a temporary
+    file in its directory. A path that cannot be written (under a regular
+    file, say) is a UsageError.
 
     The rename is what a rerun of region pays for. On ext4, renaming over an
     existing file flushes the new file's data first: replacing a 175 KB
@@ -538,7 +582,7 @@ def _atomic_write(path: str, text: str) -> None:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".{name}.")
         try:
             with os.fdopen(fd, "w") as handle:
-                handle.write(text)
+                handle.writelines(pieces)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -818,7 +862,7 @@ def cmd_region(args: argparse.Namespace) -> Outcome:
     doc = verify_t_bound(r, args.t0, depth_limit=depth, sqrt_width=width).to_json_dict()
     # Path spells the name ("./c" as "c"), which os.path.join would not
     out_path = str(Path(args.cache_dir or ".") / f"certificate-r{r}-t{args.t0}.json")
-    _atomic_write(out_path, _dumps(doc) + "\n")
+    _atomic_write(out_path, _certificate_pieces(doc))
     del doc["tree"]  # the summary is the certificate without its tree
     return [({**doc, "command": "region", "certificate_path": out_path}, [])]
 

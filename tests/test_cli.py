@@ -35,7 +35,6 @@ from seshadri.cli import (
     parse_r_range,
     resolve_config,
 )
-from seshadri.errors import DepthLimitExceeded
 
 @pytest.fixture(autouse=True)
 def isolated(tmp_path, monkeypatch):
@@ -649,9 +648,14 @@ BROAD_CERTIFICATE_SHA256 = (
 )
 
 
-def test_certificates_over_a_broad_grid_match_their_recorded_digest():
+def test_certificates_over_a_broad_grid_match_their_recorded_digest(
+    monkeypatch, isolated
+):
     """525 certificates at the five CLI widths, 30 of them inconclusive,
-    and nine at widths whose bracket denominator is not a power of two."""
+    and nine at widths whose bracket denominator is not a power of two.
+    The bytes region writes are _dumps of its certificate and a newline,
+    and they hash, with the DepthLimitExceeded texts region reports for
+    the inconclusive jobs, to the recorded digest."""
     jobs = [
         (r, t0, Fraction(1, 2**exponent))
         for r in range(10, 31)
@@ -662,17 +666,103 @@ def test_certificates_over_a_broad_grid_match_their_recorded_digest():
         for width in ("1/3", "2/7", "1/1000")
         for r, t0 in ((10, 6), (12, 4), (13, 3))
     ]
+    proofs = []
+    prove = cli.verify_t_bound
+
+    def recorded(*args, **kwargs):
+        proofs.append(prove(*args, **kwargs))
+        return proofs[-1]
+
+    monkeypatch.setattr(cli, "verify_t_bound", recorded)
     digest, inconclusive = hashlib.sha256(), 0
     for r, t0, width in jobs:
-        try:
-            cert = region.verify_t_bound(r, t0, sqrt_width=width)
-            text = cli._dumps(cert.to_json_dict())
-        except DepthLimitExceeded as exc:
-            text = str(exc)
+        monkeypatch.setattr(cli, "_sqrt_width", lambda: width)
+        proofs.clear()
+        _, err, code = _call(("region", "--r", str(r), "--t0", str(t0)))
+        if code == EXIT_INCONCLUSIVE:
+            assert err.startswith("inconclusive: ") and not proofs
+            digest.update(err.removeprefix("inconclusive: ").encode("utf-8"))
             inconclusive += 1
-        digest.update(text.encode("utf-8") + b"\n")
+            continue
+        assert (err, code) == ("", EXIT_PASS)
+        path = isolated / f"certificate-r{r}-t{t0}.json"
+        data = path.read_bytes()
+        path.unlink()  # a fresh name each time: renaming over a file flushes it
+        text = cli._dumps(proofs[0].to_json_dict()) + "\n"
+        assert data == text.encode("utf-8"), (r, t0, width)
+        digest.update(data)
     assert (len(jobs), inconclusive) == (534, 37)
     assert digest.hexdigest() == BROAD_CERTIFICATE_SHA256
+
+
+def _comb_certificate(levels):
+    """A certificate-shaped tree `levels` splits deep: each level holds one
+    closed leaf, with a rule and witnesses (keys in reverse order), and one
+    split, on the left at even levels and on the right at odd ones."""
+    rules = (
+        ("c_negative", ("c", "b", "a")),
+        ("vertex_negative", ("vertex", "c", "b", "a")),
+        ("outside_strip", ("mu_sq",)),
+    )
+    tree = node = {"mu_lo": "3", "mu_hi": "4"}
+    for level in range(levels + 1):
+        rule, names = rules[level % 3]
+        closed = {
+            "rule": rule,
+            "witnesses": {name: [f"-{level}/7", str(level)] for name in names},
+        }
+        if level == levels:
+            node.update(closed)
+            break
+        lo, hi = node["mu_lo"], node["mu_hi"]
+        mid = str((Fraction(lo) + Fraction(hi)) / 2)
+        left, right = {"mu_lo": lo, "mu_hi": mid}, {"mu_lo": mid, "mu_hi": hi}
+        node["children"] = [left, right]
+        leaf, node = (right, left) if level % 2 == 0 else (left, right)
+        leaf.update(closed)
+    return region.Certificate(
+        r=10, t0=6, depth_limit=region.MAX_DEPTH_LIMIT, sqrt_width=Fraction(1, 2**32),
+        mu_lo=Fraction(3), mu_hi=Fraction(4), max_depth=levels, leaf_count=levels + 1,
+        tree=tree,
+    )
+
+
+def test_region_writes_a_comb_deeper_than_the_recursion_limit(monkeypatch, isolated):
+    cert = _comb_certificate(sys.getrecursionlimit() + 100)
+    monkeypatch.setattr(cli, "verify_t_bound", lambda *args, **kw: cert)
+    assert _call(("region", "--r", "10", "--t0", "6"))[2] == EXIT_PASS
+    data = (isolated / "certificate-r10-t6.json").read_text()
+    assert data == cli._dumps(cert.to_json_dict()) + "\n"
+
+
+def test_region_passes_no_tree_to_dumps(monkeypatch):
+    """region writes its certificate's tree in one pass of its own: _dumps
+    writes the header and the summary, never a document with the tree."""
+    holds_tree = []
+    dumps = cli._dumps
+    monkeypatch.setattr(
+        cli, "_dumps", lambda doc: holds_tree.append("tree" in doc) or dumps(doc)
+    )
+    assert _call(("region", "--r", "10", "--t0", "6"))[2] == EXIT_PASS
+    assert holds_tree == [False, False]
+
+
+def test_region_peak_memory_is_within_three_certificates(isolated):
+    """The certificate is streamed to its file as it is laid out, so the
+    traced peak of a region run, tree included, stays within three times
+    the bytes it writes (a joined text and its copy reached four)."""
+    import tracemalloc
+
+    _call(("region", "--r", "10", "--t0", "99"))  # builds the parser
+    tracemalloc.start()
+    try:
+        assert _call(("region", "--r", "10", "--t0", "100"))[2] == EXIT_PASS
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = (isolated / "certificate-r10-t100.json").stat().st_size
+    assert size == 771_993
+    assert peak <= 3 * size, peak / size
 
 
 def test_range_flags_start_nothing_and_write_nothing(monkeypatch, isolated):

@@ -139,7 +139,10 @@ def test_endpoint_formulas_match_generic_interval_arithmetic(monkeypatch):
             for t in range(2, 7):
                 for lo, hi in _dyadic_pieces(r, width, rng, 24):
                     expected = _reference_leaf_rule(r, t, lo, hi, width)
-                    ends = _lower_end(r, lo, width), _upper_end(r, hi, width)
+                    ends = (
+                        _lower_end(r, lo.numerator, lo.denominator, width),
+                        _upper_end(r, hi.numerator, hi.denominator, width),
+                    )
                     assert _close(r, t, *ends) == expected, (r, t, lo, hi)
                     seen[expected["rule"] if expected else "open"] += 1
                     bounds = q_coefficients(r, t, lo, hi, width)
@@ -265,20 +268,32 @@ def test_leaf_witnesses_reduce_with_one_small_gcd_per_end(monkeypatch):
     """Over the ten criterion-5 proofs at width 2^-256, the gcds that
     reduce the witnesses divide out at most half the 353,532 bits they did
     before the bracket's and a's denominators were cancelled where the
-    bounds are built, still one gcd per end of each witness bound."""
-    bits = []
-    gcd = region.gcd
+    bounds are built, still one gcd per end of each witness bound.  The
+    gcds that reduce the bisection's midpoints are counted apart, two per
+    split."""
+    bits, midpoint_bits = [], []
+    sink = [bits]  # where the gcd in progress is counted
+    gcd, midpoint = region.gcd, region._midpoint
 
     def counting(m, n):
         g = gcd(m, n)
-        bits.append(g.bit_length())
+        sink[-1].append(g.bit_length())
         return g
 
+    def counted_apart(lo, hi):
+        sink.append(midpoint_bits)
+        try:
+            return midpoint(lo, hi)
+        finally:
+            sink.pop()
+
     monkeypatch.setattr(region, "gcd", counting)
-    ends = 0
+    monkeypatch.setattr(region, "_midpoint", counted_apart)
+    ends = splits = 0
     for r, t0 in REGION_JOBS:
-        tree = verify_t_bound(r, t0, sqrt_width=Fraction(1, 2**256)).tree
-        stack = [tree]
+        cert = verify_t_bound(r, t0, sqrt_width=Fraction(1, 2**256))
+        splits += cert.leaf_count - 1
+        stack = [cert.tree]
         while stack:
             node = stack.pop()
             stack.extend(node.get("children", ()))
@@ -286,6 +301,31 @@ def test_leaf_witnesses_reduce_with_one_small_gcd_per_end(monkeypatch):
                 ends += 2 * len(node["witnesses"])
     assert len(bits) == ends == 1162
     assert sum(bits) <= 353_532 // 2, sum(bits)
+    assert len(midpoint_bits) == 2 * splits > 0
+
+
+def test_bisection_and_audit_build_fractions_for_the_header_and_root_only(
+    monkeypatch,
+):
+    """The bisection carries each endpoint as an integer pair and the audit
+    parses each split to one, so a round trip builds as many Fractions on a
+    tree of 94 leaves as on one of 2: those of the header and the root."""
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(1)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    counts = {}
+    for r, t0 in REGION_JOBS:
+        built.clear()
+        doc = verify_t_bound(r, t0).to_json_dict()
+        assert audit_certificate(doc) == (True, [])
+        counts[doc["leaf_count"]] = len(built)
+    assert min(counts) == 2 and max(counts) == 94
+    assert len(set(counts.values())) == 1, counts
 
 
 @pytest.mark.parametrize(("r", "leaves"), ((16, 6), (19, 4)))
