@@ -20,12 +20,11 @@ Every command line takes one of two routes. A well-formed one (a command,
 then its exact flags, each but --approx with one value that does not start
 with "-", every required one given) is read straight from the option table
 _COMMANDS, from which build_parser also makes its parsers. Any other goes
-to the two-level parse of build_parser: the top-level parser, which hands
-the rest to the subparser.
-Both give the same namespace, and every usage line, help text, error and
-exit code is the two-level parse's own. The handler takes one argument, the
-parsed command line that resolve_config has checked and completed, and
-returns its documents, each with its stderr lines (FAIL and AUDIT lines);
+to build_parser's two-level parse (the top-level parser, then the
+subparser). Both give the same namespace, and every usage line, help text,
+error and exit code is the two-level parse's own. The handler takes one
+argument, the parsed command line that resolve_config has checked and
+completed, and returns its documents, each with its stderr lines (FAIL and AUDIT lines);
 table, enumerate, verify and coverage share one handler, driven by
 _RANGE_COMMANDS, whose per-r builders each take the call's one _RangePlan
 and return the document and its FAIL lines, written where the failing check
@@ -34,14 +33,13 @@ sieve over the block. Every mu0 printed without a --mu0 comes from
 thresholds.threshold, checked above sqrt(r). No handler reads the output
 format: _write_documents alone reads --format and --approx. It writes each
 document as soon as it is built, so a range holds one at a time, and hands
-main the lines of each document written;
-main picks the exit code: 1 when there is a line or a document whose
-verdict (all_pass, covered or ok) is false, else 0. Handlers raise usage
-errors and inconclusive bisections, which main turns into exit codes 2 and
-3; a stdout whose reader has gone is exit 2 too, help and version included.
-Any other exception is exit 4, after what a range wrote before it. Every
-exit writes the lines of the documents written, then main's own one-line
-message.
+main the lines of each document written. main picks the exit code: 1 when
+there is a line or a document whose verdict (all_pass, covered or ok) is
+false, else 0. Handlers raise usage errors and inconclusive bisections,
+which main turns into exit codes 2 and 3; a stdout whose reader has gone
+is exit 2 too, help and version included. Any other exception is exit 4,
+after what a range wrote before it. Every exit writes the lines of the
+documents written, then main's own one-line message.
 
 Settings are flags, and each command takes only the flags it reads: its
 row of the option table lists them with their defaults, and the parser
@@ -57,15 +55,12 @@ an effect. On region, --cache-dir names the directory of the certificate.
 
 Reports always carry exact values as canonical strings ("77/24",
 "4 - 1/3*sqrt(3)"); --approx appends 6-digit decimal columns next to them.
-JSON output is serialized with sorted keys so reruns are byte-identical.
-Every JSON document (stdout and certificates) is written by `_dumps`, whose
-output matches `json.dumps(doc, sort_keys=True, indent=2)` byte for byte:
-one walk over the document, each dict sorting its own keys; a certificate's
-tree is written as `_dumps` would write it, in one pass
-(`_certificate_pieces`). verify's documents from r = 20 on are fixed by
-what their checks decided, apart from a few ints and texts: written as
-JSON, each is a template that `_dumps` wrote once per command and decision,
-filled with that r's ints and texts.
+Every JSON document (stdout and certificates) matches
+`json.dumps(doc, sort_keys=True, indent=2)` byte for byte, so reruns are
+byte-identical. `_dumps` writes it in one walk, each dict sorting its own
+keys, except a certificate's tree (`_certificate_pieces`, one pass) and
+verify's documents without --approx, laid out from per-row layouts: filled
+at r < 20, and from r = 20 on a template per decision of the checks.
 """
 
 from __future__ import annotations
@@ -129,20 +124,13 @@ EXIT_INTERNAL = 4
 FORMATS = ("json", "markdown", "csv")
 
 MAX_RADICAND = 10**18
-# Largest r any command takes. A range command over several r splits every
-# r + 1 of its block by one segmented sieve over the primes up to the cube
-# root of the largest (exact.sqrt_block). On a 2-vCPU host the sieve takes
-# about 17 ms for the first r near 10^18, nearly all of it listing the
-# primes up to 10^6, and about 1 microsecond for each further r. A single r
-# + 1 is split by trial division (exact.squarefree_decomposition), about
-# 25 ms there. Both grow as the cube root of r: one r ran past 20 s at
-# 10^29. region spells r in the certificate file name.
+# Largest r any command takes. Splitting r + 1 (exact.sqrt_block's sieve
+# for a range, exact.squarefree_decomposition for one r) grows as the cube
+# root of r: 17-25 ms near 10^18 (README), past 20 s at 10^29. region
+# spells r in the certificate file name.
 MAX_R = 10**18
 # Most values of r one range may hold. Each r costs time, but memory stays
-# flat, since each document is written as soon as it is built: on a 2-vCPU
-# host verify --r 20..100019 peaks at 40 MB, and the costliest range the two
-# caps admit, verify --r (10^18 - 99999)..10^18 (which ran for 44 minutes
-# before the sieve), at 44 MB, with or without --approx.
+# flat (README's figures), since each document is written as it is built.
 MAX_R_COUNT = 10**5
 # Largest --t0 that region takes: the certificate file name spells it, and
 # far larger values outgrow file names and the interpreter's limit on
@@ -227,14 +215,8 @@ class _RangePlan:
 def _pair_record(text: str, t: int, total: int, delta: int, mu_minus, outcome: str) -> dict:
     """A pair row: the pair's class text, t and M, and its verdict's delta,
     mu_minus text (None when delta < 0) and outcome."""
-    return {
-        "class": text,
-        "t": t,
-        "M": total,
-        "delta": delta,
-        "mu_minus": mu_minus,
-        "outcome": outcome,
-    }
+    return {"class": text, "t": t, "M": total, "delta": delta, "mu_minus": mu_minus,
+            "outcome": outcome}
 
 
 def _below_mu0_line(r: int, text: str, t: int, mu_minus: str, mu0_text: str) -> str:
@@ -276,20 +258,13 @@ def _verify_doc(r: int, plan: _RangePlan) -> tuple[dict | tuple, list[str]]:
     lines of _pair_rows, the writer _pairs_doc uses too, from
     verify_no_counterexample. From r = 20 on it is the checks of
     _large_r_checks, (pairs, key, values): the pairs checked, what the
-    checks decided and the ints and texts they gave. _write_documents lays
-    them out (_large_r_layout), or fills the key's JSON template with them.
+    checks decided and the ints and texts they gave. _write_documents fills
+    the key's JSON template with them, or lays them out (_large_r_layout).
     """
     if r < 20:
         mu0_text, pairs, lines = _pair_rows(r, plan.mu0(r))
-        return {
-            "command": "verify",
-            "r": r,
-            "mu0": mu0_text,
-            "all_pass": not lines,
-            "pairs": pairs,
-            "small_degree_pairs": None,
-            "large_r": None,
-        }, lines
+        return {"command": "verify", "r": r, "mu0": mu0_text, "all_pass": not lines,
+                "pairs": pairs, "small_degree_pairs": None, "large_r": None}, lines
     return _large_r_checks(r, plan)
 
 
@@ -310,12 +285,8 @@ def _large_r_checks(r: int, plan: _RangePlan) -> tuple[tuple[tuple, tuple, list]
     and all_pass. The values are r, mu0's text, and each row's delta and
     mu_minus text (which a pair row has unless its outcome is
     PassNegativeDelta).
-
-    large_r_inequalities(r) gives degree_five_inequality, (i), which rules
-    out every degree d >= 5, and small_degree_inequality, (ii), the
-    hi(c) < 0 condition of the t0 = 3 root leaf. No small-degree row is
-    derived from (ii); the document keeps its name because the verify bytes
-    are pinned.
+    large_r_inequalities(r) gives degree_five_inequality, (i), and
+    small_degree_inequality, (ii), which no small-degree row reads (README).
     """
     mu0 = plan.mu0(r)
     mu0_text = mu0.render()
@@ -351,10 +322,8 @@ def _large_r_checks(r: int, plan: _RangePlan) -> tuple[tuple[tuple, tuple, list]
 
 
 def _large_r_layout(pairs: tuple, key: tuple, values) -> dict:
-    """verify's document at an r >= 20: each row's class text, t and M from
-    the pairs, and the key and values of _large_r_checks, read in its order.
-    It computes nothing else and never looks into a value, so marker values
-    give the key's template (_json_template)."""
+    """verify's document at an r >= 20 as a dict: each row's class text, t and
+    M from the pairs, and the key and values of _large_r_checks, in order."""
     take = iter(values).__next__
     decided = iter(key).__next__
     r, mu0_text = take(), take()
@@ -366,23 +335,12 @@ def _large_r_layout(pairs: tuple, key: tuple, values) -> dict:
             delta = take()
             mu_minus = None if outcome is PairOutcome.PASS_NEGATIVE_DELTA else take()
             pair_records.append(_pair_record(text, t, total, delta, mu_minus, outcome.value))
-        small_records.append({
-            "class": text,
-            "t": t,
-            "M": total,
-            "delta": take(),
-            "negative_delta": decided(),
-        })
+        small_records.append(
+            {"class": text, "t": t, "M": total, "delta": take(), "negative_delta": decided()}
+        )
     large_r = {"degree_five_inequality": decided(), "small_degree_inequality": decided()}
-    return {
-        "command": "verify",
-        "r": r,
-        "mu0": mu0_text,
-        "all_pass": decided(),
-        "pairs": pair_records,
-        "small_degree_pairs": small_records,
-        "large_r": large_r,
-    }
+    return {"command": "verify", "r": r, "mu0": mu0_text, "all_pass": decided(),
+            "pairs": pair_records, "small_degree_pairs": small_records, "large_r": large_r}
 
 
 def _coverage_doc(r: int, plan: _RangePlan) -> tuple[dict, list[str]]:
@@ -411,10 +369,6 @@ Outcome = Iterable[tuple[dict | tuple, list[str]]]
 # JSON
 
 
-# The text _dumps writes for _json_template's marker value "\x00<index>\x00".
-_MARKER_RE = re.compile(r'"\\u0000(\d+)\\u0000"')
-
-
 def _json_text(doc: object, depth: int) -> str:
     """_dumps(doc) at nesting depth `depth` of a larger document: 2 * depth
     more spaces after each newline, as _dumps writes none inside a string."""
@@ -422,36 +376,80 @@ def _json_text(doc: object, depth: int) -> str:
     return text.replace("\n", "\n" + "  " * depth) if depth else text
 
 
+# verify's layouts at nesting depth 0 (a single r) and 2 (a range): a pair
+# row, a small-degree row, large_r and the document, each a dict of these
+# keys (in json's sorted order) as _dumps writes it, a %s slot per value.
+_VERIFY_LAYOUTS = {
+    depth: tuple(
+        "{" + ",".join(f'{pad}  "{key}": %s' for key in keys.split()) + pad + "}"
+        for pad, keys in (
+            (newline + "    ", "M class delta mu_minus outcome t"),
+            (newline + "    ", "M class delta negative_delta t"),
+            (newline + "  ", "degree_five_inequality small_degree_inequality"),
+            (newline, "all_pass command large_r mu0 pairs r small_degree_pairs"),
+        )
+    )
+    for depth, newline in ((0, "\n"), (2, "\n    "))
+}
+_JSON_BOOL = {False: "false", True: "true"}
+
+
+def _rows_text(rows: list[str], depth: int) -> str:
+    """The list of these row texts in a document at this nesting depth."""
+    pad = "\n" + "  " * (depth + 2)
+    return "[" + pad + ("," + pad).join(rows) + pad[:-2] + "]" if rows else "[]"
+
+
+def _verify_text(doc: dict, depth: int) -> str:
+    """_json_text(doc, depth) of verify's document at an r < 20, which has
+    pair rows and neither small-degree rows nor large_r."""
+    pair, _, _, document = _VERIFY_LAYOUTS[depth]
+    text = encode_basestring_ascii
+    rows = [pair % (row["M"], text(row["class"]), row["delta"],
+                    "null" if row["mu_minus"] is None else text(row["mu_minus"]),
+                    text(row["outcome"]), row["t"]) for row in doc["pairs"]]
+    return document % (_JSON_BOOL[doc["all_pass"]], '"verify"', "null", text(doc["mu0"]),
+                       _rows_text(rows, depth), doc["r"], "null")
+
+
 def _json_template(
     pairs: tuple, key: tuple, values: list, depth: int
 ) -> tuple[bytes, tuple, itemgetter]:
     """The template of the _large_r_layout of these pairs and this key, for
-    values of the same types as these (each an int or a str): its _json_text
-    at this nesting depth, filled with marker values, with each marker's
-    text made a slot, %s for a text and %d for an int (every other %
-    doubled), as ASCII bytes; the indices of the texts; and an itemgetter of
-    the values in slot order. The template % the values so ordered, each
-    text given as the bytes of its encode_basestring_ascii, is the
-    _json_text of _large_r_layout(pairs, key, values) at that depth. bytes %
-    finds each slot with memchr, where str % reads every character: on a
-    2-vCPU host a 1.2 KB document fills in 0.3 against 0.7 microseconds,
-    decoding included. The layout places each value once, as it is, in a
-    slot of its own."""
-    count = len(values)
-    texts = tuple(i for i, value in enumerate(values) if type(value) is str)
-    markers = [f"\x00{i}\x00" for i in range(count)]
-    text = _json_text(_large_r_layout(pairs, key, markers), depth)
-    order = []
-
-    def slot(match: re.Match) -> str:
-        i = int(match[1])
-        order.append(i)
-        return "%s" if i in texts else "%d"
-
-    template = _MARKER_RE.sub(slot, text.replace("%", "%%"))
-    if sorted(order) != list(range(count)):
-        raise RuntimeError(f"the layout placed its {count} values in slots {order}")
-    return template.encode(), texts, itemgetter(*order)
+    values in _large_r_checks' order, as ASCII bytes: its _json_text at
+    this nesting depth, laid out from the layouts with each pair's class,
+    t, M and outcome written in (each % of a text doubled) and a slot for
+    each value, %s for mu0 and each mu_minus text and %d for each int; the
+    indices of the texts; and an itemgetter of the values in slot order.
+    The template % the values so ordered, each text given as the bytes of
+    its encode_basestring_ascii, is that _json_text. bytes % finds each
+    slot with memchr, where str % reads every character: on a 2-vCPU host
+    a 1.2 KB document fills in 0.3 against 0.7 microseconds."""
+    pair_row, small_row, large_r, document = _VERIFY_LAYOUTS[depth]
+    decided, take = iter(key).__next__, iter(range(2, len(values))).__next__
+    # r and mu0 are values 0 and 1: mu0's slot comes first, r's after the pair rows
+    texts, order, small_order, pair_rows, small_rows = [1], [1], [0], [], []
+    for pair in pairs:
+        text = encode_basestring_ascii(pair.curve.render()).replace("%", "%%")
+        t, total, outcome = pair.t, pair.curve.total_multiplicity, decided()
+        if outcome is not None:
+            order.append(take())
+            mu_minus = "null"
+            if outcome is not PairOutcome.PASS_NEGATIVE_DELTA:
+                mu_minus = "%s"
+                texts.append(take())
+                order.append(texts[-1])
+            outcome = encode_basestring_ascii(outcome.value).replace("%", "%%")
+            pair_rows.append(pair_row % (total, text, "%d", mu_minus, outcome, t))
+        small_order.append(take())
+        small_rows.append(small_row % (total, text, "%d", _JSON_BOOL[decided()], t))
+    large_r %= (_JSON_BOOL[decided()], _JSON_BOOL[decided()])
+    template = document % (_JSON_BOOL[decided()], '"verify"', large_r, "%s",
+                           _rows_text(pair_rows, depth), "%d", _rows_text(small_rows, depth))
+    order += small_order
+    if sorted(order) != list(range(len(values))):
+        raise RuntimeError(f"the layout placed its {len(values)} values in slots {order}")
+    return template.encode(), tuple(texts), itemgetter(*order)
 
 
 def _dumps(doc: object) -> str:
@@ -565,14 +563,9 @@ def _atomic_write(path: str, pieces: Iterable[str]) -> None:
     file in its directory. A path that cannot be written (under a regular
     file, say) is a UsageError.
 
-    The rename is what a rerun of region pays for. On ext4, renaming over an
-    existing file flushes the new file's data first: replacing a 175 KB
-    certificate took 50-75 ms on a 2-vCPU host, with or without an fsync,
-    against 0.04 ms under a fresh name. So region's wall time, and a
-    benchmark that rewrites one name, follow the disk. Preallocating the
-    file with posix_fallocate skips that flush (0.08 ms), but after a crash
-    it could leave a zero-filled certificate under the final name, so the
-    write stays as it is."""
+    On ext4, renaming over an existing file flushes the new file's data
+    first, so a rerun of region follows the disk (README: 50-75 ms for a
+    175 KB certificate; posix_fallocate would skip it, unsafely)."""
     import tempfile  # only region writes a file
 
     directory, name = os.path.split(path)
@@ -702,13 +695,14 @@ def _write_documents(args: argparse.Namespace, outcome: Outcome, lines: list[str
     a range's wrapper's results list; a range's markdown documents go a
     blank line apart, and its CSV rows under one header.
 
-    verify's checks at an r >= 20, (pairs, key, values), fail exactly when
-    they have lines. As JSON without --approx they fill their key's
-    template, which _json_template writes from the first r of the key and
-    keeps for the call: the values go in by one bytes %, each text as the
-    bytes of its encode_basestring_ascii (in place in values). A range has
-    at most six row sets of pair rows, times the sign changes of five
-    deltas linear in r. Otherwise _large_r_layout lays them out as a dict."""
+    As JSON without --approx, verify's documents come from the row layouts:
+    a dict (r < 20) filled by _verify_text; the checks at an r >= 20,
+    (pairs, key, values), which fail exactly when they have lines, by one
+    bytes % into their key's template (_json_template, laid out at the
+    key's first r and kept for the call), each text as the bytes of its
+    encode_basestring_ascii (in place in values). A range has at most six
+    row sets, times the sign changes of five deltas linear in r. Otherwise
+    _large_r_layout lays the checks out as a dict."""
     command, approx = args.command, getattr(args, "approx", False)
     fmt = args.output_format or ("markdown" if command == "table" else "json")
     depth = 0 if args.r_min == args.r_max else 2
@@ -740,7 +734,7 @@ def _write_documents(args: argparse.Namespace, outcome: Outcome, lines: list[str
             if approx:
                 _augment_approx(doc)
             if fmt == "json":
-                doc = _json_text(doc, depth)
+                doc = (_json_text if approx or command != "verify" else _verify_text)(doc, depth)
             elif fmt == "csv":  # a row takes r (and covered) from its document
                 doc = _csv_lines([_cell(row[c] if c in row else doc.get(c)) for c in columns]
                                  for row in _table_rows(doc))

@@ -11,7 +11,9 @@ import subprocess
 import sys
 import tempfile
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -1118,18 +1120,18 @@ def _dict_route_output(r_spec, mu0_text):
 
 
 VERIFY_R_SPECS = (
-    "20..3000", "10..25", "19..20", "20", "30", "189", "3000",
+    "20..3000", "10..25", "19..20", "10", "19", "20", "30", "189", "3000",
     str(10**6), str(10**12), str(10**18 - 1), str(10**18), f"{10**18 - 1}..{10**18}",
 )
 
 
 @pytest.mark.parametrize("mu0_text", [None, "7/2", "sqrt(1000)", "100"])
 def test_verify_templates_write_the_dict_route_bytes(mu0_text):
-    """verify's r >= 20 JSON documents, written from a template per row
-    set, are the bytes json.dumps writes for the dict documents: a single r
-    (depth 0), ranges crossing 19/20 (depth 2, dicts and filled documents
-    in one list), r = 20..3000 and r near 10^6, 10^12 and 10^18, with the
-    same stderr lines and exit code."""
+    """verify's JSON documents, laid out from the row layouts (filled at
+    r < 20, a template per row set from r = 20 on), are the bytes
+    json.dumps writes for the dict documents: a single r (depth 0) below
+    and above 20, ranges crossing 19/20 (depth 2), r = 20..3000 and r near
+    10^6, 10^12 and 10^18, with the same stderr lines and exit code."""
     mu0_args = () if mu0_text is None else ("--mu0", mu0_text)
     failing = set()
     for r_spec in VERIFY_R_SPECS:
@@ -1146,7 +1148,9 @@ def test_verify_template_writes_a_failing_small_degree_pair(monkeypatch):
     """With (2;1^9) at t = 1 as the whole small-degree table, r = 20 has
     delta = 21 >= 0: the template's slots take a mu_minus text, a
     Counterexample outcome, negative_delta and all_pass false, and the
-    command prints the FAIL lines and exits 1, alone and in ranges."""
+    command prints the FAIL lines and exits 1, alone and in ranges. M = 9
+    is within the multiplicity bound up to r = 96 only, so r = 97 and 98
+    write an empty pair list."""
     monkeypatch.setattr(search, "_SMALL_DEGREE", _small_degree_table((2, 9, 1)))
     for r_spec in ("20", "19..25", "20..40"):
         out, err, code = got = _call(("verify", "--r", r_spec))
@@ -1159,15 +1163,18 @@ def test_verify_template_writes_a_failing_small_degree_pair(monkeypatch):
         assert doc["pairs"][0]["mu_minus"] == "6 - 1/3*sqrt(21)"
         assert doc["pairs"][0]["outcome"] == "Counterexample"
         assert doc["small_degree_pairs"][0]["negative_delta"] is False
+    out, err, code = got = _call(("verify", "--r", "95..98"))
+    assert got == _dict_route_output("95..98", None) and (err, code) == ("", EXIT_PASS)
+    assert [len(doc["pairs"]) for doc in json.loads(out)["results"]] == [1, 1, 0, 0]
 
 
 def test_verify_range_writes_one_template_per_row_set(monkeypatch):
-    """verify --r 20..10019 calls _dumps once per template: the documents
-    are filled templates, and the range's wrapper is written by hand. A
-    template serves one
-    key, what the checks decided; every delta here is negative, so the key
-    is the row set (which of the five small-degree pairs are critical
-    pairs)."""
+    """verify --r 20..10019 builds one template per row set and calls
+    _dumps not at all: the templates are laid out from the row layouts, the
+    documents are filled templates, and the range's wrapper is written by
+    hand. A template serves one key, what the checks decided; every delta
+    here is negative, so the key is the row set (which of the five
+    small-degree pairs are critical pairs)."""
     lo, hi = 20, 10019
     row_sets = {
         tuple(pair.total_multiplicity <= search.total_multiplicity_bound(r)
@@ -1175,19 +1182,23 @@ def test_verify_range_writes_one_template_per_row_set(monkeypatch):
         for r in range(lo, hi + 1)
     }
     assert len(row_sets) == 5  # the set shrinks at r = 30, 34, 97 and 189
-    calls = 0
-    dumps = cli._dumps
+    calls = {}
 
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return dumps(*args)
+    def counting(name):
+        real, calls[name] = getattr(cli, name), 0
 
-    monkeypatch.setattr(cli, "_dumps", counting)
+        def count(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return count
+
+    for name in ("_dumps", "_json_template"):
+        monkeypatch.setattr(cli, name, counting(name))
     out, err, code = _call(("verify", "--r", f"{lo}..{hi}"))
     assert (code, err) == (EXIT_PASS, "")
     assert len(json.loads(out)["results"]) == hi - lo + 1
-    assert calls == len(row_sets)
+    assert calls == {"_dumps": 0, "_json_template": len(row_sets)}
 
 
 def test_verify_builds_one_template_per_key(monkeypatch):
@@ -1227,6 +1238,54 @@ def test_verify_builds_one_template_per_key(monkeypatch):
     assert got == _dict_route_output(f"{lo}..{hi}", None)
     assert got[2] == EXIT_FAIL
     assert templates == len(keys)
+
+
+LAYOUT_TEXTS = st.text() | st.sampled_from(
+    ["(4;2^2,1^8)", ",", "%", "%d%%s%", '"', "\\", "\x00", "\u00e9\u2028", "\U0001f600"]
+)
+LAYOUT_INTS = st.integers(min_value=-(2**80), max_value=2**80)
+
+
+@st.composite
+def large_r_checks(draw):
+    """Checks as _large_r_checks gives them, (pairs, key, values), for up to
+    five stand-in pairs of any class text, t and M, any outcome or none and
+    any bool decided, and any delta, r and texts."""
+    pairs, key, values = [], [], [draw(LAYOUT_INTS), draw(LAYOUT_TEXTS)]
+    for _ in range(draw(st.integers(0, 5))):
+        curve = SimpleNamespace(render=draw(LAYOUT_TEXTS).__str__,
+                                total_multiplicity=draw(LAYOUT_INTS))
+        pairs.append(SimpleNamespace(curve=curve, t=draw(LAYOUT_INTS)))
+        outcome = draw(st.sampled_from([None, *search.Outcome]))
+        if outcome is not None:
+            values.append(draw(LAYOUT_INTS))
+            if outcome is not search.Outcome.PASS_NEGATIVE_DELTA:
+                values.append(draw(LAYOUT_TEXTS))  # mu_minus
+        values.append(draw(LAYOUT_INTS))
+        key += (outcome, draw(st.booleans()))
+    key += draw(st.tuples(st.booleans(), st.booleans(), st.booleans()))
+    return tuple(pairs), tuple(key), values
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(large_r_checks(), st.sampled_from([0, 2]))
+def test_verify_layouts_write_what_dumps_writes(checks, depth):
+    """Each row layout, filled, is _json_text of the same dict at depth 0
+    and 2: a template filled as _write_documents fills it gives the bytes of
+    the _large_r_layout document, and _verify_text those of the document
+    with its small-degree rows and large_r null, as at an r < 20, for class
+    texts with commas, %, quotes and non-ASCII characters, deltas of any
+    sign and size, mu_minus null and a text, each outcome and both values
+    of every bool."""
+    pairs, key, values = checks
+    doc = cli._large_r_layout(pairs, key, values)
+    template, texts, order = cli._json_template(pairs, key, values, depth)
+    filled = list(values)
+    for i in texts:
+        filled[i] = encode_basestring_ascii(filled[i]).encode()
+    assert (template % order(filled)).decode() == cli._json_text(doc, depth)
+    small_r = {**doc, "small_degree_pairs": None, "large_r": None}
+    assert cli._verify_text(small_r, depth) == cli._json_text(small_r, depth)
 
 
 class _CountingStdout(io.StringIO):
